@@ -19,12 +19,9 @@ from .composite import (
 )
 from .geometry import (
     Address,
-    CubeSpec,
     Location,
-    LogMagnitude,
     ParameterSchedule,
     cell_center,
-    cell_cubes,
     frame_measure,
     harmonic_schedule,
     limit_measure,

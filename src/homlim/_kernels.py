@@ -1,42 +1,15 @@
-"""Hot numeric kernels in two interchangeable flavors.
+"""Hot numeric kernels, vectorized with numpy.
 
-The loops that dominate runtime (batched evaluation of the nested-cube
-homeomorphism, signed solid-angle sums over triangle meshes, planar
-winding sums) are provided twice:
-
-* a loop-oriented implementation compiled with ``numba.njit``;
-* a vectorized pure-numpy implementation.
-
-The numba path is used by default.  Set ``HOMLIM_PURE_NUMPY=1`` in the
-environment to force the numpy path; it is also selected automatically
-when numba is not importable.  ``benchmarks/bench_kernels.py`` times the
-two against each other.
+The loops that dominate runtime: batched evaluation of the nested-cube
+homeomorphism, signed solid-angle sums over triangle meshes, and planar
+winding sums.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_FORCE_NUMPY = os.environ.get("HOMLIM_PURE_NUMPY", "") not in ("", "0")
-
-try:  # pragma: no cover - exercised indirectly through the public names
-    if _FORCE_NUMPY:
-        raise ImportError("numba disabled via HOMLIM_PURE_NUMPY")
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    _HAVE_NUMBA = False
-
-
-def using_numba() -> bool:
-    """True when the compiled kernel flavor is active."""
-    return _HAVE_NUMBA
-
+from .geometry import descend_set
 
 # ---------------------------------------------------------------------------
 # Nested-cube homeomorphism, batched.
@@ -51,75 +24,18 @@ def using_numba() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cantor_map_loop(points, rs, rs_out, rt, rt_out, stage, out):
-    npts, n = points.shape
-    for p in range(npts):
-        zs = np.zeros(n)
-        zt = np.zeros(n)
-        done = False
-        for lev in range(1, stage + 1):
-            half_s = 0.5 * rs[lev - 1]
-            half_t = 0.5 * rt[lev - 1]
-            for d in range(n):
-                if points[p, d] >= zs[d]:
-                    zs[d] += half_s
-                    zt[d] += half_t
-                else:
-                    zs[d] -= half_s
-                    zt[d] -= half_t
-            t = 0.0
-            for d in range(n):
-                off = abs(points[p, d] - zs[d])
-                if off > t:
-                    t = off
-            if t >= rs[lev]:
-                if t == rs_out[lev]:
-                    lam = rt_out[lev]
-                else:
-                    lam = rt[lev] + (t - rs[lev]) * (rt_out[lev] - rt[lev]) / (
-                        rs_out[lev] - rs[lev]
-                    )
-                scale = lam / t
-                for d in range(n):
-                    out[p, d] = zt[d] + scale * (points[p, d] - zs[d])
-                done = True
-                break
-        if not done:
-            scale = rt[stage] / rs[stage]
-            for d in range(n):
-                out[p, d] = zt[d] + scale * (points[p, d] - zs[d])
-    return out
-
-
-def _cantor_map_numpy(points, rs, rs_out, rt, rt_out, stage, out):
-    npts, n = points.shape
-    zs = np.zeros_like(points)
-    zt = np.zeros_like(points)
-    active = np.ones(npts, dtype=bool)
-    out[:] = points
-    for lev in range(1, stage + 1):
-        if not active.any():
-            break
-        sign = np.where(points[active] >= zs[active], 1.0, -1.0)
-        zs[active] += 0.5 * rs[lev - 1] * sign
-        zt[active] += 0.5 * rt[lev - 1] * sign
-        xi = points[active] - zs[active]
-        t = np.abs(xi).max(axis=1)
-        in_frame = t >= rs[lev]
-        if in_frame.any():
-            idx = np.flatnonzero(active)[in_frame]
-            tf = t[in_frame]
-            lam = rt[lev] + (tf - rs[lev]) * (rt_out[lev] - rt[lev]) / (
-                rs_out[lev] - rs[lev]
-            )
-            lam[tf == rs_out[lev]] = rt_out[lev]
-            out[idx] = zt[idx] + (lam / tf)[:, None] * xi[in_frame]
-            keep = np.flatnonzero(active)[~in_frame]
-            active[:] = False
-            active[keep] = True
-    if active.any():
-        idx = np.flatnonzero(active)
-        out[idx] = zt[idx] + (rt[stage] / rs[stage]) * (points[idx] - zs[idx])
+def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, out):
+    level, letters, zs, t = descend_set(points, rs, stage)
+    zt = 0.5 * rt[0] * letters[0]
+    for lev in range(2, stage + 1):
+        zt = zt + 0.5 * rt[lev - 1] * letters[lev - 1]
+    scale = np.full(len(points), rt[stage] / rs[stage])
+    frame = level > 0
+    if frame.any():
+        lv, tf = level[frame], t[frame]
+        lam = rt[lv] + (tf - rs[lv]) * (rt_out[lv] - rt[lv]) / (rs_out[lv] - rs[lv])
+        scale[frame] = np.where(tf == rs_out[lv], rt_out[lv], lam) / tf
+    out[:] = zt + scale[:, None] * (points - zs)
     return out
 
 
@@ -128,37 +44,7 @@ def _cantor_map_numpy(points, rs, rs_out, rt, rt_out, stage, out):
 # ---------------------------------------------------------------------------
 
 
-def _solid_angle_sum_loop(tris, y):
-    total = 0.0
-    for i in range(tris.shape[0]):
-        ax = tris[i, 0, 0] - y[0]
-        ay = tris[i, 0, 1] - y[1]
-        az = tris[i, 0, 2] - y[2]
-        bx = tris[i, 1, 0] - y[0]
-        by = tris[i, 1, 1] - y[1]
-        bz = tris[i, 1, 2] - y[2]
-        cx = tris[i, 2, 0] - y[0]
-        cy = tris[i, 2, 1] - y[1]
-        cz = tris[i, 2, 2] - y[2]
-        la = math.sqrt(ax * ax + ay * ay + az * az)
-        lb = math.sqrt(bx * bx + by * by + bz * bz)
-        lc = math.sqrt(cx * cx + cy * cy + cz * cz)
-        det = (
-            ax * (by * cz - bz * cy)
-            - ay * (bx * cz - bz * cx)
-            + az * (bx * cy - by * cx)
-        )
-        den = (
-            la * lb * lc
-            + (ax * bx + ay * by + az * bz) * lc
-            + (bx * cx + by * cy + bz * cz) * la
-            + (cx * ax + cy * ay + cz * az) * lb
-        )
-        total += 2.0 * math.atan2(det, den)
-    return total
-
-
-def _solid_angle_sum_numpy(tris, y):
+def solid_angle_sum(tris, y):
     v = tris - y[None, None, :]
     a, b, c = v[:, 0, :], v[:, 1, :], v[:, 2, :]
     la = np.linalg.norm(a, axis=1)
@@ -179,42 +65,9 @@ def _solid_angle_sum_numpy(tris, y):
 # ---------------------------------------------------------------------------
 
 
-def _winding_sum_loop(loop, y):
-    total = 0.0
-    m = loop.shape[0]
-    px = loop[m - 1, 0] - y[0]
-    py = loop[m - 1, 1] - y[1]
-    for i in range(m):
-        qx = loop[i, 0] - y[0]
-        qy = loop[i, 1] - y[1]
-        total += math.atan2(px * qy - py * qx, px * qx + py * qy)
-        px, py = qx, qy
-    return total / (2.0 * math.pi)
-
-
-def _winding_sum_numpy(loop, y):
+def winding_sum(loop, y):
     v = loop - y[None, :]
     w = np.roll(v, -1, axis=0)
     cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
     dot = v[:, 0] * w[:, 0] + v[:, 1] * w[:, 1]
     return float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
-
-
-cantor_map_points_numpy = _cantor_map_numpy
-solid_angle_sum_numpy = _solid_angle_sum_numpy
-winding_sum_numpy = _winding_sum_numpy
-
-if _HAVE_NUMBA:
-    cantor_map_points_jit = njit(cache=True)(_cantor_map_loop)
-    solid_angle_sum_jit = njit(cache=True)(_solid_angle_sum_loop)
-    winding_sum_jit = njit(cache=True)(_winding_sum_loop)
-    cantor_map_points = cantor_map_points_jit
-    solid_angle_sum = solid_angle_sum_jit
-    winding_sum = winding_sum_jit
-else:  # pragma: no cover
-    cantor_map_points_jit = None
-    solid_angle_sum_jit = None
-    winding_sum_jit = None
-    cantor_map_points = _cantor_map_numpy
-    solid_angle_sum = _solid_angle_sum_numpy
-    winding_sum = _winding_sum_numpy

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .composite import build_stage
-from .geometry import tower_slots
+from .geometry import address_words, tower_slots
 from .tentacles import _Shift, TentacleSchedule
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "jacobian_survey",
     "boundary_identity_check",
     "make_rng",
+    "fd_jacobian",
 ]
 
 
@@ -96,7 +97,7 @@ def seminorm(map_like, p: float, boxes, config: QuadratureConfig,
         h = config.fd_step or 1e-7
 
         def deriv(x):
-            return _fd_jacobian(fwd, x, h)
+            return fd_jacobian(fwd, x, h)
 
     def integrand(x):
         return float(np.linalg.norm(deriv(x), "fro") ** p)
@@ -131,13 +132,7 @@ def stratified_tube_boxes(width_outer: float, width_inner: float,
     image of the squeezing profile runs through exponentially many scale
     interfaces of the composed maps.
     """
-    segs = []
-    for lo_a, hi_a in zip(axial, axial[1:]):
-        if axial_levels <= 0:
-            segs.append((lo_a, hi_a))
-            continue
-        cuts = [lo_a + (hi_a - lo_a) * 2.0**-j for j in range(axial_levels, 0, -1)]
-        segs.extend(zip([lo_a] + cuts, cuts + [hi_a]))
+    segs = _geom_segments(axial, axial_levels)
     radii = list(np.geomspace(width_outer, max(width_inner, 1e-300), levels + 1))
     boxes = []
     for lo_a, hi_a in segs:
@@ -156,7 +151,8 @@ def stratified_tube_boxes(width_outer: float, width_inner: float,
     return boxes
 
 
-def _fd_jacobian(f, x, h):
+def fd_jacobian(f, x, h):
+    """Central-difference Jacobian of f at x with step h."""
     n = len(x)
     J = np.empty((n, n))
     for d in range(n):
@@ -197,11 +193,6 @@ class CauchyTable:
         tails = [sum(vals[i:]) for i in range(len(vals))]
         return all(t2 / t1 < 1.0 for t1, t2 in zip(tails, tails[1:]) if t1 > 0)
 
-    def to_csv_rows(self):
-        yield "k,integral,envelope,pass"
-        for r in self.rows:
-            yield f"{r.k},{r.integral:.17g},{r.envelope:.17g},{int(r.passed)}"
-
 
 def tube_axial_knots(sched: TentacleSchedule, k: int) -> list[float]:
     """Axial breakpoints of the level-k tube (the PL knot planes)."""
@@ -210,26 +201,12 @@ def tube_axial_knots(sched: TentacleSchedule, k: int) -> list[float]:
     return list(_knots(sched.level(k), sched.family, 0.0).ts)
 
 
-def _change_region_boxes(sched: TentacleSchedule, k: int, config: QuadratureConfig):
-    """Straight-chart boxes for the level-k tube P'_k of the family."""
-    lv = sched.level(k)
-    return stratified_tube_boxes(lv.d, lv.b, tube_axial_knots(sched, k),
-                                 config.transverse_levels, config.axial_levels)
-
-
 def _sample_words(n: int, level: int, cap: int, rng) -> tuple[list, float]:
     """Tower letter words at ``level`` (all if few, else a seeded sample);
     returns the words and the inflation factor total/sampled."""
     slots = tower_slots(n)
-    total = len(slots) ** level
-    if total <= cap:
-        words = [()]
-        for _ in range(level):
-            words = [w + (s,) for w in words for s in slots]
-        return words, 1.0
-    words = [tuple(slots[rng.integers(len(slots))] for _ in range(level))
-             for _ in range(cap)]
-    return words, total / cap
+    words = address_words(slots, level, cap, rng)
+    return words, len(slots) ** level / len(words)
 
 
 def _geom_segments(breaks, levels: int):
@@ -261,7 +238,7 @@ def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
     lv = sched.level(k)
     n = sched.n
     heights = [w[-1] for w in word]
-    z_n = sum(sched.level(j + 1).r_hat_prev * heights[j] for j in range(k))
+    z_n = sched.center_height(heights)
     sh = _Shift(sched, heights)
     segs = _geom_segments(_knots(lv, sched.family, 0.0).ts, config.axial_levels)
     t_res = config.axial_resolution * res_mult
@@ -399,13 +376,13 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     exceptions = []
     hard = []
     for x in pts:
-        det = float(np.linalg.det(_fd_jacobian(fwd, x, h)))
+        det = float(np.linalg.det(fd_jacobian(fwd, x, h)))
         min_det = min(min_det, det)
         if det > 0:
             positives += 1
             continue
         exceptions.append((x.copy(), det))
-        fine = float(np.linalg.det(_fd_jacobian(fwd, x, h / 8)))
+        fine = float(np.linalg.det(fd_jacobian(fwd, x, h / 8)))
         analytic = None
         if deriv is not None:
             try:

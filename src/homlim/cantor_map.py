@@ -15,7 +15,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError
-from .geometry import ParameterSchedule
+from .geometry import ParameterSchedule, descend_set
 
 __all__ = ["CantorHomeomorphism"]
 
@@ -74,29 +74,25 @@ class CantorHomeomorphism:
         """Analytic Jacobian matrix; undefined on the sup-norm edge set
         (non-unique max coordinate), where the first max index is used."""
         x = np.asarray(point, dtype=float)
-        if np.max(np.abs(x)) > 1.0:
+        if np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
         if forward:
             rs, rs_out, rt, rt_out = self._rs, self._rs_out, self._rt, self._rt_out
         else:
             rs, rs_out, rt, rt_out = self._rt, self._rt_out, self._rs, self._rs_out
         n = self.n
-        zs = np.zeros(n)
-        for lev in range(1, self.stage + 1):
-            sign = np.where(x >= zs, 1.0, -1.0)
-            zs = zs + 0.5 * rs[lev - 1] * sign
-            xi = x - zs
-            t = float(np.max(np.abs(xi)))
-            if t >= rs[lev]:
-                lam_slope = (rt_out[lev] - rt[lev]) / (rs_out[lev] - rs[lev])
-                lam = rt[lev] + (t - rs[lev]) * lam_slope
-                mx = int(np.argmax(np.abs(xi)))
-                d = (lam / t) * np.eye(n)
-                d += ((lam_slope - lam / t) / t) * np.outer(
-                    xi, np.sign(xi[mx]) * np.eye(n)[mx]
-                )
-                return d
-        return (rt[self.stage] / rs[self.stage]) * np.eye(n)
+        level, _, zs, ts = descend_set(x[None, :], rs, self.stage)
+        lev = level[0]
+        if not lev:
+            return (rt[self.stage] / rs[self.stage]) * np.eye(n)
+        xi = x - zs[0]
+        t = ts[0]
+        lam_slope = (rt_out[lev] - rt[lev]) / (rs_out[lev] - rs[lev])
+        lam = rt[lev] + (t - rs[lev]) * lam_slope
+        mx = int(np.argmax(np.abs(xi)))
+        d = (lam / t) * np.eye(n)
+        d[:, mx] += ((lam_slope - lam / t) / t) * (xi * np.sign(xi[mx]))
+        return d
 
     def derivative_bound(self, level: int, forward: bool = True) -> float:
         """Sharp sup of the radial-map stretch on the level-i frame:

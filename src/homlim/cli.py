@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -26,7 +27,11 @@ import numpy as np
 
 from . import analysis, degree as degree_mod
 from .composite import VARIANTS, build_stage, continuum_witness
-from .errors import IndeterminateDegreeError
+from .errors import (
+    IndeterminateDegreeError,
+    InfeasibleScheduleError,
+    UnsupportedDimensionError,
+)
 from .tentacles import (
     SQUEEZE,
     STRETCH,
@@ -66,6 +71,8 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
     cfg = dict(_DEFAULTS)
     cfg.update(raw)
     _validate(cfg)
@@ -76,8 +83,12 @@ def _fail(field, msg):
     raise ConfigError(f"config field '{field}': {msg}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(cfg):
-    if not isinstance(cfg["n"], int) or cfg["n"] < 2:
+    if not _is_int(cfg["n"]) or cfg["n"] < 2:
         _fail("n", "must be an integer >= 2")
     if cfg["variant"] not in VARIANTS:
         _fail("variant", f"must be one of {VARIANTS}")
@@ -85,11 +96,15 @@ def _validate(cfg):
         _fail("schedule_mode", "must be 'demo' or 'strict'")
     if cfg["variant"] in ("T1", "T2", "W") and cfg["n"] < 3:
         _fail("n", "tentacle variants need n >= 3")
-    if cfg["variant"] != "FL" and cfg["beta"] < cfg["n"] + 1:
+    beta = cfg["beta"]
+    if not (_is_int(beta) or isinstance(beta, float)) or not math.isfinite(beta):
+        _fail("beta", "must be a finite number")
+    # every variant runs the tower relocation, which needs beta >= n+1
+    if beta < cfg["n"] + 1:
         _fail("beta", "need beta >= n+1")
-    if not 1 <= int(cfg["max_stage"]) <= 24:
-        _fail("max_stage", "must be in 1..24")
-    if not isinstance(cfg["seed"], int):
+    if not _is_int(cfg["max_stage"]) or not 1 <= cfg["max_stage"] <= 24:
+        _fail("max_stage", "must be an integer in 1..24")
+    if not _is_int(cfg["seed"]):
         _fail("seed", "must be an integer")
 
 
@@ -120,7 +135,7 @@ def _quad_config(cfg) -> analysis.QuadratureConfig:
     q.setdefault("seed", cfg["seed"])
     try:
         return analysis.QuadratureConfig(**q)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'quadrature': {exc}") from exc
 
 
@@ -211,10 +226,12 @@ def cmd_witness(cfg, out_dir):
 def cmd_degree(cfg, out_dir):
     dcfg = dict(cfg.get("degree") or {})
     n = cfg["n"]
-    center = tuple(dcfg.get("center", (0.55, 0.09, 0.25)[:n]))
-    radius = float(dcfg.get("radius", 0.1))
-    refinement = int(dcfg.get("refinement", 3))
-    probe = degree_mod.SphereProbe(center, radius, refinement)
+    try:
+        center = tuple(float(c) for c in dcfg.get("center", (0.55, 0.09, 0.25)[:n]))
+        radius = float(dcfg.get("radius", 0.1))
+        probe = degree_mod.SphereProbe(center, radius, int(dcfg.get("refinement", 3)))
+    except (TypeError, ValueError, UnsupportedDimensionError) as exc:
+        raise ConfigError(f"config field 'degree': {exc}") from exc
     rows = []
     try:
         if dcfg.get("fixture") == "identity":
@@ -286,7 +303,7 @@ def run(command: str, config_path: str, out_dir: str | None = None,
         _validate(cfg)
         out = out_dir or cfg["out_dir"]
         return _COMMANDS[command](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -212,7 +212,7 @@ def _tentacle_chain_points(sched: TentacleSchedule, word_hat, k: int,
     n = sched.n
     lv = sched.level(k)
     heights = [w[-1] for w in word_hat]
-    z_n = sum(sched.level(j + 1).r_hat_prev * heights[j] for j in range(k))
+    z_n = sched.center_height(heights)
     sh = _Shift(sched, heights)
     ts = np.geomspace(lv.r_hat, lv.a, samples - 1)[::-1]
     pts = []
@@ -276,7 +276,7 @@ def _stretch_inverse_on_chain(sched: TentacleSchedule, word_hat, k: int,
 
     lv = sched.level(k)
     heights = [w[-1] for w in word_hat]
-    z_n = sum(sched.level(j + 1).r_hat_prev * heights[j] for j in range(k))
+    z_n = sched.center_height(heights)
     sh = _Shift(sched, heights)
     knots = _knots(lv, STRETCH, lv.e_range)
     out = []

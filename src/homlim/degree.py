@@ -18,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
+from .analysis import fd_jacobian
 from .errors import IndeterminateDegreeError, UnsupportedDimensionError
 
 __all__ = [
@@ -233,13 +234,8 @@ def signed_preimage_count(map_forward, y, box, grid: int = 13,
             if np.linalg.norm(r) < tol:
                 ok = True
                 break
-            J = np.empty((n, n))
-            for d in range(n):
-                e = np.zeros(n)
-                e[d] = h
-                J[:, d] = (np.asarray(map_forward(x + e)) - np.asarray(map_forward(x - e))) / (2 * h)
             try:
-                step = np.linalg.solve(J, r)
+                step = np.linalg.solve(fd_jacobian(map_forward, x, h), r)
             except np.linalg.LinAlgError:
                 break
             x = x - step
@@ -250,15 +246,8 @@ def signed_preimage_count(map_forward, y, box, grid: int = 13,
         if any(np.linalg.norm(x - r0) < dedupe for r0 in roots):
             continue
         roots.append(x)
-    total = 0
-    for x in roots:
-        J = np.empty((n, n))
-        for d in range(n):
-            e = np.zeros(n)
-            e[d] = h
-            J[:, d] = (np.asarray(map_forward(x + e)) - np.asarray(map_forward(x - e))) / (2 * h)
-        total += int(math.copysign(1.0, np.linalg.det(J)))
-    return total
+    return sum(int(math.copysign(1.0, np.linalg.det(fd_jacobian(map_forward, x, h))))
+               for x in roots)
 
 
 @dataclass

@@ -156,6 +156,18 @@ class Address:
         return Address(self.construction, self.word + (tuple(letter),))
 
 
+def address_words(alphabet, level: int, cap: int, rng) -> list[tuple]:
+    """Words of ``level`` letters: all of them when there are at most
+    ``cap``, else ``cap`` words drawn letter by letter from ``rng``."""
+    if len(alphabet) ** level <= cap:
+        words = [()]
+        for _ in range(level):
+            words = [w + (a,) for w in words for a in alphabet]
+        return words
+    return [tuple(alphabet[rng.integers(len(alphabet))] for _ in range(level))
+            for _ in range(cap)]
+
+
 def cell_center(schedule: ParameterSchedule, address: Address) -> np.ndarray:
     """Center of the cell named by ``address`` under ``schedule``.
 
@@ -176,36 +188,6 @@ def cell_center(schedule: ParameterSchedule, address: Address) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CubeSpec:
-    """A concrete cube Q(center, half_width) with its construction role."""
-
-    center: tuple[float, ...]
-    half_width: float
-    role: str = "inner"  # 'inner' or 'outer'
-
-    def __post_init__(self):
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-
-    def contains(self, point, half_open: bool = True) -> bool:
-        c = np.asarray(self.center)
-        p = np.asarray(point, dtype=float)
-        if half_open:
-            return bool(np.all(p >= c - self.half_width) and np.all(p < c + self.half_width))
-        return bool(np.max(np.abs(p - c)) <= self.half_width)
-
-
-def cell_cubes(schedule: ParameterSchedule, address: Address) -> tuple[CubeSpec, CubeSpec]:
-    """(inner, outer) cubes of the addressed cell."""
-    z = tuple(cell_center(schedule, address))
-    k = address.level
-    return (
-        CubeSpec(z, schedule.r(k), "inner"),
-        CubeSpec(z, schedule.r_outer(k), "outer"),
-    )
-
-
-@dataclass(frozen=True)
 class Location:
     """Result of point location: the deepest address and the zone there.
 
@@ -217,6 +199,68 @@ class Location:
     address: Address
     zone: str
     sup_offset: float
+
+
+def descend_set(points: np.ndarray, radii, depth: int):
+    """Batched setA/setB descent of the address tree, ``depth`` levels deep.
+
+    At level k the child letter of a row is v = sign(x - z) with x >= z
+    counted as +1 (half-open faces), and the center steps by
+    (r_{k-1}/2) v; a row stops in the first frame, where its sup offset
+    t = |x - z|_inf reaches r_k.  ``radii`` holds r_0..r_depth.
+
+    Returns (level, letters, center, sup): the frame level of each row
+    (0 for rows still inside the level-``depth`` inner cube), the sign
+    letters as a (depth, N, n) array (zero below the stop level), the
+    center of the cell where the row stopped and its sup offset there.
+    Rows leave the walk as they stop, and the walk ends once all have.
+    """
+    npts, n = points.shape
+    level = np.zeros(npts, dtype=np.intp)
+    letters = np.zeros((depth, npts, n))
+    center = np.empty((npts, n))
+    sup = np.empty(npts)
+    rows = slice(None)  # the rows still walking: all of them until one stops
+    x, z = points, np.zeros((npts, n))
+    for lev in range(1, depth + 1):
+        sign = np.where(x >= z, 1.0, -1.0)
+        z = z + 0.5 * radii[lev - 1] * sign
+        letters[lev - 1, rows] = sign
+        t = np.abs(x - z).max(axis=1)
+        stop = t >= radii[lev]
+        stopped = np.count_nonzero(stop)
+        if stopped == len(t):
+            level[rows] = lev
+            break
+        if stopped:
+            ids = np.arange(npts)[rows]
+            done = ids[stop]
+            level[done] = lev
+            center[done] = z[stop]
+            sup[done] = t[stop]
+            keep = ~stop
+            rows, x, z, t = ids[keep], x[keep], z[keep], t[keep]
+    center[rows] = z
+    sup[rows] = t
+    return level, letters, center, sup
+
+
+@lru_cache(maxsize=None)
+def _slot_vectors(n: int) -> tuple[np.ndarray, ...]:
+    return tuple(np.array(s) for s in tower_slots(n))
+
+
+def tower_step(point: np.ndarray, center: np.ndarray, r_prev: float):
+    """One towerB descent step from the cell (center, r_prev).
+
+    The last coordinate is binned into the 2^n equal slot tiles of
+    [-r_prev, r_prev) around the center (clamped to the end tiles), and
+    the child center steps by r_prev vhat.  Returns (tile, child center).
+    """
+    n = len(center)
+    tile = math.floor((point[n - 1] - center[n - 1] + r_prev) / (2.0 * r_prev / 2**n))
+    tile = min(max(tile, 0), 2**n - 1)
+    return tile, center + r_prev * _slot_vectors(n)[tile]
 
 
 def locate(
@@ -239,44 +283,24 @@ def locate(
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
     if construction in (SET_A, SET_B):
-        return _locate_set(schedule, construction, x, max_level)
-    if construction == TOWER_B:
-        return _locate_tower(schedule, x, max_level)
-    raise InvalidAddressError(f"unknown construction {construction!r}")
-
-
-def _locate_set(schedule, construction, x, max_level):
-    n = schedule.n
-    z = np.zeros(n)
-    word = []
-    for lev in range(1, max_level + 1):
-        v = tuple(1 if x[d] >= z[d] else -1 for d in range(n))
-        z = z + 0.5 * schedule.r(lev - 1) * np.asarray(v, dtype=float)
-        word.append(v)
-        t = float(np.max(np.abs(x - z)))
-        if t >= schedule.r(lev):
-            return Location(Address(construction, tuple(word)), "frame", t)
-    return Location(Address(construction, tuple(word)), "core", t)
-
-
-def _locate_tower(schedule, x, max_level):
-    n = schedule.n
+        radii = [schedule.r(k) for k in range(max_level + 1)]
+        level, letters, _, sup = descend_set(x[None, :], radii, max_level)
+        k = int(level[0]) or max_level
+        word = tuple(tuple(int(s) for s in letters[j, 0]) for j in range(k))
+        zone = "frame" if level[0] else "core"
+        return Location(Address(construction, word), zone, float(sup[0]))
+    if construction != TOWER_B:
+        raise InvalidAddressError(f"unknown construction {construction!r}")
     slots = tower_slots(n)
     z = np.zeros(n)
     word = []
     for lev in range(1, max_level + 1):
-        r_prev = schedule.r(lev - 1)
-        tile = int(math.floor((x[n - 1] - z[n - 1] + r_prev) / (2.0 * r_prev / 2**n)))
-        tile = min(max(tile, 0), 2**n - 1)
-        slot = slots[tile]
-        z = z + r_prev * np.asarray(slot)
-        word.append(slot)
+        tile, z = tower_step(x, z, schedule.r(lev - 1))
+        word.append(slots[tile])
         t = float(np.max(np.abs(x - z)))
-        if t < schedule.r(lev):
-            continue
-        if t <= schedule.r_outer(lev):
-            return Location(Address(TOWER_B, tuple(word)), "frame", t)
-        return Location(Address(TOWER_B, tuple(word)), "outside", t)
+        if t >= schedule.r(lev):
+            zone = "frame" if t <= schedule.r_outer(lev) else "outside"
+            return Location(Address(TOWER_B, tuple(word)), zone, t)
     return Location(Address(TOWER_B, tuple(word)), "core", t)
 
 
@@ -299,63 +323,3 @@ def frame_measure(schedule: ParameterSchedule, k: int) -> float:
     """Volume of one frame Q'_{v(k)} \\ Q_{v(k)}."""
     n = schedule.n
     return (2.0 * schedule.r_outer(k)) ** n - (2.0 * schedule.r(k)) ** n
-
-
-@dataclass(frozen=True, order=False)
-class LogMagnitude:
-    """A positive quantity exp(-u) stored by u = log(1/value).
-
-    Used for the transverse tentacle widths whose strict schedules push
-    them far below the floating-point range; all arithmetic stays on u.
-    """
-
-    u: float
-
-    def __post_init__(self):
-        if not (self.u >= 0.0):
-            raise ValueError("LogMagnitude represents values <= 1 (u >= 0)")
-
-    @classmethod
-    def from_value(cls, value: float) -> "LogMagnitude":
-        if not (0.0 < value <= 1.0):
-            raise ValueError("value must lie in (0, 1]")
-        return cls(-math.log(value))
-
-    @property
-    def value(self) -> float:
-        """exp(-u); may underflow to exactly 0.0 (by design)."""
-        return math.exp(-self.u)
-
-    @property
-    def log_inverse(self) -> float:
-        """log(1/value) = u."""
-        return self.u
-
-    @property
-    def loglog_inverse(self) -> float:
-        """log log (1/value) = log u."""
-        if self.u <= 0.0:
-            raise ValueError("loglog undefined for value 1")
-        return math.log(self.u)
-
-    def mul_exp(self, delta: float) -> "LogMagnitude":
-        """The quantity times e^{delta} (still represented in log form)."""
-        return LogMagnitude(self.u - delta)
-
-    def times(self, other: "LogMagnitude") -> "LogMagnitude":
-        return LogMagnitude(self.u + other.u)
-
-    def power(self, p: float) -> "LogMagnitude":
-        return LogMagnitude(self.u * p)
-
-    def __lt__(self, other):
-        return self.u > other.u
-
-    def __le__(self, other):
-        return self.u >= other.u
-
-    def __gt__(self, other):
-        return self.u < other.u
-
-    def __ge__(self, other):
-        return self.u <= other.u

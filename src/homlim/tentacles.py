@@ -169,6 +169,11 @@ class TentacleSchedule:
             raise NotInitializedError(f"level {k} not solved (have {len(self.levels)})")
         return self.levels[k - 1]
 
+    def center_height(self, heights) -> float:
+        """Last coordinate z_n of the center of the tentacle whose tower
+        address has the slot heights ``heights`` (one per level)."""
+        return sum(self.level(j + 1).r_hat_prev * h for j, h in enumerate(heights))
+
     @property
     def geometric(self) -> bool:
         """True when b_k, d_k are representable and stage maps can run."""
@@ -710,18 +715,6 @@ class StraightTentacleMap:
             arg = 1 + int(np.argmax(np.abs(x[1:])))
             d[0, arg] = deta_de * de_drho * math.copysign(1.0, x[arg])
         return d
-
-    def tube_box(self, outer: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Chart box of P'_k (outer) or P_k (inner) for this family's domain."""
-        lv = self.lv
-        squeezed_domain = self.family == STRETCH
-        if outer:
-            end, width = (lv.c_sq if squeezed_domain else lv.c), lv.d
-        else:
-            end, width = (lv.a_sq if squeezed_domain else lv.a), lv.b
-        lo = np.array([lv.r_hat] + [-width] * (self.n - 1))
-        hi = np.array([end] + [width] * (self.n - 1))
-        return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,13 @@ the parent cell is the unit cube and reused at every level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import InfeasibleScheduleError, InvalidAddressError
-from .geometry import ParameterSchedule, tower_slots, cube_vertices
+from .geometry import ParameterSchedule, address_words, cube_vertices, tower_slots, tower_step
 
 __all__ = ["slot_correspondence", "slot_correspondence_inverse", "TowerMapping",
            "verify_goodmap", "relocation_moves"]
@@ -316,32 +315,36 @@ class TowerMapping:
         self.n = schedule.n
         self.moves = relocation_moves(self.n, schedule.beta)
         self._r = [schedule.r(k) for k in range(stage + 1)]
-        self._slots = [np.array(s) for s in tower_slots(self.n)]
 
     # -- cell location in tower coordinates ----------------------------------
 
-    def _cell_center(self, x: np.ndarray, level: int):
-        """Center of the level-`level` tower cell containing x, or None."""
-        n = self.n
-        z = np.zeros(n)
-        for j in range(1, level + 1):
-            r_prev = self._r[j - 1]
-            tile = math.floor((x[n - 1] - z[n - 1] + r_prev) / (2.0 * r_prev / 2**n))
-            if not 0 <= tile < 2**n:
-                return None
-            z = z + r_prev * self._slots[tile]
-            if np.max(np.abs(x - z)) >= self._r[j]:
-                return None
+    def _enter(self, x: np.ndarray, center: np.ndarray, level: int):
+        """Center of the level-``level`` tower cell holding x, one tile
+        step below ``center`` (its level-(level-1) cell), or None.
+
+        Lambda_i moves a point only inside its level-(i-1) cell, and every
+        cell sits deep inside its parent, so the ancestors found for one
+        stage still hold the point at the next; only the parent, whose
+        face a point can cross by an ulp of rescaling, is checked again.
+        """
+        if level == 0:
+            return center
+        if level > 1 and np.max(np.abs(x - center)) >= self._r[level - 1]:
+            return None
+        _, z = tower_step(x, center, self._r[level - 1])
+        if np.max(np.abs(x - z)) >= self._r[level]:
+            return None
         return z
 
     # -- evaluation -----------------------------------------------------------
 
     def forward(self, point) -> np.ndarray:
         x = np.asarray(point, dtype=float).copy()
+        center = np.zeros(self.n)
         for i in range(1, self.stage + 1):
-            center = self._cell_center(x, i - 1)
+            center = self._enter(x, center, i - 1)
             if center is None:
-                continue
+                break
             scale = self._r[i - 1]
             w = (x - center) / scale
             for mv in self.moves:
@@ -351,10 +354,16 @@ class TowerMapping:
 
     def inverse(self, point) -> np.ndarray:
         y = np.asarray(point, dtype=float).copy()
-        for i in range(self.stage, 0, -1):
-            center = self._cell_center(y, i - 1)
+        # cells of levels 0..stage-1 holding y; the inverse stages run
+        # deepest first, each inside a cell below these, so they stay valid
+        centers = [np.zeros(self.n)]
+        while len(centers) < self.stage:
+            center = self._enter(y, centers[-1], len(centers))
             if center is None:
-                continue
+                break
+            centers.append(center)
+        for i in range(len(centers), 0, -1):
+            center = centers[i - 1]
             scale = self._r[i - 1]
             w = (y - center) / scale
             for mv in reversed(self.moves):
@@ -367,10 +376,11 @@ class TowerMapping:
         d = np.eye(n)
         if forward:
             x = np.asarray(point, dtype=float).copy()
+            center = np.zeros(n)
             for i in range(1, self.stage + 1):
-                center = self._cell_center(x, i - 1)
+                center = self._enter(x, center, i - 1)
                 if center is None:
-                    continue
+                    break
                 scale = self._r[i - 1]
                 w = (x - center) / scale
                 for mv in self.moves:
@@ -403,12 +413,7 @@ def verify_goodmap(tower: TowerMapping, max_level: int, samples: int = 8,
     verts = cube_vertices(n)
     result: dict[int, bool] = {}
     for level in range(1, max_level + 1):
-        total = 2 ** (n * level)
-        if total <= cell_cap:
-            words = _all_words(verts, level)
-        else:
-            words = [tuple(verts[rng.integers(len(verts))] for _ in range(level))
-                     for _ in range(cell_cap)]
+        words = address_words(verts, level, cell_cap, rng)
         ok = True
         for word in words:
             z_src = np.zeros(n)
@@ -425,9 +430,3 @@ def verify_goodmap(tower: TowerMapping, max_level: int, samples: int = 8,
         result[level] = ok
     return result
 
-
-def _all_words(verts, level):
-    words = [()]
-    for _ in range(level):
-        words = [w + (v,) for w in words for v in verts]
-    return words

@@ -41,6 +41,18 @@ class TestConfig:
         assert cli.run("params", write_cfg(tmp_path, n=2)) == cli.EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("command,overrides", [
+        ("verify-boundary", {"variant": "FL", "beta": 3}),
+        ("params", {"max_stage": 12}),
+        ("params", {"beta": "x"}),
+        ("params", {"max_stage": 2.7}),
+        ("verify-jacobian", {"quadrature": {"resolution": 2}}),
+        ("degree", {"degree": {"radius": -1.0}}),
+    ])
+    def test_bad_config_exits_2(self, tmp_path, command, overrides):
+        assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG
+
+
 class TestCommands:
     def test_params_strict_row(self, tmp_path):
         cfg = write_cfg(tmp_path, schedule_mode="strict", max_stage=1)

@@ -4,51 +4,6 @@ import numpy as np
 import pytest
 
 from homlim import _kernels
-from homlim.geometry import ParameterSchedule
-
-
-@pytest.fixture(scope="module")
-def radii():
-    a = ParameterSchedule(n=3, beta=4.0, kind="A")
-    b = ParameterSchedule(n=3, beta=4.0, kind="B")
-    return a.radii(5) + b.radii(5)
-
-
-def test_flavors_agree_on_cantor_map(radii):
-    if _kernels.cantor_map_points_jit is None:
-        pytest.skip("numba unavailable")
-    rs, rso, rt, rto = radii
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(-1, 1, (500, 3))
-    out1 = np.empty_like(pts)
-    out2 = np.empty_like(pts)
-    _kernels.cantor_map_points_jit(pts, rs, rso, rt, rto, 5, out1)
-    _kernels.cantor_map_points_numpy(pts, rs, rso, rt, rto, 5, out2)
-    assert np.array_equal(out1, out2)
-
-
-def test_flavors_agree_on_solid_angle():
-    if _kernels.solid_angle_sum_jit is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(1)
-    tris = rng.normal(size=(200, 3, 3))
-    y = np.array([0.05, -0.02, 0.01])
-    a = _kernels.solid_angle_sum_jit(tris, y)
-    b = _kernels.solid_angle_sum_numpy(tris, y)
-    assert a == pytest.approx(b, abs=1e-10)
-
-
-def test_flavors_agree_on_winding():
-    if _kernels.winding_sum_jit is None:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(2)
-    th = np.sort(rng.uniform(0, 2 * np.pi, 64))
-    loop = np.stack([np.cos(th), np.sin(th)], axis=1)
-    y = np.array([0.1, 0.2])
-    a = _kernels.winding_sum_jit(loop, y)
-    b = _kernels.winding_sum_numpy(loop, y)
-    assert a == pytest.approx(b, abs=1e-12)
-    assert a == pytest.approx(1.0, abs=1e-9)
 
 
 def test_closed_surface_full_angle():
@@ -57,5 +12,12 @@ def test_closed_surface_full_angle():
 
     verts, faces = octasphere(2)
     tris = np.ascontiguousarray(verts[faces])
-    total = _kernels.solid_angle_sum_numpy(tris, np.array([0.1, 0.0, -0.2]))
+    total = _kernels.solid_angle_sum(tris, np.array([0.1, 0.0, -0.2]))
     assert total == pytest.approx(4 * math.pi, rel=1e-12)
+
+
+def test_circle_winds_once():
+    rng = np.random.default_rng(2)
+    th = np.sort(rng.uniform(0, 2 * np.pi, 64))
+    loop = np.stack([np.cos(th), np.sin(th)], axis=1)
+    assert _kernels.winding_sum(loop, np.array([0.1, 0.2])) == pytest.approx(1.0, abs=1e-9)

@@ -14,7 +14,6 @@ from .composite import (
     CompositeStage,
     ContinuumWitness,
     build_stage,
-    composite_eval,
     continuum_witness,
 )
 from .geometry import (

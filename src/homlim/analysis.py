@@ -11,7 +11,8 @@ generator seeded by the caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,8 +54,21 @@ class QuadratureConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "fd_step":
+                if value is not None and not (isinstance(value, numbers.Real)
+                                              and not isinstance(value, bool)
+                                              and 0 < value < math.inf):
+                    raise ValueError("fd_step must be a positive number or None")
+            elif not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise TypeError(f"{f.name} must be an integer, not {value!r}")
         if self.resolution < 4:
             raise ValueError("resolution must be >= 4 per axis")
+        if min(self.axial_resolution, self.transverse_resolution, self.cells_cap) < 1:
+            raise ValueError("axial_resolution, transverse_resolution and cells_cap must be >= 1")
+        if min(self.axial_levels, self.transverse_levels, self.seed) < 0:
+            raise ValueError("axial_levels, transverse_levels and seed must be >= 0")
 
 
 @dataclass

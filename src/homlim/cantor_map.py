@@ -30,6 +30,9 @@ class CantorHomeomorphism:
         the map the identity on the cube boundary.
     stage : int
         Construction depth k; the map is linear on the 2^{nk} level-k cells.
+
+    The inverse map is ``CantorHomeomorphism(dst, src, stage)``: the same
+    kernel on the same radius arrays, with their roles swapped.
     """
 
     def __init__(self, src: ParameterSchedule, dst: ParameterSchedule, stage: int):
@@ -70,16 +73,13 @@ class CantorHomeomorphism:
 
     # -- derivative ---------------------------------------------------------
 
-    def derivative(self, point, forward: bool = True) -> np.ndarray:
+    def derivative(self, point) -> np.ndarray:
         """Analytic Jacobian matrix; undefined on the sup-norm edge set
         (non-unique max coordinate), where the first max index is used."""
         x = np.asarray(point, dtype=float)
         if np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        if forward:
-            rs, rs_out, rt, rt_out = self._rs, self._rs_out, self._rt, self._rt_out
-        else:
-            rs, rs_out, rt, rt_out = self._rt, self._rt_out, self._rs, self._rs_out
+        rs, rs_out, rt, rt_out = self._rs, self._rs_out, self._rt, self._rt_out
         n = self.n
         level, _, zs, ts = descend_set(x[None, :], rs, self.stage)
         lev = level[0]
@@ -94,14 +94,13 @@ class CantorHomeomorphism:
         d[:, mx] += ((lam_slope - lam / t) / t) * (xi * np.sign(xi[mx]))
         return d
 
-    def derivative_bound(self, level: int, forward: bool = True) -> float:
+    def derivative_bound(self, level: int) -> float:
         """Sharp sup of the radial-map stretch on the level-i frame:
-        max{beta_i/alpha_i, (beta_{i-1}-beta_i)/(alpha_{i-1}-alpha_i)}
-        for the forward map, the reciprocal roles for the inverse."""
+        max{beta_i/alpha_i, (beta_{i-1}-beta_i)/(alpha_{i-1}-alpha_i)},
+        alpha the source and beta the target schedule (the inverse map is
+        the map with the two schedules swapped)."""
         if not 1 <= level <= self.stage:
             raise ValueError("level out of range")
         a0, a1 = self.src.alpha(level - 1), self.src.alpha(level)
         b0, b1 = self.dst.alpha(level - 1), self.dst.alpha(level)
-        if forward:
-            return max(b1 / a1, (b0 - b1) / (a0 - a1))
-        return max(a1 / b1, (a0 - a1) / (b0 - b1))
+        return max(b1 / a1, (b0 - b1) / (a0 - a1))

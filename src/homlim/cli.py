@@ -104,8 +104,12 @@ def _validate(cfg):
         _fail("beta", "need beta >= n+1")
     if not _is_int(cfg["max_stage"]) or not 1 <= cfg["max_stage"] <= 24:
         _fail("max_stage", "must be an integer in 1..24")
-    if not _is_int(cfg["seed"]):
-        _fail("seed", "must be an integer")
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        _fail("seed", "must be a non-negative integer")
+    for field in ("quadrature", "degree"):
+        if not isinstance(cfg[field], dict):
+            _fail(field, "must be a JSON object")
+    _quad_config(cfg)
 
 
 def _fmt(x) -> str:
@@ -131,7 +135,7 @@ def _family(cfg) -> str:
 
 
 def _quad_config(cfg) -> analysis.QuadratureConfig:
-    q = dict(cfg.get("quadrature") or {})
+    q = dict(cfg["quadrature"])
     q.setdefault("seed", cfg["seed"])
     try:
         return analysis.QuadratureConfig(**q)
@@ -224,10 +228,12 @@ def cmd_witness(cfg, out_dir):
 
 
 def cmd_degree(cfg, out_dir):
-    dcfg = dict(cfg.get("degree") or {})
+    dcfg = cfg["degree"]
     n = cfg["n"]
     try:
-        center = tuple(float(c) for c in dcfg.get("center", (0.55, 0.09, 0.25)[:n]))
+        center = _point(dcfg.get("center", (0.55, 0.09, 0.25)[:n]), n, "center")
+        y_cfg = dcfg.get("y")
+        y_fixed = None if y_cfg is None else np.array(_point(y_cfg, n, "y"))
         radius = float(dcfg.get("radius", 0.1))
         probe = degree_mod.SphereProbe(center, radius, int(dcfg.get("refinement", 3)))
     except (TypeError, ValueError, UnsupportedDimensionError) as exc:
@@ -240,11 +246,10 @@ def cmd_degree(cfg, out_dir):
             rows.append(("identity", 0, *center, radius, _np_list(y), rep.degree,
                          rep.raw, rep.refinements))
         else:
-            y_cfg = dcfg.get("y")
             stages = range(1, cfg["max_stage"] + 1)
             for k in stages:
                 stage = build_stage(cfg["variant"], k, n, cfg["beta"])
-                y = np.asarray(y_cfg, float) if y_cfg else stage.forward(np.asarray(center))
+                y = y_fixed if y_fixed is not None else stage.forward(np.asarray(center))
                 rep = degree_mod.degree(stage, probe, y)
                 rows.append((cfg["variant"], k, *center, radius, _np_list(y),
                              rep.degree, rep.raw, rep.refinements))
@@ -257,15 +262,25 @@ def cmd_degree(cfg, out_dir):
     return EXIT_OK if len(degs) <= 1 else EXIT_ASSERT
 
 
+def _point(value, n: int, name: str) -> tuple[float, ...]:
+    point = tuple(float(c) for c in value)
+    if len(point) != n:
+        raise ValueError(f"{name} must have n = {n} coordinates, got {len(point)}")
+    return point
+
+
 def _np_list(y):
     return "[" + " ".join(format(v, ".17g") for v in np.asarray(y)) + "]"
 
 
 def cmd_export_slice(cfg, out_dir):
     n = cfg["n"]
-    res = int((cfg.get("quadrature") or {}).get("resolution", 6)) * 8
+    res = _quad_config(cfg).resolution * 8
+    try:
+        zs = float(cfg["degree"].get("slice_height", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field 'degree': slice_height: {exc}") from exc
     stage = build_stage(cfg["variant"], cfg["max_stage"], n, cfg["beta"])
-    zs = float((cfg.get("degree") or {}).get("slice_height", 0.0))
     axis = np.linspace(-0.999, 0.999, res)
     rows = []
     for u in axis:
@@ -280,6 +295,10 @@ def cmd_export_slice(cfg, out_dir):
               "u,v," + ",".join(f"f{i+1}" for i in range(n)), rows)
     return EXIT_OK
 
+
+# commands that honour schedule_mode 'strict'; the others evaluate the stage
+# maps, which exist only on the demo schedule (strict widths underflow)
+_STRICT_COMMANDS = ("params", "verify-sobolev")
 
 _COMMANDS = {
     "params": cmd_params,
@@ -301,6 +320,9 @@ def run(command: str, config_path: str, out_dir: str | None = None,
         if seed is not None:
             cfg["seed"] = seed
         _validate(cfg)
+        if cfg["schedule_mode"] == "strict" and command not in _STRICT_COMMANDS:
+            _fail("schedule_mode", f"'strict' is supported by {', '.join(_STRICT_COMMANDS)} "
+                  f"only; {command} evaluates the demo-schedule stage maps")
         out = out_dir or cfg["out_dir"]
         return _COMMANDS[command](cfg, out)
     except (ConfigError, InfeasibleScheduleError) as exc:

@@ -35,8 +35,8 @@ from .tentacles import (
 )
 from .tower import TowerMapping, slot_correspondence
 
-__all__ = ["CompositeStage", "build_stage", "composite_eval", "ContinuumWitness",
-           "continuum_witness", "AxisCollapse"]
+__all__ = ["CompositeStage", "build_stage", "ContinuumWitness", "continuum_witness",
+           "AxisCollapse"]
 
 VARIANTS = ("T1", "T2", "W", "FL")
 
@@ -67,76 +67,64 @@ class AxisCollapse:
         t = min((sup - inner) / self.delta, 1.0)
         return (1.0 - t) * self._core(x) + t * x
 
-    def lipschitz_bound(self) -> float:
-        # |D core| <= 1 + sqrt(n-1); the blend adds at most |core-id|/delta
-        return 1.0 + math.sqrt(self.n - 1) + 2.0 / self.delta
+    def inverse(self, point) -> np.ndarray:
+        raise DomainError("the FL stage collapses the axis and has no inverse")
+
+    def derivative(self, point) -> np.ndarray:
+        raise DomainError("FL derivative is piecewise; use finite differences")
+
+
+def _fold(chain: tuple, x):
+    """Apply the (factor, direction) pairs of ``chain`` in order: f for
+    direction +1, f^{-1} for -1."""
+    for f, s in chain:
+        x = f.forward(x) if s > 0 else f.inverse(x)
+    return x
+
+
+def _reverse(chain: tuple) -> tuple:
+    """The chain of the inverse map."""
+    return tuple((f, -s) for f, s in reversed(chain))
 
 
 @dataclass
 class CompositeStage:
-    """One stage of a counterexample composition."""
+    """One stage of a counterexample composition: the fold of ``chain``."""
 
     variant: str
     k: int
     n: int
     beta: float
     mode: str
-    g: CantorHomeomorphism
-    tower: TowerMapping
-    tentacle: SqueezeStage | StretchStage | None = None
-    collapse: AxisCollapse | None = None
+    chain: tuple
     schedule: TentacleSchedule | None = None
 
     def forward(self, point) -> np.ndarray:
         x = np.asarray(point, dtype=float)
         if np.max(np.abs(x)) > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        if self.variant == "T1":
-            return self.g.inverse(self.tower.inverse(self.tentacle.forward(x)))
-        if self.variant == "T2":
-            y = self.tower.forward(self.g.forward(x))
-            return self.g.inverse(self.tower.inverse(self.tentacle.forward(y)))
-        if self.variant == "W":
-            y = self.tower.forward(self.g.forward(x))
-            return self.g.inverse(self.tower.inverse(self.tentacle.inverse(y)))
-        y = self.tower.forward(self.g.forward(x))
-        return self.collapse.forward(y)
+        return _fold(self.chain, x)
 
     def inverse(self, point) -> np.ndarray:
-        y = np.asarray(point, dtype=float)
-        if self.variant == "T1":
-            return self.tentacle.inverse(self.tower.forward(self.g.forward(y)))
-        if self.variant == "T2":
-            z = self.tower.forward(self.g.forward(y))
-            return self.g.inverse(self.tower.inverse(self.tentacle.inverse(z)))
-        if self.variant == "W":
-            z = self.tower.forward(self.g.forward(y))
-            return self.g.inverse(self.tower.inverse(self.tentacle.forward(z)))
-        raise DomainError("the FL stage collapses the axis and has no inverse")
+        return _fold(_reverse(self.chain), np.asarray(point, dtype=float))
 
     def derivative(self, point) -> np.ndarray:
-        """Analytic Jacobian by the chain rule through every factor."""
+        """Analytic Jacobian by the chain rule through every factor; an
+        inverted factor contributes [Df(f^{-1} x)]^{-1} at the image the
+        fold computes anyway, and the last image is never needed."""
         x = np.asarray(point, dtype=float)
-        if self.variant == "T1":
-            x1 = self.tentacle.forward(x)
-            x2 = self.tower.inverse(x1)
-            # DL^{-1}(x1) = [DL(L^{-1} x1)]^{-1}
-            d = np.linalg.inv(self.tower.derivative(x2, forward=True)) @ self.tentacle.derivative(x)
-            return self.g.derivative(x2, forward=False) @ d
-        if self.variant in ("T2", "W"):
-            y1 = self.g.forward(x)
-            y2 = self.tower.forward(y1)
-            d = self.tower.derivative(y1, forward=True) @ self.g.derivative(x, forward=True)
-            if self.variant == "T2":
-                y3 = self.tentacle.forward(y2)
-                d = self.tentacle.derivative(y2) @ d
+        d = None
+        last = len(self.chain) - 1
+        for i, (f, s) in enumerate(self.chain):
+            if s > 0:
+                jac = f.derivative(x)
+                if i < last:
+                    x = f.forward(x)
             else:
-                y3 = self.tentacle.inverse(y2)
-                d = np.linalg.inv(self.tentacle.derivative(y3)) @ d
-            y4 = self.tower.inverse(y3)
-            d = np.linalg.inv(self.tower.derivative(y4, forward=True)) @ d
-            return self.g.derivative(y4, forward=False) @ d
-        raise DomainError("FL derivative is piecewise; use finite differences")
+                x = f.inverse(x)
+                jac = np.linalg.inv(f.derivative(x))
+            d = jac if d is None else jac @ d
+        return d
 
     def forward_many(self, points: np.ndarray) -> np.ndarray:
         return np.array([self.forward(p) for p in points])
@@ -149,29 +137,32 @@ def _tentacle_sched(n: int, beta: float, family: str, mode: str, k_max: int):
 
 def build_stage(variant: str, k: int, n: int = 3, beta: float = 4.0,
                 mode: str = "demo") -> CompositeStage:
-    """Construct one composite stage with shared, cached factor maps."""
+    """Construct one composite stage with shared, cached factor maps.
+
+    The chain table is the one place that knows the variants:
+    T1 = g^{-1} L^{-1} h, T2 = g^{-1} L^{-1} h~ L g, W = g^{-1} L^{-1} h~^{-1} L g
+    and FL = S L g, read right to left.
+    """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}")
     sched_b = ParameterSchedule(n=n, beta=beta, kind="B")
     tower = TowerMapping(sched_b, k)
     if variant == "FL":
         g = CantorHomeomorphism(harmonic_schedule(n), sched_b, k)
-        return CompositeStage(variant, k, n, beta, mode, g, tower,
-                              collapse=AxisCollapse(n))
-    g = CantorHomeomorphism(ParameterSchedule(n=n, beta=beta, kind="A"), sched_b, k)
-    if variant == "T1":
-        ts = _tentacle_sched(n, beta, SQUEEZE, mode, k)
-        tent = SqueezeStage(ts, k)
-    else:
-        ts = _tentacle_sched(n, beta, STRETCH, mode, k)
-        tent = StretchStage(ts, k)
-    return CompositeStage(variant, k, n, beta, mode, g, tower,
-                          tentacle=tent, schedule=ts)
-
-
-def composite_eval(variant: str, k: int, point, n: int = 3, beta: float = 4.0,
-                   mode: str = "demo") -> np.ndarray:
-    return build_stage(variant, k, n, beta, mode).forward(point)
+        chain = ((g, 1), (tower, 1), (AxisCollapse(n), 1))
+        return CompositeStage(variant, k, n, beta, mode, chain)
+    sched_a = ParameterSchedule(n=n, beta=beta, kind="A")
+    g = CantorHomeomorphism(sched_a, sched_b, k)
+    g_inv = CantorHomeomorphism(sched_b, sched_a, k)
+    family = SQUEEZE if variant == "T1" else STRETCH
+    ts = _tentacle_sched(n, beta, family, mode, k)
+    h = (SqueezeStage if variant == "T1" else StretchStage)(ts, k)
+    chain = {
+        "T1": ((h, 1), (tower, -1), (g_inv, 1)),
+        "T2": ((g, 1), (tower, 1), (h, 1), (tower, -1), (g_inv, 1)),
+        "W": ((g, 1), (tower, 1), (h, -1), (tower, -1), (g_inv, 1)),
+    }[variant]
+    return CompositeStage(variant, k, n, beta, mode, chain, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -250,17 +241,15 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         polyline = chain
         images = stage.forward_many(chain)
     else:
-        # domain-side continuum: pull the chain back through (L o g)^{-1};
-        # w_k images equal g^{-1} L^{-1} (stretch-inverse of the chain), and
-        # the stretch inverse is applied in chart form because the deep
-        # squeezed tubes are narrower than float resolution
-        polyline = np.array(
-            [stage.g.inverse(stage.tower.inverse(p)) for p in chain]
-        )
+        # domain-side continuum: pull the chain back through (L o g)^{-1},
+        # the last two factors of W; w_k images equal g^{-1} L^{-1}
+        # (stretch-inverse of the chain), and the stretch inverse is
+        # applied in chart form because the deep squeezed tubes are
+        # narrower than float resolution
+        pull_back = stage.chain[-2:]
+        polyline = np.array([_fold(pull_back, p) for p in chain])
         pulled = _stretch_inverse_on_chain(stage.schedule, word_hat, k, chain)
-        images = np.array(
-            [stage.g.inverse(stage.tower.inverse(p)) for p in pulled]
-        )
+        images = np.array([_fold(pull_back, p) for p in pulled])
     return ContinuumWitness(variant, k, word, target, polyline, images)
 
 

@@ -284,28 +284,21 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
 
     inside = _ball_points(rng, c, radius, n_inside, n, inside=True)
     outside = _ball_points(rng, c, radius, n_outside, n, inside=False)
-    iv = ov = ic = oc = 0
-    for x in inside:
-        y = fwd(x)
-        ic += 1
-        if near_boundary(y):
-            continue
-        try:
-            if _cached_degree(cache, y).degree == 0:
-                iv += 1
-        except IndeterminateDegreeError:
-            continue
-    for x in outside:
-        y = fwd(x)
-        oc += 1
-        if near_boundary(y):
-            continue
-        try:
-            if _cached_degree(cache, y).degree != 0:
-                ov += 1
-        except IndeterminateDegreeError:
-            continue
-    return InvReport(ic, iv, oc, ov)
+    violations = []
+    # interior points must land on nonzero degree, exterior ones on zero
+    for pts, expect_nonzero in ((inside, True), (outside, False)):
+        bad = 0
+        for x in pts:
+            y = fwd(x)
+            if near_boundary(y):
+                continue
+            try:
+                if (_cached_degree(cache, y).degree != 0) != expect_nonzero:
+                    bad += 1
+            except IndeterminateDegreeError:
+                continue
+        violations.append(bad)
+    return InvReport(len(inside), violations[0], len(outside), violations[1])
 
 
 def _ball_points(rng, c, radius, count, n, inside: bool):

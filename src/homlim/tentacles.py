@@ -195,33 +195,16 @@ def _axial_extents(beta: float, k: int) -> tuple[float, float]:
     return a, c
 
 
-def _squeeze_line(beta: float, k_line: int):
-    """The axial boundary line l_k: identity below r_k, then the chord
-    through (r_k, r_k) and (a_k, a~_k)."""
+def _boundary_line(beta: float, k_line: int, family: str):
+    """The axial boundary line l_k (squeeze) or l~_k (stretch): identity
+    below r_k, then the chord through (r_k, r_k) and (a_k, a~_k) when
+    squeezing, (a~_k, a_k) when stretching; the identity at level 0."""
     if k_line == 0:
         return lambda t: t
     r = _r_hat(beta, k_line)
     a, _ = _axial_extents(beta, k_line)
-    a_sq = 2.0 * _r_hat(beta, k_line)
-    slope = (a_sq - r) / (a - r)
-
-    def line(t: float) -> float:
-        if t <= r:
-            return t
-        return r + slope * (t - r)
-
-    return line
-
-
-def _stretch_line(beta: float, k_line: int):
-    """The line l~_k: identity below r_k, then the chord through
-    (r_k, r_k) and (a~_k, a_k); l~_0 is the identity."""
-    if k_line == 0:
-        return lambda t: t
-    r = _r_hat(beta, k_line)
-    a, _ = _axial_extents(beta, k_line)
-    a_sq = 2.0 * r
-    slope = (a - r) / (a_sq - r)
+    lo, hi = (a, 2.0 * r) if family == SQUEEZE else (2.0 * r, a)
+    slope = (hi - r) / (lo - r)
 
     def line(t: float) -> float:
         if t <= r:
@@ -317,11 +300,10 @@ def solve_parameters(
         a_sq = 2.0 * r
         c_sq = c if k == 1 else 2.0 * r_prev  # level-1 overshoot clamp
 
+        line_prev = _boundary_line(beta, k - 1, family)
         if family == SQUEEZE:
-            line_prev = _squeeze_line(beta, k - 1)
             e_range = line_prev(a) - a_sq
         else:
-            line_prev = _stretch_line(beta, k - 1)
             e_range = a - line_prev(a_sq)
         if e_range <= 0:
             raise InfeasibleScheduleError(f"level {k}: non-positive modulation range")
@@ -351,31 +333,22 @@ def solve_parameters(
                 f"level {k}: demo width b_k underflows doubles (log 1/b = {u_b:.1f})"
             )
 
-        if family == SQUEEZE:
-            if k == 1:
-                bend = None
-                mid = None
-            else:
-                line_k_at_rprev = r + (a_sq - r) * (r_prev - r) / (a - r)
-                bend = (r_prev - line_k_at_rprev) / e_range
-                mid = line_k_at_rprev
-            lv = TentacleLevel(
-                k, r, r_prev, a, c, a_sq, c_sq, u_d, u_b, e_range, bend,
-                line_prev(a), line_prev(c), mid, db, dt,
-                0.0 if k == 1 else r_prev - math.exp(-prev.u_b),
-            )
+        if k == 1:
+            bend = mid = None
+        elif family == SQUEEZE:
+            mid = r + (a_sq - r) * (r_prev - r) / (a - r)  # l_k(r_{k-1})
+            bend = (r_prev - mid) / e_range
         else:
-            if k == 1:
-                bend = None
-                mid = None
-            else:
-                mid = 0.5 * (a + c)
-                bend = (mid - r_prev) / e_range
-            lv = TentacleLevel(
-                k, r, r_prev, a, c, a_sq, c_sq, u_d, u_b, e_range, bend,
-                line_prev(a_sq), line_prev(c_sq), mid, db, dt,
-                0.0 if k == 1 else r_prev - math.exp(-prev.u_b),
-            )
+            mid = 0.5 * (a + c)
+            bend = (mid - r_prev) / e_range
+        # the previous line at the domain tube ends: a, c when squeezing,
+        # the squeezed ends a~, c~ when stretching
+        lo, hi = (a, c) if family == SQUEEZE else (a_sq, c_sq)
+        lv = TentacleLevel(
+            k, r, r_prev, a, c, a_sq, c_sq, u_d, u_b, e_range, bend,
+            line_prev(lo), line_prev(hi), mid, db, dt,
+            0.0 if k == 1 else r_prev - math.exp(-prev.u_b),
+        )
         levels.append(lv)
         prev = lv
     return TentacleSchedule(n, beta, family, mode, base, levels)
@@ -491,6 +464,41 @@ def shift_inverse(sched: TentacleSchedule, word, point) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The straight-chart level map: x -> (eta(x_1, |x_perp|), x_perp).
+# ---------------------------------------------------------------------------
+
+
+def _straight_axial(lv: TentacleLevel, family: str, w: np.ndarray,
+                    inverse: bool = False) -> float:
+    """Axial coordinate eta of the level map at chart point w (of its
+    inverse when ``inverse``): the PL profile of the knots at w's
+    transverse modulation."""
+    e, _ = _modulation(lv, float(np.max(np.abs(w[1:]))))
+    knots = _knots(lv, family, e)
+    return pl_inverse(w[0], knots) if inverse else pl_interpolate(w[0], knots)
+
+
+def _straight_jacobian(lv: TentacleLevel, family: str,
+                       w: np.ndarray) -> tuple[np.ndarray, float]:
+    """(Jacobian, eta) of the level map at chart point w: the first row is
+    (axial slope, d eta / d w_perp), the other rows are the identity."""
+    rho = float(np.max(np.abs(w[1:])))
+    e, de_drho = _modulation(lv, rho)
+    knots = _knots(lv, family, e)
+    i = _pl_piece(w[0], knots.ts)
+    lam = (w[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
+    coeffs = _knot_e_coeffs(lv, family)
+    deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
+    d = np.eye(len(w))
+    d[0, 0] = pl_slope(w[0], knots)
+    if de_drho != 0.0:
+        arg = 1 + int(np.argmax(np.abs(w[1:])))
+        d[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
+    eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
+    return d, eta
+
+
+# ---------------------------------------------------------------------------
 # The assembled stage maps.
 # ---------------------------------------------------------------------------
 
@@ -567,87 +575,47 @@ class _TentacleStage:
             w = w_cand
         return found, heights, z_n, w
 
-    # -- per-slice axial maps ---------------------------------------------------
-
-    def _axial_forward(self, lv: TentacleLevel, w: np.ndarray):
-        rho = float(np.max(np.abs(w[1:])))
-        e, _ = _modulation(lv, rho)
-        return pl_interpolate(w[0], _knots(lv, self.family, e))
-
-    def _axial_inverse(self, lv: TentacleLevel, w: np.ndarray):
-        rho = float(np.max(np.abs(w[1:])))
-        e, _ = _modulation(lv, rho)
-        return pl_inverse(w[0], _knots(lv, self.family, e))
-
     # -- public API ---------------------------------------------------------------
 
-    def forward(self, point) -> np.ndarray:
+    def _map(self, point, inverse: bool) -> np.ndarray:
+        """The stage map or its inverse: find the tentacle among the tubes
+        of the side it starts from, map the axial coordinate in the
+        straight chart and put the shift back at the new axial value."""
         x = np.asarray(point, dtype=float)
-        J, heights, z_n, w = self._descend(x, squeezed=self.forward_from_squeezed)
+        J, heights, z_n, w = self._descend(x, squeezed=self.forward_from_squeezed != inverse)
         if J == 0:
             return x.copy()
         lv = self.sched.level(J)
-        out_w = w.copy()
+        out = w.copy()
         if w[0] >= lv.r_hat:
-            out_w[0] = self._axial_forward(lv, w)
-        sh = _Shift(self.sched, heights)
-        out = out_w.copy()
-        out[-1] += z_n + sh.sigma(out_w[0])
+            out[0] = _straight_axial(lv, self.family, w, inverse)
+        out[-1] += z_n + _Shift(self.sched, heights).sigma(out[0])
         return out
 
+    def forward(self, point) -> np.ndarray:
+        return self._map(point, inverse=False)
+
     def inverse(self, point) -> np.ndarray:
-        y = np.asarray(point, dtype=float)
-        J, heights, z_n, w = self._descend(y, squeezed=not self.forward_from_squeezed)
-        if J == 0:
-            return y.copy()
-        lv = self.sched.level(J)
-        out_w = w.copy()
-        if w[0] >= lv.r_hat:
-            out_w[0] = self._axial_inverse(lv, w)
-        sh = _Shift(self.sched, heights)
-        out = out_w.copy()
-        out[-1] += z_n + sh.sigma(out_w[0])
-        return out
+        return self._map(point, inverse=True)
 
     def derivative(self, point) -> np.ndarray:
         """Analytic Jacobian of the forward map (off interface surfaces)."""
         x = np.asarray(point, dtype=float)
         n = self.n
-        J, heights, z_n, w = self._descend(x, squeezed=self.forward_from_squeezed)
+        J, heights, _, w = self._descend(x, squeezed=self.forward_from_squeezed)
         if J == 0:
             return np.eye(n)
         lv = self.sched.level(J)
-        sh = _Shift(self.sched, heights)
         if w[0] < lv.r_hat:
             return np.eye(n)
-        rho = float(np.max(np.abs(w[1:])))
-        e, de_drho = _modulation(lv, rho)
-        knots = _knots(lv, self.family, e)
-        i = _pl_piece(w[0], knots.ts)
-        lam = (w[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
-        slope = pl_slope(w[0], knots)
-        coeffs = _knot_e_coeffs(lv, self.family)
-        deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
-        eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
-
-        # straight-chart Jacobian: first row (slope, d eta/d w_perp), rest id
-        b = np.eye(n)
-        b[0, 0] = slope
-        if de_drho != 0.0:
-            arg = 1 + int(np.argmax(np.abs(w[1:])))
-            b[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
+        sh = _Shift(self.sched, heights)
+        b, eta = _straight_jacobian(lv, self.family, w)
         # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
         c = np.eye(n)
         c[n - 1, 0] = -sh.sigma_slope(x[0])
         a = np.eye(n)
         a[n - 1, 0] = sh.sigma_slope(eta)
         return a @ b @ c
-
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.forward(p) for p in points])
-
-    def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.inverse(p) for p in points])
 
 
 class SqueezeStage(_TentacleStage):
@@ -678,43 +646,19 @@ class StraightTentacleMap:
         self.sched = sched
         self.lv = sched.level(k)
         self.family = sched.family
-        self.n = sched.n
 
     def forward(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        lv = self.lv
-        rho = float(np.max(np.abs(x[1:])))
-        e, _ = _modulation(lv, rho)
-        out = x.copy()
-        out[0] = pl_interpolate(x[0], _knots(lv, self.family, e))
+        out = np.asarray(point, dtype=float).copy()
+        out[0] = _straight_axial(self.lv, self.family, out)
         return out
 
     def inverse(self, point) -> np.ndarray:
-        y = np.asarray(point, dtype=float)
-        lv = self.lv
-        rho = float(np.max(np.abs(y[1:])))
-        e, _ = _modulation(lv, rho)
-        out = y.copy()
-        out[0] = pl_inverse(y[0], _knots(lv, self.family, e))
+        out = np.asarray(point, dtype=float).copy()
+        out[0] = _straight_axial(self.lv, self.family, out, inverse=True)
         return out
 
     def derivative(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        lv = self.lv
-        n = self.n
-        rho = float(np.max(np.abs(x[1:])))
-        e, de_drho = _modulation(lv, rho)
-        knots = _knots(lv, self.family, e)
-        i = _pl_piece(x[0], knots.ts)
-        lam = (x[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
-        coeffs = _knot_e_coeffs(lv, self.family)
-        deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
-        d = np.eye(n)
-        d[0, 0] = pl_slope(x[0], knots)
-        if de_drho != 0.0:
-            arg = 1 + int(np.argmax(np.abs(x[1:])))
-            d[0, arg] = deta_de * de_drho * math.copysign(1.0, x[arg])
-        return d
+        return _straight_jacobian(self.lv, self.family, np.asarray(point, dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +688,8 @@ def tentacle_seminorm_bound(sched: TentacleSchedule, k: int) -> float:
     bracket = lv.u_d ** (2 - n) - lv.u_b ** (2 - n)
     main = c_geom * 2.0 ** ((sched.beta + 1) * k * (n - 1)) * bracket / (n - 2)
     # axial term: (max slope)^{n-1} * |P'_k|, evaluated via logs
-    max_slope = _max_axial_slope(lv, sched.family)
     log_axial = (
-        (n - 1) * math.log(max_slope)
+        (n - 1) * _log_max_axial_slope(lv, sched.family, sched.beta)
         + math.log(lv.c_sq if sched.family == STRETCH else lv.c)
         + (n - 1) * (math.log(2.0) - lv.u_d)
     )
@@ -754,13 +697,25 @@ def tentacle_seminorm_bound(sched: TentacleSchedule, k: int) -> float:
     return main + axial
 
 
-def _max_axial_slope(lv: TentacleLevel, family: str) -> float:
-    worst = 1.0
-    for e in (0.0, lv.e_range):
-        kn = _knots(lv, family, e)
-        for i in range(len(kn.ts) - 1):
-            worst = max(worst, (kn.ss[i + 1] - kn.ss[i]) / (kn.ts[i + 1] - kn.ts[i]))
-    return worst
+def _log_max_axial_slope(lv: TentacleLevel, family: str, beta: float) -> float:
+    """log of the largest axial slope of the level-k map over all knot
+    pieces and modulations e in [0, E], from exact piece lengths.
+
+    A piece's slope is affine in e, so it peaks at e = 0 or e = E.  The
+    steepest is the end cap [a_k, c_k] at e = E when squeezing: length
+    r_{k+2}, which rounds to zero next to 1 at deep levels, and rise
+    sigma r_{k+2} + E, with sigma = r_{k-1} / (c_k - r_{k-1}) the slope of
+    l_{k-1} (1 at k = 1).  When stretching it is the first piece
+    [r_k, a~_k] at e = E: length r_k, rise r_k + E.
+    """
+    if family == SQUEEZE:
+        j = lv.k + 2
+        sigma = 1.0 if lv.k == 1 else lv.r_hat_prev / (lv.c - lv.r_hat_prev)
+    else:
+        j = lv.k
+        sigma = 1.0
+    return (math.log(lv.e_range) + j * (beta + 1) * math.log(2.0)
+            + math.log1p(sigma * _r_hat(beta, j) / lv.e_range))
 
 
 def _demo_energy(sched: TentacleSchedule, k: int) -> float:

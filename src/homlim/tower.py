@@ -338,8 +338,10 @@ class TowerMapping:
 
     # -- evaluation -----------------------------------------------------------
 
-    def forward(self, point) -> np.ndarray:
+    def _walk(self, point, jacobian: bool):
+        """Run the stages on ``point``: (image, Jacobian or None)."""
         x = np.asarray(point, dtype=float).copy()
+        d = np.eye(self.n) if jacobian else None
         center = np.zeros(self.n)
         for i in range(1, self.stage + 1):
             center = self._enter(x, center, i - 1)
@@ -348,9 +350,14 @@ class TowerMapping:
             scale = self._r[i - 1]
             w = (x - center) / scale
             for mv in self.moves:
+                if jacobian:
+                    d = mv.derivative(w) @ d
                 w = mv.apply(w)
             x = center + scale * w
-        return x
+        return x, d
+
+    def forward(self, point) -> np.ndarray:
+        return self._walk(point, jacobian=False)[0]
 
     def inverse(self, point) -> np.ndarray:
         y = np.asarray(point, dtype=float).copy()
@@ -371,26 +378,8 @@ class TowerMapping:
             y = center + scale * w
         return y
 
-    def derivative(self, point, forward: bool = True) -> np.ndarray:
-        n = self.n
-        d = np.eye(n)
-        if forward:
-            x = np.asarray(point, dtype=float).copy()
-            center = np.zeros(n)
-            for i in range(1, self.stage + 1):
-                center = self._enter(x, center, i - 1)
-                if center is None:
-                    break
-                scale = self._r[i - 1]
-                w = (x - center) / scale
-                for mv in self.moves:
-                    d = mv.derivative(w) @ d
-                    w = mv.apply(w)
-                x = center + scale * w
-            return d
-        y = np.asarray(point, dtype=float)
-        x = self.inverse(y)
-        return np.linalg.inv(self.derivative(x, forward=True))
+    def derivative(self, point) -> np.ndarray:
+        return self._walk(point, jacobian=True)[1]
 
     def forward_many(self, points: np.ndarray) -> np.ndarray:
         return np.array([self.forward(p) for p in points])

@@ -109,12 +109,12 @@ class TestDerivative:
 
     def test_bound_examples(self):
         g = make(2)
-        assert g.derivative_bound(1, forward=True) == pytest.approx(2.0)
-        assert g.derivative_bound(1, forward=False) == pytest.approx(8.5)
+        assert g.derivative_bound(1) == pytest.approx(2.0)
+        assert CantorHomeomorphism(B, A, 2).derivative_bound(1) == pytest.approx(8.5)
 
     def test_core_ratio_is_bound(self):
         g = make(3)
-        assert g.derivative_bound(3, True) >= B.r(3) / A.r(3)
+        assert g.derivative_bound(3) >= B.r(3) / A.r(3)
 
     def test_sampled_norm_within_envelope(self):
         # the sampled sup of |Dg| on each frame is within a factor 2n of
@@ -123,7 +123,7 @@ class TestDerivative:
         for stage in range(1, 9):
             g = make(stage)
             for level in range(1, stage + 1):
-                bound = g.derivative_bound(level, True)
+                bound = g.derivative_bound(level)
                 z = np.zeros(3)
                 for j in range(level):
                     z = z + 0.5 * A.r(j) * np.ones(3)

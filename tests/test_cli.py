@@ -48,9 +48,35 @@ class TestConfig:
         ("params", {"max_stage": 2.7}),
         ("verify-jacobian", {"quadrature": {"resolution": 2}}),
         ("degree", {"degree": {"radius": -1.0}}),
+        ("degree", {"n": 4, "beta": 5}),
+        ("degree", {"degree": {"center": [0.1, 0.2]}}),
+        ("degree", {"degree": {"y": [0.1]}}),
+        ("verify-sobolev", {"quadrature": {"cells_cap": "a"}}),
+        ("verify-jacobian", {"quadrature": {"fd_step": "a"}}),
+        ("export-slice", {"quadrature": {"resolution": 4.5}}),
+        ("verify-jacobian", {"seed": -1}),
+        ("verify-jacobian", {"schedule_mode": "strict"}),
+        ("verify-boundary", {"schedule_mode": "strict"}),
+        ("witness", {"schedule_mode": "strict"}),
+        ("degree", {"schedule_mode": "strict"}),
+        ("export-slice", {"schedule_mode": "strict"}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("overrides", [
+        {"beta": 5},
+        {"beta": 4.5},
+        {"variant": "T2", "beta": 5},
+        {"n": 4, "beta": 5},
+    ])
+    def test_strict_table_at_large_beta(self, tmp_path, overrides):
+        # the strict table runs to level 8, whose tube end cap is far
+        # narrower than one ulp next to 1; stage 1 skips the demo table
+        cfg = write_cfg(tmp_path, **overrides)
+        assert cli.run("verify-sobolev", cfg, stage=1) in (cli.EXIT_OK, cli.EXIT_ASSERT)
+        rows = (tmp_path / "out" / "sobolev_strict.csv").read_text().splitlines()
+        assert len(rows) == 9
 
 
 class TestCommands:

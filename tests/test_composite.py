@@ -1,19 +1,32 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
+from homlim.analysis import QuadratureConfig, _sample_words, _tube_integral, make_rng
+from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import (
     AxisCollapse,
     build_stage,
-    composite_eval,
     continuum_witness,
 )
 from homlim.errors import DomainError
-from homlim.geometry import Address, cell_center, cube_vertices, harmonic_schedule
+from homlim.geometry import (
+    Address,
+    ParameterSchedule,
+    cell_center,
+    cube_vertices,
+    harmonic_schedule,
+)
+from homlim.tentacles import SQUEEZE, STRETCH, SqueezeStage, StretchStage, solve_parameters
+from homlim.tower import TowerMapping
 
 
 class TestCompositions:
     def test_t1_boundary_corner(self):
-        assert np.array_equal(composite_eval("T1", 2, (1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
+        assert np.array_equal(build_stage("T1", 2).forward((1.0, 1.0, 1.0)), (1.0, 1.0, 1.0))
 
     def test_t1_stage_one_frame_example(self):
         # squeeze and relocation are the identity there; only the
@@ -57,6 +70,111 @@ class TestCompositions:
                 ok += 1
         assert ok >= 36
 
+
+
+@lru_cache(maxsize=None)
+def written_out(variant, k):
+    """forward, inverse and derivative of a stage written out factor by
+    factor from separately built factor maps, in the order of the paper's
+    formulas (g^{-1} is the Cantor map with the schedules swapped)."""
+    A = ParameterSchedule(n=3, beta=4.0, kind="A")
+    B = ParameterSchedule(n=3, beta=4.0, kind="B")
+    g, g_inv, L = CantorHomeomorphism(A, B, k), CantorHomeomorphism(B, A, k), TowerMapping(B, k)
+    inv = np.linalg.inv
+    if variant == "T1":
+        h = SqueezeStage(solve_parameters(3, 4.0, "demo", SQUEEZE, k), k)
+
+        def forward(x):
+            return g_inv.forward(L.inverse(h.forward(x)))
+
+        def inverse(y):
+            return h.inverse(L.forward(g.forward(y)))
+
+        def derivative(x):
+            x2 = L.inverse(h.forward(x))
+            return g_inv.derivative(x2) @ (inv(L.derivative(x2)) @ h.derivative(x))
+
+        return forward, inverse, derivative
+    h = StretchStage(solve_parameters(3, 4.0, "demo", STRETCH, k), k)
+    # W runs the stretch backwards: W = g^{-1} L^{-1} h~^{-1} L g
+    mid, mid_back = (h.forward, h.inverse) if variant == "T2" else (h.inverse, h.forward)
+
+    def forward(x):
+        return g_inv.forward(L.inverse(mid(L.forward(g.forward(x)))))
+
+    def inverse(y):
+        return g_inv.forward(L.inverse(mid_back(L.forward(g.forward(y)))))
+
+    def derivative(x):
+        y1 = g.forward(x)
+        y2 = L.forward(y1)
+        d = L.derivative(y1) @ g.derivative(x)
+        y3 = mid(y2)
+        d = (h.derivative(y2) if variant == "T2" else inv(h.derivative(y3))) @ d
+        y4 = L.inverse(y3)
+        d = inv(L.derivative(y4)) @ d
+        return g_inv.derivative(y4) @ d
+
+    return forward, inverse, derivative
+
+
+def outcome(fn, x):
+    try:
+        return fn(x)
+    except Exception as exc:  # both sides must fail alike
+        return type(exc)
+
+
+def bit_equal(a, b):
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@lru_cache(maxsize=None)
+def tube_nodes(variant, k):
+    """Quadrature nodes of two level-k tubes, where every factor acts."""
+    cfg = QuadratureConfig(resolution=4, axial_resolution=2, axial_levels=2,
+                           transverse_resolution=2, cells_cap=2)
+    sched = build_stage(variant, k).schedule
+    nodes = []
+    words, _ = _sample_words(3, k, 2, make_rng(k))
+    for word in words:
+        _tube_integral(sched, k, word, lambda x: nodes.append(x.copy()) or 0.0, cfg)
+    return np.array(nodes[::3])
+
+
+STAGES = [(v, k) for v in ("T1", "T2", "W") for k in (1, 2, 3)]
+
+
+class TestChainFold:
+    """The folded chain gives the written-out compositions bit for bit."""
+
+    @staticmethod
+    def check(variant, k, points):
+        stage = build_stage(variant, k)
+        methods = (stage.forward, stage.inverse, stage.derivative)
+        for x in points:
+            for got, want in zip(methods, written_out(variant, k)):
+                assert bit_equal(outcome(got, x), outcome(want, x)), (variant, k, x)
+
+    @given(hst.sampled_from(STAGES),
+           hst.lists(hst.tuples(*[hst.floats(-1, 1, allow_nan=False)] * 3),
+                     min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_random_points(self, stage, pts):
+        self.check(*stage, np.array(pts, dtype=float))
+
+    @pytest.mark.parametrize("variant,k", STAGES)
+    def test_tube_nodes(self, variant, k):
+        self.check(variant, k, tube_nodes(variant, k))
+
+    def test_fl_inverse_and_derivative_raise(self):
+        st = build_stage("FL", 2)
+        with pytest.raises(DomainError, match="no inverse"):
+            st.inverse((0.1, 0.2, 0.3))
+        with pytest.raises(DomainError, match="finite differences"):
+            st.derivative((0.1, 0.2, 0.3))
 
 class TestWitness:
     def test_t1_endpoints_and_collapse(self):

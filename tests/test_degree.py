@@ -95,12 +95,12 @@ class TestStages:
     CENTER = (0.55, 0.09, 0.25)
 
     def test_probe_ball_is_stage_independent(self):
-        st = build_stage("T1", 3)
+        (h, _), (L, _), _ = build_stage("T1", 3).chain
         rng = np.random.default_rng(0)
         pts = np.asarray(self.CENTER) + 0.05 * rng.uniform(-1, 1, (100, 3))
         for p in pts:
-            assert np.array_equal(st.tentacle.forward(p), p)
-            assert np.array_equal(st.tower.inverse(p), p)
+            assert np.array_equal(h.forward(p), p)
+            assert np.array_equal(L.inverse(p), p)
 
     def test_stage_degree_one_and_stable(self):
         stages = [build_stage("T1", k) for k in (1, 2, 3, 4)]

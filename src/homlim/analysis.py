@@ -32,6 +32,7 @@ __all__ = [
     "boundary_identity_check",
     "make_rng",
     "fd_jacobian",
+    "forward_rows",
 ]
 
 
@@ -174,6 +175,31 @@ def fd_jacobian(f, x, h):
         e[d] = h
         J[:, d] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
     return J
+
+
+def forward_rows(map_like):
+    """``map_like`` as a function of an (N, n) array of points: its
+    ``forward_many`` when it has one, else its ``forward`` (or ``map_like``
+    itself, a plain callable) called row by row."""
+    many = getattr(map_like, "forward_many", None)
+    if callable(many):
+        return many
+    fwd = getattr(map_like, "forward", None)
+    fwd = fwd if callable(fwd) else map_like
+    return lambda pts: np.array([fwd(p) for p in pts]).reshape(np.shape(pts))
+
+
+def _fd_jacobians(rows, pts, h):
+    """``fd_jacobian`` at every row of pts, from one batch of 2n N
+    evaluations of the rows map; the stencil points are built as x + e and
+    x - e, as there, so they are the same floats."""
+    count, n = pts.shape
+    steps = np.zeros((n, n))
+    steps[np.arange(n), np.arange(n)] = h
+    stencil = np.concatenate([pts[:, None, :] + steps, pts[:, None, :] - steps])
+    images = rows(stencil.reshape(-1, n)).reshape(2, count, n, n)
+    # images[0, i, d] = f(x_i + e_d): column d of the i-th Jacobian
+    return ((images[0] - images[1]) / (2 * h)).transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -380,23 +406,21 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
         k = getattr(map_like, "k", None) or getattr(map_like, "stage", 1)
         beta = getattr(map_like, "beta", 4.0)
         h = min(1e-6, 1e-3 * 2.0 ** (-(k) * (beta + 1)))
-    fwd = map_like.forward
+    rows = forward_rows(map_like)
     deriv = getattr(map_like, "derivative", None)
     margin = 10 * h
     pts = lo + (hi - lo) * rng.random((count, len(lo)))
     pts = np.clip(pts, lo + margin, hi - margin)
-    positives = 0
-    min_det = math.inf
-    exceptions = []
+    dets = np.linalg.det(_fd_jacobians(rows, pts, h)).tolist()
+    positives = sum(det > 0 for det in dets)
+    min_det = min([math.inf, *dets])
+    exceptions = [(x.copy(), det) for x, det in zip(pts, dets) if not det > 0]
+    fines = []
+    if exceptions:
+        fine_pts = np.array([x for x, _ in exceptions])
+        fines = np.linalg.det(_fd_jacobians(rows, fine_pts, h / 8)).tolist()
     hard = []
-    for x in pts:
-        det = float(np.linalg.det(fd_jacobian(fwd, x, h)))
-        min_det = min(min_det, det)
-        if det > 0:
-            positives += 1
-            continue
-        exceptions.append((x.copy(), det))
-        fine = float(np.linalg.det(fd_jacobian(fwd, x, h / 8)))
+    for (x, det), fine in zip(exceptions, fines):
         analytic = None
         if deriv is not None:
             try:
@@ -413,11 +437,10 @@ def boundary_identity_check(map_like, n: int, samples_per_face: int,
     """Max deviation |f(x) - x| over samples of every face of the cube."""
     rng = make_rng(seed)
     worst = 0.0
-    fwd = map_like.forward
+    rows = forward_rows(map_like)
     for axis in range(n):
         for side in (-1.0, 1.0):
             pts = rng.uniform(-1, 1, (samples_per_face, n))
             pts[:, axis] = side
-            for x in pts:
-                worst = max(worst, float(np.max(np.abs(fwd(x) - x))))
+            worst = max(worst, float(np.max(np.abs(rows(pts) - pts), initial=0.0)))
     return worst <= 1e-12, worst

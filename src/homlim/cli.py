@@ -210,7 +210,9 @@ def cmd_verify_boundary(cfg, out_dir):
 
 
 def cmd_witness(cfg, out_dir):
-    variant = cfg["variant"] if cfg["variant"] in ("T1", "T2") else "T1"
+    variant = cfg["variant"]
+    if variant not in ("T1", "T2"):
+        _fail("variant", "witnesses exist for variants T1 and T2")
     rows = []
     ok = True
     prev = None
@@ -235,7 +237,14 @@ def cmd_degree(cfg, out_dir):
         y_cfg = dcfg.get("y")
         y_fixed = None if y_cfg is None else np.array(_point(y_cfg, n, "y"))
         radius = float(dcfg.get("radius", 0.1))
-        probe = degree_mod.SphereProbe(center, radius, int(dcfg.get("refinement", 3)))
+        refinement = dcfg.get("refinement", 3)
+        if not _is_int(refinement) or not 0 <= refinement <= degree_mod.MAX_REFINE:
+            raise ValueError(f"refinement must be an integer in 0..{degree_mod.MAX_REFINE}, "
+                             f"the finest mesh level a degree tries")
+        probe = degree_mod.SphereProbe(center, radius, refinement)
+        # the stage maps are defined on [-1,1]^n only
+        if dcfg.get("fixture") != "identity" and not all(abs(c) + radius <= 1 for c in center):
+            raise ValueError("the probe sphere must lie in [-1,1]^n: |c_i| + radius <= 1")
     except (TypeError, ValueError, UnsupportedDimensionError) as exc:
         raise ConfigError(f"config field 'degree': {exc}") from exc
     rows = []
@@ -280,17 +289,16 @@ def cmd_export_slice(cfg, out_dir):
         zs = float(cfg["degree"].get("slice_height", 0.0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'degree': slice_height: {exc}") from exc
+    if not -1.0 <= zs <= 1.0:
+        _fail("degree", "slice_height must lie in [-1, 1], where the stage maps are defined")
     stage = build_stage(cfg["variant"], cfg["max_stage"], n, cfg["beta"])
     axis = np.linspace(-0.999, 0.999, res)
-    rows = []
-    for u in axis:
-        for v in axis:
-            p = np.zeros(n)
-            p[0], p[-1] = u, v
-            if n > 2:
-                p[1] = zs
-            q = stage.forward(p)
-            rows.append((u, v, *[float(x) for x in q]))
+    grid = np.zeros((res * res, n))
+    grid[:, 0], grid[:, -1] = np.repeat(axis, res), np.tile(axis, res)
+    if n > 2:
+        grid[:, 1] = zs
+    images = stage.forward_many(grid)
+    rows = [(u, v, *q) for u, v, q in zip(grid[:, 0], grid[:, -1], images.tolist())]
     write_csv(os.path.join(out_dir, "slice.csv"),
               "u,v," + ",".join(f"f{i+1}" for i in range(n)), rows)
     return EXIT_OK

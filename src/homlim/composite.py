@@ -15,7 +15,6 @@ Variants:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -53,32 +52,37 @@ class AxisCollapse:
         self.n = n
         self.delta = delta
 
-    def _core(self, x: np.ndarray) -> np.ndarray:
-        out = x.copy()
-        out[-1] = x[-1] * math.sqrt(float(np.sum(x[:-1] ** 2)))
-        return out
-
     def forward(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        sup = float(np.max(np.abs(x)))
+        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def forward_many(self, points: np.ndarray) -> np.ndarray:
+        x = np.asarray(points, dtype=float)
+        core = x.copy()
+        core[:, -1] = x[:, -1] * np.sqrt(np.sum(x[:, :-1] ** 2, axis=1))
+        sup = np.abs(x).max(axis=1)
         inner = 1.0 - self.delta
-        if sup <= inner:
-            return self._core(x)
-        t = min((sup - inner) / self.delta, 1.0)
-        return (1.0 - t) * self._core(x) + t * x
+        t = np.minimum((sup - inner) / self.delta, 1.0)[:, None]
+        # the core itself inside, not its blend with weight 0
+        return np.where((sup <= inner)[:, None], core, (1.0 - t) * core + t * x)
 
     def inverse(self, point) -> np.ndarray:
         raise DomainError("the FL stage collapses the axis and has no inverse")
+
+    inverse_many = inverse
 
     def derivative(self, point) -> np.ndarray:
         raise DomainError("FL derivative is piecewise; use finite differences")
 
 
-def _fold(chain: tuple, x):
+def _fold(chain: tuple, x, many: bool = False):
     """Apply the (factor, direction) pairs of ``chain`` in order: f for
-    direction +1, f^{-1} for -1."""
+    direction +1, f^{-1} for -1.  With ``many``, x is an (N, n) array and
+    every factor runs its batched body."""
     for f, s in chain:
-        x = f.forward(x) if s > 0 else f.inverse(x)
+        if many:
+            x = f.forward_many(x) if s > 0 else f.inverse_many(x)
+        else:
+            x = f.forward(x) if s > 0 else f.inverse(x)
     return x
 
 
@@ -127,7 +131,14 @@ class CompositeStage:
         return d
 
     def forward_many(self, points: np.ndarray) -> np.ndarray:
-        return np.array([self.forward(p) for p in points])
+        """``forward`` on every row of ``points``, one batch per factor."""
+        x = np.asarray(points, dtype=float)
+        if x.size and np.max(np.abs(x)) > 1.0:
+            raise DomainError("point outside [-1,1]^n")
+        return _fold(self.chain, x, many=True)
+
+    def inverse_many(self, points: np.ndarray) -> np.ndarray:
+        return _fold(_reverse(self.chain), np.asarray(points, dtype=float), many=True)
 
 
 @lru_cache(maxsize=32)
@@ -247,9 +258,9 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         # applied in chart form because the deep squeezed tubes are
         # narrower than float resolution
         pull_back = stage.chain[-2:]
-        polyline = np.array([_fold(pull_back, p) for p in chain])
+        polyline = _fold(pull_back, chain, many=True)
         pulled = _stretch_inverse_on_chain(stage.schedule, word_hat, k, chain)
-        images = np.array([_fold(pull_back, p) for p in pulled])
+        images = _fold(pull_back, pulled, many=True)
     return ContinuumWitness(variant, k, word, target, polyline, images)
 
 

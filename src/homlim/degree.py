@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .analysis import fd_jacobian
+from .analysis import fd_jacobian, forward_rows
 from .errors import IndeterminateDegreeError, UnsupportedDimensionError
 
 __all__ = [
@@ -44,8 +44,8 @@ class SphereProbe:
     refinement: int = 3
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if len(self.center) not in (2, 3):
             raise UnsupportedDimensionError("degree probes support n in {2, 3}")
 
@@ -107,10 +107,13 @@ def _circle(center, radius, level):
 
 
 class _ImageCache:
-    """Per-probe cache of image meshes (the map evaluation dominates)."""
+    """Per-probe cache of image meshes (the map evaluation dominates).
 
-    def __init__(self, map_forward, probe: SphereProbe):
-        self.fwd = map_forward
+    ``map_rows`` evaluates the map on an (N, n) array of points, so every
+    mesh level is one call (see ``analysis.forward_rows``)."""
+
+    def __init__(self, map_rows, probe: SphereProbe):
+        self.map_rows = map_rows
         self.probe = probe
         self._mesh: dict[int, tuple] = {}
 
@@ -119,16 +122,14 @@ class _ImageCache:
             c = np.asarray(self.probe.center, dtype=float)
             if len(c) == 3:
                 verts, faces = octasphere(level)
-                pts = c + self.probe.radius * verts
-                images = np.array([self.fwd(p) for p in pts])
+                images = self.map_rows(c + self.probe.radius * verts)
                 body = np.ascontiguousarray(images[faces])
                 cents = body.mean(axis=1)
                 diams = np.linalg.norm(
                     body - np.roll(body, 1, axis=1), axis=2
                 ).max(axis=1)
             else:
-                loop = _circle(c, self.probe.radius, level)
-                images = np.array([self.fwd(p) for p in loop])
+                images = self.map_rows(_circle(c, self.probe.radius, level))
                 body = np.ascontiguousarray(images)
                 nxt = np.roll(images, -1, axis=0)
                 cents = 0.5 * (images + nxt)
@@ -158,13 +159,12 @@ class _ImageCache:
         return float(diams[hazard].max()) < 0.5 * dist
 
 
-def _as_forward(map_like):
-    fwd = getattr(map_like, "forward", None)
-    return fwd if callable(fwd) else map_like
+# the finest mesh level a degree certification tries by default
+MAX_REFINE = 7
 
 
 def _cached_degree(cache: _ImageCache, y, snap_tol=0.2, stability_tol=0.05,
-                   max_refine=7, min_distance=1e-9) -> DegreeReport:
+                   max_refine=MAX_REFINE, min_distance=1e-9) -> DegreeReport:
     y = np.asarray(y, dtype=float)
     history = []
     prev_raw = None
@@ -195,7 +195,7 @@ def _cached_degree(cache: _ImageCache, y, snap_tol=0.2, stability_tol=0.05,
 
 
 def degree(map_forward, probe: SphereProbe, y, snap_tol: float = 0.2,
-           stability_tol: float = 0.05, max_refine: int = 7,
+           stability_tol: float = 0.05, max_refine: int = MAX_REFINE,
            min_distance: float = 1e-9) -> DegreeReport:
     """Degree deg(f, S(a,r), y), certified by snap and refinement stability.
 
@@ -203,7 +203,7 @@ def degree(map_forward, probe: SphereProbe, y, snap_tol: float = 0.2,
     integer and moved less than ``stability_tol`` since the previous
     level; raises when y stays too close to the image mesh.
     """
-    cache = _ImageCache(_as_forward(map_forward), probe)
+    cache = _ImageCache(forward_rows(map_forward), probe)
     return _cached_degree(cache, y, snap_tol, stability_tol, max_refine, min_distance)
 
 
@@ -271,12 +271,12 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
     the sphere image within tolerance); sampled exterior points must map
     to degree zero (or near the sphere image).
     """
-    fwd = _as_forward(map_like)
+    map_rows = forward_rows(map_like)
     rng = np.random.Generator(np.random.Philox(seed))
     c = np.asarray(center, dtype=float)
     n = len(c)
     probe = SphereProbe(tuple(c), radius, refinement)
-    cache = _ImageCache(fwd, probe)
+    cache = _ImageCache(map_rows, probe)
     sphere_images = cache.mesh(refinement)[0]
 
     def near_boundary(y):
@@ -288,8 +288,7 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
     # interior points must land on nonzero degree, exterior ones on zero
     for pts, expect_nonzero in ((inside, True), (outside, False)):
         bad = 0
-        for x in pts:
-            y = fwd(x)
+        for y in map_rows(pts):
             if near_boundary(y):
                 continue
             try:
@@ -315,7 +314,7 @@ def _ball_points(rng, c, radius, count, n, inside: bool):
             if np.max(np.abs(x)) >= 1:
                 continue
         pts.append(x)
-    return pts
+    return np.reshape(pts, (count, n))
 
 
 def degree_stability(stages, probe: SphereProbe, y) -> list[int]:
@@ -327,9 +326,9 @@ def degree_stability(stages, probe: SphereProbe, y) -> list[int]:
 def nesting_probe(map_like, center, r_small: float, r_big: float,
                   y_grid, refinement: int = 3, boundary_tol: float = 1e-6) -> int:
     """Violations of E(f, B(a,r)) within E(f, B(a,s)) on a y-grid."""
-    fwd = _as_forward(map_like)
-    small = _ImageCache(fwd, SphereProbe(tuple(center), r_small, refinement))
-    big = _ImageCache(fwd, SphereProbe(tuple(center), r_big, refinement))
+    map_rows = forward_rows(map_like)
+    small = _ImageCache(map_rows, SphereProbe(tuple(center), r_small, refinement))
+    big = _ImageCache(map_rows, SphereProbe(tuple(center), r_big, refinement))
     big_images = big.mesh(refinement)[0]
     bad = 0
     for y in y_grid:
@@ -352,9 +351,9 @@ def nesting_probe(map_like, center, r_small: float, r_big: float,
 def disjointness_probe(map_like, center_a, r_a: float, center_b, r_b: float,
                        y_grid, refinement: int = 3) -> int:
     """Violations of disjoint topological images over disjoint balls."""
-    fwd = _as_forward(map_like)
-    ca = _ImageCache(fwd, SphereProbe(tuple(center_a), r_a, refinement))
-    cb = _ImageCache(fwd, SphereProbe(tuple(center_b), r_b, refinement))
+    map_rows = forward_rows(map_like)
+    ca = _ImageCache(map_rows, SphereProbe(tuple(center_a), r_a, refinement))
+    cb = _ImageCache(map_rows, SphereProbe(tuple(center_b), r_b, refinement))
     bad = 0
     for y in y_grid:
         try:

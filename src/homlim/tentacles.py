@@ -104,6 +104,28 @@ def pl_inverse(s: float, knots: PLKnots) -> float:
     )
 
 
+def _pl_rows(v: np.ndarray, ts, ss, inverse: bool = False) -> np.ndarray:
+    """``pl_interpolate`` (``pl_inverse`` when ``inverse``) row by row.
+
+    The knot lists ``ts``, ``ss`` hold floats or arrays of one value per
+    row of v; each row gets the float operations of the pointwise
+    functions.  Raises DomainError if some row fails their checks: knots
+    strictly increasing (a ValueError of ``PLKnots`` there) and v inside
+    the knot range."""
+    ts, ss = (np.stack(np.broadcast_arrays(*knots, v)[:-1], axis=1) for knots in (ts, ss))
+    src, dst = (ss, ts) if inverse else (ts, ss)
+    bad = ((ts[:, 1:] <= ts[:, :-1]).any(axis=1) | (ss[:, 1:] <= ss[:, :-1]).any(axis=1)
+           | (v < src[:, 0]) | (v > src[:, -1]))
+    if bad.any():
+        raise DomainError(f"{np.count_nonzero(bad)} rows fail the knot or range checks")
+    # the _pl_piece rule: the number of inner knots below v
+    piece = (v[:, None] > src[:, 1:-1]).sum(axis=1)
+    rows = np.arange(len(v))
+    x0, x1 = src[rows, piece], src[rows, piece + 1]
+    y0, y1 = dst[rows, piece], dst[rows, piece + 1]
+    return y0 + (v - x0) * (y1 - y0) / (x1 - x0)
+
+
 def pl_slope(t: float, knots: PLKnots) -> float:
     i = _pl_piece(t, knots.ts)
     return (knots.ss[i + 1] - knots.ss[i]) / (knots.ts[i + 1] - knots.ts[i])
@@ -359,26 +381,26 @@ def solve_parameters(
 # ---------------------------------------------------------------------------
 
 
-def _knots(level: TentacleLevel, family: str, e: float) -> PLKnots:
-    """Axial knots of the level map at transverse modulation e in [0, E]."""
+def _knot_lists(level: TentacleLevel, family: str, e):
+    """(ts, ss): the axial knots of the level map at transverse modulation
+    e in [0, E]; e may be an array, giving array entries in ss."""
     lv = level
     if family == SQUEEZE:
         phi = lv.line_prev_at_a - e
         if lv.k == 1:
-            return PLKnots((lv.r_hat, lv.a, lv.c), (lv.r_hat, phi, lv.line_prev_at_c))
+            return (lv.r_hat, lv.a, lv.c), (lv.r_hat, phi, lv.line_prev_at_c)
         psi = lv.r_hat_prev - lv.bend * e
-        return PLKnots(
-            (lv.r_hat, lv.r_hat_prev, lv.a, lv.c),
-            (lv.r_hat, psi, phi, lv.line_prev_at_c),
-        )
+        return (lv.r_hat, lv.r_hat_prev, lv.a, lv.c), (lv.r_hat, psi, phi, lv.line_prev_at_c)
     phi = lv.line_prev_at_a + e
     if lv.k == 1:
-        return PLKnots((lv.r_hat, lv.a_sq, lv.c_sq), (lv.r_hat, phi, lv.line_prev_at_c))
+        return (lv.r_hat, lv.a_sq, lv.c_sq), (lv.r_hat, phi, lv.line_prev_at_c)
     psi = lv.r_hat_prev + lv.bend * e
-    return PLKnots(
-        (lv.r_hat, lv.a_sq, lv.r_hat_prev, lv.c_sq),
-        (lv.r_hat, phi, psi, lv.line_prev_at_c),
-    )
+    return (lv.r_hat, lv.a_sq, lv.r_hat_prev, lv.c_sq), (lv.r_hat, phi, psi, lv.line_prev_at_c)
+
+
+def _knots(level: TentacleLevel, family: str, e: float) -> PLKnots:
+    """Axial knots of the level map at transverse modulation e in [0, E]."""
+    return PLKnots(*_knot_lists(level, family, e))
 
 
 def _knot_e_coeffs(level: TentacleLevel, family: str) -> tuple[float, ...]:
@@ -417,6 +439,12 @@ def _taper(t: float, r_k: float, r_prev: float) -> float:
     if t >= r_prev:
         return 1.0
     return (t - r_k) / (r_prev - r_k)
+
+
+def _taper_rows(t: np.ndarray, r_k: float, r_prev: float) -> np.ndarray:
+    """``_taper`` on an array: the clipped ratio is 0 exactly when t <= r_k
+    and 1 exactly when t >= r_prev, so every value is the same float."""
+    return np.clip((t - r_k) / (r_prev - r_k), 0.0, 1.0)
 
 
 def _taper_slope(t: float, r_k: float, r_prev: float) -> float:
@@ -597,6 +625,83 @@ class _TentacleStage:
 
     def inverse(self, point) -> np.ndarray:
         return self._map(point, inverse=True)
+
+    # -- batched evaluation ---------------------------------------------------
+    #
+    # ``_descend`` and ``_map`` on (N, n) arrays, with the pointwise float
+    # operations on every row; rows leave the descent as they stop.
+
+    def _descend_rows(self, x: np.ndarray, squeezed: bool):
+        """``_descend`` for the rows of x: (J, heights, z_n, w) with J and z_n
+        one value per row, heights a (stage, N) array (0 from level J on)
+        and w the chart points (x itself on rows with J = 0)."""
+        npts, n = x.shape
+        found = np.zeros(npts, dtype=np.intp)
+        heights = np.zeros((self.stage, npts))
+        z_n = np.zeros(npts)
+        w = x.copy()  # the last column is q_n, updated as rows go deeper
+        slots = np.array(self._slots)
+        rows = np.arange(npts)
+        for j in range(1, self.stage + 1):
+            lv = self.sched.level(j)
+            t, q_n = x[rows, 0], w[rows, n - 1]
+            nu = lv.r_hat_prev - lv.shift_drop * _taper_rows(t, lv.r_hat, lv.r_hat_prev)
+            live = nu > 0.0  # the float-pitch cutoff of _descend
+            rows, t, q_n, nu = rows[live], t[live], q_n[live], nu[live]
+            m = np.clip(np.floor((q_n / nu + 1.0) * 2 ** (n - 1)), 0, 2**n - 1)
+            s_hat = slots[m.astype(np.intp)]
+            w_n = q_n - s_hat * nu
+            perp = np.maximum(np.abs(x[rows, 1 : n - 1]).max(axis=1), np.abs(w_n))
+            in_cube = np.maximum(np.abs(t), perp) < lv.r_hat
+            in_tube = (lv.r_hat <= t) & (t < self._tube_end(lv, squeezed)) & (perp < lv.d)
+            deeper = in_cube | in_tube
+            rows = rows[deeper]
+            s_hat = s_hat[deeper]
+            heights[j - 1, rows] = s_hat
+            z_n[rows] += lv.r_hat_prev * s_hat
+            w[rows, n - 1] = w_n[deeper]
+            found[rows] = j
+        return found, heights, z_n, w
+
+    def _map_rows(self, points, inverse: bool) -> np.ndarray:
+        """``_map`` on every row of ``points``."""
+        x = np.array(points, dtype=float)
+        J, heights, z_n, w = self._descend_rows(
+            x, squeezed=self.forward_from_squeezed != inverse)
+        rows = np.flatnonzero(J)
+        out = x.copy()
+        out[rows] = w[rows]
+        for j in range(1, self.stage + 1):
+            lv = self.sched.level(j)
+            axial = rows[(J[rows] == j) & (w[rows, 0] >= lv.r_hat)]
+            if len(axial):
+                wa = w[axial]
+                rho = np.abs(wa[:, 1:]).max(axis=1)
+                # math.log per row: np.log rounds differently on some inputs
+                e = np.array([_modulation(lv, r)[0] for r in rho.tolist()])
+                try:
+                    out[axial, 0] = _pl_rows(wa[:, 0], *_knot_lists(lv, self.family, e), inverse)
+                except DomainError:
+                    # the rows one by one raise the error of the first bad
+                    # row, whatever its level, as a loop over ``_map`` does
+                    for p in x:
+                        self._map(p, inverse)
+                    raise
+        t = out[rows, 0]
+        sigma = np.zeros(len(rows))
+        for i in range(self.stage):
+            lv = self.sched.level(i + 1)
+            deep = J[rows] > i
+            sigma[deep] -= (lv.shift_drop * heights[i, rows[deep]]
+                            * _taper_rows(t[deep], lv.r_hat, lv.r_hat_prev))
+        out[rows, -1] += z_n[rows] + sigma
+        return out
+
+    def forward_many(self, points: np.ndarray) -> np.ndarray:
+        return self._map_rows(points, inverse=False)
+
+    def inverse_many(self, points: np.ndarray) -> np.ndarray:
+        return self._map_rows(points, inverse=True)
 
     def derivative(self, point) -> np.ndarray:
         """Analytic Jacobian of the forward map (off interface surfaces)."""

@@ -60,6 +60,16 @@ class TestConfig:
         ("witness", {"schedule_mode": "strict"}),
         ("degree", {"schedule_mode": "strict"}),
         ("export-slice", {"schedule_mode": "strict"}),
+        ("degree", {"degree": {"radius": 0.5}}),
+        ("degree", {"degree": {"center": [0.0, 0.0, -0.95]}}),
+        ("degree", {"degree": {"radius": math.inf}}),
+        ("degree", {"degree": {"radius": math.nan}}),
+        ("degree", {"degree": {"refinement": -1}}),
+        ("degree", {"degree": {"refinement": 2.7}}),
+        ("degree", {"degree": {"refinement": 8}}),
+        ("witness", {"variant": "W", "max_stage": 1}),
+        ("witness", {"variant": "FL", "max_stage": 1}),
+        ("export-slice", {"degree": {"slice_height": 1.5}}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG

@@ -3,8 +3,8 @@
 The package constructs, evaluates, inverts and differentiates the stage
 maps (nested-cube homeomorphisms, the tower relocation, tentacle
 squeezing and stretching, and their compositions) and ships the numeric
-instruments that probe their limits: Sobolev seminorm quadrature, Cauchy
-difference tables, Jacobian surveys, boundary checks, topological degree
+instruments that probe their limits: Cauchy difference tables of the
+Sobolev seminorm, Jacobian surveys, boundary checks, topological degree
 and invertibility probes.
 """
 
@@ -31,7 +31,6 @@ from .geometry import (
 from .tentacles import (
     PLKnots,
     SqueezeStage,
-    StraightTentacleMap,
     StretchStage,
     TentacleSchedule,
     pl_interpolate,

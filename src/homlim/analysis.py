@@ -1,11 +1,13 @@
-"""Numerical Sobolev seminorms, Cauchy tables, Jacobian and boundary probes.
+"""Cauchy tables of Sobolev differences, Jacobian and boundary probes.
 
-Quadrature is midpoint-rule over explicit box decompositions; thin
-tentacle tubes are integrated in their straight chart (the shift shear
-has unit Jacobian) with transverse stratification into geometric
-sup-norm annuli, which is what makes the 1/(rho log 1/rho) profiles
-integrable on a grid.  All randomness flows from one counter-based
-generator seeded by the caller.
+The Cauchy table has one quadrature.  A level-k tentacle tube is
+integrated on a grid in its (t, E) chart, t axial and E the transverse
+log-log modulation, whose strips carry the exact sup-annulus measure;
+that absorbs the 1/(rho log 1/rho) transverse gradient of the squeeze
+profile into a bounded integrand.  A tower cell is integrated by the
+midpoint rule on a cube grid.  Finite-difference Jacobians come from one
+central-difference stencil, evaluated in one batch of the map.  All
+randomness flows from one counter-based generator seeded by the caller.
 """
 
 from __future__ import annotations
@@ -22,9 +24,6 @@ from .tentacles import _Shift, TentacleSchedule
 
 __all__ = [
     "QuadratureConfig",
-    "SeminormResult",
-    "seminorm",
-    "stratified_tube_boxes",
     "CauchyTable",
     "cauchy_table",
     "SurveyReport",
@@ -45,11 +44,13 @@ def make_rng(seed: int) -> np.random.Generator:
 class QuadratureConfig:
     """Grid resolutions and probe steps for the numeric checks."""
 
-    resolution: int = 6              # per-axis midpoint resolution in generic boxes
+    resolution: int = 6              # per-axis midpoint nodes in a tower cell
     axial_resolution: int = 8        # along tentacle tubes (per axial segment)
     axial_levels: int = 6            # geometric axial splits per tube piece
-    transverse_resolution: int = 4   # per annulus strip / modulation grid
-    transverse_levels: int = 6       # geometric annuli between d and b
+    transverse_resolution: int = 4   # modulation nodes per tube strip
+    # read by nothing: perfbench/workloads.py still passes it, and the CLI
+    # rejects it in a config file
+    transverse_levels: int = 6
     cells_cap: int = 16              # addresses sampled per level in tables
     fd_step: float | None = None     # None: derive from the active stage
     seed: int = 0
@@ -72,109 +73,20 @@ class QuadratureConfig:
             raise ValueError("axial_levels, transverse_levels and seed must be >= 0")
 
 
-@dataclass
-class SeminormResult:
-    value: float
-    refined_value: float
-    rel_change: float
-
-
-def _box_grid(lo, hi, res_per_axis):
-    axes = [
-        lo[d] + (hi[d] - lo[d]) * (np.arange(r) + 0.5) / r
-        for d, r in enumerate(res_per_axis)
-    ]
+def _cube_integral(integrand, center, r: float, res: int) -> float:
+    """Midpoint rule for the integral of ``integrand`` over the cube of
+    half-width r around ``center``, with ``res`` nodes per axis."""
+    lo, hi = center - r, center + r
+    axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(res) + 0.5) / res for d in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vol = np.prod([(hi[d] - lo[d]) / r for d, r in enumerate(res_per_axis)])
-    return pts, float(vol)
-
-
-def _integrate_boxes(integrand, boxes, res_fn):
-    total = 0.0
-    for lo, hi in boxes:
-        pts, vol = _box_grid(np.asarray(lo, float), np.asarray(hi, float), res_fn(lo, hi))
-        total += vol * sum(integrand(p) for p in pts)
-    return total
-
-
-def seminorm(map_like, p: float, boxes, config: QuadratureConfig,
-             refine: bool = True) -> SeminormResult:
-    """Midpoint integral of |Df|_F^p over a union of boxes.
-
-    Uses the map's analytic ``derivative`` when present, else central
-    differences.  One uniform refinement step estimates the
-    discretization error.
-    """
-    deriv = getattr(map_like, "derivative", None)
-    if deriv is None:
-        fwd = map_like.forward
-        h = config.fd_step or 1e-7
-
-        def deriv(x):
-            return fd_jacobian(fwd, x, h)
-
-    def integrand(x):
-        return float(np.linalg.norm(deriv(x), "fro") ** p)
-
-    n = len(boxes[0][0])
-    base = config.resolution
-
-    def res(lo, hi):
-        return [base] * n
-
-    def res2(lo, hi):
-        return [2 * base] * n
-
-    v1 = _integrate_boxes(integrand, boxes, res)
-    if not refine:
-        return SeminormResult(v1, v1, 0.0)
-    v2 = _integrate_boxes(integrand, boxes, res2)
-    rel = abs(v2 - v1) / max(abs(v2), 1e-300)
-    return SeminormResult(v1, v2, rel)
-
-
-def stratified_tube_boxes(width_outer: float, width_inner: float,
-                          axial, levels: int, axial_levels: int = 0):
-    """Boxes covering the tube with geometric sup-annuli down to the
-    inner width (the core below it is one box per segment).
-
-    ``axial`` is a breakpoint list; the tube is split at each breakpoint
-    so the short, steep axial pieces (e.g. the far cap of a tentacle,
-    whose length is a deep power of the scale) get their own grid instead
-    of vanishing inside one long box.  With ``axial_levels`` > 0 every
-    piece is further split geometrically toward its lower end, where the
-    image of the squeezing profile runs through exponentially many scale
-    interfaces of the composed maps.
-    """
-    segs = _geom_segments(axial, axial_levels)
-    radii = list(np.geomspace(width_outer, max(width_inner, 1e-300), levels + 1))
-    boxes = []
-    for lo_a, hi_a in segs:
-        for r_out, r_in in zip(radii, radii[1:]):
-            # four rectangles tile the sup-annulus
-            strips = [
-                ((-r_out, r_in), (r_out, r_out)),
-                ((-r_out, -r_out), (r_out, -r_in)),
-                ((-r_out, -r_in), (-r_in, r_in)),
-                ((r_in, -r_in), (r_out, r_in)),
-            ]
-            for (x2l, x3l), (x2h, x3h) in strips:
-                boxes.append((np.array([lo_a, x2l, x3l]), np.array([hi_a, x2h, x3h])))
-        rc = radii[-1]
-        boxes.append((np.array([lo_a, -rc, -rc]), np.array([hi_a, rc, rc])))
-    return boxes
+    nodes = np.stack([m.ravel() for m in mesh], axis=1)
+    vol = float(np.prod((hi - lo) / res))
+    return vol * sum(integrand(p) for p in nodes)
 
 
 def fd_jacobian(f, x, h):
     """Central-difference Jacobian of f at x with step h."""
-    n = len(x)
-    J = np.empty((n, n))
-    for d in range(n):
-        e = np.zeros(n)
-        e[d] = h
-        J[:, d] = (np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h)
-    return J
+    return _fd_jacobians(forward_rows(f), np.asarray(x, dtype=float)[None, :], h)[0]
 
 
 def forward_rows(map_like):
@@ -232,13 +144,6 @@ class CauchyTable:
         vals = [r.integral for r in self.rows]
         tails = [sum(vals[i:]) for i in range(len(vals))]
         return all(t2 / t1 < 1.0 for t1, t2 in zip(tails, tails[1:]) if t1 > 0)
-
-
-def tube_axial_knots(sched: TentacleSchedule, k: int) -> list[float]:
-    """Axial breakpoints of the level-k tube (the PL knot planes)."""
-    from .tentacles import _knots
-
-    return list(_knots(sched.level(k), sched.family, 0.0).ts)
 
 
 def _sample_words(n: int, level: int, cap: int, rng) -> tuple[list, float]:
@@ -355,10 +260,7 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
             z = np.zeros(n)
             for j, s in enumerate(word):
                 z = z + sched.base.r(j) * np.array(s)
-            cube = [(z - r_in, z + r_in)]
-            total += inflate1 * _integrate_boxes(
-                diff, cube, lambda lo, hi: [config.resolution * res_mult] * n
-            )
+            total += inflate1 * _cube_integral(diff, z, r_in, config.resolution * res_mult)
         rows.append(CauchyRow(k, total, 0.0, True))
 
     env = [2.0 ** (-k * beta) + 1.0 / k**2 for k in range(2, k_max + 1)]
@@ -387,8 +289,9 @@ class SurveyReport:
 
 
 def jacobian_survey(map_like, count: int, config: QuadratureConfig,
-                    box=None, n: int = 3, step: float | None = None) -> SurveyReport:
-    """Central-difference Jacobian determinants at seeded random points.
+                    n: int = 3, step: float | None = None) -> SurveyReport:
+    """Central-difference Jacobian determinants at seeded random points of
+    the cube [-1, 1]^n.
 
     A point with non-positive finite-difference determinant is an
     exception; it counts as a hard failure only if the analytic
@@ -397,10 +300,7 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     defects survive, not interface-straddling artifacts.
     """
     rng = make_rng(config.seed)
-    if box is None:
-        lo, hi = -np.ones(n), np.ones(n)
-    else:
-        lo, hi = np.asarray(box[0], float), np.asarray(box[1], float)
+    lo, hi = -np.ones(n), np.ones(n)
     h = step or config.fd_step
     if h is None:
         k = getattr(map_like, "k", None) or getattr(map_like, "stage", 1)

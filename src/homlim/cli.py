@@ -136,6 +136,8 @@ def _family(cfg) -> str:
 
 def _quad_config(cfg) -> analysis.QuadratureConfig:
     q = dict(cfg["quadrature"])
+    if "transverse_levels" in q:
+        _fail("quadrature", "transverse_levels is read by no quadrature; remove it")
     q.setdefault("seed", cfg["seed"])
     try:
         return analysis.QuadratureConfig(**q)

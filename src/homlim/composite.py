@@ -38,6 +38,8 @@ __all__ = ["CompositeStage", "build_stage", "ContinuumWitness", "continuum_witne
            "AxisCollapse"]
 
 VARIANTS = ("T1", "T2", "W", "FL")
+# points on the tentacle centerline of a continuum witness
+WITNESS_SAMPLES = 24
 
 
 class AxisCollapse:
@@ -48,9 +50,10 @@ class AxisCollapse:
     identity on the cube boundary.  Not injective on the axis.
     """
 
-    def __init__(self, n: int, delta: float = 1.0 / 16.0):
+    delta = 1.0 / 16.0
+
+    def __init__(self, n: int):
         self.n = n
-        self.delta = delta
 
     def forward(self, point) -> np.ndarray:
         return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
@@ -99,7 +102,6 @@ class CompositeStage:
     k: int
     n: int
     beta: float
-    mode: str
     chain: tuple
     schedule: TentacleSchedule | None = None
 
@@ -142,13 +144,13 @@ class CompositeStage:
 
 
 @lru_cache(maxsize=32)
-def _tentacle_sched(n: int, beta: float, family: str, mode: str, k_max: int):
-    return solve_parameters(n, beta, mode, family, k_max)
+def _tentacle_sched(n: int, beta: float, family: str, k_max: int):
+    return solve_parameters(n, beta, "demo", family, k_max)
 
 
-def build_stage(variant: str, k: int, n: int = 3, beta: float = 4.0,
-                mode: str = "demo") -> CompositeStage:
-    """Construct one composite stage with shared, cached factor maps.
+def build_stage(variant: str, k: int, n: int = 3, beta: float = 4.0) -> CompositeStage:
+    """Construct one composite stage with shared, cached factor maps, on
+    the demo tentacle schedule (the strict widths underflow).
 
     The chain table is the one place that knows the variants:
     T1 = g^{-1} L^{-1} h, T2 = g^{-1} L^{-1} h~ L g, W = g^{-1} L^{-1} h~^{-1} L g
@@ -161,19 +163,19 @@ def build_stage(variant: str, k: int, n: int = 3, beta: float = 4.0,
     if variant == "FL":
         g = CantorHomeomorphism(harmonic_schedule(n), sched_b, k)
         chain = ((g, 1), (tower, 1), (AxisCollapse(n), 1))
-        return CompositeStage(variant, k, n, beta, mode, chain)
+        return CompositeStage(variant, k, n, beta, chain)
     sched_a = ParameterSchedule(n=n, beta=beta, kind="A")
     g = CantorHomeomorphism(sched_a, sched_b, k)
     g_inv = CantorHomeomorphism(sched_b, sched_a, k)
     family = SQUEEZE if variant == "T1" else STRETCH
-    ts = _tentacle_sched(n, beta, family, mode, k)
+    ts = _tentacle_sched(n, beta, family, k)
     h = (SqueezeStage if variant == "T1" else StretchStage)(ts, k)
     chain = {
         "T1": ((h, 1), (tower, -1), (g_inv, 1)),
         "T2": ((g, 1), (tower, 1), (h, 1), (tower, -1), (g_inv, 1)),
         "W": ((g, 1), (tower, 1), (h, -1), (tower, -1), (g_inv, 1)),
     }[variant]
-    return CompositeStage(variant, k, n, beta, mode, chain, ts)
+    return CompositeStage(variant, k, n, beta, chain, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +232,7 @@ def _tentacle_chain_points(sched: TentacleSchedule, word_hat, k: int,
 
 
 def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
-                      beta: float = 4.0, samples: int = 24) -> ContinuumWitness:
+                      beta: float = 4.0) -> ContinuumWitness:
     """Witness for the collapse of a tentacle chain over one target cell.
 
     ``word`` addresses a cell of the fat construction; the matched tower
@@ -245,7 +247,7 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         raise ValueError("address word length must equal the stage")
     word_hat = tuple(slot_correspondence(v) for v in word)
     stage = build_stage(variant if variant == "T1" else "W", k, n, beta)
-    chain = _tentacle_chain_points(stage.schedule, word_hat, k, samples)
+    chain = _tentacle_chain_points(stage.schedule, word_hat, k, WITNESS_SAMPLES)
     sched_a = ParameterSchedule(n=n, beta=beta, kind="A")
     target = cell_center(sched_a, Address("setA", word))
     if variant == "T1":

@@ -161,10 +161,22 @@ class _ImageCache:
 
 # the finest mesh level a degree certification tries by default
 MAX_REFINE = 7
+# a raw sum certifies when within SNAP_TOL of an integer and moved less
+# than STABILITY_TOL since the previous mesh level; a level at which y
+# lies within MIN_DISTANCE of the image mesh is skipped
+SNAP_TOL = 0.2
+STABILITY_TOL = 0.05
+MIN_DISTANCE = 1e-9
+# image points this close to the sphere image are not probed
+BOUNDARY_TOL = 1e-6
+# Newton oracle of signed_preimage_count: iterations per seed, residual
+# of a root, and the distance under which two roots are one
+NEWTON_STEPS = 30
+NEWTON_TOL = 1e-10
+ROOT_DEDUPE = 1e-6
 
 
-def _cached_degree(cache: _ImageCache, y, snap_tol=0.2, stability_tol=0.05,
-                   max_refine=MAX_REFINE, min_distance=1e-9) -> DegreeReport:
+def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport:
     y = np.asarray(y, dtype=float)
     history = []
     prev_raw = None
@@ -172,12 +184,12 @@ def _cached_degree(cache: _ImageCache, y, snap_tol=0.2, stability_tol=0.05,
     for level in range(cache.probe.refinement, max_refine + 1):
         raw, dist = cache.raw(y, level)
         history.append((level, raw, dist))
-        if dist < min_distance:
+        if dist < MIN_DISTANCE:
             prev_raw, streak = None, 0
             continue
         near = round(raw)
-        snapped = abs(raw - near) < snap_tol
-        if snapped and prev_raw is not None and abs(raw - prev_raw) < stability_tol:
+        snapped = abs(raw - near) < SNAP_TOL
+        if snapped and prev_raw is not None and abs(raw - prev_raw) < STABILITY_TOL:
             streak += 1
         else:
             streak = 0
@@ -194,22 +206,18 @@ def _cached_degree(cache: _ImageCache, y, snap_tol=0.2, stability_tol=0.05,
     )
 
 
-def degree(map_forward, probe: SphereProbe, y, snap_tol: float = 0.2,
-           stability_tol: float = 0.05, max_refine: int = MAX_REFINE,
-           min_distance: float = 1e-9) -> DegreeReport:
+def degree(map_forward, probe: SphereProbe, y, max_refine: int = MAX_REFINE) -> DegreeReport:
     """Degree deg(f, S(a,r), y), certified by snap and refinement stability.
 
-    Refines the mesh until the raw sum is within ``snap_tol`` of an
-    integer and moved less than ``stability_tol`` since the previous
+    Refines the mesh until the raw sum is within ``SNAP_TOL`` of an
+    integer and moved less than ``STABILITY_TOL`` since the previous
     level; raises when y stays too close to the image mesh.
     """
     cache = _ImageCache(forward_rows(map_forward), probe)
-    return _cached_degree(cache, y, snap_tol, stability_tol, max_refine, min_distance)
+    return _cached_degree(cache, y, max_refine)
 
 
-def signed_preimage_count(map_forward, y, box, grid: int = 13,
-                          newton_steps: int = 30, tol: float = 1e-10,
-                          dedupe: float = 1e-6) -> int:
+def signed_preimage_count(map_forward, y, box, grid: int = 13) -> int:
     """Brute-force oracle: sum of Jacobian signs over preimages of y.
 
     Seeds Newton iterations from every grid cell, keeps converged roots
@@ -229,9 +237,9 @@ def signed_preimage_count(map_forward, y, box, grid: int = 13,
     for x in seeds:
         x = x.copy()
         ok = False
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_STEPS):
             r = np.asarray(map_forward(x)) - y
-            if np.linalg.norm(r) < tol:
+            if np.linalg.norm(r) < NEWTON_TOL:
                 ok = True
                 break
             try:
@@ -243,7 +251,7 @@ def signed_preimage_count(map_forward, y, box, grid: int = 13,
                 break
         if not ok or np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
             continue
-        if any(np.linalg.norm(x - r0) < dedupe for r0 in roots):
+        if any(np.linalg.norm(x - r0) < ROOT_DEDUPE for r0 in roots):
             continue
         roots.append(x)
     return sum(int(math.copysign(1.0, np.linalg.det(fd_jacobian(map_forward, x, h))))
@@ -263,24 +271,27 @@ class InvReport:
 
 
 def inv_check(map_like, center, radius: float, n_inside: int = 20,
-              n_outside: int = 20, seed: int = 0, refinement: int = 3,
-              boundary_tol: float = 1e-6) -> InvReport:
+              n_outside: int = 20, seed: int = 0, refinement: int = 3) -> InvReport:
     """Degree-based invertibility probe on one ball.
 
     Sampled interior points must map to points of nonzero degree (or to
-    the sphere image within tolerance); sampled exterior points must map
-    to degree zero (or near the sphere image).
+    the sphere image within tolerance); sampled exterior points, drawn
+    1.1 to 2.1 radii from the center inside the cube, must map to degree
+    zero (or near the sphere image).  Raises ``ValueError`` when 1.1 radii
+    reach the far corner of the cube, where no exterior point fits.
     """
+    c = np.asarray(center, dtype=float)
+    if 1.1 * radius >= np.linalg.norm(1.0 + np.abs(c)):
+        raise ValueError("no exterior sample fits in the cube: 1.1 radius reaches its far corner")
     map_rows = forward_rows(map_like)
     rng = np.random.Generator(np.random.Philox(seed))
-    c = np.asarray(center, dtype=float)
     n = len(c)
     probe = SphereProbe(tuple(c), radius, refinement)
     cache = _ImageCache(map_rows, probe)
     sphere_images = cache.mesh(refinement)[0]
 
     def near_boundary(y):
-        return float(np.min(np.linalg.norm(sphere_images - y, axis=1))) < boundary_tol
+        return float(np.min(np.linalg.norm(sphere_images - y, axis=1))) < BOUNDARY_TOL
 
     inside = _ball_points(rng, c, radius, n_inside, n, inside=True)
     outside = _ball_points(rng, c, radius, n_outside, n, inside=False)
@@ -324,7 +335,7 @@ def degree_stability(stages, probe: SphereProbe, y) -> list[int]:
 
 
 def nesting_probe(map_like, center, r_small: float, r_big: float,
-                  y_grid, refinement: int = 3, boundary_tol: float = 1e-6) -> int:
+                  y_grid, refinement: int = 3) -> int:
     """Violations of E(f, B(a,r)) within E(f, B(a,s)) on a y-grid."""
     map_rows = forward_rows(map_like)
     small = _ImageCache(map_rows, SphereProbe(tuple(center), r_small, refinement))
@@ -338,7 +349,7 @@ def nesting_probe(map_like, center, r_small: float, r_big: float,
             continue
         if d_small == 0:
             continue
-        if float(np.min(np.linalg.norm(big_images - y, axis=1))) < boundary_tol:
+        if float(np.min(np.linalg.norm(big_images - y, axis=1))) < BOUNDARY_TOL:
             continue
         try:
             if _cached_degree(big, y).degree == 0:

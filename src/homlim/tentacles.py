@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     DomainError,
@@ -41,7 +40,6 @@ __all__ = [
     "shift_inverse",
     "SqueezeStage",
     "StretchStage",
-    "StraightTentacleMap",
     "tentacle_seminorm_bound",
     "log_tentacle_union_measure",
     "shift_bound",
@@ -741,31 +739,6 @@ class StretchStage(_TentacleStage):
     forward_from_squeezed = True
 
 
-class StraightTentacleMap:
-    """One level of the straight-chart squeeze/stretch on P'_k, for
-    quadrature cross-checks: x -> (eta(x_1, |x_perp|), x_perp)."""
-
-    def __init__(self, sched: TentacleSchedule, k: int):
-        if not sched.geometric:
-            raise NotInitializedError("straight maps need a demo schedule")
-        self.sched = sched
-        self.lv = sched.level(k)
-        self.family = sched.family
-
-    def forward(self, point) -> np.ndarray:
-        out = np.asarray(point, dtype=float).copy()
-        out[0] = _straight_axial(self.lv, self.family, out)
-        return out
-
-    def inverse(self, point) -> np.ndarray:
-        out = np.asarray(point, dtype=float).copy()
-        out[0] = _straight_axial(self.lv, self.family, out, inverse=True)
-        return out
-
-    def derivative(self, point) -> np.ndarray:
-        return _straight_jacobian(self.lv, self.family, np.asarray(point, dtype=float))[0]
-
-
 # ---------------------------------------------------------------------------
 # Energy bounds.
 # ---------------------------------------------------------------------------
@@ -825,7 +798,10 @@ def _log_max_axial_slope(lv: TentacleLevel, family: str, beta: float) -> float:
 
 def _demo_energy(sched: TentacleSchedule, k: int) -> float:
     """Exact-in-axial, 1-D-quadrature-in-rho evaluation of
-    int_{P'_k} |D eta-map|_F^2 for n = 3."""
+    int_{P'_k} |D eta-map|_F^2 for n = 3.  The only user of scipy, which
+    is imported here so that importing the package does not load it."""
+    from scipy.integrate import quad
+
     lv = sched.level(k)
     family = sched.family
     u_d, u_b, e_rng = lv.u_d, lv.u_b, lv.e_range

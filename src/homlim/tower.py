@@ -97,46 +97,35 @@ class ElementaryMove:
             j += 1
         return delta, arg
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    def _pl_knots(self, tau, inverse: bool):
+        """The axial PL map at shift tau: knots lo < a2 <= a3 < hi go to
+        lo, b2, b3, hi, and the piece between a2 and a3 moves by ``shift``.
+        With s2, s3 = src -/+ rho the move has a2, a3 = s2, s3 and b2, b3 =
+        s2 + tau, s3 + tau; its inverse swaps the two pairs and shifts by
+        -tau."""
+        s2 = self.src - self.rho
+        s3 = self.src + self.rho
+        if inverse:
+            return s2 + tau, s3 + tau, s2, s3, -tau
+        return s2, s3, s2 + tau, s3 + tau, tau
+
+    def apply(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
+        """The move at x, or with ``inverse`` its inverse."""
         xa = x[self.axis]
         if xa <= self.lo or xa >= self.hi:
             return x
         delta, _ = self._trans_delta(x)
         if delta >= self.width:
             return x
-        chi = self._chi(delta)
-        tau = chi * (self.dst - self.src)
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
-        if xa < s2:
-            ya = self.lo + (xa - self.lo) * (s2 + tau - self.lo) / (s2 - self.lo)
-        elif xa <= s3:
-            ya = xa + tau
+        a2, a3, b2, b3, shift = self._pl_knots(self._chi(delta) * (self.dst - self.src), inverse)
+        if xa < a2:
+            ya = self.lo + (xa - self.lo) * (b2 - self.lo) / (a2 - self.lo)
+        elif xa <= a3:
+            ya = xa + shift
         else:
-            ya = self.hi - (self.hi - xa) * (self.hi - (s3 + tau)) / (self.hi - s3)
+            ya = self.hi - (self.hi - xa) * (self.hi - b3) / (self.hi - a3)
         out = x.copy()
         out[self.axis] = ya
-        return out
-
-    def invert(self, y: np.ndarray) -> np.ndarray:
-        ya = y[self.axis]
-        if ya <= self.lo or ya >= self.hi:
-            return y
-        delta, _ = self._trans_delta(y)
-        if delta >= self.width:
-            return y
-        chi = self._chi(delta)
-        tau = chi * (self.dst - self.src)
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
-        if ya < s2 + tau:
-            xa = self.lo + (ya - self.lo) * (s2 - self.lo) / (s2 + tau - self.lo)
-        elif ya <= s3 + tau:
-            xa = ya - tau
-        else:
-            xa = self.hi - (self.hi - ya) * (self.hi - s3) / (self.hi - (s3 + tau))
-        out = y.copy()
-        out[self.axis] = xa
         return out
 
     def _corridor_rows(self, w: np.ndarray):
@@ -153,32 +142,18 @@ class ElementaryMove:
         chi = np.where(delta <= self.rho, 1.0, (self.width - delta) / (self.width - self.rho))
         return rows, xa, chi * (self.dst - self.src)
 
-    def apply_rows(self, w: np.ndarray) -> None:
+    def apply_rows(self, w: np.ndarray, inverse: bool = False) -> None:
         """``apply`` on every row of the (N, n) array w, in place, with the
         same float operations."""
         hit = self._corridor_rows(w)
         if hit is None:
             return
         rows, xa, tau = hit
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
+        a2, a3, b2, b3, shift = self._pl_knots(tau, inverse)
         w[rows, self.axis] = np.where(
-            xa < s2, self.lo + (xa - self.lo) * (s2 + tau - self.lo) / (s2 - self.lo),
-            np.where(xa <= s3, xa + tau,
-                     self.hi - (self.hi - xa) * (self.hi - (s3 + tau)) / (self.hi - s3)))
-
-    def invert_rows(self, w: np.ndarray) -> None:
-        """``invert`` on every row of w, in place."""
-        hit = self._corridor_rows(w)
-        if hit is None:
-            return
-        rows, ya, tau = hit
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
-        w[rows, self.axis] = np.where(
-            ya < s2 + tau, self.lo + (ya - self.lo) * (s2 - self.lo) / (s2 + tau - self.lo),
-            np.where(ya <= s3 + tau, ya - tau,
-                     self.hi - (self.hi - ya) * (self.hi - s3) / (self.hi - (s3 + tau))))
+            xa < a2, self.lo + (xa - self.lo) * (b2 - self.lo) / (a2 - self.lo),
+            np.where(xa <= a3, xa + shift,
+                     self.hi - (self.hi - xa) * (self.hi - b3) / (self.hi - a3)))
 
     def derivative(self, x: np.ndarray) -> np.ndarray:
         n = len(x)
@@ -415,7 +390,7 @@ class TowerMapping:
             scale = self._r[i - 1]
             w = (y - center) / scale
             for mv in reversed(self.moves):
-                w = mv.invert(w)
+                w = mv.apply(w, inverse=True)
             y = center + scale * w
         return y
 
@@ -478,27 +453,31 @@ class TowerMapping:
             scale = self._r[i - 1]
             w = (y[rows] - center) / scale
             for mv in reversed(self.moves):
-                mv.invert_rows(w)
+                mv.apply_rows(w, inverse=True)
             y[rows] = center + scale * w
         return y
 
 
-def verify_goodmap(tower: TowerMapping, max_level: int, samples: int = 8,
-                   rng=None, cell_cap: int = 512) -> dict[int, bool]:
+GOODMAP_CELLS = 512
+GOODMAP_SAMPLES = 8
+
+
+def verify_goodmap(tower: TowerMapping, max_level: int) -> dict[int, bool]:
     """Sample tower cells and check the inverse lands in the matched cells.
 
     For every tower address vhat(i) = (tau(v_1), ..., tau(v_i)), points of
     the tower cell must pull back into the source cell of (v_1, ..., v_i).
-    Returns a per-level pass flag.  The samples of all cells of a level are
-    pulled back in one batch.
+    Returns a per-level pass flag.  Up to ``GOODMAP_CELLS`` cells of a level
+    are drawn, ``GOODMAP_SAMPLES`` points in each, from a fixed seed; the
+    samples of all cells of a level are pulled back in one batch.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     n = tower.n
     sched = tower.schedule
     verts = cube_vertices(n)
     result: dict[int, bool] = {}
     for level in range(1, max_level + 1):
-        words = address_words(verts, level, cell_cap, rng)
+        words = address_words(verts, level, GOODMAP_CELLS, rng)
         r_in = sched.r(level)
         z_srcs, pts = [], []
         for word in words:
@@ -508,8 +487,8 @@ def verify_goodmap(tower: TowerMapping, max_level: int, samples: int = 8,
                 z_src = z_src + 0.5 * sched.r(j) * np.array(v, dtype=float)
                 z_hat = z_hat + sched.r(j) * np.array(slot_correspondence(v))
             z_srcs.append(z_src)
-            pts.append(z_hat + r_in * 0.9 * rng.uniform(-1, 1, size=(samples, n)))
-        back = tower.inverse_many(np.concatenate(pts)).reshape(len(words), samples, n)
+            pts.append(z_hat + r_in * 0.9 * rng.uniform(-1, 1, size=(GOODMAP_SAMPLES, n)))
+        back = tower.inverse_many(np.concatenate(pts)).reshape(len(words), GOODMAP_SAMPLES, n)
         result[level] = bool(np.max(np.abs(back - np.array(z_srcs)[:, None, :])) <= r_in + 1e-12)
     return result
 

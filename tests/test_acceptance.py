@@ -318,8 +318,7 @@ def test_11_determinism(tmp_path):
         "n": N, "beta": BETA, "variant": "T1", "schedule_mode": "demo",
         "max_stage": 2, "seed": 17, "out_dir": str(tmp_path / "out"),
         "quadrature": {"resolution": 4, "axial_resolution": 8,
-                       "transverse_resolution": 2, "transverse_levels": 3,
-                       "cells_cap": 2},
+                       "transverse_resolution": 2, "cells_cap": 2},
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))

@@ -3,19 +3,16 @@ import pytest
 
 from homlim.analysis import (
     QuadratureConfig,
+    _tube_integral,
     boundary_identity_check,
     cauchy_table,
+    fd_jacobian,
     jacobian_survey,
     make_rng,
-    seminorm,
-    stratified_tube_boxes,
 )
 from homlim.composite import build_stage
-from homlim.tentacles import (
-    StraightTentacleMap,
-    solve_parameters,
-    tentacle_seminorm_bound,
-)
+from homlim.geometry import tower_slots
+from homlim.tentacles import SqueezeStage, solve_parameters, tentacle_seminorm_bound
 
 
 class _Identity:
@@ -26,54 +23,49 @@ class _Identity:
         return np.eye(len(x))
 
 
-class _Linear:
-    def __init__(self, factor):
-        self.factor = factor
-
-    def forward(self, x):
-        return self.factor * np.asarray(x, dtype=float)
-
-    def derivative(self, x):
-        return self.factor * np.eye(len(x))
-
-
 class TestSeminorm:
-    def test_identity_on_cube(self):
-        boxes = [(-np.ones(3), np.ones(3))]
-        res = seminorm(_Identity(), 2, boxes, QuadratureConfig(resolution=4))
-        assert res.value == pytest.approx(24.0)
-        assert res.rel_change < 1e-12
-
-    def test_doubling_map(self):
-        boxes = [(np.zeros(3), np.ones(3))]
-        res = seminorm(_Linear(2.0), 2, boxes, QuadratureConfig(resolution=4))
-        assert res.value == pytest.approx(12.0)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             QuadratureConfig(resolution=3)
 
     def test_straight_squeeze_matches_semianalytic_bound(self):
-        # grid quadrature over P'_1 agrees with the exact-axial reduction
-        from homlim.analysis import tube_axial_knots
-
+        # the tube grid of the Cauchy tables, run on |Dh_1|^2 over one
+        # level-1 tube, agrees with the exact-axial reduction (the level-1
+        # shift is the identity, so h_1 is the straight squeeze there)
         sched = solve_parameters(3, 4.0, "demo", "squeeze", 1)
-        smap = StraightTentacleMap(sched, 1)
-        lv = sched.level(1)
-        boxes = stratified_tube_boxes(lv.d, lv.b, tube_axial_knots(sched, 1), 10)
-        res = seminorm(smap, 2, boxes, QuadratureConfig(resolution=6))
-        closed = tentacle_seminorm_bound(sched, 1)
-        assert res.refined_value == pytest.approx(closed, rel=0.1)
-        assert res.rel_change < 0.05
+        stage = SqueezeStage(sched, 1)
 
-    def test_fd_fallback_used_without_derivative(self):
-        class Fwd:
-            def forward(self, x):
-                return 2.0 * np.asarray(x, float)
+        def energy(x):
+            return float(np.linalg.norm(stage.derivative(x), "fro") ** 2)
 
-        boxes = [(np.zeros(3), np.ones(3))]
-        res = seminorm(Fwd(), 2, boxes, QuadratureConfig(resolution=4), refine=False)
-        assert res.value == pytest.approx(12.0, rel=1e-6)
+        word, cfg = [tower_slots(3)[0]], QuadratureConfig()
+        coarse = _tube_integral(sched, 1, word, energy, cfg)
+        fine = _tube_integral(sched, 1, word, energy, cfg, res_mult=2)
+        assert fine == pytest.approx(tentacle_seminorm_bound(sched, 1), rel=0.01)
+        assert abs(fine - coarse) / fine < 0.05
+
+
+class TestFdJacobian:
+    def test_linear_map(self):
+        a = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 0.0], [1.0, 0.0, -1.0]])
+        x = np.array([0.3, -0.2, 0.5])
+        assert np.allclose(fd_jacobian(lambda p: a @ p, x, 1e-6), a, atol=1e-8)
+
+    def test_matches_the_loop_reference(self):
+        # one column per pair of calls, as fd_jacobian computed it before it
+        # became a one-row batch of the survey stencil
+        def reference(f, x, h):
+            jac = np.empty((3, 3))
+            for d in range(3):
+                e = np.zeros(3)
+                e[d] = h
+                jac[:, d] = (f(x + e) - f(x - e)) / (2 * h)
+            return jac
+
+        stage = build_stage("T1", 2)
+        for x in make_rng(4).uniform(-0.9, 0.9, (20, 3)):
+            assert np.array_equal(fd_jacobian(stage.forward, x, 1e-7),
+                                  reference(stage.forward, x, 1e-7))
 
 
 class TestJacobianSurvey:

@@ -195,8 +195,9 @@ class TestBatchErrors:
             level = 1 if kind != "unsorted" else level
             lv = SQ.level(level)
             t = lv.c + u * (1.0 - lv.c) if kind == "out_of_range" else lv.r_hat + u * (lv.c - lv.r_hat)
-            if kind == "out_of_range" and t <= lv.c:
-                t = float(np.nextafter(lv.c, 1.0))
+            if kind == "out_of_range":
+                # past the last knot, inside the half-open tube [r_hat, 1)
+                t = float(np.clip(t, np.nextafter(lv.c, 1.0), np.nextafter(1.0, 0.0)))
             perp = (lo + v * (hi - lo)) * (lv.d if kind == "unsorted" else 1.0)
             pts.append(chart_point(SQ, [height] * level, (t, perp, 0.0)))
             wants.append(want)

@@ -19,7 +19,6 @@ def write_cfg(tmp_path, **overrides):
             "resolution": 4,
             "axial_resolution": 8,
             "transverse_resolution": 2,
-            "transverse_levels": 3,
             "cells_cap": 2,
         },
     }
@@ -70,6 +69,7 @@ class TestConfig:
         ("witness", {"variant": "W", "max_stage": 1}),
         ("witness", {"variant": "FL", "max_stage": 1}),
         ("export-slice", {"degree": {"slice_height": 1.5}}),
+        ("verify-sobolev", {"quadrature": {"transverse_levels": 3}}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import homlim
 from homlim.composite import build_stage
 from homlim.degree import (
     IndeterminateDegreeError,
@@ -123,6 +129,23 @@ class TestStages:
 
         rep = inv_check(Id(), (0.0, 0.0, 0.0), 0.5, 8, 8)
         assert rep.passed
+
+    def test_inv_check_rejects_a_ball_with_no_room_outside(self):
+        # exterior samples lie 1.1 to 2.1 radii out; past the far corner
+        # none fits in the cube.  Run apart with a timeout, so that a
+        # sampler looping for ever fails instead of hanging the suite.
+        code = (
+            "import numpy as np, pytest\n"
+            "from homlim.degree import inv_check\n"
+            "ident = lambda x: np.asarray(x, float)\n"
+            "with pytest.raises(ValueError):\n"
+            "    inv_check(ident, (0, 0, 0), 2.0, 2, 2)\n"
+            "with pytest.raises(ValueError):\n"
+            "    inv_check(ident, (0.5, 0, 0), 1.9, 2, 2)\n"
+            "assert inv_check(ident, (0, 0, 0), 1.0, 2, 2).passed\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(homlim.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
     def test_inv_check_stage(self):
         rep = inv_check(build_stage("T1", 2), self.CENTER, 0.05, 6, 6, refinement=3)

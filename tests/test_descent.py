@@ -258,7 +258,7 @@ def reference_tower_inverse(L, y):
         scale = L.schedule.r(i - 1)
         w = (y - center) / scale
         for mv in reversed(L.moves):
-            w = mv.invert(w)
+            w = mv.apply(w, inverse=True)
         y = center + scale * w
     return y
 

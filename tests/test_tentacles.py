@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homlim
 from homlim.errors import (
     DomainError,
     InfeasibleScheduleError,
@@ -317,6 +322,12 @@ class TestEnergy:
         with pytest.raises(UnsupportedDimensionError):
             s4 = solve_parameters(4, 5.0, "demo", "squeeze", 1)
             tentacle_seminorm_bound(s4, 1)
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy serves the demo energy alone and is imported when it runs
+        code = "import sys, homlim; assert 'scipy' not in sys.modules"
+        env = dict(os.environ, PYTHONPATH=str(Path(homlim.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
 
     def test_cauchy_envelope_is_summable(self):
         terms = [2.0 ** (k * 4 * 2) * delta_tilde("strict-T1", 3, 4.0, k)

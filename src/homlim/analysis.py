@@ -5,9 +5,15 @@ integrated on a grid in its (t, E) chart, t axial and E the transverse
 log-log modulation, whose strips carry the exact sup-annulus measure;
 that absorbs the 1/(rho log 1/rho) transverse gradient of the squeeze
 profile into a bounded integrand.  A tower cell is integrated by the
-midpoint rule on a cube grid.  Finite-difference Jacobians come from one
-central-difference stencil, evaluated in one batch of the map.  All
-randomness flows from one counter-based generator seeded by the caller.
+midpoint rule on a cube grid.  The nodes of a level's sampled tubes and
+cells are evaluated in batches of about ``CAUCHY_BATCH`` nodes, one
+``derivative_many`` per stage and batch (one batch a level on small
+quadratures), and their weights are summed in node order, tube by tube
+and cell by cell, so the rows are those of a loop over the nodes and do
+not depend on the batch size.  Finite-difference
+Jacobians come from one central-difference stencil, evaluated in one
+batch of the map.  All randomness flows from one counter-based generator
+seeded by the caller.
 """
 
 from __future__ import annotations
@@ -73,15 +79,13 @@ class QuadratureConfig:
             raise ValueError("axial_levels, transverse_levels and seed must be >= 0")
 
 
-def _cube_integral(integrand, center, r: float, res: int) -> float:
-    """Midpoint rule for the integral of ``integrand`` over the cube of
-    half-width r around ``center``, with ``res`` nodes per axis."""
+def _cube_nodes(center, r: float, res: int) -> tuple[np.ndarray, float]:
+    """Midpoint-rule nodes of the cube of half-width r around ``center``,
+    ``res`` per axis, and the volume of one grid box."""
     lo, hi = center - r, center + r
     axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(res) + 0.5) / res for d in range(len(lo))]
     mesh = np.meshgrid(*axes, indexing="ij")
-    nodes = np.stack([m.ravel() for m in mesh], axis=1)
-    vol = float(np.prod((hi - lo) / res))
-    return vol * sum(integrand(p) for p in nodes)
+    return np.stack([m.ravel() for m in mesh], axis=1), float(np.prod((hi - lo) / res))
 
 
 def fd_jacobian(f, x, h):
@@ -125,7 +129,6 @@ class CauchyRow:
     integral: float
     envelope: float
     passed: bool
-    rel_change: float = float("nan")
 
 
 @dataclass
@@ -166,9 +169,10 @@ def _geom_segments(breaks, levels: int):
     return segs
 
 
-def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
-                   config: QuadratureConfig, res_mult: int = 1) -> float:
-    """Integral of a pointwise weight over one twisted level-k tube.
+def _tube_nodes(sched: TentacleSchedule, k: int, word, config: QuadratureConfig,
+                res_mult: int = 1) -> tuple[np.ndarray, list]:
+    """Quadrature nodes of one twisted level-k tube, and per node the pair
+    (m, s) whose product is its measure: a node of weight w adds w * m * s.
 
     The grid lives in the chart (t, E): t is the axial coordinate (split
     at the knot planes and geometrically toward each piece's low end,
@@ -176,7 +180,7 @@ def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
     transverse log-log modulation.  The sup-annulus measure per strip,
     2 rho^2 u dE dt with u = log(1/rho), is exact, which absorbs the
     1/(rho u) transverse gradient of the squeeze profile into a bounded
-    integrand.
+    integrand.  Strips of measure 0 carry no node.
     """
     from .tentacles import _knots
 
@@ -191,7 +195,7 @@ def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
     u_d, e_rng = lv.u_d, lv.e_range
     core_area = (2.0 * lv.b) ** (n - 1)
     dirs = [(axis, sign) for axis in range(1, n) for sign in (1.0, -1.0)]
-    total = 0.0
+    nodes, measures = [], []
     x = np.zeros(n)
     for t_lo, t_hi in segs:
         dt = (t_hi - t_lo) / t_res
@@ -212,14 +216,71 @@ def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
                     x[0] = t
                     x[axis] = sign * rho
                     x[n - 1] += z_n + sig
-                    total += weight_fn(x) * meas
+                    nodes.append(x.copy())
+                    measures.append((meas, 1.0))
             # core below the clamp radius: no transverse gradient
             if core_area > 0.0:
                 x[:] = 0.0
                 x[0] = t
                 x[n - 1] = z_n + sig
-                total += weight_fn(x) * core_area * dt
+                nodes.append(x.copy())
+                measures.append((core_area, dt))
+    return np.array(nodes).reshape(-1, n), measures
+
+
+def _weighted_sum(weights, measures) -> float:
+    """Sum of w * m * s over the nodes, in node order from 0.0."""
+    total = 0.0
+    for w, (m, s) in zip(weights, measures):
+        total += w * m * s
     return total
+
+
+def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
+                   config: QuadratureConfig, res_mult: int = 1) -> float:
+    """Integral of a pointwise weight over one twisted level-k tube, on the
+    nodes of ``_tube_nodes``: ``weight_fn`` is called once per node, in
+    node order."""
+    nodes, measures = _tube_nodes(sched, k, word, config, res_mult)
+    return _weighted_sum((weight_fn(x) for x in nodes), measures)
+
+
+# Nodes per derivative batch of a Cauchy table: enough that the fixed
+# cost of a batch is small, few enough that the (N, n, n) Jacobians and
+# their temporaries stay a few MB whatever the quadrature.
+CAUCHY_BATCH = 1 << 13
+
+
+def _change_region(sched: TentacleSchedule, k: int, words, inflate: float, words1,
+                   inflate1: float, config: QuadratureConfig, res_mult: int):
+    """The parts of the stage-k change region, the sampled level-k tubes
+    and then the sampled level-(k-1) tower cells, as pairs (nodes,
+    integral): ``integral`` maps the weights at the nodes to the part's
+    inflated term of the table row."""
+    for word in words:
+        nodes, measures = _tube_nodes(sched, k, word, config, res_mult)
+        yield nodes, lambda w, m=measures: inflate * _weighted_sum(w, m)
+    r_in = sched.base.r(k - 1)
+    for word in words1:
+        z = np.zeros(sched.n)
+        for j, s in enumerate(word):
+            z = z + sched.base.r(j) * np.array(s)
+        nodes, vol = _cube_nodes(z, r_in, config.resolution * res_mult)
+        yield nodes, lambda w, vol=vol: inflate1 * (vol * sum(w))
+
+
+def _batches(parts, size: int):
+    """Consecutive runs of the (nodes, ...) pairs ``parts``, each closed
+    once it holds ``size`` nodes or more, the last one when they end."""
+    batch, count = [], 0
+    for part in parts:
+        batch.append(part)
+        count += len(part[0])
+        if count >= size:
+            yield batch
+            batch, count = [], 0
+    if batch:
+        yield batch
 
 
 def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
@@ -230,8 +291,10 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
     the new squeeze acts) and the level-(k-1) tower cells (where the
     deeper nested-cube and relocation structure appears); both maps agree
     elsewhere.  Tubes are integrated on the exact-measure chart grid of
-    ``_tube_integral``, cells by midpoint boxes.  Addresses are
-    subsampled above ``config.cells_cap`` and rescaled by the cell count.
+    ``_tube_nodes``, cells by midpoint boxes, their nodes in batches of
+    about ``CAUCHY_BATCH``, one ``derivative_many`` per stage and batch.
+    Addresses are subsampled above ``config.cells_cap`` and rescaled by
+    the cell count.
     """
     if variant not in ("T1", "T2"):
         raise ValueError("cauchy tables exist for variants T1 and T2")
@@ -242,25 +305,24 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
     res_mult = 2 if refine else 1
 
     for k in range(2, k_max + 1):
-        fk, fk1 = stages[k], stages[k - 1]
-
-        def diff(x):
-            return float(
-                np.linalg.norm(fk.derivative(x) - fk1.derivative(x), "fro") ** p
-            )
-
-        total = 0.0
         words, inflate = _sample_words(n, k, config.cells_cap, rng)
-        for word in words:
-            total += inflate * _tube_integral(sched, k, word, diff, config, res_mult)
-        # level-(k-1) tower cells
         words1, inflate1 = _sample_words(n, k - 1, config.cells_cap, rng)
-        r_in = sched.base.r(k - 1)
-        for word in words1:
-            z = np.zeros(n)
-            for j, s in enumerate(word):
-                z = z + sched.base.r(j) * np.array(s)
-            total += inflate1 * _cube_integral(diff, z, r_in, config.resolution * res_mult)
+        parts = _change_region(sched, k, words, inflate, words1, inflate1, config, res_mult)
+        total = 0.0
+        for batch in _batches(parts, CAUCHY_BATCH):
+            nodes = np.concatenate([part_nodes for part_nodes, _ in batch])
+            diff = stages[k].derivative_many(nodes) - stages[k - 1].derivative_many(nodes)
+            flat = diff.reshape(len(nodes), n * n)
+            # |D|_F as np.linalg.norm takes it: the root of the dot product
+            # of the flat entries, one row at a time
+            weights = [float(np.sqrt(v.dot(v)) ** p) for v in flat]
+            # one float add per node, in node order, part by part: the rows
+            # stay those of a loop over the nodes, which the pairwise
+            # summation of np.sum would not keep to the last bit
+            start = 0
+            for part_nodes, integral in batch:
+                total += integral(weights[start:start + len(part_nodes)])
+                start += len(part_nodes)
         rows.append(CauchyRow(k, total, 0.0, True))
 
     env = [2.0 ** (-k * beta) + 1.0 / k**2 for k in range(2, k_max + 1)]

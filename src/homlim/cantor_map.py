@@ -76,22 +76,28 @@ class CantorHomeomorphism:
     def derivative(self, point) -> np.ndarray:
         """Analytic Jacobian matrix; undefined on the sup-norm edge set
         (non-unique max coordinate), where the first max index is used."""
-        x = np.asarray(point, dtype=float)
-        if np.abs(x).max() > 1.0:
+        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def derivative_many(self, points: np.ndarray) -> np.ndarray:
+        """``derivative`` at every row of ``points``: an (N, n, n) array."""
+        x = np.asarray(points, dtype=float)
+        if x.size and np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
         rs, rs_out, rt, rt_out = self._rs, self._rs_out, self._rt, self._rt_out
-        n = self.n
-        level, _, zs, ts = descend_set(x[None, :], rs, self.stage)
-        lev = level[0]
-        if not lev:
-            return (rt[self.stage] / rs[self.stage]) * np.eye(n)
-        xi = x - zs[0]
-        t = ts[0]
+        count, n = x.shape
+        level, _, zs, ts = descend_set(x, rs, self.stage)
+        d = np.empty((count, n, n))
+        d[:] = (rt[self.stage] / rs[self.stage]) * np.eye(n)
+        rows = np.flatnonzero(level)
+        lev, t = level[rows], ts[rows]
+        xi = x[rows] - zs[rows]
         lam_slope = (rt_out[lev] - rt[lev]) / (rs_out[lev] - rs[lev])
         lam = rt[lev] + (t - rs[lev]) * lam_slope
-        mx = int(np.argmax(np.abs(xi)))
-        d = (lam / t) * np.eye(n)
-        d[:, mx] += ((lam_slope - lam / t) / t) * (xi * np.sign(xi[mx]))
+        idx, mx = np.arange(len(rows)), np.argmax(np.abs(xi), axis=1)
+        sub = (lam / t)[:, None, None] * np.eye(n)
+        coef = ((lam_slope - lam / t) / t)[:, None]
+        sub[idx, :, mx] += coef * (xi * np.sign(xi[idx, mx])[:, None])
+        d[rows] = sub
         return d
 
     def derivative_bound(self, level: int) -> float:

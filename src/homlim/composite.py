@@ -76,6 +76,8 @@ class AxisCollapse:
     def derivative(self, point) -> np.ndarray:
         raise DomainError("FL derivative is piecewise; use finite differences")
 
+    derivative_many = derivative
+
 
 def _fold(chain: tuple, x, many: bool = False):
     """Apply the (factor, direction) pairs of ``chain`` in order: f for
@@ -87,6 +89,24 @@ def _fold(chain: tuple, x, many: bool = False):
         else:
             x = f.forward(x) if s > 0 else f.inverse(x)
     return x
+
+
+def _fold_derivative(chain: tuple, x, many: bool = False):
+    """The chain rule along ``chain`` at x, as ``_fold`` applies it; with
+    ``many``, at every row of the (N, n) array x, in stacked matrices."""
+    d = None
+    last = len(chain) - 1
+    for i, (f, s) in enumerate(chain):
+        jacobian = f.derivative_many if many else f.derivative
+        if s > 0:
+            jac = jacobian(x)
+            if i < last:
+                x = _fold(((f, s),), x, many)
+        else:
+            x = _fold(((f, s),), x, many)
+            jac = np.linalg.inv(jacobian(x))
+        d = jac if d is None else np.matmul(jac, d)
+    return d
 
 
 def _reverse(chain: tuple) -> tuple:
@@ -118,19 +138,12 @@ class CompositeStage:
         """Analytic Jacobian by the chain rule through every factor; an
         inverted factor contributes [Df(f^{-1} x)]^{-1} at the image the
         fold computes anyway, and the last image is never needed."""
-        x = np.asarray(point, dtype=float)
-        d = None
-        last = len(self.chain) - 1
-        for i, (f, s) in enumerate(self.chain):
-            if s > 0:
-                jac = f.derivative(x)
-                if i < last:
-                    x = f.forward(x)
-            else:
-                x = f.inverse(x)
-                jac = np.linalg.inv(f.derivative(x))
-            d = jac if d is None else jac @ d
-        return d
+        return _fold_derivative(self.chain, np.asarray(point, dtype=float))
+
+    def derivative_many(self, points: np.ndarray) -> np.ndarray:
+        """``derivative`` at every row of ``points``: an (N, n, n) array,
+        one batch per factor."""
+        return _fold_derivative(self.chain, np.asarray(points, dtype=float), many=True)
 
     def forward_many(self, points: np.ndarray) -> np.ndarray:
         """``forward`` on every row of ``points``, one batch per factor."""

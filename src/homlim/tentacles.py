@@ -102,6 +102,14 @@ def pl_inverse(s: float, knots: PLKnots) -> float:
     )
 
 
+def _knot_rows(ts, ss, v: np.ndarray):
+    """The knot lists ``ts``, ``ss`` (floats, or arrays of one value per
+    row of v) as two (N, K) arrays, and the mask of the rows whose knots
+    are not strictly increasing, where ``PLKnots`` raises."""
+    ts, ss = (np.stack(np.broadcast_arrays(*knots, v)[:-1], axis=1) for knots in (ts, ss))
+    return ts, ss, (ts[:, 1:] <= ts[:, :-1]).any(axis=1) | (ss[:, 1:] <= ss[:, :-1]).any(axis=1)
+
+
 def _pl_rows(v: np.ndarray, ts, ss, inverse: bool = False) -> np.ndarray:
     """``pl_interpolate`` (``pl_inverse`` when ``inverse``) row by row.
 
@@ -110,10 +118,9 @@ def _pl_rows(v: np.ndarray, ts, ss, inverse: bool = False) -> np.ndarray:
     functions.  Raises DomainError if some row fails their checks: knots
     strictly increasing (a ValueError of ``PLKnots`` there) and v inside
     the knot range."""
-    ts, ss = (np.stack(np.broadcast_arrays(*knots, v)[:-1], axis=1) for knots in (ts, ss))
+    ts, ss, unordered = _knot_rows(ts, ss, v)
     src, dst = (ss, ts) if inverse else (ts, ss)
-    bad = ((ts[:, 1:] <= ts[:, :-1]).any(axis=1) | (ss[:, 1:] <= ss[:, :-1]).any(axis=1)
-           | (v < src[:, 0]) | (v > src[:, -1]))
+    bad = unordered | (v < src[:, 0]) | (v > src[:, -1])
     if bad.any():
         raise DomainError(f"{np.count_nonzero(bad)} rows fail the knot or range checks")
     # the _pl_piece rule: the number of inner knots below v
@@ -451,6 +458,11 @@ def _taper_slope(t: float, r_k: float, r_prev: float) -> float:
     return 0.0
 
 
+def _taper_slope_rows(t: np.ndarray, r_k: float, r_prev: float) -> np.ndarray:
+    """``_taper_slope`` on an array."""
+    return np.where((r_k < t) & (t < r_prev), 1.0 / (r_prev - r_k), 0.0)
+
+
 class _Shift:
     """The composed shear S of a tower-address prefix: x_n += sigma(x_1)."""
 
@@ -522,6 +534,37 @@ def _straight_jacobian(lv: TentacleLevel, family: str,
         d[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
     eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
     return d, eta
+
+
+def _straight_jacobian_rows(lv: TentacleLevel, family: str,
+                            w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_straight_jacobian`` at every row of the (N, n) array w, with its
+    float operations: ((N, n, n) Jacobians, etas).  Raises ValueError if
+    the knots of some row are not strictly increasing, where ``PLKnots``
+    raises it."""
+    count, n = w.shape
+    rho = np.abs(w[:, 1:]).max(axis=1)
+    # math.log per row: np.log rounds differently on some inputs
+    e, de_drho = np.array([_modulation(lv, r) for r in rho.tolist()]).reshape(count, 2).T
+    ts, ss, unordered = _knot_rows(*_knot_lists(lv, family, e), e)
+    if unordered.any():
+        raise ValueError(f"{np.count_nonzero(unordered)} rows have unordered knots")
+    t = w[:, 0]
+    # the _pl_piece rule: the number of inner knots below t
+    piece = (t[:, None] > ts[:, 1:-1]).sum(axis=1)
+    rows = np.arange(count)
+    t0, t1 = ts[rows, piece], ts[rows, piece + 1]
+    s0, s1 = ss[rows, piece], ss[rows, piece + 1]
+    lam = (t - t0) / (t1 - t0)
+    coeffs = np.array(_knot_e_coeffs(lv, family))
+    deta_de = coeffs[piece] * (1 - lam) + coeffs[piece + 1] * lam
+    d = np.tile(np.eye(n), (count, 1, 1))
+    d[:, 0, 0] = (s1 - s0) / (t1 - t0)
+    graded = np.flatnonzero(de_drho != 0.0)
+    arg = 1 + np.abs(w[graded, 1:]).argmax(axis=1)
+    d[graded, 0, arg] = (deta_de[graded] * de_drho[graded]
+                         * np.copysign(1.0, w[graded, arg]))
+    return d, s0 + lam * (s1 - s0)
 
 
 # ---------------------------------------------------------------------------
@@ -719,6 +762,38 @@ class _TentacleStage:
         a = np.eye(n)
         a[n - 1, 0] = sh.sigma_slope(eta)
         return a @ b @ c
+
+    def derivative_many(self, points: np.ndarray) -> np.ndarray:
+        """``derivative`` at every row of ``points``, an (N, n, n) array;
+        a batch with a row ``derivative`` rejects raises that row's error."""
+        x = np.asarray(points, dtype=float)
+        count, n = x.shape
+        J, heights, _, w = self._descend_rows(x, squeezed=self.forward_from_squeezed)
+        d = np.tile(np.eye(n), (count, 1, 1))
+        for j in range(1, self.stage + 1):
+            lv = self.sched.level(j)
+            rows = np.flatnonzero((J == j) & (w[:, 0] >= lv.r_hat))
+            if not len(rows):
+                continue
+            try:
+                b, eta = _straight_jacobian_rows(lv, self.family, w[rows])
+            except ValueError:
+                for p in x:
+                    self.derivative(p)
+                raise
+            # the shear slopes of the address, summed as ``_Shift.sigma_slope``
+            slope_in, slope_out = np.zeros(len(rows)), np.zeros(len(rows))
+            for i in range(j):
+                lvi = self.sched.level(i + 1)
+                drop = lvi.shift_drop * heights[i, rows]
+                slope_in -= drop * _taper_slope_rows(x[rows, 0], lvi.r_hat, lvi.r_hat_prev)
+                slope_out -= drop * _taper_slope_rows(eta, lvi.r_hat, lvi.r_hat_prev)
+            c = np.tile(np.eye(n), (len(rows), 1, 1))
+            c[:, n - 1, 0] = -slope_in
+            a = np.tile(np.eye(n), (len(rows), 1, 1))
+            a[:, n - 1, 0] = slope_out
+            d[rows] = np.matmul(np.matmul(a, b), c)
+        return d
 
 
 class SqueezeStage(_TentacleStage):

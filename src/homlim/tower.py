@@ -130,7 +130,8 @@ class ElementaryMove:
 
     def _corridor_rows(self, w: np.ndarray):
         """Rows of w inside the corridor: (row indices, their axial
-        coordinate, tau at their transverse distance), or None if none is."""
+        coordinate, their transverse sup distance, tau there), or None if
+        none is."""
         xa = w[:, self.axis]
         rows = np.flatnonzero((xa > self.lo) & (xa < self.hi))
         if not len(rows):
@@ -140,7 +141,7 @@ class ElementaryMove:
         near = delta < self.width
         rows, xa, delta = rows[near], xa[rows[near]], delta[near]
         chi = np.where(delta <= self.rho, 1.0, (self.width - delta) / (self.width - self.rho))
-        return rows, xa, chi * (self.dst - self.src)
+        return rows, xa, delta, chi * (self.dst - self.src)
 
     def apply_rows(self, w: np.ndarray, inverse: bool = False) -> None:
         """``apply`` on every row of the (N, n) array w, in place, with the
@@ -148,7 +149,7 @@ class ElementaryMove:
         hit = self._corridor_rows(w)
         if hit is None:
             return
-        rows, xa, tau = hit
+        rows, xa, _, tau = hit
         a2, a3, b2, b3, shift = self._pl_knots(tau, inverse)
         w[rows, self.axis] = np.where(
             xa < a2, self.lo + (xa - self.lo) * (b2 - self.lo) / (a2 - self.lo),
@@ -185,6 +186,40 @@ class ElementaryMove:
             dchi = -1.0 / (self.width - self.rho) * sgn
             d[self.axis, arg] += dchi * pl_minus_x
         return d
+
+    def derivative_rows(self, w: np.ndarray, d: np.ndarray) -> None:
+        """d <- ``derivative`` @ d on the rows of the (N, n) array w inside
+        the corridor, in place on the (N, n, n) array d: each Jacobian is
+        built with the float operations of ``derivative`` and multiplied
+        in one stacked matmul.  ``derivative`` is the identity on the
+        other rows, so they keep their d."""
+        hit = self._corridor_rows(w)
+        if hit is None:
+            return
+        rows, xa, delta, tau = hit
+        n = w.shape[1]
+        lo, hi, tau_full = self.lo, self.hi, self.dst - self.src
+        s2 = self.src - self.rho
+        s3 = self.src + self.rho
+        below, inside = xa < s2, xa <= s3
+        slope = np.where(below, (s2 + tau - lo) / (s2 - lo),
+                         np.where(inside, 1.0, (hi - (s3 + tau)) / (hi - s3)))
+        pl_minus_x = np.where(
+            below, (lo + (xa - lo) * (s2 + tau_full - lo) / (s2 - lo)) - xa,
+            np.where(inside, tau_full, (hi - (hi - xa) * (hi - (s3 + tau_full)) / (hi - s3)) - xa))
+        jac = np.zeros((len(rows), n, n))
+        jac[:, np.arange(n), np.arange(n)] = 1.0
+        jac[:, self.axis, self.axis] = slope
+        blend = np.flatnonzero(delta > self.rho)
+        if len(blend):
+            # the first transverse argmax, as ``_trans_delta`` finds it
+            others = [a for a in range(n) if a != self.axis]
+            j = np.abs(w[np.ix_(rows[blend], others)] - self.trans_center).argmax(axis=1)
+            arg = np.array(others)[j]
+            sgn = np.where(w[rows[blend], arg] >= np.array(self.trans_center)[j], 1.0, -1.0)
+            dchi = -1.0 / (self.width - self.rho) * sgn
+            jac[blend, self.axis, arg] += dchi * pl_minus_x[blend]
+        d[rows] = np.matmul(jac, d[rows])
 
     def corridor_box(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(n)
@@ -421,9 +456,13 @@ class TowerMapping:
         stay[stay] = inner
         return stay, z[inner]
 
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
+    def _walk_rows(self, points, jacobian: bool):
+        """``_walk`` on every row of ``points``: (images, (N, n, n)
+        Jacobians or None)."""
         x = np.array(points, dtype=float)
-        rows = np.arange(len(x))
+        count, n = x.shape
+        d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
+        rows = np.arange(count)
         center = np.zeros_like(x)
         for i in range(1, self.stage + 1):
             if i > 1:
@@ -431,10 +470,21 @@ class TowerMapping:
                 rows = rows[stay]
             scale = self._r[i - 1]
             w = (x[rows] - center) / scale
+            dw = d[rows] if jacobian else None
             for mv in self.moves:
+                if jacobian:
+                    mv.derivative_rows(w, dw)
                 mv.apply_rows(w)
             x[rows] = center + scale * w
-        return x
+            if jacobian:
+                d[rows] = dw
+        return x, d
+
+    def forward_many(self, points: np.ndarray) -> np.ndarray:
+        return self._walk_rows(points, jacobian=False)[0]
+
+    def derivative_many(self, points: np.ndarray) -> np.ndarray:
+        return self._walk_rows(points, jacobian=True)[1]
 
     def inverse_many(self, points: np.ndarray) -> np.ndarray:
         y = np.array(points, dtype=float)

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from homlim import analysis
 from homlim.analysis import (
     QuadratureConfig,
+    _batches,
+    _sample_words,
     _tube_integral,
+    _tube_nodes,
     boundary_identity_check,
     cauchy_table,
     fd_jacobian,
@@ -115,6 +119,73 @@ class TestCauchyTable:
         assert all(r.integral > 0 for r in table.rows)
         assert all(r.passed for r in table.rows)
         assert table.fitted_c > 0
+
+    @pytest.mark.parametrize("variant,n,beta,k_max", [
+        ("T1", 3, 4.0, 3), ("T2", 3, 4.0, 3), ("T1", 4, 5.0, 2)])
+    def test_matches_the_pointwise_reference(self, variant, n, beta, k_max):
+        # the table as it was before it evaluated each level's nodes in one
+        # batch: one derivative pair per node, summed as the nodes come
+        def reference(config):
+            rng = make_rng(config.seed)
+            stages = {k: build_stage(variant, k, n, beta) for k in range(1, k_max + 1)}
+            sched = stages[k_max].schedule
+            rows = []
+            for k in range(2, k_max + 1):
+                fk, fk1 = stages[k], stages[k - 1]
+
+                def diff(x):
+                    return float(np.linalg.norm(fk.derivative(x) - fk1.derivative(x), "fro") ** 2)
+
+                total = 0.0
+                words, inflate = _sample_words(n, k, config.cells_cap, rng)
+                for word in words:
+                    total += inflate * _tube_integral(sched, k, word, diff, config)
+                words1, inflate1 = _sample_words(n, k - 1, config.cells_cap, rng)
+                r_in, res = sched.base.r(k - 1), config.resolution
+                for word in words1:
+                    z = np.zeros(n)
+                    for j, s in enumerate(word):
+                        z = z + sched.base.r(j) * np.array(s)
+                    lo, hi = z - r_in, z + r_in
+                    axes = [lo[d] + (hi[d] - lo[d]) * (np.arange(res) + 0.5) / res
+                            for d in range(n)]
+                    mesh = np.meshgrid(*axes, indexing="ij")
+                    nodes = np.stack([m.ravel() for m in mesh], axis=1)
+                    vol = float(np.prod((hi - lo) / res))
+                    total += inflate1 * (vol * sum(diff(p) for p in nodes))
+                rows.append(total)
+            return rows
+
+        # the T2 rows are 0 while its change region is placed in tower
+        # coordinates, the domain of T1; its batches still run on every node
+        cfg = QuadratureConfig(resolution=4, axial_resolution=2, axial_levels=2,
+                               transverse_resolution=2, cells_cap=2, seed=1)
+        table = cauchy_table(variant, 2, k_max, cfg, n=n, beta=beta)
+        assert [r.integral.hex() for r in table.rows] == [v.hex() for v in reference(cfg)]
+
+    @pytest.mark.parametrize("size", [1, 100])
+    def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch, size):
+        cfg = QuadratureConfig(resolution=4, axial_resolution=2, axial_levels=2,
+                               transverse_resolution=2, cells_cap=2, seed=1)
+        whole = [r.integral.hex() for r in cauchy_table("T1", 2, 3, cfg).rows]
+        monkeypatch.setattr(analysis, "CAUCHY_BATCH", size)
+        assert [r.integral.hex() for r in cauchy_table("T1", 2, 3, cfg).rows] == whole
+
+    def test_batches_close_at_the_size(self):
+        parts = [(np.zeros((m, 3)), m) for m in (3, 5, 2, 7, 1)]
+        assert [[m for _, m in b] for b in _batches(parts, 6)] == [[3, 5], [2, 7], [1]]
+        assert list(_batches([], 6)) == []
+
+    def test_tube_integral_calls_its_weight_on_the_shared_nodes(self):
+        sched = build_stage("T1", 3).schedule
+        cfg = QuadratureConfig(axial_resolution=2, axial_levels=2, transverse_resolution=2)
+        words, _ = _sample_words(3, 3, 2, make_rng(0))
+        for word in words:
+            seen = []
+            _tube_integral(sched, 3, word, lambda x: seen.append(x.copy()) or 1.0, cfg)
+            nodes, _ = _tube_nodes(sched, 3, word, cfg)
+            assert len(seen) == len(nodes) > 0
+            assert all(np.array_equal(a, b) for a, b in zip(seen, nodes))
 
     def test_deterministic_under_seed(self):
         cfg = QuadratureConfig(resolution=4, axial_resolution=8,

@@ -5,7 +5,8 @@ pointwise body on each row, so batch and pointwise results are compared
 bit for bit, signs of zeros included, on points at half-open faces, frame
 radii (the ``tests/test_descent.py`` strategies) and tentacle tube
 interfaces.  A batch with a row the pointwise body rejects must raise the
-same error.
+same error.  The same holds for every ``derivative_many``, except that
+zero signs may differ.
 """
 
 from unittest import mock
@@ -17,7 +18,8 @@ from hypothesis import strategies as st
 from test_descent import TOWERS, A, B, set_points, tower_points
 
 from homlim import analysis, tentacles
-from homlim.composite import VARIANTS, build_stage
+from homlim.cantor_map import CantorHomeomorphism
+from homlim.composite import VARIANTS, AxisCollapse, build_stage
 from homlim.degree import DegreeReport, SphereProbe, degree, inv_check, nesting_probe
 from homlim.errors import DomainError
 from homlim.geometry import tower_slots
@@ -85,9 +87,10 @@ def bit_equal(a, b):
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def check_rows(many, one, pts):
-    """``many`` on the batch agrees with ``one`` on each row: bit for bit,
-    or raising the error the first failing row raises."""
+def check_rows(many, one, pts, equal=bit_equal):
+    """``many`` on the batch agrees with ``one`` on each row (bit for bit
+    unless ``equal`` says otherwise), or raises the error the first failing
+    row raises."""
     pts = np.array(pts, dtype=float).reshape(-1, 3)
     rows = [outcome(one, x) for x in pts]
     errors = [r for r in rows if isinstance(r, type)]
@@ -95,11 +98,11 @@ def check_rows(many, one, pts):
     if errors:
         assert got is errors[0]
     else:
-        assert bit_equal(got, np.array(rows).reshape(pts.shape))
+        assert len(got) == len(pts) and all(equal(g, r) for g, r in zip(got, rows))
     # a batch of one row takes the same path as the row
     for x, want in zip(pts, rows):
         one_row = outcome(many, x[None, :])
-        assert one_row is want if isinstance(want, type) else bit_equal(one_row[0], want)
+        assert one_row is want if isinstance(want, type) else equal(one_row[0], want)
 
 
 def pull_back(stage, pts):
@@ -171,6 +174,84 @@ class TestCompositesBatchedEqualPointwise:
             STAGES[("FL", 2)].inverse_many(np.zeros((4, 3)))
 
 
+CANTOR = {(k, inverse): CantorHomeomorphism(*((B, A) if inverse else (A, B)), k)
+          for k in range(1, 5) for inverse in (False, True)}
+
+
+class TestDerivativeMany:
+    """``derivative_many`` against ``derivative`` row by row.  Jacobians
+    are compared with ``np.array_equal``, blind to signs of zeros: the
+    pointwise ``np.eye(n) @ d`` turns -0.0 into +0.0, and the batches skip
+    such identity factors."""
+
+    @given(st.integers(1, 4), st.booleans(), *ANY_POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_cantor_maps(self, k, inverse, a_pts, b_pts, tower_pts):
+        g = CANTOR[(k, inverse)]
+        check_rows(g.derivative_many, g.derivative, a_pts + b_pts + tower_pts + [np.zeros(3)],
+                   equal=np.array_equal)
+
+    @given(st.integers(1, 4), st.lists(tower_points(), min_size=1, max_size=6),
+           st.lists(set_points(B), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_tower(self, k, tower_pts, set_pts):
+        L = TOWERS[k]
+        # the preimages of tower points sit where the moves act
+        pts = np.array(tower_pts + set_pts)
+        pts = np.vstack([pts, L.inverse_many(pts)])
+        check_rows(L.derivative_many, L.derivative, pts, equal=np.array_equal)
+
+    @given(st.integers(1, 4), st.sampled_from([SqueezeStage, StretchStage]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_tentacle_stages(self, k, cls, data):
+        h = TENTACLES[(cls, k)]
+        pts = data.draw(st.lists(tube_points(h.sched, squeezed=data.draw(st.booleans())),
+                                 min_size=1, max_size=8))
+        pts += data.draw(st.lists(tower_points(), max_size=3))
+        check_rows(h.derivative_many, h.derivative, pts, equal=np.array_equal)
+
+    @given(st.sampled_from(["T1", "T2", "W"]), st.integers(1, 4), *ANY_POINTS)
+    @settings(max_examples=40, deadline=None)
+    def test_composites_at_faces_and_frames(self, variant, k, a_pts, b_pts, tower_pts):
+        stage = STAGES[(variant, k)]
+        check_rows(stage.derivative_many, stage.derivative,
+                   a_pts + b_pts + tower_pts + [np.zeros(3)], equal=np.array_equal)
+
+    @given(st.sampled_from(["T1", "T2", "W"]), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_composites_at_tube_interfaces(self, variant, k, data):
+        stage = STAGES[(variant, k)]
+        pts = np.array(data.draw(st.lists(tube_points(stage.schedule, data.draw(st.booleans())),
+                                          min_size=1, max_size=5)))
+        if variant != "T1":  # T2 and W meet the tubes behind L o g
+            pts = np.clip(pull_back(stage, pts), -1, 1)
+        check_rows(stage.derivative_many, stage.derivative, pts, equal=np.array_equal)
+
+    def test_empty_batch(self):
+        maps = [STAGES[(v, 2)] for v in ("T1", "T2", "W")]
+        maps += [CANTOR[(2, False)], TOWERS[2], TENTACLES[(SqueezeStage, 2)]]
+        for f in maps:
+            assert f.derivative_many(np.empty((0, 3))).shape == (0, 3, 3)
+
+    def test_fl_and_axis_collapse_raise(self):
+        fl = STAGES[("FL", 2)]
+        collapse = fl.chain[-1][0]
+        assert isinstance(collapse, AxisCollapse)
+        for f in (fl, collapse):
+            with pytest.raises(DomainError, match="finite differences"):
+                f.derivative_many(np.zeros((4, 3)))
+
+    @pytest.mark.parametrize("variant", ["T1", "T2", "W"])
+    def test_a_row_outside_the_cube_raises(self, variant):
+        # the Cantor factors reject it, in the batch as on the row
+        stage = STAGES[(variant, 2)]
+        pts = np.zeros((5, 3))
+        pts[3, 1] = -1.0000000000000002
+        check_rows(stage.derivative_many, stage.derivative, pts, equal=np.array_equal)
+        with pytest.raises(DomainError, match="outside"):
+            stage.derivative_many(pts)
+
+
 class TestBatchErrors:
     """A batch raises the error of its first bad row, as a loop over the
     rows does, whatever the level and the check that row fails.  Valid
@@ -206,6 +287,8 @@ class TestBatchErrors:
             got = [outcome(h.forward, p) for p in pts]
             assert [g if isinstance(g, type) else None for g in got] == wants
             check_rows(h.forward_many, h.forward, pts)
+            # the derivative has no range check: only unordered knots raise
+            check_rows(h.derivative_many, h.derivative, pts, equal=np.array_equal)
 
 
 class TestRoundtripsAtStageFour:

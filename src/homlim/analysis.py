@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .composite import build_stage
+from .errors import DomainError
 from .geometry import address_words, tower_slots
 from .tentacles import _Shift, TentacleSchedule
 
@@ -359,7 +360,10 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     exception; it counts as a hard failure only if the analytic
     determinant (when available) is also non-positive and the sign does
     not recover under a refined step, i.e. only genuine orientation
-    defects survive, not interface-straddling artifacts.
+    defects survive, not interface-straddling artifacts.  The analytic
+    determinant is unavailable where ``derivative`` raises DomainError
+    (FL has no analytic Jacobian) or LinAlgError (an inverted factor's
+    Jacobian is singular in floats); any other error propagates.
     """
     rng = make_rng(config.seed)
     lo, hi = -np.ones(n), np.ones(n)
@@ -387,7 +391,7 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
         if deriv is not None:
             try:
                 analytic = float(np.linalg.det(deriv(x)))
-            except Exception:
+            except (DomainError, np.linalg.LinAlgError):
                 analytic = None
         if fine <= 0 and (analytic is None or analytic <= 0):
             hard.append((x.copy(), det, fine, analytic))

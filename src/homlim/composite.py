@@ -79,32 +79,27 @@ class AxisCollapse:
     derivative_many = derivative
 
 
-def _fold(chain: tuple, x, many: bool = False):
-    """Apply the (factor, direction) pairs of ``chain`` in order: f for
-    direction +1, f^{-1} for -1.  With ``many``, x is an (N, n) array and
-    every factor runs its batched body."""
+def _fold(chain: tuple, x: np.ndarray) -> np.ndarray:
+    """Apply the (factor, direction) pairs of ``chain`` in order to every
+    row of the (N, n) array x: f for direction +1, f^{-1} for -1."""
     for f, s in chain:
-        if many:
-            x = f.forward_many(x) if s > 0 else f.inverse_many(x)
-        else:
-            x = f.forward(x) if s > 0 else f.inverse(x)
+        x = f.forward_many(x) if s > 0 else f.inverse_many(x)
     return x
 
 
-def _fold_derivative(chain: tuple, x, many: bool = False):
-    """The chain rule along ``chain`` at x, as ``_fold`` applies it; with
-    ``many``, at every row of the (N, n) array x, in stacked matrices."""
+def _fold_derivative(chain: tuple, x: np.ndarray) -> np.ndarray:
+    """The chain rule along ``chain`` at every row of the (N, n) array x,
+    as ``_fold`` applies it, in stacked (N, n, n) matrices."""
     d = None
     last = len(chain) - 1
     for i, (f, s) in enumerate(chain):
-        jacobian = f.derivative_many if many else f.derivative
         if s > 0:
-            jac = jacobian(x)
+            jac = f.derivative_many(x)
             if i < last:
-                x = _fold(((f, s),), x, many)
+                x = f.forward_many(x)
         else:
-            x = _fold(((f, s),), x, many)
-            jac = np.linalg.inv(jacobian(x))
+            x = f.inverse_many(x)
+            jac = np.linalg.inv(f.derivative_many(x))
         d = jac if d is None else np.matmul(jac, d)
     return d
 
@@ -125,35 +120,31 @@ class CompositeStage:
     chain: tuple
     schedule: TentacleSchedule | None = None
 
-    def forward(self, point) -> np.ndarray:
-        x = np.asarray(point, dtype=float)
-        if np.max(np.abs(x)) > 1.0:
-            raise DomainError("point outside [-1,1]^n")
-        return _fold(self.chain, x)
-
-    def inverse(self, point) -> np.ndarray:
-        return _fold(_reverse(self.chain), np.asarray(point, dtype=float))
-
-    def derivative(self, point) -> np.ndarray:
-        """Analytic Jacobian by the chain rule through every factor; an
-        inverted factor contributes [Df(f^{-1} x)]^{-1} at the image the
-        fold computes anyway, and the last image is never needed."""
-        return _fold_derivative(self.chain, np.asarray(point, dtype=float))
-
-    def derivative_many(self, points: np.ndarray) -> np.ndarray:
-        """``derivative`` at every row of ``points``: an (N, n, n) array,
-        one batch per factor."""
-        return _fold_derivative(self.chain, np.asarray(points, dtype=float), many=True)
-
     def forward_many(self, points: np.ndarray) -> np.ndarray:
-        """``forward`` on every row of ``points``, one batch per factor."""
+        """The stage map on every row of ``points``, one batch per factor."""
         x = np.asarray(points, dtype=float)
         if x.size and np.max(np.abs(x)) > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        return _fold(self.chain, x, many=True)
+        return _fold(self.chain, x)
 
     def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        return _fold(_reverse(self.chain), np.asarray(points, dtype=float), many=True)
+        return _fold(_reverse(self.chain), np.asarray(points, dtype=float))
+
+    def derivative_many(self, points: np.ndarray) -> np.ndarray:
+        """Analytic Jacobians at every row of ``points``, an (N, n, n)
+        array, by the chain rule through every factor; an inverted factor
+        contributes [Df(f^{-1} x)]^{-1} at the image the fold computes
+        anyway, and the last image is never needed."""
+        return _fold_derivative(self.chain, np.asarray(points, dtype=float))
+
+    def forward(self, point) -> np.ndarray:
+        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def inverse(self, point) -> np.ndarray:
+        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def derivative(self, point) -> np.ndarray:
+        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
 
 
 @lru_cache(maxsize=32)
@@ -273,9 +264,9 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         # applied in chart form because the deep squeezed tubes are
         # narrower than float resolution
         pull_back = stage.chain[-2:]
-        polyline = _fold(pull_back, chain, many=True)
+        polyline = _fold(pull_back, chain)
         pulled = _stretch_inverse_on_chain(stage.schedule, word_hat, k, chain)
-        images = _fold(pull_back, pulled, many=True)
+        images = _fold(pull_back, pulled)
     return ContinuumWitness(variant, k, word, target, polyline, images)
 
 

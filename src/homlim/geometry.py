@@ -14,7 +14,6 @@ share the machinery:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -246,21 +245,23 @@ def descend_set(points: np.ndarray, radii, depth: int):
 
 
 @lru_cache(maxsize=None)
-def _slot_vectors(n: int) -> tuple[np.ndarray, ...]:
-    return tuple(np.array(s) for s in tower_slots(n))
+def _slot_array(n: int) -> np.ndarray:
+    return np.array(tower_slots(n))
 
 
-def tower_step(point: np.ndarray, center: np.ndarray, r_prev: float):
-    """One towerB descent step from the cell (center, r_prev).
+def tower_step(points: np.ndarray, centers: np.ndarray, r_prev: float):
+    """One towerB descent step of the rows of ``points`` from their cells
+    (the rows of ``centers``, half-width r_prev).
 
     The last coordinate is binned into the 2^n equal slot tiles of
     [-r_prev, r_prev) around the center (clamped to the end tiles), and
-    the child center steps by r_prev vhat.  Returns (tile, child center).
+    the child center steps by r_prev vhat.  Returns (tiles, child centers).
     """
-    n = len(center)
-    tile = math.floor((point[n - 1] - center[n - 1] + r_prev) / (2.0 * r_prev / 2**n))
-    tile = min(max(tile, 0), 2**n - 1)
-    return tile, center + r_prev * _slot_vectors(n)[tile]
+    n = points.shape[1]
+    offset = points[:, n - 1] - centers[:, n - 1] + r_prev
+    tile = np.minimum(np.maximum(np.floor(offset / (2.0 * r_prev / 2**n)), 0), 2**n - 1)
+    tile = tile.astype(np.intp)
+    return tile, centers + r_prev * _slot_array(n)[tile]
 
 
 def locate(
@@ -292,11 +293,11 @@ def locate(
     if construction != TOWER_B:
         raise InvalidAddressError(f"unknown construction {construction!r}")
     slots = tower_slots(n)
-    z = np.zeros(n)
+    z = np.zeros((1, n))
     word = []
     for lev in range(1, max_level + 1):
-        tile, z = tower_step(x, z, schedule.r(lev - 1))
-        word.append(slots[tile])
+        tile, z = tower_step(x[None, :], z, schedule.r(lev - 1))
+        word.append(slots[tile[0]])
         t = float(np.max(np.abs(x - z)))
         if t >= schedule.r(lev):
             zone = "frame" if t <= schedule.r_outer(lev) else "outside"

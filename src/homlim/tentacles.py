@@ -110,19 +110,23 @@ def _knot_rows(ts, ss, v: np.ndarray):
     return ts, ss, (ts[:, 1:] <= ts[:, :-1]).any(axis=1) | (ss[:, 1:] <= ss[:, :-1]).any(axis=1)
 
 
-def _pl_rows(v: np.ndarray, ts, ss, inverse: bool = False) -> np.ndarray:
-    """``pl_interpolate`` (``pl_inverse`` when ``inverse``) row by row.
-
-    The knot lists ``ts``, ``ss`` hold floats or arrays of one value per
-    row of v; each row gets the float operations of the pointwise
-    functions.  Raises DomainError if some row fails their checks: knots
-    strictly increasing (a ValueError of ``PLKnots`` there) and v inside
-    the knot range."""
-    ts, ss, unordered = _knot_rows(ts, ss, v)
-    src, dst = (ss, ts) if inverse else (ts, ss)
-    bad = unordered | (v < src[:, 0]) | (v > src[:, -1])
+def _raise_first_bad(unordered: np.ndarray, outside=False) -> None:
+    """Raise the error of the first row that fails the checks of ``PLKnots``
+    (a ValueError where its knots are not strictly increasing) or of
+    ``pl_interpolate`` (a DomainError where it lies outside them), as a
+    loop over the rows would; nothing if every row passes."""
+    bad = unordered | outside
     if bad.any():
-        raise DomainError(f"{np.count_nonzero(bad)} rows fail the knot or range checks")
+        i = int(np.argmax(bad))
+        if unordered[i]:
+            raise ValueError(f"row {i}: knots not strictly increasing")
+        raise DomainError(f"row {i}: outside the knot range")
+
+
+def _pl_rows(v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``pl_interpolate`` row by row, through the knots (src[i], dst[i]) of
+    row i (strictly increasing, with v inside them), with its float
+    operations; ``pl_inverse`` when src holds the s-knots."""
     # the _pl_piece rule: the number of inner knots below v
     piece = (v[:, None] > src[:, 1:-1]).sum(axis=1)
     rows = np.arange(len(v))
@@ -449,17 +453,11 @@ def _taper(t: float, r_k: float, r_prev: float) -> float:
 def _taper_rows(t: np.ndarray, r_k: float, r_prev: float) -> np.ndarray:
     """``_taper`` on an array: the clipped ratio is 0 exactly when t <= r_k
     and 1 exactly when t >= r_prev, so every value is the same float."""
-    return np.clip((t - r_k) / (r_prev - r_k), 0.0, 1.0)
-
-
-def _taper_slope(t: float, r_k: float, r_prev: float) -> float:
-    if r_k < t < r_prev:
-        return 1.0 / (r_prev - r_k)
-    return 0.0
+    return np.minimum(np.maximum((t - r_k) / (r_prev - r_k), 0.0), 1.0)
 
 
 def _taper_slope_rows(t: np.ndarray, r_k: float, r_prev: float) -> np.ndarray:
-    """``_taper_slope`` on an array."""
+    """The slope of ``_taper`` at every entry of t (0 at the kinks)."""
     return np.where((r_k < t) & (t < r_prev), 1.0 / (r_prev - r_k), 0.0)
 
 
@@ -476,13 +474,6 @@ class _Shift:
         for i, h in enumerate(self.heights):
             lv = self.sched.level(i + 1)
             total -= lv.shift_drop * h * _taper(t, lv.r_hat, lv.r_hat_prev)
-        return total
-
-    def sigma_slope(self, t: float) -> float:
-        total = 0.0
-        for i, h in enumerate(self.heights):
-            lv = self.sched.level(i + 1)
-            total -= lv.shift_drop * h * _taper_slope(t, lv.r_hat, lv.r_hat_prev)
         return total
 
 
@@ -506,49 +497,25 @@ def shift_inverse(sched: TentacleSchedule, word, point) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _straight_axial(lv: TentacleLevel, family: str, w: np.ndarray,
-                    inverse: bool = False) -> float:
-    """Axial coordinate eta of the level map at chart point w (of its
-    inverse when ``inverse``): the PL profile of the knots at w's
-    transverse modulation."""
-    e, _ = _modulation(lv, float(np.max(np.abs(w[1:]))))
-    knots = _knots(lv, family, e)
-    return pl_inverse(w[0], knots) if inverse else pl_interpolate(w[0], knots)
-
-
-def _straight_jacobian(lv: TentacleLevel, family: str,
-                       w: np.ndarray) -> tuple[np.ndarray, float]:
-    """(Jacobian, eta) of the level map at chart point w: the first row is
-    (axial slope, d eta / d w_perp), the other rows are the identity."""
-    rho = float(np.max(np.abs(w[1:])))
-    e, de_drho = _modulation(lv, rho)
-    knots = _knots(lv, family, e)
-    i = _pl_piece(w[0], knots.ts)
-    lam = (w[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
-    coeffs = _knot_e_coeffs(lv, family)
-    deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
-    d = np.eye(len(w))
-    d[0, 0] = pl_slope(w[0], knots)
-    if de_drho != 0.0:
-        arg = 1 + int(np.argmax(np.abs(w[1:])))
-        d[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
-    eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
-    return d, eta
-
-
-def _straight_jacobian_rows(lv: TentacleLevel, family: str,
-                            w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_straight_jacobian`` at every row of the (N, n) array w, with its
-    float operations: ((N, n, n) Jacobians, etas).  Raises ValueError if
-    the knots of some row are not strictly increasing, where ``PLKnots``
-    raises it."""
-    count, n = w.shape
+def _level_rows(lv: TentacleLevel, family: str, w: np.ndarray):
+    """The modulation slope and the axial knots of the level map at every
+    row of the (N, n) chart array w: (de/drho, ts, ss, unordered), the
+    knots as (N, K) arrays and ``unordered`` the rows where ``PLKnots``
+    raises."""
     rho = np.abs(w[:, 1:]).max(axis=1)
     # math.log per row: np.log rounds differently on some inputs
-    e, de_drho = np.array([_modulation(lv, r) for r in rho.tolist()]).reshape(count, 2).T
-    ts, ss, unordered = _knot_rows(*_knot_lists(lv, family, e), e)
-    if unordered.any():
-        raise ValueError(f"{np.count_nonzero(unordered)} rows have unordered knots")
+    e, de_drho = np.array([_modulation(lv, r) for r in rho.tolist()]).reshape(len(w), 2).T
+    return (de_drho,) + _knot_rows(*_knot_lists(lv, family, e), e)
+
+
+def _straight_jacobian_rows(lv: TentacleLevel, family: str, w: np.ndarray,
+                            de_drho: np.ndarray, ts: np.ndarray,
+                            ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobian of the level map x -> (eta(x_1, |x_perp|), x_perp) at
+    every row of the (N, n) chart array w, from the ``_level_rows`` of w
+    (ordered knots): ((N, n, n) Jacobians, etas).  The first row of each
+    is (axial slope, d eta / d w_perp), the others are the identity."""
+    count, n = w.shape
     t = w[:, 0]
     # the _pl_piece rule: the number of inner knots below t
     piece = (t[:, None] > ts[:, 1:-1]).sum(axis=1)
@@ -591,146 +558,96 @@ class _TentacleStage:
         self.sched = sched
         self.stage = stage
         self.n = sched.n
-        self._slots = [s[-1] for s in tower_slots(sched.n)]
+        self._slots = np.array([s[-1] for s in tower_slots(sched.n)])
 
-    # -- descent --------------------------------------------------------------
+    # -- evaluation: one body per direction, on (N, n) arrays; rows leave
+    # the descent as they stop, and it ends when none is left
 
     def _tube_end(self, lv: TentacleLevel, squeezed: bool) -> float:
         return lv.c_sq if squeezed else lv.c
 
-    def _descend(self, x: np.ndarray, squeezed: bool):
-        """Find the deepest level J and chart data for point x.
-
-        Returns (J, heights, z_n, w) where heights are the address height
-        letters, z_n the tentacle center height, and w the chart point
-        (shift removed, center subtracted); J = 0 when x is outside every
-        level-1 tentacle.
-        """
-        n = self.n
-        t = x[0]
-        heights: list[float] = []
-        z_n = 0.0
-        q_n = x[-1]
-        found = 0
-        w = None
-        for j in range(1, self.stage + 1):
-            lv = self.sched.level(j)
-            nu = lv.r_hat_prev - lv.shift_drop * _taper(t, lv.r_hat, lv.r_hat_prev)
-            if nu <= 0.0:
-                # the sibling stacking pitch fell below float resolution;
-                # deeper tentacles are indistinguishable from their parent
-                break
-            m = int(math.floor((q_n / nu + 1.0) * 2 ** (n - 1)))
-            m = min(max(m, 0), 2**n - 1)
-            s_hat = self._slots[m]
-            w_n = q_n - s_hat * nu
-            w_cand = np.empty(n)
-            w_cand[0] = t
-            w_cand[1 : n - 1] = x[1 : n - 1]
-            w_cand[n - 1] = w_n
-            in_cube = np.max(np.abs(w_cand)) < lv.r_hat
-            d_j = lv.d
-            end = self._tube_end(lv, squeezed)
-            in_tube = (
-                lv.r_hat <= t < end
-                and np.max(np.abs(w_cand[1:])) < d_j
-            )
-            if not (in_cube or in_tube):
-                break
-            heights.append(s_hat)
-            z_n += lv.r_hat_prev * s_hat
-            q_n = w_n
-            found = j
-            w = w_cand
-        return found, heights, z_n, w
-
-    # -- public API ---------------------------------------------------------------
-
-    def _map(self, point, inverse: bool) -> np.ndarray:
-        """The stage map or its inverse: find the tentacle among the tubes
-        of the side it starts from, map the axial coordinate in the
-        straight chart and put the shift back at the new axial value."""
-        x = np.asarray(point, dtype=float)
-        J, heights, z_n, w = self._descend(x, squeezed=self.forward_from_squeezed != inverse)
-        if J == 0:
-            return x.copy()
-        lv = self.sched.level(J)
-        out = w.copy()
-        if w[0] >= lv.r_hat:
-            out[0] = _straight_axial(lv, self.family, w, inverse)
-        out[-1] += z_n + _Shift(self.sched, heights).sigma(out[0])
-        return out
-
-    def forward(self, point) -> np.ndarray:
-        return self._map(point, inverse=False)
-
-    def inverse(self, point) -> np.ndarray:
-        return self._map(point, inverse=True)
-
-    # -- batched evaluation ---------------------------------------------------
-    #
-    # ``_descend`` and ``_map`` on (N, n) arrays, with the pointwise float
-    # operations on every row; rows leave the descent as they stop.
-
     def _descend_rows(self, x: np.ndarray, squeezed: bool):
-        """``_descend`` for the rows of x: (J, heights, z_n, w) with J and z_n
-        one value per row, heights a (stage, N) array (0 from level J on)
-        and w the chart points (x itself on rows with J = 0)."""
+        """Find the deepest level J and chart data for every row of x.
+
+        Returns (J, heights, z_n, w), J and z_n one value per row, heights
+        the address height letters as a (stage, N) array (0 from level J
+        on), z_n the tentacle center height, and w the chart points (shift
+        removed, center subtracted); J = 0, and w the row of x, when the
+        row is outside every level-1 tentacle.
+        """
         npts, n = x.shape
         found = np.zeros(npts, dtype=np.intp)
         heights = np.zeros((self.stage, npts))
         z_n = np.zeros(npts)
         w = x.copy()  # the last column is q_n, updated as rows go deeper
-        slots = np.array(self._slots)
+        t_all, q_all = x[:, 0], w[:, n - 1]
         rows = np.arange(npts)
         for j in range(1, self.stage + 1):
             lv = self.sched.level(j)
-            t, q_n = x[rows, 0], w[rows, n - 1]
+            end = self._tube_end(lv, squeezed)
+            # the cube and the tube of the level lie in -r_hat < t < end
+            t = t_all[rows]
+            near = (t > -lv.r_hat) & (t < end)
+            count = np.count_nonzero(near)
+            if not count:
+                break
+            if count < len(rows):
+                rows, t = rows.compress(near), t.compress(near)
+            q_n = q_all[rows]
             nu = lv.r_hat_prev - lv.shift_drop * _taper_rows(t, lv.r_hat, lv.r_hat_prev)
-            live = nu > 0.0  # the float-pitch cutoff of _descend
-            rows, t, q_n, nu = rows[live], t[live], q_n[live], nu[live]
-            m = np.clip(np.floor((q_n / nu + 1.0) * 2 ** (n - 1)), 0, 2**n - 1)
-            s_hat = slots[m.astype(np.intp)]
+            # the sibling stacking pitch fell below float resolution;
+            # deeper tentacles are indistinguishable from their parent
+            live = nu > 0.0
+            if np.count_nonzero(live) < len(rows):
+                rows, t, q_n, nu = (v.compress(live) for v in (rows, t, q_n, nu))
+            m = np.minimum(np.maximum(np.floor((q_n / nu + 1.0) * 2 ** (n - 1)), 0), 2**n - 1)
+            s_hat = self._slots.take(m.astype(np.intp))
             w_n = q_n - s_hat * nu
-            perp = np.maximum(np.abs(x[rows, 1 : n - 1]).max(axis=1), np.abs(w_n))
-            in_cube = np.maximum(np.abs(t), perp) < lv.r_hat
-            in_tube = (lv.r_hat <= t) & (t < self._tube_end(lv, squeezed)) & (perp < lv.d)
-            deeper = in_cube | in_tube
-            rows = rows[deeper]
-            s_hat = s_hat[deeper]
+            perp = np.maximum(np.maximum.reduce(np.abs(x.take(rows, axis=0)[:, 1 : n - 1]), axis=1),
+                              np.abs(w_n))
+            deeper = ((np.maximum(np.abs(t), perp) < lv.r_hat)
+                      | ((lv.r_hat <= t) & (perp < lv.d)))
+            count = np.count_nonzero(deeper)
+            if not count:
+                break
+            if count < len(rows):
+                rows, s_hat, w_n = rows.compress(deeper), s_hat.compress(deeper), w_n.compress(deeper)
             heights[j - 1, rows] = s_hat
             z_n[rows] += lv.r_hat_prev * s_hat
-            w[rows, n - 1] = w_n[deeper]
+            q_all[rows] = w_n
             found[rows] = j
         return found, heights, z_n, w
 
     def _map_rows(self, points, inverse: bool) -> np.ndarray:
-        """``_map`` on every row of ``points``."""
+        """The stage map, or its inverse, on every row of ``points``: find
+        the tentacle among the tubes of the side it starts from, map the
+        axial coordinate in the straight chart and put the shift back at
+        the new axial value.  A batch with rows the knot checks reject
+        raises the error of the first of them."""
         x = np.array(points, dtype=float)
         J, heights, z_n, w = self._descend_rows(
             x, squeezed=self.forward_from_squeezed != inverse)
-        rows = np.flatnonzero(J)
+        rows = J.nonzero()[0]
+        if not len(rows):
+            return x
         out = x.copy()
         out[rows] = w[rows]
-        for j in range(1, self.stage + 1):
+        unordered, outside = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+        for j in range(1, J.max() + 1):
             lv = self.sched.level(j)
             axial = rows[(J[rows] == j) & (w[rows, 0] >= lv.r_hat)]
-            if len(axial):
-                wa = w[axial]
-                rho = np.abs(wa[:, 1:]).max(axis=1)
-                # math.log per row: np.log rounds differently on some inputs
-                e = np.array([_modulation(lv, r)[0] for r in rho.tolist()])
-                try:
-                    out[axial, 0] = _pl_rows(wa[:, 0], *_knot_lists(lv, self.family, e), inverse)
-                except DomainError:
-                    # the rows one by one raise the error of the first bad
-                    # row, whatever its level, as a loop over ``_map`` does
-                    for p in x:
-                        self._map(p, inverse)
-                    raise
+            if not len(axial):
+                continue
+            v = w[axial, 0]
+            _, ts, ss, bad = _level_rows(lv, self.family, w[axial])
+            src, dst = (ss, ts) if inverse else (ts, ss)
+            unordered[axial], outside[axial] = bad, (v < src[:, 0]) | (v > src[:, -1])
+            if not (unordered[axial] | outside[axial]).any():
+                out[axial, 0] = _pl_rows(v, src, dst)
+        _raise_first_bad(unordered, outside)
         t = out[rows, 0]
         sigma = np.zeros(len(rows))
-        for i in range(self.stage):
+        for i in range(J.max()):
             lv = self.sched.level(i + 1)
             deep = J[rows] > i
             sigma[deep] -= (lv.shift_drop * heights[i, rows[deep]]
@@ -744,44 +661,26 @@ class _TentacleStage:
     def inverse_many(self, points: np.ndarray) -> np.ndarray:
         return self._map_rows(points, inverse=True)
 
-    def derivative(self, point) -> np.ndarray:
-        """Analytic Jacobian of the forward map (off interface surfaces)."""
-        x = np.asarray(point, dtype=float)
-        n = self.n
-        J, heights, _, w = self._descend(x, squeezed=self.forward_from_squeezed)
-        if J == 0:
-            return np.eye(n)
-        lv = self.sched.level(J)
-        if w[0] < lv.r_hat:
-            return np.eye(n)
-        sh = _Shift(self.sched, heights)
-        b, eta = _straight_jacobian(lv, self.family, w)
-        # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
-        c = np.eye(n)
-        c[n - 1, 0] = -sh.sigma_slope(x[0])
-        a = np.eye(n)
-        a[n - 1, 0] = sh.sigma_slope(eta)
-        return a @ b @ c
-
     def derivative_many(self, points: np.ndarray) -> np.ndarray:
-        """``derivative`` at every row of ``points``, an (N, n, n) array;
-        a batch with a row ``derivative`` rejects raises that row's error."""
+        """Analytic Jacobians of the forward map (off interface surfaces) at
+        every row of ``points``, an (N, n, n) array; a batch with rows whose
+        knots are not ordered raises the ValueError of the first of them."""
         x = np.asarray(points, dtype=float)
         count, n = x.shape
         J, heights, _, w = self._descend_rows(x, squeezed=self.forward_from_squeezed)
         d = np.tile(np.eye(n), (count, 1, 1))
-        for j in range(1, self.stage + 1):
+        unordered = np.zeros(count, dtype=bool)
+        for j in range(1, J.max(initial=0) + 1):
             lv = self.sched.level(j)
-            rows = np.flatnonzero((J == j) & (w[:, 0] >= lv.r_hat))
+            rows = ((J == j) & (w[:, 0] >= lv.r_hat)).nonzero()[0]
             if not len(rows):
                 continue
-            try:
-                b, eta = _straight_jacobian_rows(lv, self.family, w[rows])
-            except ValueError:
-                for p in x:
-                    self.derivative(p)
-                raise
-            # the shear slopes of the address, summed as ``_Shift.sigma_slope``
+            de_drho, ts, ss, unordered[rows] = _level_rows(lv, self.family, w[rows])
+            if unordered[rows].any():
+                continue
+            b, eta = _straight_jacobian_rows(lv, self.family, w[rows], de_drho, ts, ss)
+            # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z,
+            # with the shear slopes of the address summed level by level
             slope_in, slope_out = np.zeros(len(rows)), np.zeros(len(rows))
             for i in range(j):
                 lvi = self.sched.level(i + 1)
@@ -793,7 +692,17 @@ class _TentacleStage:
             a = np.tile(np.eye(n), (len(rows), 1, 1))
             a[:, n - 1, 0] = slope_out
             d[rows] = np.matmul(np.matmul(a, b), c)
+        _raise_first_bad(unordered)
         return d
+
+    def forward(self, point) -> np.ndarray:
+        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def inverse(self, point) -> np.ndarray:
+        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def derivative(self, point) -> np.ndarray:
+        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
 
 
 class SqueezeStage(_TentacleStage):

@@ -13,12 +13,18 @@ composition is a bijection of the cell fixing its boundary.
 
 Scale invariance: the move table is computed once in coordinates where
 the parent cell is the unit cube and reused at every level.
+
+Evaluation has one body, on (N, n) batches, run a level at a time: the
+corridor boxes of the move table are held as (n, M) arrays, every row of
+the level is screened against all of them in one comparison, and only the
+moves some row hits run their exact corridor test and act, on those rows.
+A single point is a one-row batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -76,126 +82,62 @@ class ElementaryMove:
     rho: float
     width: float
 
-    def _chi(self, delta: float) -> float:
-        if delta <= self.rho:
-            return 1.0
-        if delta >= self.width:
-            return 0.0
-        return (self.width - delta) / (self.width - self.rho)
+    @cached_property
+    def _others(self) -> np.ndarray:
+        """The coordinates other than ``axis``, in order."""
+        return np.array([d for d in range(len(self.trans_center) + 1) if d != self.axis])
 
-    def _trans_delta(self, x) -> tuple[float, int]:
-        delta = -1.0
-        arg = -1
-        j = 0
-        for d in range(len(x)):
-            if d == self.axis:
-                continue
-            off = abs(x[d] - self.trans_center[j])
-            if off > delta:
-                delta = off
-                arg = d
-            j += 1
-        return delta, arg
-
-    def _pl_knots(self, tau, inverse: bool):
-        """The axial PL map at shift tau: knots lo < a2 <= a3 < hi go to
-        lo, b2, b3, hi, and the piece between a2 and a3 moves by ``shift``.
-        With s2, s3 = src -/+ rho the move has a2, a3 = s2, s3 and b2, b3 =
-        s2 + tau, s3 + tau; its inverse swaps the two pairs and shifts by
-        -tau."""
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
-        if inverse:
-            return s2 + tau, s3 + tau, s2, s3, -tau
-        return s2, s3, s2 + tau, s3 + tau, tau
-
-    def apply(self, x: np.ndarray, inverse: bool = False) -> np.ndarray:
-        """The move at x, or with ``inverse`` its inverse."""
-        xa = x[self.axis]
-        if xa <= self.lo or xa >= self.hi:
-            return x
-        delta, _ = self._trans_delta(x)
-        if delta >= self.width:
-            return x
-        a2, a3, b2, b3, shift = self._pl_knots(self._chi(delta) * (self.dst - self.src), inverse)
-        if xa < a2:
-            ya = self.lo + (xa - self.lo) * (b2 - self.lo) / (a2 - self.lo)
-        elif xa <= a3:
-            ya = xa + shift
-        else:
-            ya = self.hi - (self.hi - xa) * (self.hi - b3) / (self.hi - a3)
-        out = x.copy()
-        out[self.axis] = ya
-        return out
-
-    def _corridor_rows(self, w: np.ndarray):
-        """Rows of w inside the corridor: (row indices, their axial
-        coordinate, their transverse sup distance, tau there), or None if
-        none is."""
-        xa = w[:, self.axis]
-        rows = np.flatnonzero((xa > self.lo) & (xa < self.hi))
-        if not len(rows):
+    def corridor_rows(self, w: np.ndarray, cand: np.ndarray):
+        """The rows ``cand`` of the (N, n) array w that lie inside the
+        corridor: (their indices, axial coordinates, transverse sup
+        distances, and tau there), or None if none does.  tau falls
+        linearly from dst - src (distance <= rho) to 0 (distance width)."""
+        sub = w.take(cand, axis=0)
+        xa = sub[:, self.axis]
+        delta = np.maximum.reduce(np.abs(sub.take(self._others, axis=1) - self.trans_center), axis=1)
+        inside = (xa > self.lo) & (xa < self.hi) & (delta < self.width)
+        count = np.count_nonzero(inside)
+        if not count:
             return None
-        others = [d for d in range(w.shape[1]) if d != self.axis]
-        delta = np.abs(w[np.ix_(rows, others)] - self.trans_center).max(axis=1)
-        near = delta < self.width
-        rows, xa, delta = rows[near], xa[rows[near]], delta[near]
-        chi = np.where(delta <= self.rho, 1.0, (self.width - delta) / (self.width - self.rho))
+        rows = cand
+        if count < len(cand):
+            rows, xa, delta = cand.compress(inside), xa.compress(inside), delta.compress(inside)
+        # 1 where delta <= rho: the ratio is >= 1 there, and <= 1 elsewhere
+        chi = np.minimum(1.0, (self.width - delta) / (self.width - self.rho))
         return rows, xa, delta, chi * (self.dst - self.src)
 
-    def apply_rows(self, w: np.ndarray, inverse: bool = False) -> None:
-        """``apply`` on every row of the (N, n) array w, in place, with the
-        same float operations."""
-        hit = self._corridor_rows(w)
-        if hit is None:
-            return
+    def apply_rows(self, w: np.ndarray, hit, inverse: bool = False) -> None:
+        """The move (its inverse with ``inverse``) on the rows ``hit`` of
+        ``corridor_rows`` found in the (N, n) array w, in place; the other
+        rows stay fixed.
+
+        Along the axis it is the PL map taking the knots lo < a2 < a3 < hi
+        to lo, b2, b3, hi, with the piece between a2 and a3 moved by
+        ``shift``: a2, a3 = src -/+ rho and b2, b3 = a2 + tau, a3 + tau,
+        or for the inverse the two pairs swapped and the shift -tau."""
         rows, xa, _, tau = hit
-        a2, a3, b2, b3, shift = self._pl_knots(tau, inverse)
-        w[rows, self.axis] = np.where(
-            xa < a2, self.lo + (xa - self.lo) * (b2 - self.lo) / (a2 - self.lo),
-            np.where(xa <= a3, xa + shift,
-                     self.hi - (self.hi - xa) * (self.hi - b3) / (self.hi - a3)))
+        s2, s3 = self.src - self.rho, self.src + self.rho
+        a2, a3, b2, b3, shift = ((s2 + tau, s3 + tau, s2, s3, -tau) if inverse
+                                 else (s2, s3, s2 + tau, s3 + tau, tau))
+        lo, hi = self.lo, self.hi
+        ya = xa + shift
+        # the two end pieces, on the rows that reach them (no row inside
+        # the cube does); the knots are arrays on one side, floats on the other
+        below = xa < a2
+        if np.count_nonzero(below):
+            x, a, b = (v.compress(below) if np.ndim(v) else v for v in (xa, a2, b2))
+            ya[below] = lo + (x - lo) * (b - lo) / (a - lo)
+        above = xa > a3
+        if np.count_nonzero(above):
+            x, a, b = (v.compress(above) if np.ndim(v) else v for v in (xa, a3, b3))
+            ya[above] = hi - (hi - x) * (hi - b) / (hi - a)
+        w[:, self.axis][rows] = ya
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        n = len(x)
-        d = np.eye(n)
-        xa = x[self.axis]
-        if xa <= self.lo or xa >= self.hi:
-            return d
-        delta, arg = self._trans_delta(x)
-        if delta >= self.width:
-            return d
-        chi = self._chi(delta)
-        tau_full = self.dst - self.src
-        tau = chi * tau_full
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
-        if xa < s2:
-            slope = (s2 + tau - self.lo) / (s2 - self.lo)
-            pl_minus_x = (self.lo + (xa - self.lo) * (s2 + tau_full - self.lo) / (s2 - self.lo)) - xa
-        elif xa <= s3:
-            slope = 1.0
-            pl_minus_x = tau_full
-        else:
-            slope = (self.hi - (s3 + tau)) / (self.hi - s3)
-            pl_minus_x = (self.hi - (self.hi - xa) * (self.hi - (s3 + tau_full)) / (self.hi - s3)) - xa
-        d[self.axis, self.axis] = slope
-        if self.rho < delta < self.width:
-            j = arg if arg < self.axis else arg - 1
-            sgn = 1.0 if x[arg] >= self.trans_center[j] else -1.0
-            dchi = -1.0 / (self.width - self.rho) * sgn
-            d[self.axis, arg] += dchi * pl_minus_x
-        return d
-
-    def derivative_rows(self, w: np.ndarray, d: np.ndarray) -> None:
-        """d <- ``derivative`` @ d on the rows of the (N, n) array w inside
-        the corridor, in place on the (N, n, n) array d: each Jacobian is
-        built with the float operations of ``derivative`` and multiplied
-        in one stacked matmul.  ``derivative`` is the identity on the
-        other rows, so they keep their d."""
-        hit = self._corridor_rows(w)
-        if hit is None:
-            return
+    def derivative_rows(self, w: np.ndarray, d: np.ndarray, hit) -> None:
+        """d <- (Jacobian of the move) @ d on the rows ``hit`` of
+        ``corridor_rows`` found in the (N, n) array w, in place on the
+        (N, n, n) array d, in one stacked matmul.  The Jacobian is the
+        identity on the other rows, so they keep their d."""
         rows, xa, delta, tau = hit
         n = w.shape[1]
         lo, hi, tau_full = self.lo, self.hi, self.dst - self.src
@@ -207,19 +149,18 @@ class ElementaryMove:
         pl_minus_x = np.where(
             below, (lo + (xa - lo) * (s2 + tau_full - lo) / (s2 - lo)) - xa,
             np.where(inside, tau_full, (hi - (hi - xa) * (hi - (s3 + tau_full)) / (hi - s3)) - xa))
-        jac = np.zeros((len(rows), n, n))
-        jac[:, np.arange(n), np.arange(n)] = 1.0
+        jac = np.tile(np.eye(n), (len(rows), 1, 1))
         jac[:, self.axis, self.axis] = slope
         blend = np.flatnonzero(delta > self.rho)
         if len(blend):
-            # the first transverse argmax, as ``_trans_delta`` finds it
-            others = [a for a in range(n) if a != self.axis]
-            j = np.abs(w[np.ix_(rows[blend], others)] - self.trans_center).argmax(axis=1)
-            arg = np.array(others)[j]
-            sgn = np.where(w[rows[blend], arg] >= np.array(self.trans_center)[j], 1.0, -1.0)
+            # d chi / d x at the first transverse coordinate that attains
+            # the sup distance
+            j = np.abs(w[rows[blend]][:, self._others] - self.trans_center).argmax(axis=1)
+            arg = self._others[j]
+            sgn = np.where(w[rows[blend], arg] >= np.take(self.trans_center, j), 1.0, -1.0)
             dchi = -1.0 / (self.width - self.rho) * sgn
             jac[blend, self.axis, arg] += dchi * pl_minus_x[blend]
-        d[rows] = np.matmul(jac, d[rows])
+        d[rows] = np.matmul(jac, d.take(rows, axis=0))
 
     def corridor_box(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(n)
@@ -233,10 +174,6 @@ class ElementaryMove:
                 hi[d] = self.trans_center[j] + self.width
                 j += 1
         return lo, hi
-
-
-def _boxes_disjoint(alo, ahi, blo, bhi) -> bool:
-    return bool(np.any(ahi <= blo) or np.any(bhi <= alo))
 
 
 @lru_cache(maxsize=None)
@@ -295,12 +232,9 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
         clo, chi_ = mv.corridor_box(n)
         if np.any(clo <= -1.0) or np.any(chi_ >= 1.0):
             return False
-        for u in verts:
-            if u == mover:
-                continue
-            if not _boxes_disjoint(clo, chi_, positions[u] - rho, positions[u] + rho):
-                return False
-        return True
+        # each other cube [p - rho, p + rho] lies off the box along some axis
+        cubes = np.array([positions[u] for u in verts if u != mover])
+        return bool(((chi_ <= cubes - rho) | (cubes + rho <= clo)).any(axis=1).all())
 
     def legs(v, positions):
         pos = grid[v].copy()
@@ -344,6 +278,33 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
     return tuple(moves)
 
 
+@lru_cache(maxsize=None)
+def _screen_table(n: int, beta: float):
+    """The corridor boxes of ``relocation_moves(n, beta)`` for the screen:
+    (lo, hi, meets_later, meets_earlier).
+
+    lo and hi are (n, M, 1) arrays, so that a screen reduces over its
+    first axis and gives one row per move.  The boxes are padded by 1e-9,
+    far beyond the rounding of |w_d - c| <= 2 in unit-cell coordinates, so
+    screening a row against them never drops a row the exact corridor test
+    keeps.  A move keeps the rows it moves inside its box, so afterwards
+    they can enter only the boxes that meet it: meets_later[m] holds those
+    of the moves after m, meets_earlier[m] those before it (the order of
+    the inverse), as (indices, lo, hi)."""
+    boxes = [mv.corridor_box(n) for mv in relocation_moves(n, beta)]
+    lo = np.array([lo for lo, _ in boxes]) - 1e-9
+    hi = np.array([hi for _, hi in boxes]) + 1e-9
+    meet = ((lo[:, None] < hi[None]) & (lo[None] < hi[:, None])).all(axis=2)
+    lo, hi = lo.T[:, :, None].copy(), hi.T[:, :, None].copy()
+
+    def boxes_of(moves):
+        return moves, lo[:, moves], hi[:, moves]
+
+    count = len(boxes)
+    return (lo, hi, [boxes_of(np.flatnonzero(meet[m, m + 1:]) + m + 1) for m in range(count)],
+            [boxes_of(np.flatnonzero(meet[m, :m])) for m in range(count)])
+
+
 class TowerMapping:
     """Stage-k bilipschitz map taking the thin nested-cube set onto its tower.
 
@@ -365,117 +326,88 @@ class TowerMapping:
         self.stage = stage
         self.n = schedule.n
         self.moves = relocation_moves(self.n, schedule.beta)
+        self._box_lo, self._box_hi, self._meets_later, self._meets_earlier = (
+            _screen_table(self.n, schedule.beta))
         self._r = [schedule.r(k) for k in range(stage + 1)]
 
-    # -- cell location in tower coordinates ----------------------------------
+    # -- evaluation: one body per direction, on (N, n) arrays; a row that
+    # leaves its cell drops out of the walk, which ends when none is left
 
-    def _enter(self, x: np.ndarray, center: np.ndarray, level: int):
-        """Center of the level-``level`` tower cell holding x, one tile
-        step below ``center`` (its level-(level-1) cell), or None.
+    def _enter_rows(self, x: np.ndarray, center: np.ndarray, level: int):
+        """The level-``level`` tower cells (``level`` >= 1) holding the rows
+        of x, one tile step below ``center``, their level-(level-1) cells:
+        (mask of the rows that stay in a cell, the centers of those rows).
 
         Lambda_i moves a point only inside its level-(i-1) cell, and every
         cell sits deep inside its parent, so the ancestors found for one
         stage still hold the point at the next; only the parent, whose
         face a point can cross by an ulp of rescaling, is checked again.
         """
-        if level == 0:
-            return center
-        if level > 1 and np.max(np.abs(x - center)) >= self._r[level - 1]:
-            return None
         _, z = tower_step(x, center, self._r[level - 1])
-        if np.max(np.abs(x - z)) >= self._r[level]:
-            return None
-        return z
-
-    # -- evaluation -----------------------------------------------------------
-
-    def _walk(self, point, jacobian: bool):
-        """Run the stages on ``point``: (image, Jacobian or None)."""
-        x = np.asarray(point, dtype=float).copy()
-        d = np.eye(self.n) if jacobian else None
-        center = np.zeros(self.n)
-        for i in range(1, self.stage + 1):
-            center = self._enter(x, center, i - 1)
-            if center is None:
-                break
-            scale = self._r[i - 1]
-            w = (x - center) / scale
-            for mv in self.moves:
-                if jacobian:
-                    d = mv.derivative(w) @ d
-                w = mv.apply(w)
-            x = center + scale * w
-        return x, d
-
-    def forward(self, point) -> np.ndarray:
-        return self._walk(point, jacobian=False)[0]
-
-    def inverse(self, point) -> np.ndarray:
-        y = np.asarray(point, dtype=float).copy()
-        # cells of levels 0..stage-1 holding y; the inverse stages run
-        # deepest first, each inside a cell below these, so they stay valid
-        centers = [np.zeros(self.n)]
-        while len(centers) < self.stage:
-            center = self._enter(y, centers[-1], len(centers))
-            if center is None:
-                break
-            centers.append(center)
-        for i in range(len(centers), 0, -1):
-            center = centers[i - 1]
-            scale = self._r[i - 1]
-            w = (y - center) / scale
-            for mv in reversed(self.moves):
-                w = mv.apply(w, inverse=True)
-            y = center + scale * w
-        return y
-
-    def derivative(self, point) -> np.ndarray:
-        return self._walk(point, jacobian=True)[1]
-
-    # -- batched evaluation ---------------------------------------------------
-    #
-    # The same cell steps and moves as the pointwise bodies above, run on
-    # (N, n) arrays: a row that leaves its cell drops out, as ``_enter``
-    # returning None ends the pointwise walk.  Every row sees the pointwise
-    # float operations, so the results agree bit for bit.
-
-    def _enter_rows(self, x: np.ndarray, center: np.ndarray, level: int):
-        """``_enter`` for the rows of x, ``level`` >= 1: (mask of the rows
-        that stay in a cell, the level-``level`` centers of those rows)."""
+        stay = np.maximum.reduce(np.abs(x - z), axis=1) < self._r[level]
         if level > 1:
-            stay = np.abs(x - center).max(axis=1) < self._r[level - 1]
-        else:
-            stay = np.ones(len(x), dtype=bool)
-        # the tile rule of ``tower_step``, row-wise
-        r_prev = self._r[level - 1]
-        n = x.shape[1]
-        offset = x[stay, n - 1] - center[stay, n - 1] + r_prev
-        tile = np.clip(np.floor(offset / (2.0 * r_prev / 2**n)), 0, 2**n - 1).astype(np.intp)
-        z = center[stay] + r_prev * np.array(tower_slots(n))[tile]
-        inner = np.abs(x[stay] - z).max(axis=1) < self._r[level]
-        stay[stay] = inner
-        return stay, z[inner]
+            stay &= np.maximum.reduce(np.abs(x - center), axis=1) < self._r[level - 1]
+        return stay, z.compress(stay, axis=0)
+
+    @staticmethod
+    def _screen(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """(M', N) mask of the rows of w inside the padded corridor boxes
+        (lo, hi) of M' moves: every row such a move acts on, and a few
+        more."""
+        v = w.T[:, None, :]
+        return np.logical_and.reduce((v > lo) & (v < hi), axis=0)
+
+    def _run_moves(self, w: np.ndarray, d: np.ndarray | None = None,
+                   inverse: bool = False) -> None:
+        """Apply the moves in order to the rows of the (N, n) array w, in
+        place, or with ``inverse`` their inverses in reverse order; with d,
+        also d <- (Jacobian of each move) @ d on the (N, n, n) array d.
+
+        Each row is screened against every corridor box at once.  Only the
+        moves some row hits run their exact corridor test, once, for both
+        the Jacobian and the move, and the rows a move changes are screened
+        again against the boxes still to come that meet its own."""
+        count = len(self.moves)
+        meets = self._meets_earlier if inverse else self._meets_later
+        hits = self._screen(w, self._box_lo, self._box_hi)
+        pending = np.logical_or.reduce(hits, axis=1).tolist()
+        for m in (range(count - 1, -1, -1) if inverse else range(count)):
+            if not pending[m]:
+                continue
+            mv = self.moves[m]
+            hit = mv.corridor_rows(w, hits[m].nonzero()[0])
+            if hit is None:
+                continue
+            if d is not None:
+                mv.derivative_rows(w, d, hit)
+            mv.apply_rows(w, hit, inverse)
+            later, lo, hi = meets[m]
+            if len(later):
+                rows = hit[0]
+                rescreen = self._screen(w.take(rows, axis=0), lo, hi)
+                hits[later[:, None], rows] = rescreen
+                for j in later[np.logical_or.reduce(rescreen, axis=1)].tolist():
+                    pending[j] = True
 
     def _walk_rows(self, points, jacobian: bool):
-        """``_walk`` on every row of ``points``: (images, (N, n, n)
+        """Run the stages on every row of ``points``: (images, (N, n, n)
         Jacobians or None)."""
         x = np.array(points, dtype=float)
         count, n = x.shape
         d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
-        rows = np.arange(count)
-        center = np.zeros_like(x)
+        rows, xr, center = np.arange(count), x, np.zeros_like(x)
         for i in range(1, self.stage + 1):
             if i > 1:
-                stay, center = self._enter_rows(x[rows], center, i - 1)
-                rows = rows[stay]
+                stay, center = self._enter_rows(xr, center, i - 1)
+                rows, xr = rows.compress(stay), xr.compress(stay, axis=0)
+            if not len(rows):
+                break
             scale = self._r[i - 1]
-            w = (x[rows] - center) / scale
-            dw = d[rows] if jacobian else None
-            for mv in self.moves:
-                if jacobian:
-                    mv.derivative_rows(w, dw)
-                mv.apply_rows(w)
-            x[rows] = center + scale * w
+            w = (xr - center) / scale
+            dw = d.take(rows, axis=0) if jacobian else None
+            self._run_moves(w, dw)
+            xr = center + scale * w
+            x[rows] = xr
             if jacobian:
                 d[rows] = dw
         return x, d
@@ -488,24 +420,34 @@ class TowerMapping:
 
     def inverse_many(self, points: np.ndarray) -> np.ndarray:
         y = np.array(points, dtype=float)
-        # depth[j]: how many of the cells of levels 0..stage-1 hold row j
-        depth = np.ones(len(y), dtype=np.intp)
-        centers = np.zeros((self.stage,) + y.shape)
-        rows = np.arange(len(y))
+        # the rows held by a level-i cell and the centers of those cells,
+        # for levels i = 0..stage-1; the inverse stages run deepest first,
+        # each inside a cell below these, so they stay valid
+        cells = [(np.arange(len(y)), np.zeros_like(y))]
+        yr = y
         for level in range(1, self.stage):
-            stay, z = self._enter_rows(y[rows], centers[level - 1, rows], level)
-            rows = rows[stay]
-            centers[level, rows] = z
-            depth[rows] += 1
-        for i in range(self.stage, 0, -1):
-            rows = np.flatnonzero(depth >= i)
-            center = centers[i - 1, rows]
+            rows, center = cells[-1]
+            stay, z = self._enter_rows(yr, center, level)
+            if not np.count_nonzero(stay):
+                break
+            yr = yr.compress(stay, axis=0)
+            cells.append((rows.compress(stay), z))
+        for i in range(len(cells), 0, -1):
+            rows, center = cells[i - 1]
             scale = self._r[i - 1]
-            w = (y[rows] - center) / scale
-            for mv in reversed(self.moves):
-                mv.apply_rows(w, inverse=True)
+            w = (y.take(rows, axis=0) - center) / scale
+            self._run_moves(w, inverse=True)
             y[rows] = center + scale * w
         return y
+
+    def forward(self, point) -> np.ndarray:
+        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def inverse(self, point) -> np.ndarray:
+        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
+
+    def derivative(self, point) -> np.ndarray:
+        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
 
 
 GOODMAP_CELLS = 512

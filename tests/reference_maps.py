@@ -1,0 +1,335 @@
+"""Point-at-a-time reference bodies of the tower and tentacle stage maps.
+
+The package evaluates every factor map with one body on (N, n) arrays, and
+its ``forward``, ``inverse`` and ``derivative`` are one-row calls of that
+body.  The bodies below evaluate one point at a time with their own float
+operations, in Python control flow, so the tests can compare each row of
+a batch with them: images bit for bit, signs of zeros included, and
+Jacobians with ``np.array_equal`` (here ``np.eye(n) @ d`` turns -0.0 into
++0.0 where the batch skips an identity factor).
+
+The Cantor map and the axis collapse have no body here: their pointwise
+calls are one-row batches, checked against ``tests/test_descent.py``'s
+reference walks and the closed forms there.
+"""
+
+import math
+
+import numpy as np
+
+from homlim import tentacles
+from homlim.cantor_map import CantorHomeomorphism
+from homlim.composite import AxisCollapse
+from homlim.errors import DomainError
+from homlim.geometry import tower_slots
+from homlim.tower import TowerMapping
+
+# ---------------------------------------------------------------------------
+# Tower: the elementary moves and the cell walk.
+# ---------------------------------------------------------------------------
+
+
+def _chi(mv, delta):
+    if delta <= mv.rho:
+        return 1.0
+    if delta >= mv.width:
+        return 0.0
+    return (mv.width - delta) / (mv.width - mv.rho)
+
+
+def _trans_delta(mv, x):
+    """The transverse sup distance from the corridor axis and the first
+    coordinate that attains it."""
+    delta, arg, j = -1.0, -1, 0
+    for d in range(len(x)):
+        if d == mv.axis:
+            continue
+        off = abs(x[d] - mv.trans_center[j])
+        if off > delta:
+            delta, arg = off, d
+        j += 1
+    return delta, arg
+
+
+def move_apply(mv, x, inverse=False):
+    """The move ``mv`` at x, or with ``inverse`` its inverse."""
+    xa = x[mv.axis]
+    if xa <= mv.lo or xa >= mv.hi:
+        return x
+    delta, _ = _trans_delta(mv, x)
+    if delta >= mv.width:
+        return x
+    tau = _chi(mv, delta) * (mv.dst - mv.src)
+    s2, s3 = mv.src - mv.rho, mv.src + mv.rho
+    if inverse:
+        a2, a3, b2, b3, shift = s2 + tau, s3 + tau, s2, s3, -tau
+    else:
+        a2, a3, b2, b3, shift = s2, s3, s2 + tau, s3 + tau, tau
+    if xa < a2:
+        ya = mv.lo + (xa - mv.lo) * (b2 - mv.lo) / (a2 - mv.lo)
+    elif xa <= a3:
+        ya = xa + shift
+    else:
+        ya = mv.hi - (mv.hi - xa) * (mv.hi - b3) / (mv.hi - a3)
+    out = x.copy()
+    out[mv.axis] = ya
+    return out
+
+
+def move_derivative(mv, x):
+    n = len(x)
+    d = np.eye(n)
+    xa = x[mv.axis]
+    if xa <= mv.lo or xa >= mv.hi:
+        return d
+    delta, arg = _trans_delta(mv, x)
+    if delta >= mv.width:
+        return d
+    tau_full = mv.dst - mv.src
+    tau = _chi(mv, delta) * tau_full
+    s2, s3 = mv.src - mv.rho, mv.src + mv.rho
+    if xa < s2:
+        slope = (s2 + tau - mv.lo) / (s2 - mv.lo)
+        pl_minus_x = (mv.lo + (xa - mv.lo) * (s2 + tau_full - mv.lo) / (s2 - mv.lo)) - xa
+    elif xa <= s3:
+        slope = 1.0
+        pl_minus_x = tau_full
+    else:
+        slope = (mv.hi - (s3 + tau)) / (mv.hi - s3)
+        pl_minus_x = (mv.hi - (mv.hi - xa) * (mv.hi - (s3 + tau_full)) / (mv.hi - s3)) - xa
+    d[mv.axis, mv.axis] = slope
+    if mv.rho < delta < mv.width:
+        j = arg if arg < mv.axis else arg - 1
+        sgn = 1.0 if x[arg] >= mv.trans_center[j] else -1.0
+        d[mv.axis, arg] += -1.0 / (mv.width - mv.rho) * sgn * pl_minus_x
+    return d
+
+
+def _enter(L, x, center, level):
+    """Center of the level-``level`` tower cell holding x, one tile step
+    below ``center``, or None; the tile rule in Python floats."""
+    if level == 0:
+        return center
+    r = L.schedule.r
+    if level > 1 and np.max(np.abs(x - center)) >= r(level - 1):
+        return None
+    n, r_prev = len(x), r(level - 1)
+    tile = math.floor((x[n - 1] - center[n - 1] + r_prev) / (2.0 * r_prev / 2**n))
+    z = center + r_prev * np.array(tower_slots(n)[min(max(tile, 0), 2**n - 1)])
+    if np.max(np.abs(x - z)) >= r(level):
+        return None
+    return z
+
+
+def _tower_walk(L, point, jacobian):
+    x = np.asarray(point, dtype=float).copy()
+    d = np.eye(L.n) if jacobian else None
+    center = np.zeros(L.n)
+    for i in range(1, L.stage + 1):
+        center = _enter(L, x, center, i - 1)
+        if center is None:
+            break
+        scale = L.schedule.r(i - 1)
+        w = (x - center) / scale
+        for mv in L.moves:
+            if jacobian:
+                d = move_derivative(mv, w) @ d
+            w = move_apply(mv, w)
+        x = center + scale * w
+    return x, d
+
+
+def tower_forward(L, point):
+    return _tower_walk(L, point, jacobian=False)[0]
+
+
+def tower_derivative(L, point):
+    return _tower_walk(L, point, jacobian=True)[1]
+
+
+def tower_inverse(L, point):
+    y = np.asarray(point, dtype=float).copy()
+    centers = [np.zeros(L.n)]
+    while len(centers) < L.stage:
+        center = _enter(L, y, centers[-1], len(centers))
+        if center is None:
+            break
+        centers.append(center)
+    for i in range(len(centers), 0, -1):
+        center = centers[i - 1]
+        scale = L.schedule.r(i - 1)
+        w = (y - center) / scale
+        for mv in reversed(L.moves):
+            w = move_apply(mv, w, inverse=True)
+        y = center + scale * w
+    return y
+
+
+# ---------------------------------------------------------------------------
+# Tentacle stages: the descent, the straight-chart level map and the shear.
+# ---------------------------------------------------------------------------
+
+
+def tentacle_descend(h, x, squeezed):
+    """(J, heights, z_n, w): the deepest level J whose tentacle holds x, the
+    address height letters, the tentacle center height and the chart point;
+    J = 0 and w None outside every level-1 tentacle."""
+    n = h.n
+    t, q_n = x[0], x[-1]
+    heights, z_n, found, w = [], 0.0, 0, None
+    slots = [s[-1] for s in tower_slots(n)]
+    for j in range(1, h.stage + 1):
+        lv = h.sched.level(j)
+        nu = lv.r_hat_prev - lv.shift_drop * tentacles._taper(t, lv.r_hat, lv.r_hat_prev)
+        if nu <= 0.0:
+            break
+        m = int(math.floor((q_n / nu + 1.0) * 2 ** (n - 1)))
+        s_hat = slots[min(max(m, 0), 2**n - 1)]
+        w_n = q_n - s_hat * nu
+        w_cand = np.empty(n)
+        w_cand[0] = t
+        w_cand[1 : n - 1] = x[1 : n - 1]
+        w_cand[n - 1] = w_n
+        in_cube = np.max(np.abs(w_cand)) < lv.r_hat
+        in_tube = (lv.r_hat <= t < h._tube_end(lv, squeezed)
+                   and np.max(np.abs(w_cand[1:])) < lv.d)
+        if not (in_cube or in_tube):
+            break
+        heights.append(s_hat)
+        z_n += lv.r_hat_prev * s_hat
+        q_n, found, w = w_n, j, w_cand
+    return found, heights, z_n, w
+
+
+def _taper_slope(t, r_k, r_prev):
+    return 1.0 / (r_prev - r_k) if r_k < t < r_prev else 0.0
+
+
+def _sigma_slope(sched, heights, t):
+    total = 0.0
+    for i, height in enumerate(heights):
+        lv = sched.level(i + 1)
+        total -= lv.shift_drop * height * _taper_slope(t, lv.r_hat, lv.r_hat_prev)
+    return total
+
+
+def _tentacle_map(h, point, inverse):
+    x = np.asarray(point, dtype=float)
+    J, heights, z_n, w = tentacle_descend(h, x, h.forward_from_squeezed != inverse)
+    if J == 0:
+        return x.copy()
+    lv = h.sched.level(J)
+    out = w.copy()
+    if w[0] >= lv.r_hat:
+        e, _ = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
+        knots = tentacles._knots(lv, h.family, e)
+        pl = tentacles.pl_inverse if inverse else tentacles.pl_interpolate
+        out[0] = pl(w[0], knots)
+    out[-1] += z_n + tentacles._Shift(h.sched, heights).sigma(out[0])
+    return out
+
+
+def tentacle_forward(h, point):
+    return _tentacle_map(h, point, inverse=False)
+
+
+def tentacle_inverse(h, point):
+    return _tentacle_map(h, point, inverse=True)
+
+
+def tentacle_derivative(h, point):
+    x = np.asarray(point, dtype=float)
+    n = h.n
+    J, heights, _, w = tentacle_descend(h, x, h.forward_from_squeezed)
+    if J == 0:
+        return np.eye(n)
+    lv = h.sched.level(J)
+    if w[0] < lv.r_hat:
+        return np.eye(n)
+    # the straight-chart Jacobian: first row (axial slope, d eta / d w_perp)
+    e, de_drho = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
+    knots = tentacles._knots(lv, h.family, e)
+    i = tentacles._pl_piece(w[0], knots.ts)
+    lam = (w[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
+    coeffs = tentacles._knot_e_coeffs(lv, h.family)
+    deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
+    b = np.eye(n)
+    b[0, 0] = tentacles.pl_slope(w[0], knots)
+    if de_drho != 0.0:
+        arg = 1 + int(np.argmax(np.abs(w[1:])))
+        b[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
+    eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
+    # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
+    c = np.eye(n)
+    c[n - 1, 0] = -_sigma_slope(h.sched, heights, x[0])
+    a = np.eye(n)
+    a[n - 1, 0] = _sigma_slope(h.sched, heights, eta)
+    return a @ b @ c
+
+
+# ---------------------------------------------------------------------------
+# Factors and composites.
+# ---------------------------------------------------------------------------
+
+
+def forward(f, point):
+    """``f.forward`` at one point by the reference body of f's kind."""
+    if isinstance(f, TowerMapping):
+        return tower_forward(f, point)
+    if isinstance(f, tentacles._TentacleStage):
+        return tentacle_forward(f, point)
+    assert isinstance(f, (CantorHomeomorphism, AxisCollapse))
+    return f.forward(point)
+
+
+def inverse(f, point):
+    if isinstance(f, TowerMapping):
+        return tower_inverse(f, point)
+    if isinstance(f, tentacles._TentacleStage):
+        return tentacle_inverse(f, point)
+    assert isinstance(f, (CantorHomeomorphism, AxisCollapse))
+    return f.inverse(point)
+
+
+def derivative(f, point):
+    if isinstance(f, TowerMapping):
+        return tower_derivative(f, point)
+    if isinstance(f, tentacles._TentacleStage):
+        return tentacle_derivative(f, point)
+    assert isinstance(f, (CantorHomeomorphism, AxisCollapse))
+    return f.derivative(point)
+
+
+def stage_forward(stage, point):
+    """The composite stage at one point: its chain folded factor by factor
+    through the reference bodies."""
+    x = np.asarray(point, dtype=float)
+    if np.max(np.abs(x)) > 1.0:
+        raise DomainError("point outside [-1,1]^n")
+    for f, s in stage.chain:
+        x = forward(f, x) if s > 0 else inverse(f, x)
+    return x
+
+
+def stage_inverse(stage, point):
+    x = np.asarray(point, dtype=float)
+    for f, s in reversed(stage.chain):
+        x = inverse(f, x) if s > 0 else forward(f, x)
+    return x
+
+
+def stage_derivative(stage, point):
+    """The chain rule through the reference bodies; an inverted factor
+    contributes [Df(f^{-1} x)]^{-1}."""
+    x = np.asarray(point, dtype=float)
+    d = None
+    for i, (f, s) in enumerate(stage.chain):
+        if s > 0:
+            jac = derivative(f, x)
+            if i < len(stage.chain) - 1:
+                x = forward(f, x)
+        else:
+            x = inverse(f, x)
+            jac = np.linalg.inv(derivative(f, x))
+        d = jac if d is None else jac @ d
+    return d

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_maps as ref
 
 from homlim import analysis
 from homlim.analysis import (
@@ -15,6 +16,7 @@ from homlim.analysis import (
     make_rng,
 )
 from homlim.composite import build_stage
+from homlim.errors import DomainError
 from homlim.geometry import tower_slots
 from homlim.tentacles import SqueezeStage, solve_parameters, tentacle_seminorm_bound
 
@@ -94,6 +96,31 @@ class TestJacobianSurvey:
         assert not rep.hard_failures
 
 
+    @pytest.mark.parametrize("error", [DomainError, np.linalg.LinAlgError])
+    def test_derivative_without_a_value_counts_as_unavailable(self, error):
+        class Refl:
+            def forward(self, x):
+                return np.asarray(x, dtype=float) * (-1.0, 1.0, 1.0)
+
+            def derivative(self, x):
+                raise error("no analytic Jacobian here")
+
+        rep = jacobian_survey(Refl(), 20, QuadratureConfig(seed=2), step=1e-6)
+        assert len(rep.hard_failures) == 20
+        assert all(analytic is None for *_, analytic in rep.hard_failures)
+
+    def test_derivative_bug_propagates(self):
+        class Refl:
+            def forward(self, x):
+                return np.asarray(x, dtype=float) * (-1.0, 1.0, 1.0)
+
+            def derivative(self, x):
+                raise TypeError("a bug in the derivative body")
+
+        with pytest.raises(TypeError, match="bug"):
+            jacobian_survey(Refl(), 20, QuadratureConfig(seed=2), step=1e-6)
+
+
 class TestBoundary:
     def test_t1_exact(self):
         passed, dev = boundary_identity_check(build_stage("T1", 2), 3, 60)
@@ -124,7 +151,8 @@ class TestCauchyTable:
         ("T1", 3, 4.0, 3), ("T2", 3, 4.0, 3), ("T1", 4, 5.0, 2)])
     def test_matches_the_pointwise_reference(self, variant, n, beta, k_max):
         # the table as it was before it evaluated each level's nodes in one
-        # batch: one derivative pair per node, summed as the nodes come
+        # batch: one derivative pair per node, through the reference bodies,
+        # summed as the nodes come
         def reference(config):
             rng = make_rng(config.seed)
             stages = {k: build_stage(variant, k, n, beta) for k in range(1, k_max + 1)}
@@ -134,7 +162,8 @@ class TestCauchyTable:
                 fk, fk1 = stages[k], stages[k - 1]
 
                 def diff(x):
-                    return float(np.linalg.norm(fk.derivative(x) - fk1.derivative(x), "fro") ** 2)
+                    diff = ref.stage_derivative(fk, x) - ref.stage_derivative(fk1, x)
+                    return float(np.linalg.norm(diff, "fro") ** 2)
 
                 total = 0.0
                 words, inflate = _sample_words(n, k, config.cells_cap, rng)

@@ -1,12 +1,14 @@
 """The batched factor maps and the instruments that call them.
 
-Every ``forward_many`` / ``inverse_many`` runs the float operations of the
-pointwise body on each row, so batch and pointwise results are compared
-bit for bit, signs of zeros included, on points at half-open faces, frame
-radii (the ``tests/test_descent.py`` strategies) and tentacle tube
-interfaces.  A batch with a row the pointwise body rejects must raise the
-same error.  The same holds for every ``derivative_many``, except that
-zero signs may differ.
+Every ``forward_many`` / ``inverse_many`` runs, on each row, the float
+operations of the point-at-a-time reference bodies of
+``tests/reference_maps.py``, so batch and reference are compared bit for
+bit, signs of zeros included, on points at half-open faces, frame radii
+(the ``tests/test_descent.py`` strategies) and tentacle tube interfaces.
+A batch with a row the reference rejects must raise the same error.  The
+same holds for every ``derivative_many``, except that zero signs may
+differ.  The pointwise methods are one-row batches, and a batch gives
+each row what a one-row call gives it.
 """
 
 from unittest import mock
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference_maps as ref
 from test_descent import TOWERS, A, B, set_points, tower_points
 
 from homlim import analysis, tentacles
@@ -22,7 +25,7 @@ from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import VARIANTS, AxisCollapse, build_stage
 from homlim.degree import DegreeReport, SphereProbe, degree, inv_check, nesting_probe
 from homlim.errors import DomainError
-from homlim.geometry import tower_slots
+from homlim.geometry import cube_vertices, tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
@@ -88,9 +91,9 @@ def bit_equal(a, b):
 
 
 def check_rows(many, one, pts, equal=bit_equal):
-    """``many`` on the batch agrees with ``one`` on each row (bit for bit
-    unless ``equal`` says otherwise), or raises the error the first failing
-    row raises."""
+    """``many`` on the batch agrees with the reference ``one`` on each row
+    (bit for bit unless ``equal`` says otherwise), or raises the error the
+    first failing row raises."""
     pts = np.array(pts, dtype=float).reshape(-1, 3)
     rows = [outcome(one, x) for x in pts]
     errors = [r for r in rows if isinstance(r, type)]
@@ -123,8 +126,8 @@ class TestFactorsBatchedEqualPointwise:
     def test_tower(self, k, tower_pts, set_pts):
         L = TOWERS[k]
         pts = np.array(tower_pts + set_pts)
-        check_rows(L.forward_many, L.forward, pts)
-        check_rows(L.inverse_many, L.inverse, pts)
+        check_rows(L.forward_many, lambda x: ref.tower_forward(L, x), pts)
+        check_rows(L.inverse_many, lambda x: ref.tower_inverse(L, x), pts)
 
     @given(st.integers(1, 4), st.sampled_from([SqueezeStage, StretchStage]), st.data())
     @settings(max_examples=120, deadline=None)
@@ -133,8 +136,8 @@ class TestFactorsBatchedEqualPointwise:
         pts = data.draw(st.lists(tube_points(h.sched, squeezed=data.draw(st.booleans())),
                                  min_size=1, max_size=10))
         pts += data.draw(st.lists(tower_points(), max_size=4))
-        check_rows(h.forward_many, h.forward, pts)
-        check_rows(h.inverse_many, h.inverse, pts)
+        check_rows(h.forward_many, lambda x: ref.tentacle_forward(h, x), pts)
+        check_rows(h.inverse_many, lambda x: ref.tentacle_inverse(h, x), pts)
 
 
 class TestCompositesBatchedEqualPointwise:
@@ -143,9 +146,9 @@ class TestCompositesBatchedEqualPointwise:
     def test_faces_and_frames(self, variant, k, a_pts, b_pts, tower_pts):
         stage = STAGES[(variant, k)]
         pts = np.array(a_pts + b_pts + tower_pts + [np.zeros(3)])
-        check_rows(stage.forward_many, stage.forward, pts)
+        check_rows(stage.forward_many, lambda x: ref.stage_forward(stage, x), pts)
         if variant != "FL":
-            check_rows(stage.inverse_many, stage.inverse, pts)
+            check_rows(stage.inverse_many, lambda x: ref.stage_inverse(stage, x), pts)
 
     @given(st.sampled_from(["T1", "T2", "W"]), st.integers(1, 4), st.data())
     @settings(max_examples=80, deadline=None)
@@ -156,8 +159,8 @@ class TestCompositesBatchedEqualPointwise:
         pts = np.array(data.draw(st.lists(tube_points(sched, squeezed), min_size=1, max_size=6)))
         if variant != "T1":  # T2 and W meet the tubes behind L o g
             pts = np.clip(pull_back(stage, pts), -1, 1)
-        check_rows(stage.forward_many, stage.forward, pts)
-        check_rows(stage.inverse_many, stage.inverse, pts)
+        check_rows(stage.forward_many, lambda x: ref.stage_forward(stage, x), pts)
+        check_rows(stage.inverse_many, lambda x: ref.stage_inverse(stage, x), pts)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_empty_batch(self, variant):
@@ -179,10 +182,12 @@ CANTOR = {(k, inverse): CantorHomeomorphism(*((B, A) if inverse else (A, B)), k)
 
 
 class TestDerivativeMany:
-    """``derivative_many`` against ``derivative`` row by row.  Jacobians
+    """``derivative_many`` against the reference row by row (the Cantor
+    maps, which have no reference body, against their closed form in
+    ``tests/test_descent.py`` and here against ``derivative``).  Jacobians
     are compared with ``np.array_equal``, blind to signs of zeros: the
-    pointwise ``np.eye(n) @ d`` turns -0.0 into +0.0, and the batches skip
-    such identity factors."""
+    reference's ``np.eye(n) @ d`` turns -0.0 into +0.0, and the batches
+    skip such identity factors."""
 
     @given(st.integers(1, 4), st.booleans(), *ANY_POINTS)
     @settings(max_examples=60, deadline=None)
@@ -199,7 +204,8 @@ class TestDerivativeMany:
         # the preimages of tower points sit where the moves act
         pts = np.array(tower_pts + set_pts)
         pts = np.vstack([pts, L.inverse_many(pts)])
-        check_rows(L.derivative_many, L.derivative, pts, equal=np.array_equal)
+        check_rows(L.derivative_many, lambda x: ref.tower_derivative(L, x), pts,
+                   equal=np.array_equal)
 
     @given(st.integers(1, 4), st.sampled_from([SqueezeStage, StretchStage]), st.data())
     @settings(max_examples=80, deadline=None)
@@ -208,13 +214,14 @@ class TestDerivativeMany:
         pts = data.draw(st.lists(tube_points(h.sched, squeezed=data.draw(st.booleans())),
                                  min_size=1, max_size=8))
         pts += data.draw(st.lists(tower_points(), max_size=3))
-        check_rows(h.derivative_many, h.derivative, pts, equal=np.array_equal)
+        check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
+                   equal=np.array_equal)
 
     @given(st.sampled_from(["T1", "T2", "W"]), st.integers(1, 4), *ANY_POINTS)
     @settings(max_examples=40, deadline=None)
     def test_composites_at_faces_and_frames(self, variant, k, a_pts, b_pts, tower_pts):
         stage = STAGES[(variant, k)]
-        check_rows(stage.derivative_many, stage.derivative,
+        check_rows(stage.derivative_many, lambda x: ref.stage_derivative(stage, x),
                    a_pts + b_pts + tower_pts + [np.zeros(3)], equal=np.array_equal)
 
     @given(st.sampled_from(["T1", "T2", "W"]), st.integers(1, 4), st.data())
@@ -225,7 +232,8 @@ class TestDerivativeMany:
                                           min_size=1, max_size=5)))
         if variant != "T1":  # T2 and W meet the tubes behind L o g
             pts = np.clip(pull_back(stage, pts), -1, 1)
-        check_rows(stage.derivative_many, stage.derivative, pts, equal=np.array_equal)
+        check_rows(stage.derivative_many, lambda x: ref.stage_derivative(stage, x), pts,
+                   equal=np.array_equal)
 
     def test_empty_batch(self):
         maps = [STAGES[(v, 2)] for v in ("T1", "T2", "W")]
@@ -247,9 +255,35 @@ class TestDerivativeMany:
         stage = STAGES[(variant, 2)]
         pts = np.zeros((5, 3))
         pts[3, 1] = -1.0000000000000002
-        check_rows(stage.derivative_many, stage.derivative, pts, equal=np.array_equal)
+        check_rows(stage.derivative_many, lambda x: ref.stage_derivative(stage, x), pts,
+                   equal=np.array_equal)
         with pytest.raises(DomainError, match="outside"):
             stage.derivative_many(pts)
+
+
+class TestRowIndependence:
+    """An N-row batch gives every row what its one-row call gives, for the
+    tower, the tentacle stages and the composites, on mixed batches: the
+    centers of the 2^n child cubes, each moved by its own legs, next to
+    face, frame, tile and tube points."""
+
+    CHILDREN = np.array(cube_vertices(3), dtype=float) / 2.0
+
+    @given(st.integers(1, 4), st.sampled_from(["T1", "T2", "W"]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_batch_rows_equal_one_row_calls(self, k, variant, data):
+        stage = STAGES[(variant, k)]
+        h = stage.chain[0][0] if variant == "T1" else stage.chain[2][0]
+        jitter = data.draw(st.floats(-0.1, 0.1))
+        pts = np.vstack([self.CHILDREN + jitter,
+                         data.draw(st.lists(tower_points(), min_size=1, max_size=4)),
+                         np.reshape(data.draw(st.lists(set_points(B), max_size=4)), (-1, 3)),
+                         data.draw(st.lists(tube_points(h.sched, data.draw(st.booleans())),
+                                            min_size=1, max_size=4))])
+        pts = np.vstack([pts, TOWERS[k].inverse_many(pts)])
+        for f in (TOWERS[k], h, stage):
+            for name in ("forward", "inverse", "derivative"):
+                check_rows(getattr(f, name + "_many"), getattr(f, name), pts)
 
 
 class TestBatchErrors:
@@ -284,11 +318,12 @@ class TestBatchErrors:
             wants.append(want)
         with mock.patch.object(tentacles, "_modulation",
                                lambda lv, rho: (10.0, 0.0) if rho > 0.5 * lv.d else modulation(lv, rho)):
-            got = [outcome(h.forward, p) for p in pts]
+            got = [outcome(lambda x: ref.tentacle_forward(h, x), p) for p in pts]
             assert [g if isinstance(g, type) else None for g in got] == wants
-            check_rows(h.forward_many, h.forward, pts)
+            check_rows(h.forward_many, lambda x: ref.tentacle_forward(h, x), pts)
             # the derivative has no range check: only unordered knots raise
-            check_rows(h.derivative_many, h.derivative, pts, equal=np.array_equal)
+            check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
+                       equal=np.array_equal)
 
 
 class TestRoundtripsAtStageFour:
@@ -318,7 +353,8 @@ class TestRoundtripsAtStageFour:
         x = data.draw(st.lists(tube_points(h.sched, squeezed, levels, exact_radius=True),
                                min_size=1, max_size=8))
         # a point near the axis of a level-2 tube can lie in a level-3 one
-        x = np.array([p for p in x if h._descend(p, squeezed)[0] <= levels]).reshape(-1, 3)
+        x = np.array([p for p in x if ref.tentacle_descend(h, p, squeezed)[0] <= levels])
+        x = x.reshape(-1, 3)
         # level-3 squeeze tubes: up to 5e-7 in 20 000 examples
         assert np.max(np.abs(h.inverse_many(h.forward_many(x)) - x), initial=0.0) < 1e-5
 
@@ -340,11 +376,12 @@ class TestRoundtripsAtStageFour:
 
 
 class _Pointwise:
-    """A stage without ``forward_many``."""
+    """A stage without ``forward_many``, evaluated by the reference bodies."""
 
     def __init__(self, stage):
         self.k, self.beta = stage.k, stage.beta
-        self.forward, self.derivative = stage.forward, stage.derivative
+        self.forward = lambda x: ref.stage_forward(stage, x)
+        self.derivative = lambda x: ref.stage_derivative(stage, x)
 
 
 def reflection(x):

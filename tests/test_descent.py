@@ -14,6 +14,7 @@ import math
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_maps import move_apply
 
 from homlim import _kernels
 from homlim.cantor_map import CantorHomeomorphism
@@ -244,7 +245,7 @@ def reference_tower_forward(L, x):
         scale = L.schedule.r(i - 1)
         w = (x - center) / scale
         for mv in L.moves:
-            w = mv.apply(w)
+            w = move_apply(mv, w)
         x = center + scale * w
     return x
 
@@ -258,7 +259,7 @@ def reference_tower_inverse(L, y):
         scale = L.schedule.r(i - 1)
         w = (y - center) / scale
         for mv in reversed(L.moves):
-            w = mv.apply(w, inverse=True)
+            w = move_apply(mv, w, inverse=True)
         y = center + scale * w
     return y
 

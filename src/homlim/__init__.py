@@ -29,12 +29,9 @@ from .geometry import (
     stage_measure,
 )
 from .tentacles import (
-    PLKnots,
     SqueezeStage,
     StretchStage,
     TentacleSchedule,
-    pl_interpolate,
-    pl_inverse,
     solve_parameters,
     tentacle_seminorm_bound,
 )

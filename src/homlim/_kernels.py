@@ -25,7 +25,13 @@ from .geometry import descend_set
 
 
 def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, out):
-    level, letters, zs, t = descend_set(points, rs, stage)
+    return cantor_map_descended(points, descend_set(points, rs, stage),
+                                rs, rs_out, rt, rt_out, stage, out)
+
+
+def cantor_map_descended(points, descent, rs, rs_out, rt, rt_out, stage, out):
+    """``cantor_map_points`` from the ``descend_set`` of the points."""
+    level, letters, zs, t = descent
     zt = 0.5 * rt[0] * letters[0]
     for lev in range(2, stage + 1):
         zt = zt + 0.5 * rt[lev - 1] * letters[lev - 1]

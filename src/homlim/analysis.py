@@ -26,8 +26,14 @@ import numpy as np
 
 from .composite import build_stage
 from .errors import DomainError
-from .geometry import address_words, tower_slots
-from .tentacles import _Shift, TentacleSchedule
+from .geometry import Address, address_words, cell_center, tower_slots
+from .tentacles import (
+    TentacleSchedule,
+    _knot_lists,
+    _knot_rows,
+    _raise_first_bad,
+    _shear_rows,
+)
 
 __all__ = [
     "QuadratureConfig",
@@ -183,49 +189,49 @@ def _tube_nodes(sched: TentacleSchedule, k: int, word, config: QuadratureConfig,
     1/(rho u) transverse gradient of the squeeze profile into a bounded
     integrand.  Strips of measure 0 carry no node.
     """
-    from .tentacles import _knots
-
     lv = sched.level(k)
     n = sched.n
     heights = [w[-1] for w in word]
     z_n = sched.center_height(heights)
-    sh = _Shift(sched, heights)
-    segs = _geom_segments(_knots(lv, sched.family, 0.0).ts, config.axial_levels)
+    ts, ss = _knot_lists(lv, sched.family, 0.0)
+    _raise_first_bad(_knot_rows(ts, ss, np.zeros(1))[2])
+    segs = _geom_segments(ts, config.axial_levels)
     t_res = config.axial_resolution * res_mult
     e_res = config.transverse_resolution * res_mult
     u_d, e_rng = lv.u_d, lv.e_range
     core_area = (2.0 * lv.b) ** (n - 1)
     dirs = [(axis, sign) for axis in range(1, n) for sign in (1.0, -1.0)]
-    nodes, measures = [], []
-    x = np.zeros(n)
+    axial = []  # (t, dt) per axial node
     for t_lo, t_hi in segs:
         dt = (t_hi - t_lo) / t_res
-        for it in range(t_res):
-            t = t_lo + (it + 0.5) * dt
-            sig = sh.sigma(t)
-            # shell: strips at transverse sup radius rho(E)
-            de = e_rng / e_res
-            for ie in range(e_res):
-                e = (ie + 0.5) * de
-                u = u_d * math.exp(e)
-                rho = math.exp(-u)
-                meas = 2.0 * rho * rho * u * de * dt
-                if meas == 0.0:
-                    continue
-                for axis, sign in dirs:
-                    x[:] = 0.0
-                    x[0] = t
-                    x[axis] = sign * rho
-                    x[n - 1] += z_n + sig
-                    nodes.append(x.copy())
-                    measures.append((meas, 1.0))
-            # core below the clamp radius: no transverse gradient
-            if core_area > 0.0:
+        axial += [(t_lo + (it + 0.5) * dt, dt) for it in range(t_res)]
+    sigma = _shear_rows(sched, heights, np.array([t for t, _ in axial]))
+    nodes, measures = [], []
+    x = np.zeros(n)
+    for (t, dt), sig in zip(axial, sigma.tolist()):
+        # shell: strips at transverse sup radius rho(E)
+        de = e_rng / e_res
+        for ie in range(e_res):
+            e = (ie + 0.5) * de
+            u = u_d * math.exp(e)
+            rho = math.exp(-u)
+            meas = 2.0 * rho * rho * u * de * dt
+            if meas == 0.0:
+                continue
+            for axis, sign in dirs:
                 x[:] = 0.0
                 x[0] = t
-                x[n - 1] = z_n + sig
+                x[axis] = sign * rho
+                x[n - 1] += z_n + sig
                 nodes.append(x.copy())
-                measures.append((core_area, dt))
+                measures.append((meas, 1.0))
+        # core below the clamp radius: no transverse gradient
+        if core_area > 0.0:
+            x[:] = 0.0
+            x[0] = t
+            x[n - 1] = z_n + sig
+            nodes.append(x.copy())
+            measures.append((core_area, dt))
     return np.array(nodes).reshape(-1, n), measures
 
 
@@ -263,9 +269,7 @@ def _change_region(sched: TentacleSchedule, k: int, words, inflate: float, words
         yield nodes, lambda w, m=measures: inflate * _weighted_sum(w, m)
     r_in = sched.base.r(k - 1)
     for word in words1:
-        z = np.zeros(sched.n)
-        for j, s in enumerate(word):
-            z = z + sched.base.r(j) * np.array(s)
+        z = cell_center(sched.base, Address("towerB", word))
         nodes, vol = _cube_nodes(z, r_in, config.resolution * res_mult)
         yield nodes, lambda w, vol=vol: inflate1 * (vol * sum(w))
 

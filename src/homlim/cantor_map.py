@@ -80,12 +80,20 @@ class CantorHomeomorphism:
 
     def derivative_many(self, points: np.ndarray) -> np.ndarray:
         """``derivative`` at every row of ``points``: an (N, n, n) array."""
+        return self.forward_derivative_many(points)[1]
+
+    def forward_derivative_many(self, points: np.ndarray):
+        """(``forward_many``, ``derivative_many``) of ``points`` from one
+        descent."""
         x = np.asarray(points, dtype=float)
         if x.size and np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
         rs, rs_out, rt, rt_out = self._rs, self._rs_out, self._rt, self._rt_out
         count, n = x.shape
-        level, _, zs, ts = descend_set(x, rs, self.stage)
+        descent = descend_set(x, rs, self.stage)
+        images = _kernels.cantor_map_descended(x, descent, rs, rs_out, rt, rt_out, self.stage,
+                                               np.empty_like(x))
+        level, _, zs, ts = descent
         d = np.empty((count, n, n))
         d[:] = (rt[self.stage] / rs[self.stage]) * np.eye(n)
         rows = np.flatnonzero(level)
@@ -98,7 +106,7 @@ class CantorHomeomorphism:
         coef = ((lam_slope - lam / t) / t)[:, None]
         sub[idx, :, mx] += coef * (xi * np.sign(xi[idx, mx])[:, None])
         d[rows] = sub
-        return d
+        return images, d
 
     def derivative_bound(self, level: int) -> float:
         """Sharp sup of the radial-map stretch on the level-i frame:

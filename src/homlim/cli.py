@@ -61,6 +61,8 @@ _DEFAULTS = {
     "quadrature": {},
     "degree": {},
 }
+# the degree fields the commands read: cmd_degree, and export-slice's height
+_DEGREE_FIELDS = ("center", "y", "radius", "refinement", "fixture", "slice_height")
 
 
 def load_config(path: str) -> dict:
@@ -88,6 +90,9 @@ def _is_int(value) -> bool:
 
 
 def _validate(cfg):
+    unknown = sorted(set(cfg) - set(_DEFAULTS))
+    if unknown:
+        _fail(unknown[0], f"unknown field; the fields are {', '.join(_DEFAULTS)}")
     if not _is_int(cfg["n"]) or cfg["n"] < 2:
         _fail("n", "must be an integer >= 2")
     if cfg["variant"] not in VARIANTS:
@@ -106,9 +111,16 @@ def _validate(cfg):
         _fail("max_stage", "must be an integer in 1..24")
     if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         _fail("seed", "must be a non-negative integer")
+    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
+        _fail("out_dir", "must be a non-empty string")
     for field in ("quadrature", "degree"):
         if not isinstance(cfg[field], dict):
             _fail(field, "must be a JSON object")
+    unknown = sorted(set(cfg["degree"]) - set(_DEGREE_FIELDS))
+    if unknown:
+        _fail("degree", f"unknown field {unknown[0]!r}; the fields are {', '.join(_DEGREE_FIELDS)}")
+    if cfg["degree"].get("fixture", "identity") != "identity":
+        _fail("degree", "the only fixture is 'identity'")
     _quad_config(cfg)
 
 

@@ -29,7 +29,11 @@ from .tentacles import (
     SqueezeStage,
     StretchStage,
     TentacleSchedule,
-    _Shift,
+    _knot_lists,
+    _knot_rows,
+    _pl_rows,
+    _raise_first_bad,
+    _shear_rows,
     solve_parameters,
 )
 from .tower import TowerMapping, slot_correspondence
@@ -76,7 +80,7 @@ class AxisCollapse:
     def derivative(self, point) -> np.ndarray:
         raise DomainError("FL derivative is piecewise; use finite differences")
 
-    derivative_many = derivative
+    derivative_many = forward_derivative_many = derivative
 
 
 def _fold(chain: tuple, x: np.ndarray) -> np.ndarray:
@@ -89,14 +93,13 @@ def _fold(chain: tuple, x: np.ndarray) -> np.ndarray:
 
 def _fold_derivative(chain: tuple, x: np.ndarray) -> np.ndarray:
     """The chain rule along ``chain`` at every row of the (N, n) array x,
-    as ``_fold`` applies it, in stacked (N, n, n) matrices."""
+    as ``_fold`` applies it, in stacked (N, n, n) matrices.  A factor f
+    walks once for its image and Jacobian together; an inverted one walks
+    f^{-1}, then f's Jacobian at the preimage."""
     d = None
-    last = len(chain) - 1
-    for i, (f, s) in enumerate(chain):
+    for f, s in chain:
         if s > 0:
-            jac = f.derivative_many(x)
-            if i < last:
-                x = f.forward_many(x)
+            x, jac = f.forward_derivative_many(x)
         else:
             x = f.inverse_many(x)
             jac = np.linalg.inv(f.derivative_many(x))
@@ -134,7 +137,7 @@ class CompositeStage:
         """Analytic Jacobians at every row of ``points``, an (N, n, n)
         array, by the chain rule through every factor; an inverted factor
         contributes [Df(f^{-1} x)]^{-1} at the image the fold computes
-        anyway, and the last image is never needed."""
+        anyway."""
         return _fold_derivative(self.chain, np.asarray(points, dtype=float))
 
     def forward(self, point) -> np.ndarray:
@@ -217,22 +220,14 @@ def _tentacle_chain_points(sched: TentacleSchedule, word_hat, k: int,
                            samples: int) -> np.ndarray:
     """Points along the centerline of the level-k twisted tentacle, from
     the tip (x_1 near a_k) down to the tower cell center."""
-    n = sched.n
     lv = sched.level(k)
     heights = [w[-1] for w in word_hat]
     z_n = sched.center_height(heights)
-    sh = _Shift(sched, heights)
-    ts = np.geomspace(lv.r_hat, lv.a, samples - 1)[::-1]
-    pts = []
-    for t in ts:
-        p = np.zeros(n)
-        p[0] = t
-        p[-1] = z_n + sh.sigma(t)
-        pts.append(p)
-    tip_first = pts
-    center = np.zeros(n)
-    center[-1] = z_n
-    return np.array(tip_first + [center])
+    pts = np.zeros((samples, sched.n))
+    pts[:-1, 0] = np.geomspace(lv.r_hat, lv.a, samples - 1)[::-1]
+    pts[:-1, -1] = z_n + _shear_rows(sched, heights, pts[:-1, 0])
+    pts[-1, -1] = z_n
+    return pts
 
 
 def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
@@ -276,24 +271,16 @@ def _stretch_inverse_on_chain(sched: TentacleSchedule, word_hat, k: int,
 
     On the centerline the transverse radius is 0, so the modulation sits
     at its clamp value and the axial pullback is a fixed monotone PL map;
-    evaluating it directly avoids membership tests on tubes that are
-    thinner than one ulp."""
-    from .tentacles import _knots, pl_inverse
-
+    evaluating it directly, on every chain point at once, avoids
+    membership tests on tubes that are thinner than one ulp."""
     lv = sched.level(k)
     heights = [w[-1] for w in word_hat]
-    z_n = sched.center_height(heights)
-    sh = _Shift(sched, heights)
-    knots = _knots(lv, STRETCH, lv.e_range)
-    out = []
-    for p in chain:
-        t = p[0]
-        if t < lv.r_hat:
-            out.append(p.copy())
-            continue
-        t_back = pl_inverse(min(t, knots.ss[-1]), knots)
-        q = np.zeros_like(p)
-        q[0] = t_back
-        q[-1] = z_n + sh.sigma(t_back)
-        out.append(q)
-    return np.array(out)
+    out = chain.copy()
+    rows = np.flatnonzero(chain[:, 0] >= lv.r_hat)
+    ts, ss, unordered = _knot_rows(*_knot_lists(lv, STRETCH, lv.e_range), chain[rows, 0])
+    _raise_first_bad(unordered)
+    t_back = _pl_rows(np.minimum(chain[rows, 0], ss[:, -1]), ss, ts)
+    out[rows] = 0.0
+    out[rows, 0] = t_back
+    out[rows, -1] = sched.center_height(heights) + _shear_rows(sched, heights, t_back)
+    return out

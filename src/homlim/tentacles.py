@@ -11,6 +11,13 @@ transverse widths b_k < d_k solve hard smallness constraints; in the
 strict schedules they fall far below floating-point range and are kept
 in log-magnitude form, so geometric evaluation of the stage maps is a
 demo-schedule feature.
+
+Each kernel works on rows and has one flavor: ``_pl_rows`` (the axial
+profile and its inverse, through the knot tables of ``_knot_rows``) and
+``_shear_rows`` (the shear and its slope).  A stage map has one body,
+``_TentacleStage._walk_rows``: one descent and one knot table per level
+give the images and, when asked, the Jacobians; every evaluation method
+of a stage is a call of it.
 """
 
 from __future__ import annotations
@@ -29,10 +36,6 @@ from .errors import (
 from .geometry import ParameterSchedule, tower_slots
 
 __all__ = [
-    "PLKnots",
-    "pl_interpolate",
-    "pl_inverse",
-    "pl_slope",
     "TentacleLevel",
     "TentacleSchedule",
     "solve_parameters",
@@ -55,66 +58,22 @@ _FLOAT_LOG_RANGE = 700.0
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear interpolation through monotone knots.
+# Piecewise-linear interpolation through monotone knots, row by row.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PLKnots:
-    """Monotone knot lists (t_i, s_i); both strictly increasing."""
-
-    ts: tuple[float, ...]
-    ss: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.ts) != len(self.ss) or len(self.ts) < 2:
-            raise ValueError("need matching knot lists of length >= 2")
-        if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
-            raise ValueError(f"t-knots not strictly increasing: {self.ts}")
-        if any(b <= a for a, b in zip(self.ss, self.ss[1:])):
-            raise ValueError(f"s-knots not strictly increasing: {self.ss}")
-
-
-def _pl_piece(v: float, knots: tuple[float, ...]) -> int:
-    for i in range(len(knots) - 2):
-        if v <= knots[i + 1]:
-            return i
-    return len(knots) - 2
-
-
-def pl_interpolate(t: float, knots: PLKnots) -> float:
-    """Value of the piecewise-linear interpolant at t in [t_1, t_last]."""
-    if t < knots.ts[0] or t > knots.ts[-1]:
-        raise DomainError(f"t={t} outside [{knots.ts[0]}, {knots.ts[-1]}]")
-    i = _pl_piece(t, knots.ts)
-    return knots.ss[i] + (t - knots.ts[i]) * (knots.ss[i + 1] - knots.ss[i]) / (
-        knots.ts[i + 1] - knots.ts[i]
-    )
-
-
-def pl_inverse(s: float, knots: PLKnots) -> float:
-    """Exact inverse of the interpolant (swap the knot roles)."""
-    if s < knots.ss[0] or s > knots.ss[-1]:
-        raise DomainError(f"s={s} outside [{knots.ss[0]}, {knots.ss[-1]}]")
-    i = _pl_piece(s, knots.ss)
-    return knots.ts[i] + (s - knots.ss[i]) * (knots.ts[i + 1] - knots.ts[i]) / (
-        knots.ss[i + 1] - knots.ss[i]
-    )
 
 
 def _knot_rows(ts, ss, v: np.ndarray):
     """The knot lists ``ts``, ``ss`` (floats, or arrays of one value per
     row of v) as two (N, K) arrays, and the mask of the rows whose knots
-    are not strictly increasing, where ``PLKnots`` raises."""
+    are not strictly increasing."""
     ts, ss = (np.stack(np.broadcast_arrays(*knots, v)[:-1], axis=1) for knots in (ts, ss))
     return ts, ss, (ts[:, 1:] <= ts[:, :-1]).any(axis=1) | (ss[:, 1:] <= ss[:, :-1]).any(axis=1)
 
 
 def _raise_first_bad(unordered: np.ndarray, outside=False) -> None:
-    """Raise the error of the first row that fails the checks of ``PLKnots``
-    (a ValueError where its knots are not strictly increasing) or of
-    ``pl_interpolate`` (a DomainError where it lies outside them), as a
-    loop over the rows would; nothing if every row passes."""
+    """Raise the error of the first row whose knots are not strictly
+    increasing (a ValueError) or that lies outside them (a DomainError),
+    as a loop over the rows would; nothing if every row passes."""
     bad = unordered | outside
     if bad.any():
         i = int(np.argmax(bad))
@@ -124,20 +83,15 @@ def _raise_first_bad(unordered: np.ndarray, outside=False) -> None:
 
 
 def _pl_rows(v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """``pl_interpolate`` row by row, through the knots (src[i], dst[i]) of
-    row i (strictly increasing, with v inside them), with its float
-    operations; ``pl_inverse`` when src holds the s-knots."""
-    # the _pl_piece rule: the number of inner knots below v
+    """The piecewise-linear interpolant through the knots (src[i], dst[i])
+    of row i (strictly increasing, with v inside them) at every v[i]; its
+    exact inverse when src and dst swap."""
+    # the piece of v: the number of inner knots below it
     piece = (v[:, None] > src[:, 1:-1]).sum(axis=1)
     rows = np.arange(len(v))
     x0, x1 = src[rows, piece], src[rows, piece + 1]
     y0, y1 = dst[rows, piece], dst[rows, piece + 1]
     return y0 + (v - x0) * (y1 - y0) / (x1 - x0)
-
-
-def pl_slope(t: float, knots: PLKnots) -> float:
-    i = _pl_piece(t, knots.ts)
-    return (knots.ss[i + 1] - knots.ss[i]) / (knots.ts[i + 1] - knots.ts[i])
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +361,6 @@ def _knot_lists(level: TentacleLevel, family: str, e):
     return (lv.r_hat, lv.a_sq, lv.r_hat_prev, lv.c_sq), (lv.r_hat, phi, psi, lv.line_prev_at_c)
 
 
-def _knots(level: TentacleLevel, family: str, e: float) -> PLKnots:
-    """Axial knots of the level map at transverse modulation e in [0, E]."""
-    return PLKnots(*_knot_lists(level, family, e))
-
-
 def _knot_e_coeffs(level: TentacleLevel, family: str) -> tuple[float, ...]:
     """d s_i / d e for the knot table above."""
     if family == SQUEEZE:
@@ -438,57 +387,44 @@ def _modulation(level: TentacleLevel, rho: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Shifting maps.
+# Shifting maps: shears of the last coordinate, row by row.
 # ---------------------------------------------------------------------------
 
 
-def _taper(t: float, r_k: float, r_prev: float) -> float:
-    if t <= r_k:
-        return 0.0
-    if t >= r_prev:
-        return 1.0
-    return (t - r_k) / (r_prev - r_k)
-
-
 def _taper_rows(t: np.ndarray, r_k: float, r_prev: float) -> np.ndarray:
-    """``_taper`` on an array: the clipped ratio is 0 exactly when t <= r_k
-    and 1 exactly when t >= r_prev, so every value is the same float."""
+    """The shear profile of a level at every entry of t: 0 for t <= r_k, 1
+    for t >= r_prev, linear between (the clipped ratio is 0 exactly when
+    t <= r_k and 1 exactly when t >= r_prev)."""
     return np.minimum(np.maximum((t - r_k) / (r_prev - r_k), 0.0), 1.0)
 
 
-def _taper_slope_rows(t: np.ndarray, r_k: float, r_prev: float) -> np.ndarray:
-    """The slope of ``_taper`` at every entry of t (0 at the kinks)."""
-    return np.where((r_k < t) & (t < r_prev), 1.0 / (r_prev - r_k), 0.0)
-
-
-class _Shift:
-    """The composed shear S of a tower-address prefix: x_n += sigma(x_1)."""
-
-    def __init__(self, sched: TentacleSchedule, heights: list[float]):
-        # heights[i] = last coordinate of the level-(i+1) letter
-        self.sched = sched
-        self.heights = heights
-
-    def sigma(self, t: float) -> float:
-        total = 0.0
-        for i, h in enumerate(self.heights):
-            lv = self.sched.level(i + 1)
-            total -= lv.shift_drop * h * _taper(t, lv.r_hat, lv.r_hat_prev)
-        return total
+def _shear_rows(sched: TentacleSchedule, heights, t: np.ndarray,
+                slope: bool = False) -> np.ndarray:
+    """sigma at every entry of t, or with ``slope`` its derivative (0 at
+    the kinks of the profile), for the composed shear x_n += sigma(x_1) of
+    a tower-address prefix.  ``heights[i]`` is the last coordinate of the
+    level-(i+1) letter: one float, or one per entry of t; a zero height
+    adds nothing."""
+    total = np.zeros(len(t))
+    for i, h in enumerate(heights):
+        lv = sched.level(i + 1)
+        r_k, r_prev = lv.r_hat, lv.r_hat_prev
+        taper = (np.where((r_k < t) & (t < r_prev), 1.0 / (r_prev - r_k), 0.0) if slope
+                 else _taper_rows(t, r_k, r_prev))
+        total -= lv.shift_drop * h * taper
+    return total
 
 
 def shift_forward(sched: TentacleSchedule, word, point) -> np.ndarray:
     """Apply the composed shifting map of the tower-address ``word``."""
-    x = np.asarray(point, dtype=float).copy()
-    sh = _Shift(sched, [w[-1] for w in word])
-    x[-1] += sh.sigma(x[0])
+    x = np.array(point, dtype=float)
+    x[-1] += _shear_rows(sched, [w[-1] for w in word], x[:1])[0]
     return x
 
 
 def shift_inverse(sched: TentacleSchedule, word, point) -> np.ndarray:
-    y = np.asarray(point, dtype=float).copy()
-    sh = _Shift(sched, [w[-1] for w in word])
-    y[-1] -= sh.sigma(y[0])
+    y = np.array(point, dtype=float)
+    y[-1] -= _shear_rows(sched, [w[-1] for w in word], y[:1])[0]
     return y
 
 
@@ -500,8 +436,8 @@ def shift_inverse(sched: TentacleSchedule, word, point) -> np.ndarray:
 def _level_rows(lv: TentacleLevel, family: str, w: np.ndarray):
     """The modulation slope and the axial knots of the level map at every
     row of the (N, n) chart array w: (de/drho, ts, ss, unordered), the
-    knots as (N, K) arrays and ``unordered`` the rows where ``PLKnots``
-    raises."""
+    knots as (N, K) arrays and ``unordered`` the rows whose knots are not
+    strictly increasing."""
     rho = np.abs(w[:, 1:]).max(axis=1)
     # math.log per row: np.log rounds differently on some inputs
     e, de_drho = np.array([_modulation(lv, r) for r in rho.tolist()]).reshape(len(w), 2).T
@@ -517,7 +453,7 @@ def _straight_jacobian_rows(lv: TentacleLevel, family: str, w: np.ndarray,
     is (axial slope, d eta / d w_perp), the others are the identity."""
     count, n = w.shape
     t = w[:, 0]
-    # the _pl_piece rule: the number of inner knots below t
+    # the piece rule of _pl_rows: the number of inner knots below t
     piece = (t[:, None] > ts[:, 1:-1]).sum(axis=1)
     rows = np.arange(count)
     t0, t1 = ts[rows, piece], ts[rows, piece + 1]
@@ -560,8 +496,9 @@ class _TentacleStage:
         self.n = sched.n
         self._slots = np.array([s[-1] for s in tower_slots(sched.n)])
 
-    # -- evaluation: one body per direction, on (N, n) arrays; rows leave
-    # the descent as they stop, and it ends when none is left
+    # -- evaluation: one body, on (N, n) arrays, for both directions and
+    # for images and Jacobians; rows leave the descent as they stop, and
+    # it ends when none is left
 
     def _tube_end(self, lv: TentacleLevel, squeezed: bool) -> float:
         return lv.c_sq if squeezed else lv.c
@@ -618,82 +555,71 @@ class _TentacleStage:
             found[rows] = j
         return found, heights, z_n, w
 
-    def _map_rows(self, points, inverse: bool) -> np.ndarray:
-        """The stage map, or its inverse, on every row of ``points``: find
-        the tentacle among the tubes of the side it starts from, map the
-        axial coordinate in the straight chart and put the shift back at
-        the new axial value.  A batch with rows the knot checks reject
-        raises the error of the first of them."""
+    def _walk_rows(self, points, inverse: bool = False, images: bool = True,
+                   jacobian: bool = False):
+        """The stage map, or its inverse, on every row of ``points``:
+        (images, (N, n, n) forward Jacobians off the interface surfaces),
+        each None unless asked for.  An image maps the axial coordinate in
+        the straight chart and puts the shear back at the new axial value.
+        With Jacobians, the first row with unordered knots raises its
+        ValueError; then, with images, the first row that is unordered or
+        outside its knots raises."""
         x = np.array(points, dtype=float)
+        count, n = x.shape
         J, heights, z_n, w = self._descend_rows(
             x, squeezed=self.forward_from_squeezed != inverse)
+        d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
         rows = J.nonzero()[0]
         if not len(rows):
-            return x
-        out = x.copy()
-        out[rows] = w[rows]
-        unordered, outside = np.zeros(len(x), dtype=bool), np.zeros(len(x), dtype=bool)
+            return x if images else None, d
+        # x becomes the images; w keeps the axial coordinate of the points
+        x[rows] = w[rows]
+        unordered, outside = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
         for j in range(1, J.max() + 1):
             lv = self.sched.level(j)
             axial = rows[(J[rows] == j) & (w[rows, 0] >= lv.r_hat)]
             if not len(axial):
                 continue
-            v = w[axial, 0]
-            _, ts, ss, bad = _level_rows(lv, self.family, w[axial])
-            src, dst = (ss, ts) if inverse else (ts, ss)
-            unordered[axial], outside[axial] = bad, (v < src[:, 0]) | (v > src[:, -1])
-            if not (unordered[axial] | outside[axial]).any():
-                out[axial, 0] = _pl_rows(v, src, dst)
+            de_drho, ts, ss, bad = _level_rows(lv, self.family, w[axial])
+            unordered[axial] = bad
+            if images:
+                v = w[axial, 0]
+                src, dst = (ss, ts) if inverse else (ts, ss)
+                outside[axial] = (v < src[:, 0]) | (v > src[:, -1])
+                if not (bad | outside[axial]).any():
+                    x[axial, 0] = _pl_rows(v, src, dst)
+            if jacobian and not bad.any():
+                b, eta = _straight_jacobian_rows(lv, self.family, w[axial], de_drho, ts, ss)
+                # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
+                a, c = np.tile(np.eye(n), (2, len(axial), 1, 1))
+                a[:, n - 1, 0] = _shear_rows(self.sched, heights[:j, axial], eta, slope=True)
+                c[:, n - 1, 0] = -_shear_rows(self.sched, heights[:j, axial], w[axial, 0], slope=True)
+                d[axial] = np.matmul(np.matmul(a, b), c)
+        if jacobian:
+            _raise_first_bad(unordered)
+        if not images:
+            return None, d
         _raise_first_bad(unordered, outside)
-        t = out[rows, 0]
-        sigma = np.zeros(len(rows))
-        for i in range(J.max()):
-            lv = self.sched.level(i + 1)
-            deep = J[rows] > i
-            sigma[deep] -= (lv.shift_drop * heights[i, rows[deep]]
-                            * _taper_rows(t[deep], lv.r_hat, lv.r_hat_prev))
-        out[rows, -1] += z_n[rows] + sigma
-        return out
+        x[rows, -1] += z_n[rows] + _shear_rows(self.sched, heights[:, rows], x[rows, 0])
+        return x, d
 
     def forward_many(self, points: np.ndarray) -> np.ndarray:
-        return self._map_rows(points, inverse=False)
+        return self._walk_rows(points)[0]
 
     def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        return self._map_rows(points, inverse=True)
+        return self._walk_rows(points, inverse=True)[0]
 
     def derivative_many(self, points: np.ndarray) -> np.ndarray:
         """Analytic Jacobians of the forward map (off interface surfaces) at
         every row of ``points``, an (N, n, n) array; a batch with rows whose
         knots are not ordered raises the ValueError of the first of them."""
-        x = np.asarray(points, dtype=float)
-        count, n = x.shape
-        J, heights, _, w = self._descend_rows(x, squeezed=self.forward_from_squeezed)
-        d = np.tile(np.eye(n), (count, 1, 1))
-        unordered = np.zeros(count, dtype=bool)
-        for j in range(1, J.max(initial=0) + 1):
-            lv = self.sched.level(j)
-            rows = ((J == j) & (w[:, 0] >= lv.r_hat)).nonzero()[0]
-            if not len(rows):
-                continue
-            de_drho, ts, ss, unordered[rows] = _level_rows(lv, self.family, w[rows])
-            if unordered[rows].any():
-                continue
-            b, eta = _straight_jacobian_rows(lv, self.family, w[rows], de_drho, ts, ss)
-            # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z,
-            # with the shear slopes of the address summed level by level
-            slope_in, slope_out = np.zeros(len(rows)), np.zeros(len(rows))
-            for i in range(j):
-                lvi = self.sched.level(i + 1)
-                drop = lvi.shift_drop * heights[i, rows]
-                slope_in -= drop * _taper_slope_rows(x[rows, 0], lvi.r_hat, lvi.r_hat_prev)
-                slope_out -= drop * _taper_slope_rows(eta, lvi.r_hat, lvi.r_hat_prev)
-            c = np.tile(np.eye(n), (len(rows), 1, 1))
-            c[:, n - 1, 0] = -slope_in
-            a = np.tile(np.eye(n), (len(rows), 1, 1))
-            a[:, n - 1, 0] = slope_out
-            d[rows] = np.matmul(np.matmul(a, b), c)
-        _raise_first_bad(unordered)
-        return d
+        return self._walk_rows(points, images=False, jacobian=True)[1]
+
+    def forward_derivative_many(self, points: np.ndarray):
+        """(``forward_many``, ``derivative_many``) of ``points`` from one
+        walk, raising what ``derivative_many`` and then ``forward_many``
+        would raise."""
+        return self._walk_rows(points, jacobian=True)
 
     def forward(self, point) -> np.ndarray:
         return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
@@ -806,13 +732,14 @@ def _demo_energy(sched: TentacleSchedule, k: int) -> float:
     g2 = 8.0 * (1.0 / u_d - 1.0 / u_b)
     core = (2 * b) ** 2
 
-    kn0 = _knots(lv, family, 0.0)
+    ts, ss = _knot_lists(lv, family, 0.0)
+    _raise_first_bad(_knot_rows(ts, ss, np.zeros(1))[2])
     coeffs = _knot_e_coeffs(lv, family)
     total = 0.0
-    for i in range(len(kn0.ts) - 1):
-        t_lo, t_hi = kn0.ts[i], kn0.ts[i + 1]
+    for i in range(len(ts) - 1):
+        t_lo, t_hi = ts[i], ts[i + 1]
         length = t_hi - t_lo
-        s_lo0, s_hi0 = kn0.ss[i], kn0.ss[i + 1]
+        s_lo0, s_hi0 = ss[i], ss[i + 1]
         c_lo, c_hi = coeffs[i], coeffs[i + 1]
         # axial slope m(E) = m0 + m1 E on this piece
         m0 = (s_hi0 - s_lo0) / length

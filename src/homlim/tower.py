@@ -29,7 +29,15 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import InfeasibleScheduleError, InvalidAddressError
-from .geometry import ParameterSchedule, address_words, cube_vertices, tower_slots, tower_step
+from .geometry import (
+    Address,
+    ParameterSchedule,
+    address_words,
+    cell_center,
+    cube_vertices,
+    tower_slots,
+    tower_step,
+)
 
 __all__ = ["slot_correspondence", "slot_correspondence_inverse", "TowerMapping",
            "verify_goodmap", "relocation_moves"]
@@ -418,6 +426,10 @@ class TowerMapping:
     def derivative_many(self, points: np.ndarray) -> np.ndarray:
         return self._walk_rows(points, jacobian=True)[1]
 
+    def forward_derivative_many(self, points: np.ndarray):
+        """(``forward_many``, ``derivative_many``) of ``points`` from one walk."""
+        return self._walk_rows(points, jacobian=True)
+
     def inverse_many(self, points: np.ndarray) -> np.ndarray:
         y = np.array(points, dtype=float)
         # the rows held by a level-i cell and the centers of those cells,
@@ -473,12 +485,8 @@ def verify_goodmap(tower: TowerMapping, max_level: int) -> dict[int, bool]:
         r_in = sched.r(level)
         z_srcs, pts = [], []
         for word in words:
-            z_src = np.zeros(n)
-            z_hat = np.zeros(n)
-            for j, v in enumerate(word):
-                z_src = z_src + 0.5 * sched.r(j) * np.array(v, dtype=float)
-                z_hat = z_hat + sched.r(j) * np.array(slot_correspondence(v))
-            z_srcs.append(z_src)
+            z_srcs.append(cell_center(sched, Address("setB", word)))
+            z_hat = cell_center(sched, Address("towerB", tuple(map(slot_correspondence, word))))
             pts.append(z_hat + r_in * 0.9 * rng.uniform(-1, 1, size=(GOODMAP_SAMPLES, n)))
         back = tower.inverse_many(np.concatenate(pts)).reshape(len(words), GOODMAP_SAMPLES, n)
         result[level] = bool(np.max(np.abs(back - np.array(z_srcs)[:, None, :])) <= r_in + 1e-12)

@@ -6,7 +6,10 @@ body.  The bodies below evaluate one point at a time with their own float
 operations, in Python control flow, so the tests can compare each row of
 a batch with them: images bit for bit, signs of zeros included, and
 Jacobians with ``np.array_equal`` (here ``np.eye(n) @ d`` turns -0.0 into
-+0.0 where the batch skips an identity factor).
++0.0 where the batch skips an identity factor).  The piecewise-linear
+profile and the shear of the tentacle stages are here too, one point at a
+time, so the reference shares only the knot tables and the modulation
+with the package.
 
 The Cantor map and the axis collapse have no body here: their pointwise
 calls are one-row batches, checked against ``tests/test_descent.py``'s
@@ -14,6 +17,7 @@ reference walks and the closed forms there.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,8 +170,84 @@ def tower_inverse(L, point):
 
 
 # ---------------------------------------------------------------------------
-# Tentacle stages: the descent, the straight-chart level map and the shear.
+# Tentacle stages: the piecewise-linear profile, the shear, the descent and
+# the straight-chart level map.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PLKnots:
+    """Monotone knot lists (t_i, s_i); both strictly increasing."""
+
+    ts: tuple[float, ...]
+    ss: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.ts) != len(self.ss) or len(self.ts) < 2:
+            raise ValueError("need matching knot lists of length >= 2")
+        if any(b <= a for a, b in zip(self.ts, self.ts[1:])):
+            raise ValueError(f"t-knots not strictly increasing: {self.ts}")
+        if any(b <= a for a, b in zip(self.ss, self.ss[1:])):
+            raise ValueError(f"s-knots not strictly increasing: {self.ss}")
+
+
+def _pl_piece(v, knots):
+    for i in range(len(knots) - 2):
+        if v <= knots[i + 1]:
+            return i
+    return len(knots) - 2
+
+
+def pl_interpolate(t, knots):
+    """Value of the piecewise-linear interpolant at t in [t_1, t_last]."""
+    if t < knots.ts[0] or t > knots.ts[-1]:
+        raise DomainError(f"t={t} outside [{knots.ts[0]}, {knots.ts[-1]}]")
+    i = _pl_piece(t, knots.ts)
+    return knots.ss[i] + (t - knots.ts[i]) * (knots.ss[i + 1] - knots.ss[i]) / (
+        knots.ts[i + 1] - knots.ts[i]
+    )
+
+
+def pl_inverse(s, knots):
+    """Exact inverse of the interpolant (swap the knot roles)."""
+    if s < knots.ss[0] or s > knots.ss[-1]:
+        raise DomainError(f"s={s} outside [{knots.ss[0]}, {knots.ss[-1]}]")
+    i = _pl_piece(s, knots.ss)
+    return knots.ts[i] + (s - knots.ss[i]) * (knots.ts[i + 1] - knots.ts[i]) / (
+        knots.ss[i + 1] - knots.ss[i]
+    )
+
+
+def pl_slope(t, knots):
+    i = _pl_piece(t, knots.ts)
+    return (knots.ss[i + 1] - knots.ss[i]) / (knots.ts[i + 1] - knots.ts[i])
+
+
+def level_knots(lv, family, e):
+    """Axial knots of the level map at transverse modulation e in [0, E]."""
+    return PLKnots(*tentacles._knot_lists(lv, family, e))
+
+
+def _taper(t, r_k, r_prev):
+    if t <= r_k:
+        return 0.0
+    if t >= r_prev:
+        return 1.0
+    return (t - r_k) / (r_prev - r_k)
+
+
+def _taper_slope(t, r_k, r_prev):
+    return 1.0 / (r_prev - r_k) if r_k < t < r_prev else 0.0
+
+
+def sigma(sched, heights, t, taper=_taper):
+    """The composed shear x_n += sigma(x_1) of the address with the slot
+    heights ``heights``, at t; its slope with ``taper=_taper_slope``."""
+    total = 0.0
+    for i, height in enumerate(heights):
+        lv = sched.level(i + 1)
+        total -= lv.shift_drop * height * taper(t, lv.r_hat, lv.r_hat_prev)
+    return total
 
 
 def tentacle_descend(h, x, squeezed):
@@ -180,7 +260,7 @@ def tentacle_descend(h, x, squeezed):
     slots = [s[-1] for s in tower_slots(n)]
     for j in range(1, h.stage + 1):
         lv = h.sched.level(j)
-        nu = lv.r_hat_prev - lv.shift_drop * tentacles._taper(t, lv.r_hat, lv.r_hat_prev)
+        nu = lv.r_hat_prev - lv.shift_drop * _taper(t, lv.r_hat, lv.r_hat_prev)
         if nu <= 0.0:
             break
         m = int(math.floor((q_n / nu + 1.0) * 2 ** (n - 1)))
@@ -201,18 +281,6 @@ def tentacle_descend(h, x, squeezed):
     return found, heights, z_n, w
 
 
-def _taper_slope(t, r_k, r_prev):
-    return 1.0 / (r_prev - r_k) if r_k < t < r_prev else 0.0
-
-
-def _sigma_slope(sched, heights, t):
-    total = 0.0
-    for i, height in enumerate(heights):
-        lv = sched.level(i + 1)
-        total -= lv.shift_drop * height * _taper_slope(t, lv.r_hat, lv.r_hat_prev)
-    return total
-
-
 def _tentacle_map(h, point, inverse):
     x = np.asarray(point, dtype=float)
     J, heights, z_n, w = tentacle_descend(h, x, h.forward_from_squeezed != inverse)
@@ -222,10 +290,9 @@ def _tentacle_map(h, point, inverse):
     out = w.copy()
     if w[0] >= lv.r_hat:
         e, _ = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
-        knots = tentacles._knots(lv, h.family, e)
-        pl = tentacles.pl_inverse if inverse else tentacles.pl_interpolate
-        out[0] = pl(w[0], knots)
-    out[-1] += z_n + tentacles._Shift(h.sched, heights).sigma(out[0])
+        knots = level_knots(lv, h.family, e)
+        out[0] = (pl_inverse if inverse else pl_interpolate)(w[0], knots)
+    out[-1] += z_n + sigma(h.sched, heights, out[0])
     return out
 
 
@@ -248,22 +315,22 @@ def tentacle_derivative(h, point):
         return np.eye(n)
     # the straight-chart Jacobian: first row (axial slope, d eta / d w_perp)
     e, de_drho = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
-    knots = tentacles._knots(lv, h.family, e)
-    i = tentacles._pl_piece(w[0], knots.ts)
+    knots = level_knots(lv, h.family, e)
+    i = _pl_piece(w[0], knots.ts)
     lam = (w[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
     coeffs = tentacles._knot_e_coeffs(lv, h.family)
     deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
     b = np.eye(n)
-    b[0, 0] = tentacles.pl_slope(w[0], knots)
+    b[0, 0] = pl_slope(w[0], knots)
     if de_drho != 0.0:
         arg = 1 + int(np.argmax(np.abs(w[1:])))
         b[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
     eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
     # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
     c = np.eye(n)
-    c[n - 1, 0] = -_sigma_slope(h.sched, heights, x[0])
+    c[n - 1, 0] = -sigma(h.sched, heights, x[0], _taper_slope)
     a = np.eye(n)
-    a[n - 1, 0] = _sigma_slope(h.sched, heights, eta)
+    a[n - 1, 0] = sigma(h.sched, heights, eta, _taper_slope)
     return a @ b @ c
 
 

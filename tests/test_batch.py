@@ -235,6 +235,28 @@ class TestDerivativeMany:
         check_rows(stage.derivative_many, lambda x: ref.stage_derivative(stage, x), pts,
                    equal=np.array_equal)
 
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_joint_call_is_forward_and_derivative(self, k, data):
+        # the images and Jacobians of one walk, for every factor that has one
+        pts = np.vstack([data.draw(st.lists(tower_points(), min_size=1, max_size=4)),
+                         np.reshape(data.draw(st.lists(set_points(B), max_size=4)), (-1, 3))])
+        for cls in (SqueezeStage, StretchStage):
+            h = TENTACLES[(cls, k)]
+            tubes = data.draw(st.lists(tube_points(h.sched, data.draw(st.booleans())),
+                                       min_size=1, max_size=4))
+            pts = np.vstack([pts, tubes])
+        pts = np.vstack([pts, TOWERS[k].inverse_many(pts)])
+        factors = [CANTOR[(k, False)], CANTOR[(k, True)], TOWERS[k],
+                   TENTACLES[(SqueezeStage, k)], TENTACLES[(StretchStage, k)]]
+        for f in factors:
+            images, jac = f.forward_derivative_many(pts)
+            assert bit_equal(images, f.forward_many(pts))
+            assert np.array_equal(jac, f.derivative_many(pts))
+        collapse = STAGES[("FL", k)].chain[-1][0]
+        with pytest.raises(DomainError, match="finite differences"):
+            collapse.forward_derivative_many(pts)
+
     def test_empty_batch(self):
         maps = [STAGES[(v, 2)] for v in ("T1", "T2", "W")]
         maps += [CANTOR[(2, False)], TOWERS[2], TENTACLES[(SqueezeStage, 2)]]
@@ -324,6 +346,15 @@ class TestBatchErrors:
             # the derivative has no range check: only unordered knots raise
             check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
                        equal=np.array_equal)
+            # the joint call raises what derivative_many and then forward_many raise
+            pts = np.array(pts)
+            jac, fwd = outcome(h.derivative_many, pts), outcome(h.forward_many, pts)
+            want = jac if isinstance(jac, type) else fwd
+            got = outcome(h.forward_derivative_many, pts)
+            if isinstance(want, type):
+                assert got is want
+            else:
+                assert bit_equal(got[0], fwd) and np.array_equal(got[1], jac)
 
 
 class TestRoundtripsAtStageFour:

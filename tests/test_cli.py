@@ -70,6 +70,12 @@ class TestConfig:
         ("witness", {"variant": "FL", "max_stage": 1}),
         ("export-slice", {"degree": {"slice_height": 1.5}}),
         ("verify-sobolev", {"quadrature": {"transverse_levels": 3}}),
+        ("params", {"out_dir": 5}),
+        ("degree", {"out_dir": 5}),
+        ("params", {"out_dir": ""}),
+        ("params", {"varient": "T2"}),
+        ("degree", {"degree": {"centre": [0.1, 0.2, 0.3]}}),
+        ("degree", {"degree": {"fixture": "doubling"}}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG

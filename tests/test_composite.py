@@ -1,10 +1,14 @@
+from collections import Counter
+from contextlib import ExitStack
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from homlim import _kernels, cantor_map
 from homlim.analysis import QuadratureConfig, _sample_words, _tube_integral, make_rng
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import (
@@ -20,7 +24,14 @@ from homlim.geometry import (
     cube_vertices,
     harmonic_schedule,
 )
-from homlim.tentacles import SQUEEZE, STRETCH, SqueezeStage, StretchStage, solve_parameters
+from homlim.tentacles import (
+    SQUEEZE,
+    STRETCH,
+    SqueezeStage,
+    StretchStage,
+    _TentacleStage,
+    solve_parameters,
+)
 from homlim.tower import TowerMapping
 
 
@@ -168,6 +179,39 @@ class TestChainFold:
     @pytest.mark.parametrize("variant,k", STAGES)
     def test_tube_nodes(self, variant, k):
         self.check(variant, k, tube_nodes(variant, k))
+
+    # descents of the Cantor maps, the tower and the tentacle stages: a
+    # forward factor is walked once, by its joint image-and-Jacobian call;
+    # an inverted one (L^{-1}, and h~^{-1} in W) twice, once to invert
+    # and, for the tower and tentacle stages, once more for its Jacobian
+    # at the preimage (the tower's inverse has a walk of its own)
+    WALKS = {"T1": {"descend_set": 1, "_walk_rows": 1, "_descend_rows": 1},
+             "T2": {"descend_set": 2, "_walk_rows": 2, "_descend_rows": 1},
+             "W": {"descend_set": 2, "_walk_rows": 2, "_descend_rows": 2}}
+
+    @pytest.mark.parametrize("variant", ["T1", "T2", "W"])
+    def test_derivative_walks_each_forward_factor_once(self, variant):
+        calls = Counter()
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return mock.patch.object(owner, name, wrapper)
+
+        stage = build_stage(variant, 2)
+        pts = np.array([[0.3, -0.2, 0.5], [0.55, 0.09, 0.25], [0.0, 0.0, 0.0]])
+        with ExitStack() as patches:
+            for owner, name in ((cantor_map, "descend_set"), (_kernels, "descend_set"),
+                                (TowerMapping, "_walk_rows"), (_TentacleStage, "_descend_rows"),
+                                (CantorHomeomorphism, "forward_many"),
+                                (TowerMapping, "forward_many"), (_TentacleStage, "forward_many")):
+                patches.enter_context(counted(owner, name))
+            stage.derivative_many(pts)
+        assert calls == Counter(self.WALKS[variant])  # and no forward_many
 
     def test_fl_inverse_and_derivative_raise(self):
         st = build_stage("FL", 2)

@@ -19,15 +19,15 @@ from homlim.errors import (
 )
 from homlim.geometry import tower_slots
 from homlim.tentacles import (
-    PLKnots,
     SqueezeStage,
     StretchStage,
-    _knots,
+    _knot_lists,
+    _knot_rows,
+    _pl_rows,
+    _raise_first_bad,
+    _straight_jacobian_rows,
     delta_tilde,
     log_tentacle_union_measure,
-    pl_interpolate,
-    pl_inverse,
-    pl_slope,
     shift_forward,
     shift_inverse,
     solve_parameters,
@@ -51,36 +51,67 @@ def tube_point(sched, k, rng, squeezed, frac_perp=0.9):
 
 
 class TestPiecewiseLinear:
-    KN = PLKnots((0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 3.0, 4.0))
+    """The row kernels of the axial profile: ``_knot_rows`` lays the knots
+    out per row and flags unordered ones, ``_pl_rows`` interpolates (and
+    inverts, with the knot roles swapped), ``_raise_first_bad`` raises the
+    error of the first bad row."""
+
+    TS, SS = (0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 3.0, 4.0)
+
+    def pl(self, v, inverse=False):
+        v = np.atleast_1d(np.asarray(v, dtype=float))
+        ts, ss, unordered = _knot_rows(self.TS, self.SS, v)
+        assert not unordered.any()
+        return _pl_rows(v, ss, ts) if inverse else _pl_rows(v, ts, ss)
 
     def test_first_piece(self):
-        assert pl_interpolate(0.5, self.KN) == 1.0
+        assert self.pl(0.5)[0] == 1.0
 
     def test_endpoint(self):
-        assert pl_interpolate(0.0, self.KN) == 0.0
+        assert self.pl([0.0, 1.0, 3.0]).tolist() == [0.0, 2.0, 4.0]
+        assert self.pl([0.0, 2.0, 4.0], inverse=True).tolist() == [0.0, 1.0, 3.0]
 
     def test_third_piece(self):
-        assert pl_interpolate(2.5, self.KN) == 3.5
+        assert self.pl(2.5)[0] == 3.5
+        # a row takes its own knots: the second row's s-knots are twice the first's
+        e = np.array([0.0, 1.0])
+        ts, ss, unordered = _knot_rows(self.TS, (0.0, 2.0 + 2 * e, 3.0 + 3 * e, 4.0 + 4 * e), e)
+        assert not unordered.any()
+        assert _pl_rows(np.array([2.5, 2.5]), ts, ss).tolist() == [3.5, 7.0]
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            pl_interpolate(3.5, self.KN)
+        v = np.array([1.0, 3.5, -0.5])
+        ts, _, unordered = _knot_rows(self.TS, self.SS, v)
+        outside = (v < ts[:, 0]) | (v > ts[:, -1])
+        assert outside.tolist() == [False, True, True]
+        with pytest.raises(DomainError, match="row 1"):
+            _raise_first_bad(unordered, outside)
+        _raise_first_bad(unordered, np.zeros(3, dtype=bool))  # no bad row: no error
 
     def test_knot_validation(self):
-        with pytest.raises(ValueError):
-            PLKnots((0.0, 1.0, 1.0), (0.0, 1.0, 2.0))
-        with pytest.raises(ValueError):
-            PLKnots((0.0, 1.0, 2.0), (0.0, 2.0, 1.0))
+        v = np.zeros(1)
+        assert _knot_rows((0.0, 1.0, 1.0), (0.0, 1.0, 2.0), v)[2].tolist() == [True]
+        assert _knot_rows((0.0, 1.0, 2.0), (0.0, 2.0, 1.0), v)[2].tolist() == [True]
+        assert _knot_rows(self.TS, self.SS, v)[2].tolist() == [False]
+        unordered = np.array([False, False, True])
+        with pytest.raises(ValueError, match="row 2"):
+            _raise_first_bad(unordered)
+        # the first bad row decides the error, whatever its kind
+        with pytest.raises(DomainError, match="row 1"):
+            _raise_first_bad(unordered, np.array([False, True, False]))
 
     @given(st.floats(0.0, 3.0))
     @settings(max_examples=60, deadline=None)
     def test_inverse_roundtrip(self, t):
-        s = pl_interpolate(t, self.KN)
-        assert pl_inverse(s, self.KN) == pytest.approx(t, abs=1e-12)
+        s = self.pl(t)
+        assert self.pl(s, inverse=True)[0] == pytest.approx(t, abs=1e-12)
 
     def test_slope(self):
-        assert pl_slope(0.5, self.KN) == 2.0
-        assert pl_slope(2.5, self.KN) == 1.0
+        # the axial entry of the chart Jacobian, at no transverse gradient
+        w = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0]])
+        ts, ss, _ = _knot_rows(self.TS, self.SS, w[:, 0])
+        d, _ = _straight_jacobian_rows(SQ.level(2), "squeeze", w, np.zeros(2), ts, ss)
+        assert d[:, 0, 0].tolist() == [2.0, 1.0]
 
 
 class TestSolveParameters:
@@ -143,22 +174,23 @@ class TestKnots:
         for sched in (SQ, ST):
             for k in range(1, 5):
                 lv = sched.level(k)
-                for e in np.linspace(0.0, lv.e_range, 17):
-                    _knots(lv, sched.family, e)  # PLKnots validates monotonicity
+                e = np.linspace(0.0, lv.e_range, 17)
+                _, _, unordered = _knot_rows(*_knot_lists(lv, sched.family, e), e)
+                assert not unordered.any()
 
     def test_squeeze_boundary_values(self):
         lv = SQ.level(1)
-        kn_d = _knots(lv, "squeeze", 0.0)  # |x_perp| = d_1
-        assert kn_d.ss[1] == pytest.approx(lv.a)  # phi = l_0(a_1) = a_1
-        kn_b = _knots(lv, "squeeze", lv.e_range)  # |x_perp| <= b_1
-        assert kn_b.ss[1] == pytest.approx(lv.a_sq)  # phi = 2 r_1 = 0.0625
+        _, ss_d = _knot_lists(lv, "squeeze", 0.0)  # |x_perp| = d_1
+        assert ss_d[1] == pytest.approx(lv.a)  # phi = l_0(a_1) = a_1
+        _, ss_b = _knot_lists(lv, "squeeze", lv.e_range)  # |x_perp| <= b_1
+        assert ss_b[1] == pytest.approx(lv.a_sq)  # phi = 2 r_1 = 0.0625
 
     def test_stretch_boundary_values(self):
         lv = ST.level(1)
-        kn_b = _knots(lv, "stretch", lv.e_range)
-        assert kn_b.ss[1] == pytest.approx(lv.a)  # axial image of a~ is a
-        kn_d = _knots(lv, "stretch", 0.0)
-        assert kn_d.ss[1] == pytest.approx(lv.a_sq)  # reduces to the boundary line
+        _, ss_b = _knot_lists(lv, "stretch", lv.e_range)
+        assert ss_b[1] == pytest.approx(lv.a)  # axial image of a~ is a
+        _, ss_d = _knot_lists(lv, "stretch", 0.0)
+        assert ss_d[1] == pytest.approx(lv.a_sq)  # reduces to the boundary line
 
 
 class TestShift:

@@ -366,8 +366,9 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     not recover under a refined step, i.e. only genuine orientation
     defects survive, not interface-straddling artifacts.  The analytic
     determinant is unavailable where ``derivative`` raises DomainError
-    (FL has no analytic Jacobian) or LinAlgError (an inverted factor's
-    Jacobian is singular in floats); any other error propagates.
+    (FL has no analytic Jacobian) or LinAlgError (``map_like`` may be any
+    object with a ``derivative``; the stage maps raise none); any other
+    error propagates.
     """
     rng = make_rng(config.seed)
     lo, hi = -np.ones(n), np.ones(n)

@@ -14,13 +14,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
+from ._maps import BatchMap
 from .errors import DomainError
 from .geometry import ParameterSchedule, descend_set
 
 __all__ = ["CantorHomeomorphism"]
 
 
-class CantorHomeomorphism:
+class CantorHomeomorphism(BatchMap):
     """Bijection of [-1,1]^n mapping the stage-k source cells onto target cells.
 
     Parameters
@@ -47,48 +48,20 @@ class CantorHomeomorphism:
         self._rs, self._rs_out = src.radii(stage)
         self._rt, self._rt_out = dst.radii(stage)
 
-    # -- evaluation ---------------------------------------------------------
-
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.ascontiguousarray(points, dtype=float)
-        out = np.empty_like(pts)
-        _kernels.cantor_map_points(
-            pts, self._rs, self._rs_out, self._rt, self._rt_out, self.stage, out
-        )
-        return out
-
-    def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        pts = np.ascontiguousarray(points, dtype=float)
-        out = np.empty_like(pts)
-        _kernels.cantor_map_points(
-            pts, self._rt, self._rt_out, self._rs, self._rs_out, self.stage, out
-        )
-        return out
-
-    def forward(self, point) -> np.ndarray:
-        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def inverse(self, point) -> np.ndarray:
-        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    # -- derivative ---------------------------------------------------------
-
-    def derivative(self, point) -> np.ndarray:
-        """Analytic Jacobian matrix; undefined on the sup-norm edge set
-        (non-unique max coordinate), where the first max index is used."""
-        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def derivative_many(self, points: np.ndarray) -> np.ndarray:
-        """``derivative`` at every row of ``points``: an (N, n, n) array."""
-        return self.forward_derivative_many(points)[1]
-
-    def forward_derivative_many(self, points: np.ndarray):
-        """(``forward_many``, ``derivative_many``) of ``points`` from one
-        descent."""
-        x = np.asarray(points, dtype=float)
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+        """The map, or with ``inverse`` its inverse (the same kernel with the
+        radius arrays swapped), on every row of ``points``: (images, (N, n, n)
+        Jacobians or None), from one descent.  A Jacobian is undefined on the
+        sup-norm edge set (non-unique max coordinate), where the first max
+        index is used; Jacobians need every row in [-1, 1]^n."""
+        x = np.ascontiguousarray(points, dtype=float)
+        radii = (self._rs, self._rs_out, self._rt, self._rt_out)
+        rs, rs_out, rt, rt_out = radii[2:] + radii[:2] if inverse else radii
+        if not jacobian:
+            return _kernels.cantor_map_points(x, rs, rs_out, rt, rt_out, self.stage,
+                                              np.empty_like(x)), None
         if x.size and np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        rs, rs_out, rt, rt_out = self._rs, self._rs_out, self._rt, self._rt_out
         count, n = x.shape
         descent = descend_set(x, rs, self.stage)
         images = _kernels.cantor_map_descended(x, descent, rs, rs_out, rt, rt_out, self.stage,

@@ -131,8 +131,12 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: str, header: str, rows) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fh = open(path, "w", newline="\n")
+    except OSError as exc:
+        _fail("out_dir", f"cannot write {path}: {exc.strerror or exc}")
+    with fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
@@ -347,7 +351,7 @@ def run(command: str, config_path: str, out_dir: str | None = None,
                   f"only; {command} evaluates the demo-schedule stage maps")
         out = out_dir or cfg["out_dir"]
         return _COMMANDS[command](cfg, out)
-    except (ConfigError, InfeasibleScheduleError) as exc:
+    except (ConfigError, InfeasibleScheduleError, UnsupportedDimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

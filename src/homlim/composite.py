@@ -20,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._maps import BatchMap
 from .cantor_map import CantorHomeomorphism
 from .errors import DomainError
 from .geometry import Address, ParameterSchedule, cell_center, harmonic_schedule
@@ -46,7 +47,7 @@ VARIANTS = ("T1", "T2", "W", "FL")
 WITNESS_SAMPLES = 24
 
 
-class AxisCollapse:
+class AxisCollapse(BatchMap):
     """Lipschitz squeeze of the vertical axis segment to a point.
 
     On Q(0, 1-delta): (x_1, ..., x_n) -> (x_1, ..., x_{n-1},
@@ -59,10 +60,11 @@ class AxisCollapse:
     def __init__(self, n: int):
         self.n = n
 
-    def forward(self, point) -> np.ndarray:
-        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+        if jacobian:
+            raise DomainError("FL derivative is piecewise; use finite differences")
+        if inverse:
+            raise DomainError("the FL stage collapses the axis and has no inverse")
         x = np.asarray(points, dtype=float)
         core = x.copy()
         core[:, -1] = x[:, -1] * np.sqrt(np.sum(x[:, :-1] ** 2, axis=1))
@@ -70,41 +72,23 @@ class AxisCollapse:
         inner = 1.0 - self.delta
         t = np.minimum((sup - inner) / self.delta, 1.0)[:, None]
         # the core itself inside, not its blend with weight 0
-        return np.where((sup <= inner)[:, None], core, (1.0 - t) * core + t * x)
-
-    def inverse(self, point) -> np.ndarray:
-        raise DomainError("the FL stage collapses the axis and has no inverse")
-
-    inverse_many = inverse
-
-    def derivative(self, point) -> np.ndarray:
-        raise DomainError("FL derivative is piecewise; use finite differences")
-
-    derivative_many = forward_derivative_many = derivative
+        return np.where((sup <= inner)[:, None], core, (1.0 - t) * core + t * x), None
 
 
-def _fold(chain: tuple, x: np.ndarray) -> np.ndarray:
+def _fold(chain: tuple, x: np.ndarray, jacobian: bool = False):
     """Apply the (factor, direction) pairs of ``chain`` in order to every
-    row of the (N, n) array x: f for direction +1, f^{-1} for -1."""
-    for f, s in chain:
-        x = f.forward_many(x) if s > 0 else f.inverse_many(x)
-    return x
-
-
-def _fold_derivative(chain: tuple, x: np.ndarray) -> np.ndarray:
-    """The chain rule along ``chain`` at every row of the (N, n) array x,
-    as ``_fold`` applies it, in stacked (N, n, n) matrices.  A factor f
-    walks once for its image and Jacobian together; an inverted one walks
-    f^{-1}, then f's Jacobian at the preimage."""
+    row of the (N, n) array x, f for direction +1 and f^{-1} for -1:
+    (images, None), or with ``jacobian`` (images, (N, n, n) Jacobians by
+    the chain rule).  Each factor walks once per pair, for its image and,
+    when asked, the Jacobian of the direction it walks."""
     d = None
     for f, s in chain:
-        if s > 0:
-            x, jac = f.forward_derivative_many(x)
-        else:
-            x = f.inverse_many(x)
-            jac = np.linalg.inv(f.derivative_many(x))
+        if not jacobian:
+            x = f.forward_many(x) if s > 0 else f.inverse_many(x)
+            continue
+        x, jac = f._walk_rows(x, inverse=s < 0, jacobian=True)
         d = jac if d is None else np.matmul(jac, d)
-    return d
+    return x, d
 
 
 def _reverse(chain: tuple) -> tuple:
@@ -113,8 +97,11 @@ def _reverse(chain: tuple) -> tuple:
 
 
 @dataclass
-class CompositeStage:
-    """One stage of a counterexample composition: the fold of ``chain``."""
+class CompositeStage(BatchMap):
+    """One stage of a counterexample composition: the fold of ``chain``.
+
+    ``derivative_many`` multiplies the factor Jacobians in chain order; an
+    inverted factor contributes the Jacobian of its own inverse walk."""
 
     variant: str
     k: int
@@ -123,31 +110,11 @@ class CompositeStage:
     chain: tuple
     schedule: TentacleSchedule | None = None
 
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
-        """The stage map on every row of ``points``, one batch per factor."""
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
         x = np.asarray(points, dtype=float)
-        if x.size and np.max(np.abs(x)) > 1.0:
+        if not inverse and x.size and np.max(np.abs(x)) > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        return _fold(self.chain, x)
-
-    def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        return _fold(_reverse(self.chain), np.asarray(points, dtype=float))
-
-    def derivative_many(self, points: np.ndarray) -> np.ndarray:
-        """Analytic Jacobians at every row of ``points``, an (N, n, n)
-        array, by the chain rule through every factor; an inverted factor
-        contributes [Df(f^{-1} x)]^{-1} at the image the fold computes
-        anyway."""
-        return _fold_derivative(self.chain, np.asarray(points, dtype=float))
-
-    def forward(self, point) -> np.ndarray:
-        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def inverse(self, point) -> np.ndarray:
-        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def derivative(self, point) -> np.ndarray:
-        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
+        return _fold(_reverse(self.chain) if inverse else self.chain, x, jacobian)
 
 
 @lru_cache(maxsize=32)
@@ -259,9 +226,9 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         # applied in chart form because the deep squeezed tubes are
         # narrower than float resolution
         pull_back = stage.chain[-2:]
-        polyline = _fold(pull_back, chain)
+        polyline = _fold(pull_back, chain)[0]
         pulled = _stretch_inverse_on_chain(stage.schedule, word_hat, k, chain)
-        images = _fold(pull_back, pulled)
+        images = _fold(pull_back, pulled)[0]
     return ContinuumWitness(variant, k, word, target, polyline, images)
 
 

@@ -16,8 +16,8 @@ Each kernel works on rows and has one flavor: ``_pl_rows`` (the axial
 profile and its inverse, through the knot tables of ``_knot_rows``) and
 ``_shear_rows`` (the shear and its slope).  A stage map has one body,
 ``_TentacleStage._walk_rows``: one descent and one knot table per level
-give the images and, when asked, the Jacobians; every evaluation method
-of a stage is a call of it.
+give the images and, when asked, the Jacobians, of the stage or of its
+inverse; every evaluation method of a stage is a call of it.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._maps import BatchMap
 from .errors import (
     DomainError,
     InfeasibleScheduleError,
@@ -475,7 +476,7 @@ def _straight_jacobian_rows(lv: TentacleLevel, family: str, w: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-class _TentacleStage:
+class _TentacleStage(BatchMap):
     """Common machinery: locate the deepest twisted tentacle containing a
     point, work in its straight chart, apply the per-slice axial map."""
 
@@ -555,15 +556,18 @@ class _TentacleStage:
             found[rows] = j
         return found, heights, z_n, w
 
-    def _walk_rows(self, points, inverse: bool = False, images: bool = True,
-                   jacobian: bool = False):
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   images: bool = True):
         """The stage map, or its inverse, on every row of ``points``:
-        (images, (N, n, n) forward Jacobians off the interface surfaces),
-        each None unless asked for.  An image maps the axial coordinate in
-        the straight chart and puts the shear back at the new axial value.
-        With Jacobians, the first row with unordered knots raises its
-        ValueError; then, with images, the first row that is unordered or
-        outside its knots raises."""
+        (images, (N, n, n) Jacobians of the map walked, off the interface
+        surfaces), the images None unless ``images``.  An image maps the
+        axial coordinate in the straight chart and puts the shear back at
+        the new axial value.  A Jacobian conjugates the straight-chart one,
+        taken at the forward map's side of the chart (at the preimage when
+        inverting, where it is inverted), by the shear slopes at the axial
+        coordinates going in and coming out.  With Jacobians, the first row
+        with unordered knots raises its ValueError; then, with images, the
+        first row that is unordered or outside its knots raises."""
         x = np.array(points, dtype=float)
         count, n = x.shape
         J, heights, z_n, w = self._descend_rows(
@@ -582,18 +586,28 @@ class _TentacleStage:
                 continue
             de_drho, ts, ss, bad = _level_rows(lv, self.family, w[axial])
             unordered[axial] = bad
-            if images:
-                v = w[axial, 0]
-                src, dst = (ss, ts) if inverse else (ts, ss)
-                outside[axial] = (v < src[:, 0]) | (v > src[:, -1])
-                if not (bad | outside[axial]).any():
-                    x[axial, 0] = _pl_rows(v, src, dst)
-            if jacobian and not bad.any():
-                b, eta = _straight_jacobian_rows(lv, self.family, w[axial], de_drho, ts, ss)
-                # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
+            v = w[axial, 0]
+            src, dst = (ss, ts) if inverse else (ts, ss)
+            outside[axial] = (v < src[:, 0]) | (v > src[:, -1])
+            if bad.any():
+                continue
+            x[axial, 0] = _pl_rows(v, src, dst)
+            if jacobian:
+                chart = w[axial]
+                if inverse:
+                    chart[:, 0] = x[axial, 0]
+                b, eta = _straight_jacobian_rows(lv, self.family, chart, de_drho, ts, ss)
+                if inverse:
+                    # the first row (m, g) of b inverts to (1/m, -g/m), and
+                    # the axial coordinate coming out is the preimage's
+                    m = b[:, 0, 0].copy()
+                    b[:, 0] = -b[:, 0] / m[:, None]
+                    b[:, 0, 0] = 1.0 / m
+                    eta = chart[:, 0]
+                # out = Sh(q + z), q the chart image, in = Sh^{-1}(x) - z
                 a, c = np.tile(np.eye(n), (2, len(axial), 1, 1))
                 a[:, n - 1, 0] = _shear_rows(self.sched, heights[:j, axial], eta, slope=True)
-                c[:, n - 1, 0] = -_shear_rows(self.sched, heights[:j, axial], w[axial, 0], slope=True)
+                c[:, n - 1, 0] = -_shear_rows(self.sched, heights[:j, axial], v, slope=True)
                 d[axial] = np.matmul(np.matmul(a, b), c)
         if jacobian:
             _raise_first_bad(unordered)
@@ -603,32 +617,11 @@ class _TentacleStage:
         x[rows, -1] += z_n[rows] + _shear_rows(self.sched, heights[:, rows], x[rows, 0])
         return x, d
 
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
-        return self._walk_rows(points)[0]
-
-    def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        return self._walk_rows(points, inverse=True)[0]
-
     def derivative_many(self, points: np.ndarray) -> np.ndarray:
         """Analytic Jacobians of the forward map (off interface surfaces) at
         every row of ``points``, an (N, n, n) array; a batch with rows whose
         knots are not ordered raises the ValueError of the first of them."""
-        return self._walk_rows(points, images=False, jacobian=True)[1]
-
-    def forward_derivative_many(self, points: np.ndarray):
-        """(``forward_many``, ``derivative_many``) of ``points`` from one
-        walk, raising what ``derivative_many`` and then ``forward_many``
-        would raise."""
-        return self._walk_rows(points, jacobian=True)
-
-    def forward(self, point) -> np.ndarray:
-        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def inverse(self, point) -> np.ndarray:
-        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def derivative(self, point) -> np.ndarray:
-        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
+        return self._walk_rows(points, jacobian=True, images=False)[1]
 
 
 class SqueezeStage(_TentacleStage):

@@ -28,6 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._maps import BatchMap
 from .errors import InfeasibleScheduleError, InvalidAddressError
 from .geometry import (
     Address,
@@ -141,12 +142,18 @@ class ElementaryMove:
             ya[above] = hi - (hi - x) * (hi - b) / (hi - a)
         w[:, self.axis][rows] = ya
 
-    def derivative_rows(self, w: np.ndarray, d: np.ndarray, hit) -> None:
+    def derivative_rows(self, w: np.ndarray, d: np.ndarray, hit, inverse: bool = False) -> None:
         """d <- (Jacobian of the move) @ d on the rows ``hit`` of
         ``corridor_rows`` found in the (N, n) array w, in place on the
-        (N, n, n) array d, in one stacked matmul.  The Jacobian is the
-        identity on the other rows, so they keep their d."""
-        rows, xa, delta, tau = hit
+        (N, n, n) array d, in one stacked matmul; the Jacobian is the
+        identity on the other rows, so they keep their d.  It is taken
+        where the rows of w are: at the points before the move, or with
+        ``inverse``, after ``apply_rows`` moved them back, at their
+        preimages, where it is inverted.  It is the identity except on the
+        axis row (slope, blend entry), whose inverse is (1/slope,
+        -blend entry/slope)."""
+        rows, _, delta, tau = hit
+        xa = w[rows, self.axis]
         n = w.shape[1]
         lo, hi, tau_full = self.lo, self.hi, self.dst - self.src
         s2 = self.src - self.rho
@@ -158,7 +165,7 @@ class ElementaryMove:
             below, (lo + (xa - lo) * (s2 + tau_full - lo) / (s2 - lo)) - xa,
             np.where(inside, tau_full, (hi - (hi - xa) * (hi - (s3 + tau_full)) / (hi - s3)) - xa))
         jac = np.tile(np.eye(n), (len(rows), 1, 1))
-        jac[:, self.axis, self.axis] = slope
+        jac[:, self.axis, self.axis] = 1.0 / slope if inverse else slope
         blend = np.flatnonzero(delta > self.rho)
         if len(blend):
             # d chi / d x at the first transverse coordinate that attains
@@ -167,7 +174,8 @@ class ElementaryMove:
             arg = self._others[j]
             sgn = np.where(w[rows[blend], arg] >= np.take(self.trans_center, j), 1.0, -1.0)
             dchi = -1.0 / (self.width - self.rho) * sgn
-            jac[blend, self.axis, arg] += dchi * pl_minus_x[blend]
+            entry = dchi * pl_minus_x[blend]
+            jac[blend, self.axis, arg] = -entry / slope[blend] if inverse else entry
         d[rows] = np.matmul(jac, d.take(rows, axis=0))
 
     def corridor_box(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -313,7 +321,7 @@ def _screen_table(n: int, beta: float):
             [boxes_of(np.flatnonzero(meet[m, :m])) for m in range(count)])
 
 
-class TowerMapping:
+class TowerMapping(BatchMap):
     """Stage-k bilipschitz map taking the thin nested-cube set onto its tower.
 
     Parameters
@@ -338,8 +346,8 @@ class TowerMapping:
             _screen_table(self.n, schedule.beta))
         self._r = [schedule.r(k) for k in range(stage + 1)]
 
-    # -- evaluation: one body per direction, on (N, n) arrays; a row that
-    # leaves its cell drops out of the walk, which ends when none is left
+    # -- evaluation: one body for both directions, on (N, n) arrays; a row
+    # that leaves its cell drops out of the walk, which ends when none is left
 
     def _enter_rows(self, x: np.ndarray, center: np.ndarray, level: int):
         """The level-``level`` tower cells (``level`` >= 1) holding the rows
@@ -369,7 +377,8 @@ class TowerMapping:
                    inverse: bool = False) -> None:
         """Apply the moves in order to the rows of the (N, n) array w, in
         place, or with ``inverse`` their inverses in reverse order; with d,
-        also d <- (Jacobian of each move) @ d on the (N, n, n) array d.
+        also d <- (Jacobian of each move or inverse move) @ d on the
+        (N, n, n) array d.
 
         Each row is screened against every corridor box at once.  Only the
         moves some row hits run their exact corridor test, once, for both
@@ -386,9 +395,11 @@ class TowerMapping:
             hit = mv.corridor_rows(w, hits[m].nonzero()[0])
             if hit is None:
                 continue
-            if d is not None:
+            if d is not None and not inverse:
                 mv.derivative_rows(w, d, hit)
             mv.apply_rows(w, hit, inverse)
+            if d is not None and inverse:
+                mv.derivative_rows(w, d, hit, inverse=True)
             later, lo, hi = meets[m]
             if len(later):
                 rows = hit[0]
@@ -397,69 +408,45 @@ class TowerMapping:
                 for j in later[np.logical_or.reduce(rescreen, axis=1)].tolist():
                     pending[j] = True
 
-    def _walk_rows(self, points, jacobian: bool):
-        """Run the stages on every row of ``points``: (images, (N, n, n)
-        Jacobians or None)."""
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+        """The stages, or with ``inverse`` their inverses, on every row of
+        ``points``: (images, (N, n, n) Jacobians or None).
+
+        The forward stages run shallowest first, each in the level-(i-1)
+        cells that hold the images of the stages before it.  The inverse
+        stages run deepest first, each in a cell below the level-i cells
+        that hold the points, for i = 0..stage-1, so all those cells are
+        found before any stage runs."""
         x = np.array(points, dtype=float)
         count, n = x.shape
         d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
-        rows, xr, center = np.arange(count), x, np.zeros_like(x)
-        for i in range(1, self.stage + 1):
-            if i > 1:
-                stay, center = self._enter_rows(xr, center, i - 1)
-                rows, xr = rows.compress(stay), xr.compress(stay, axis=0)
-            if not len(rows):
+        # (rows held by a level-i cell, the centers of those cells)
+        cells = [(np.arange(count), np.zeros_like(x))]
+
+        def enter(level):
+            rows, center = cells[-1]
+            stay, z = self._enter_rows(x.take(rows, axis=0), center, level)
+            if not np.count_nonzero(stay):
+                return False
+            cells.append((rows.compress(stay), z))
+            return True
+
+        if inverse:
+            for level in range(1, self.stage):
+                if not enter(level):
+                    break
+        for i in (range(len(cells), 0, -1) if inverse else range(1, self.stage + 1)):
+            if not inverse and i > 1 and not enter(i - 1):
                 break
+            rows, center = cells[i - 1]
             scale = self._r[i - 1]
-            w = (xr - center) / scale
+            w = (x.take(rows, axis=0) - center) / scale
             dw = d.take(rows, axis=0) if jacobian else None
-            self._run_moves(w, dw)
-            xr = center + scale * w
-            x[rows] = xr
+            self._run_moves(w, dw, inverse)
+            x[rows] = center + scale * w
             if jacobian:
                 d[rows] = dw
         return x, d
-
-    def forward_many(self, points: np.ndarray) -> np.ndarray:
-        return self._walk_rows(points, jacobian=False)[0]
-
-    def derivative_many(self, points: np.ndarray) -> np.ndarray:
-        return self._walk_rows(points, jacobian=True)[1]
-
-    def forward_derivative_many(self, points: np.ndarray):
-        """(``forward_many``, ``derivative_many``) of ``points`` from one walk."""
-        return self._walk_rows(points, jacobian=True)
-
-    def inverse_many(self, points: np.ndarray) -> np.ndarray:
-        y = np.array(points, dtype=float)
-        # the rows held by a level-i cell and the centers of those cells,
-        # for levels i = 0..stage-1; the inverse stages run deepest first,
-        # each inside a cell below these, so they stay valid
-        cells = [(np.arange(len(y)), np.zeros_like(y))]
-        yr = y
-        for level in range(1, self.stage):
-            rows, center = cells[-1]
-            stay, z = self._enter_rows(yr, center, level)
-            if not np.count_nonzero(stay):
-                break
-            yr = yr.compress(stay, axis=0)
-            cells.append((rows.compress(stay), z))
-        for i in range(len(cells), 0, -1):
-            rows, center = cells[i - 1]
-            scale = self._r[i - 1]
-            w = (y.take(rows, axis=0) - center) / scale
-            self._run_moves(w, inverse=True)
-            y[rows] = center + scale * w
-        return y
-
-    def forward(self, point) -> np.ndarray:
-        return self.forward_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def inverse(self, point) -> np.ndarray:
-        return self.inverse_many(np.asarray(point, dtype=float)[None, :])[0]
-
-    def derivative(self, point) -> np.ndarray:
-        return self.derivative_many(np.asarray(point, dtype=float)[None, :])[0]
 
 
 GOODMAP_CELLS = 512

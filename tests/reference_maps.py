@@ -9,11 +9,15 @@ Jacobians with ``np.array_equal`` (here ``np.eye(n) @ d`` turns -0.0 into
 +0.0 where the batch skips an identity factor).  The piecewise-linear
 profile and the shear of the tentacle stages are here too, one point at a
 time, so the reference shares only the knot tables and the modulation
-with the package.
+with the package.  The Jacobians of the inverse maps are closed forms
+too, not matrix inversions: an elementary move and the straight-chart
+tentacle map are the identity but for one row (m, g), which inverts to
+(1/m, -g/m) at the preimage.
 
 The Cantor map and the axis collapse have no body here: their pointwise
 calls are one-row batches, checked against ``tests/test_descent.py``'s
-reference walks and the closed forms there.
+reference walks and the closed forms there; the inverse of a Cantor map
+is the Cantor map with the two schedules swapped.
 """
 
 import math
@@ -80,7 +84,11 @@ def move_apply(mv, x, inverse=False):
     return out
 
 
-def move_derivative(mv, x):
+def move_derivative(mv, x, inverse=False):
+    """The Jacobian of the move ``mv`` at x, or with ``inverse`` that of
+    its inverse at x: the identity but for the axis row (slope, blend
+    entry) of the move at the preimage, inverted to (1/slope, -blend
+    entry/slope).  Whether x is in the corridor is read at x."""
     n = len(x)
     d = np.eye(n)
     xa = x[mv.axis]
@@ -89,6 +97,8 @@ def move_derivative(mv, x):
     delta, arg = _trans_delta(mv, x)
     if delta >= mv.width:
         return d
+    if inverse:
+        xa = move_apply(mv, x, inverse=True)[mv.axis]
     tau_full = mv.dst - mv.src
     tau = _chi(mv, delta) * tau_full
     s2, s3 = mv.src - mv.rho, mv.src + mv.rho
@@ -101,11 +111,12 @@ def move_derivative(mv, x):
     else:
         slope = (mv.hi - (s3 + tau)) / (mv.hi - s3)
         pl_minus_x = (mv.hi - (mv.hi - xa) * (mv.hi - (s3 + tau_full)) / (mv.hi - s3)) - xa
-    d[mv.axis, mv.axis] = slope
+    d[mv.axis, mv.axis] = 1.0 / slope if inverse else slope
     if mv.rho < delta < mv.width:
         j = arg if arg < mv.axis else arg - 1
         sgn = 1.0 if x[arg] >= mv.trans_center[j] else -1.0
-        d[mv.axis, arg] += -1.0 / (mv.width - mv.rho) * sgn * pl_minus_x
+        entry = -1.0 / (mv.width - mv.rho) * sgn * pl_minus_x
+        d[mv.axis, arg] = -entry / slope if inverse else entry
     return d
 
 
@@ -151,8 +162,9 @@ def tower_derivative(L, point):
     return _tower_walk(L, point, jacobian=True)[1]
 
 
-def tower_inverse(L, point):
+def _tower_inverse_walk(L, point, jacobian):
     y = np.asarray(point, dtype=float).copy()
+    d = np.eye(L.n) if jacobian else None
     centers = [np.zeros(L.n)]
     while len(centers) < L.stage:
         center = _enter(L, y, centers[-1], len(centers))
@@ -164,9 +176,19 @@ def tower_inverse(L, point):
         scale = L.schedule.r(i - 1)
         w = (y - center) / scale
         for mv in reversed(L.moves):
+            if jacobian:
+                d = move_derivative(mv, w, inverse=True) @ d
             w = move_apply(mv, w, inverse=True)
         y = center + scale * w
-    return y
+    return y, d
+
+
+def tower_inverse(L, point):
+    return _tower_inverse_walk(L, point, jacobian=False)[0]
+
+
+def tower_inverse_derivative(L, point):
+    return _tower_inverse_walk(L, point, jacobian=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,34 +326,49 @@ def tentacle_inverse(h, point):
     return _tentacle_map(h, point, inverse=True)
 
 
-def tentacle_derivative(h, point):
+def _tentacle_jacobian(h, point, inverse):
+    """The Jacobian of h, or with ``inverse`` of h^{-1}, at one point: the
+    straight-chart Jacobian, with first row (axial slope m, d eta / d
+    w_perp) at the forward map's side of the chart, inverted to (1/m,
+    -(d eta / d w_perp)/m) for h^{-1}, between the shear slopes at the
+    axial coordinates going in and coming out."""
     x = np.asarray(point, dtype=float)
     n = h.n
-    J, heights, _, w = tentacle_descend(h, x, h.forward_from_squeezed)
+    J, heights, _, w = tentacle_descend(h, x, h.forward_from_squeezed != inverse)
     if J == 0:
         return np.eye(n)
     lv = h.sched.level(J)
     if w[0] < lv.r_hat:
         return np.eye(n)
-    # the straight-chart Jacobian: first row (axial slope, d eta / d w_perp)
     e, de_drho = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
     knots = level_knots(lv, h.family, e)
-    i = _pl_piece(w[0], knots.ts)
-    lam = (w[0] - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
+    t = pl_inverse(w[0], knots) if inverse else w[0]
+    i = _pl_piece(t, knots.ts)
+    lam = (t - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
     coeffs = tentacles._knot_e_coeffs(lv, h.family)
     deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
     b = np.eye(n)
-    b[0, 0] = pl_slope(w[0], knots)
+    slope = pl_slope(t, knots)
+    b[0, 0] = 1.0 / slope if inverse else slope
     if de_drho != 0.0:
         arg = 1 + int(np.argmax(np.abs(w[1:])))
-        b[0, arg] = deta_de * de_drho * math.copysign(1.0, w[arg])
+        grad = deta_de * de_drho * math.copysign(1.0, w[arg])
+        b[0, arg] = -grad / slope if inverse else grad
     eta = knots.ss[i] + lam * (knots.ss[i + 1] - knots.ss[i])
-    # shear conjugation: out = Sh(q + z), q = B-chart, in = Sh^{-1}(x) - z
+    # shear conjugation: out = Sh(q + z), q the chart image, in = Sh^{-1}(x) - z
     c = np.eye(n)
     c[n - 1, 0] = -sigma(h.sched, heights, x[0], _taper_slope)
     a = np.eye(n)
-    a[n - 1, 0] = sigma(h.sched, heights, eta, _taper_slope)
+    a[n - 1, 0] = sigma(h.sched, heights, t if inverse else eta, _taper_slope)
     return a @ b @ c
+
+
+def tentacle_derivative(h, point):
+    return _tentacle_jacobian(h, point, inverse=False)
+
+
+def tentacle_inverse_derivative(h, point):
+    return _tentacle_jacobian(h, point, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +404,17 @@ def derivative(f, point):
     return f.derivative(point)
 
 
+def inverse_derivative(f, point):
+    """The Jacobian of f^{-1} at one point; for a Cantor map, the forward
+    Jacobian of the Cantor map with the two schedules swapped."""
+    if isinstance(f, TowerMapping):
+        return tower_inverse_derivative(f, point)
+    if isinstance(f, tentacles._TentacleStage):
+        return tentacle_inverse_derivative(f, point)
+    assert isinstance(f, CantorHomeomorphism)
+    return CantorHomeomorphism(f.dst, f.src, f.stage).derivative(point)
+
+
 def stage_forward(stage, point):
     """The composite stage at one point: its chain folded factor by factor
     through the reference bodies."""
@@ -387,16 +435,12 @@ def stage_inverse(stage, point):
 
 def stage_derivative(stage, point):
     """The chain rule through the reference bodies; an inverted factor
-    contributes [Df(f^{-1} x)]^{-1}."""
+    contributes the Jacobian of f^{-1} at the point it is applied to."""
     x = np.asarray(point, dtype=float)
     d = None
     for i, (f, s) in enumerate(stage.chain):
-        if s > 0:
-            jac = derivative(f, x)
-            if i < len(stage.chain) - 1:
-                x = forward(f, x)
-        else:
-            x = inverse(f, x)
-            jac = np.linalg.inv(derivative(f, x))
+        jac = derivative(f, x) if s > 0 else inverse_derivative(f, x)
+        if i < len(stage.chain) - 1:
+            x = forward(f, x) if s > 0 else inverse(f, x)
         d = jac if d is None else jac @ d
     return d

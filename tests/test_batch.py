@@ -108,6 +108,12 @@ def check_rows(many, one, pts, equal=bit_equal):
         assert one_row is want if isinstance(want, type) else equal(one_row[0], want)
 
 
+def inverse_jacobians(f):
+    """The Jacobians of f^{-1} from f's inverse walk, as a function of the
+    (N, n) array of points it is walked from."""
+    return lambda pts: f._walk_rows(pts, inverse=True, jacobian=True)[1]
+
+
 def pull_back(stage, pts):
     """The points that the first two factors of a T2 or W stage, L o g,
     carry to ``pts`` (up to rounding): g^{-1} L^{-1} of each."""
@@ -217,6 +223,34 @@ class TestDerivativeMany:
         check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
                    equal=np.array_equal)
 
+    @given(st.integers(1, 4), st.booleans(), *ANY_POINTS)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_walk_of_cantor_maps(self, k, inverse, a_pts, b_pts, tower_pts):
+        g = CANTOR[(k, inverse)]
+        check_rows(inverse_jacobians(g), lambda x: ref.inverse_derivative(g, x),
+                   a_pts + b_pts + tower_pts + [np.zeros(3)], equal=np.array_equal)
+
+    @given(st.integers(1, 4), st.lists(tower_points(), min_size=1, max_size=6),
+           st.lists(set_points(B), max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_walk_of_tower(self, k, tower_pts, set_pts):
+        L = TOWERS[k]
+        # the images of set points sit where the inverse moves act
+        pts = np.array(tower_pts + set_pts)
+        pts = np.vstack([pts, L.forward_many(pts)])
+        check_rows(inverse_jacobians(L), lambda x: ref.tower_inverse_derivative(L, x), pts,
+                   equal=np.array_equal)
+
+    @given(st.integers(1, 4), st.sampled_from([SqueezeStage, StretchStage]), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_walk_of_tentacle_stages(self, k, cls, data):
+        h = TENTACLES[(cls, k)]
+        pts = data.draw(st.lists(tube_points(h.sched, squeezed=data.draw(st.booleans())),
+                                 min_size=1, max_size=8))
+        pts += data.draw(st.lists(tower_points(), max_size=3))
+        check_rows(inverse_jacobians(h), lambda x: ref.tentacle_inverse_derivative(h, x), pts,
+                   equal=np.array_equal)
+
     @given(st.sampled_from(["T1", "T2", "W"]), st.integers(1, 4), *ANY_POINTS)
     @settings(max_examples=40, deadline=None)
     def test_composites_at_faces_and_frames(self, variant, k, a_pts, b_pts, tower_pts):
@@ -253,6 +287,10 @@ class TestDerivativeMany:
             images, jac = f.forward_derivative_many(pts)
             assert bit_equal(images, f.forward_many(pts))
             assert np.array_equal(jac, f.derivative_many(pts))
+            # the inverse walk's images are those of inverse_many, or both raise
+            joint = outcome(lambda p: f._walk_rows(p, inverse=True, jacobian=True)[0], pts)
+            want = outcome(f.inverse_many, pts)
+            assert joint is want if isinstance(want, type) else bit_equal(joint, want)
         collapse = STAGES[("FL", k)].chain[-1][0]
         with pytest.raises(DomainError, match="finite differences"):
             collapse.forward_derivative_many(pts)
@@ -281,6 +319,61 @@ class TestDerivativeMany:
                    equal=np.array_equal)
         with pytest.raises(DomainError, match="outside"):
             stage.derivative_many(pts)
+
+
+class TestInverseJacobians:
+    """The closed-form Jacobian of an inverse walk is the inverse of the
+    forward Jacobian: at seeded points off the interface surfaces, where
+    the Jacobians jump, D(f^{-1})(f(x)) Df(x) = I up to rounding,
+    ||D(f^{-1}) Df - I||_max <= 1e-12 ||D(f^{-1})||_F ||Df||_F (the
+    rounding of a product is relative to the product of the norms; seen:
+    3e-14), and where cond(Df) < 1e8, D(f^{-1}) agrees with
+    np.linalg.inv(Df) to 1e-14 cond(Df) in the max norm relative to
+    inv(Df) (an inversion is accurate to about eps cond; seen: 4e-13).
+    The stretch tubes of levels 3 and 4 are thinner than the resolution of
+    the last coordinate (TestRoundtripsAtStageFour), so the stretch stages
+    are sampled in the tubes of levels 1 and 2 at every stage k."""
+
+    @staticmethod
+    def check(f, x):
+        images, jac = f.forward_derivative_many(x)
+        back, inv_jac = f._walk_rows(images, inverse=True, jacobian=True)
+        assert np.max(np.abs(back - x)) < 1e-10
+        norms = np.linalg.norm(inv_jac, axis=(1, 2)) * np.linalg.norm(jac, axis=(1, 2))
+        err = np.abs(np.matmul(inv_jac, jac) - np.eye(3)).max(axis=(1, 2))
+        assert np.all(err <= 1e-12 * norms)
+        cond = np.linalg.cond(jac)
+        ok = cond < 1e8
+        assert np.count_nonzero(ok) >= len(x) // 2
+        want = np.linalg.inv(jac[ok])
+        rel = np.abs(inv_jac[ok] - want).max(axis=(1, 2)) / np.abs(want).max(axis=(1, 2))
+        assert np.all(rel <= 1e-14 * cond[ok])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_tower(self, k):
+        L = TOWERS[k]
+        rng = np.random.default_rng(k)
+        # points of the cube and preimages of points of the cube: the
+        # latter sit in the source cells, where the moves act
+        self.check(L, np.vstack([rng.uniform(-1, 1, (500, 3)),
+                                 L.inverse_many(rng.uniform(-1, 1, (500, 3)))]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cls,sched,levels", [(SqueezeStage, SQ, 4), (StretchStage, ST, 2)])
+    def test_tentacle_stages(self, cls, sched, levels, k):
+        h = TENTACLES[(cls, k)]
+        rng = np.random.default_rng(k)
+        pts = []
+        for _ in range(600):
+            lv = sched.level(int(rng.integers(1, min(k, levels) + 1)))
+            end = lv.c if cls is SqueezeStage else lv.c_sq  # the tubes forward descends
+            heights = rng.choice(HEIGHTS, lv.k).tolist()
+            # the last chart coordinate within b/2 of the axis, as in
+            # tube_points(exact_radius=True)
+            w = (rng.uniform(lv.r_hat, end), rng.uniform(-lv.d, lv.d),
+                 rng.uniform(-0.5 * lv.b, 0.5 * lv.b))
+            pts.append(chart_point(sched, heights, w))
+        self.check(h, np.array(pts))
 
 
 class TestRowIndependence:

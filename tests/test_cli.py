@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -76,6 +77,11 @@ class TestConfig:
         ("params", {"varient": "T2"}),
         ("degree", {"degree": {"centre": [0.1, 0.2, 0.3]}}),
         ("degree", {"degree": {"fixture": "doubling"}}),
+        ("params", {"variant": "FL", "n": 2, "beta": 3.0, "max_stage": 1}),
+        ("verify-sobolev", {"variant": "FL", "n": 2, "beta": 3.0, "max_stage": 1}),
+        # a directory below a regular file (this test file) cannot be made
+        ("params", {"out_dir": os.path.join(__file__, "sub")}),
+        ("verify-boundary", {"out_dir": os.path.join(__file__, "sub")}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG

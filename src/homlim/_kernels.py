@@ -1,8 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
 The loops that dominate runtime: batched evaluation of the nested-cube
-homeomorphism, signed solid-angle sums over triangle meshes, and planar
-winding sums.
+homeomorphism, signed solid-angle sums over closed triangle meshes with
+shared vertices and edges, and planar winding sums.
 """
 
 from __future__ import annotations
@@ -47,23 +47,40 @@ def cantor_map_descended(points, descent, rs, rs_out, rt, rt_out, stage, out):
 
 # ---------------------------------------------------------------------------
 # Signed solid angle sums (van Oosterom & Strackee) for n = 3 degrees.
+#
+# A triangle (a, b, c), with corners offset by -y, subtends the signed
+# solid angle 2 atan2(a . (b x c), |a||b||c| + (a.b)|c| + (b.c)|a| +
+# (c.a)|b|).  On a closed mesh the corners and sides are shared: each
+# vertex is in about six faces and each edge in two.  So the kernel
+# works on the vertex offsets, one component array each: the norms once
+# per vertex, the dot products once per edge, and only the triple
+# product once per face; the faces then gather them by index.
 # ---------------------------------------------------------------------------
 
 
-def solid_angle_sum(tris, y):
-    v = tris - y[None, None, :]
-    a, b, c = v[:, 0, :], v[:, 1, :], v[:, 2, :]
-    la = np.linalg.norm(a, axis=1)
-    lb = np.linalg.norm(b, axis=1)
-    lc = np.linalg.norm(c, axis=1)
-    det = np.einsum("ij,ij->i", a, np.cross(b, c))
-    den = (
-        la * lb * lc
-        + np.einsum("ij,ij->i", a, b) * lc
-        + np.einsum("ij,ij->i", b, c) * la
-        + np.einsum("ij,ij->i", c, a) * lb
-    )
-    return float(2.0 * np.arctan2(det, den).sum())
+def solid_angle_sum(faces, edges, face_edges, images, y):
+    """``(sum of signed solid angles, min |v - y|)`` of a closed mesh.
+
+    ``faces`` (F, 3) and ``edges`` (E, 2) index the rows of ``images``;
+    row f of ``face_edges`` indexes the edges (a, b), (b, c), (c, a) of
+    face f = (a, b, c).  The angles are summed in face order.
+    """
+    # every three-term sum keeps the order of the per-triangle formula
+    # it replaces (np.cross's cross product, einsum's (p0 + p2) + p1 dot
+    # product, a (x^2 + y^2) + z^2 norm), so the sum is the same float
+    x0, x1, x2 = (images - y).T
+    norms = np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
+    e0, e1 = edges.T
+    dots = (x0[e0] * x0[e1] + x2[e0] * x2[e1]) + x1[e0] * x1[e1]
+    fa, fb, fc = faces.T
+    b0, b1, b2 = x0[fb], x1[fb], x2[fb]
+    c0, c1, c2 = x0[fc], x1[fc], x2[fc]
+    det = ((x0[fa] * (b1 * c2 - b2 * c1) + x2[fa] * (b0 * c1 - b1 * c0))
+           + x1[fa] * (b2 * c0 - b0 * c2))
+    la, lb, lc = norms[fa], norms[fb], norms[fc]
+    ab, bc, ca = face_edges.T
+    den = la * lb * lc + dots[ab] * lc + dots[bc] * la + dots[ca] * lb
+    return float(2.0 * np.arctan2(det, den).sum()), float(norms.min())
 
 
 # ---------------------------------------------------------------------------

@@ -254,7 +254,7 @@ def cmd_degree(cfg, out_dir):
         center = _point(dcfg.get("center", (0.55, 0.09, 0.25)[:n]), n, "center")
         y_cfg = dcfg.get("y")
         y_fixed = None if y_cfg is None else np.array(_point(y_cfg, n, "y"))
-        radius = float(dcfg.get("radius", 0.1))
+        radius = _real(dcfg.get("radius", 0.1), "radius")
         refinement = dcfg.get("refinement", 3)
         if not _is_int(refinement) or not 0 <= refinement <= degree_mod.MAX_REFINE:
             raise ValueError(f"refinement must be an integer in 0..{degree_mod.MAX_REFINE}, "
@@ -289,8 +289,23 @@ def cmd_degree(cfg, out_dir):
     return EXIT_OK if len(degs) <= 1 else EXIT_ASSERT
 
 
+def _real(value, name: str) -> float:
+    """A finite JSON number; strings and booleans are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the floats
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def _point(value, n: int, name: str) -> tuple[float, ...]:
-    point = tuple(float(c) for c in value)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of n = {n} numbers, got {value!r}")
+    point = tuple(_real(c, name) for c in value)
     if len(point) != n:
         raise ValueError(f"{name} must have n = {n} coordinates, got {len(point)}")
     return point
@@ -304,9 +319,9 @@ def cmd_export_slice(cfg, out_dir):
     n = cfg["n"]
     res = _quad_config(cfg).resolution * 8
     try:
-        zs = float(cfg["degree"].get("slice_height", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'degree': slice_height: {exc}") from exc
+        zs = _real(cfg["degree"].get("slice_height", 0.0), "slice_height")
+    except ValueError as exc:
+        raise ConfigError(f"config field 'degree': {exc}") from exc
     if not -1.0 <= zs <= 1.0:
         _fail("degree", "slice_height must lie in [-1, 1], where the stage maps are defined")
     stage = build_stage(cfg["variant"], cfg["max_stage"], n, cfg["beta"])

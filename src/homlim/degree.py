@@ -59,43 +59,56 @@ class DegreeReport:
     history: list = field(default_factory=list)
 
 
-@lru_cache(maxsize=None)
 def octasphere(level: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit sphere mesh: octahedron subdivided ``level`` times, radially
     projected; triangles oriented outward."""
-    verts = [
+    return _octamesh(level)[:2]
+
+
+@lru_cache(maxsize=None)
+def _octamesh(level: int):
+    """``octasphere(level)`` with its topology: ``(verts, faces, edges,
+    face_edges)``, as ``_edge_table`` numbers the edges.  The index arrays
+    are column-major, so the solid-angle kernel gathers by contiguous
+    columns."""
+    verts = np.array([
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-    ]
-    faces = [
+    ], dtype=float)
+    faces = np.array([
         (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
         (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
-    ]
-    v = [np.array(p, dtype=float) for p in verts]
-    f = list(faces)
+    ], dtype=np.int64)
     for _ in range(level):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                m = v[i] + v[j]
-                m /= np.linalg.norm(m)
-                cache[key] = len(v)
-                v.append(m)
-            return cache[key]
-
-        nf = []
-        for a, b, c in f:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            nf += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
-        f = nf
-    verts_arr = np.array(v)
-    faces_arr = np.array(f, dtype=np.int64)
+        # each edge gets its midpoint, numbered by first use, and each
+        # face (a, b, c) four children
+        edges, face_edges = _edge_table(faces)
+        mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+        mid /= np.sqrt(np.vecdot(mid, mid))[:, None]
+        ab, bc, ca = (len(verts) + face_edges).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, mid])
     # enforce outward orientation
-    for i, (a, b, c) in enumerate(faces_arr):
-        if np.linalg.det(np.stack([verts_arr[a], verts_arr[b], verts_arr[c]])) < 0:
-            faces_arr[i] = (a, c, b)
-    return verts_arr, faces_arr
+    a, b, c = (verts[corner] for corner in faces.T)
+    inward = np.vecdot(a, np.cross(b, c)) < 0
+    faces[inward] = faces[inward][:, [0, 2, 1]]
+    edges, face_edges = _edge_table(faces)
+    return verts, np.asfortranarray(faces), np.asfortranarray(edges), np.asfortranarray(face_edges)
+
+
+def _edge_table(faces):
+    """``(edges, face_edges)`` of a triangle list: its undirected edges,
+    numbered by first use as the faces are read in order, each side (a, b),
+    (b, c), (c, a) of a face in turn and kept in that direction; and per
+    face, the numbers of those three sides."""
+    sides = np.stack([faces, np.roll(faces, -1, axis=1)], axis=2).reshape(-1, 2)
+    key = sides.min(axis=1) * (int(faces.max()) + 1) + sides.max(axis=1)
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first, kind="stable")
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    return sides[first[order]], number[inverse].reshape(-1, 3)
 
 
 def _circle(center, radius, level):
@@ -107,10 +120,14 @@ def _circle(center, radius, level):
 
 
 class _ImageCache:
-    """Per-probe cache of image meshes (the map evaluation dominates).
+    """Per-probe cache of image meshes and of the centroid and diameter
+    of each mesh element.
 
     ``map_rows`` evaluates the map on an (N, n) array of points, so every
-    mesh level is one call (see ``analysis.forward_rows``)."""
+    mesh level is one call (see ``analysis.forward_rows``).  A probe maps
+    each mesh level once and sums it once per target, so the sums in
+    ``raw`` cost more than the map wherever a level serves several
+    targets."""
 
     def __init__(self, map_rows, probe: SphereProbe):
         self.map_rows = map_rows
@@ -121,30 +138,31 @@ class _ImageCache:
         if level not in self._mesh:
             c = np.asarray(self.probe.center, dtype=float)
             if len(c) == 3:
-                verts, faces = octasphere(level)
+                verts, faces, edges, face_edges = _octamesh(level)
                 images = self.map_rows(c + self.probe.radius * verts)
-                body = np.ascontiguousarray(images[faces])
-                cents = body.mean(axis=1)
-                diams = np.linalg.norm(
-                    body - np.roll(body, 1, axis=1), axis=2
-                ).max(axis=1)
+                fa, fb, fc = faces.T
+                cents = (images[fa] + images[fb] + images[fc]) / 3
+                sides = np.linalg.norm(images[edges[:, 0]] - images[edges[:, 1]], axis=1)
+                diams = sides[face_edges].max(axis=1)
             else:
-                images = self.map_rows(_circle(c, self.probe.radius, level))
-                body = np.ascontiguousarray(images)
+                images = np.ascontiguousarray(
+                    self.map_rows(_circle(c, self.probe.radius, level)))
                 nxt = np.roll(images, -1, axis=0)
                 cents = 0.5 * (images + nxt)
                 diams = np.linalg.norm(images - nxt, axis=1)
-            self._mesh[level] = (images, body, cents, diams)
+            self._mesh[level] = (images, cents, diams)
         return self._mesh[level]
 
     def raw(self, y: np.ndarray, level: int):
-        images, body, cents, diams = self.mesh(level)
+        """``(raw degree, distance from y to the image vertices)``."""
+        images = self.mesh(level)[0]
+        y = np.ascontiguousarray(y)
         if images.shape[1] == 3:
-            raw = _kernels.solid_angle_sum(body, np.ascontiguousarray(y)) / (4 * math.pi)
-        else:
-            raw = _kernels.winding_sum(body, np.ascontiguousarray(y))
-        dist = float(np.min(np.linalg.norm(images - y, axis=1)))
-        return raw, dist
+            _, faces, edges, face_edges = _octamesh(level)
+            total, dist = _kernels.solid_angle_sum(faces, edges, face_edges, images, y)
+            return total / (4 * math.pi), dist
+        raw = _kernels.winding_sum(images, y)
+        return raw, float(np.min(np.linalg.norm(images - y, axis=1)))
 
     def locally_resolved(self, y: np.ndarray, level: int, dist: float) -> bool:
         """True when no mesh element can both reach the vicinity of y and
@@ -152,7 +170,7 @@ class _ImageCache:
         image surface around y.  An element stays within 0.7 diam of its
         centroid, so only elements with |cent - y| - 0.7 diam < 2 dist
         matter."""
-        _, _, cents, diams = self.mesh(level)
+        _, cents, diams = self.mesh(level)
         hazard = np.linalg.norm(cents - y, axis=1) - 0.7 * diams < 2.0 * dist
         if not hazard.any():
             return True
@@ -184,7 +202,9 @@ def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport
     for level in range(cache.probe.refinement, max_refine + 1):
         raw, dist = cache.raw(y, level)
         history.append((level, raw, dist))
-        if dist < MIN_DISTANCE:
+        # an overflowing sum (y far out, beyond the square root of the
+        # largest float) leaves the level as unresolved as a near target
+        if dist < MIN_DISTANCE or not math.isfinite(raw):
             prev_raw, streak = None, 0
             continue
         near = round(raw)
@@ -211,8 +231,12 @@ def degree(map_forward, probe: SphereProbe, y, max_refine: int = MAX_REFINE) -> 
 
     Refines the mesh until the raw sum is within ``SNAP_TOL`` of an
     integer and moved less than ``STABILITY_TOL`` since the previous
-    level; raises when y stays too close to the image mesh.
+    level; raises when y stays too close to the image mesh, and
+    ``ValueError`` when y is not finite.
     """
+    y = np.asarray(y, dtype=float)
+    if not np.isfinite(y).all():
+        raise ValueError(f"degree target y must be finite, got {y}")
     cache = _ImageCache(forward_rows(map_forward), probe)
     return _cached_degree(cache, y, max_refine)
 

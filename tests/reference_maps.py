@@ -18,6 +18,11 @@ The Cantor map and the axis collapse have no body here: their pointwise
 calls are one-row batches, checked against ``tests/test_descent.py``'s
 reference walks and the closed forms there; the inverse of a Cantor map
 is the Cantor map with the two schedules swapped.
+
+The degree probes' sphere mesh and solid-angle sum have their loop
+versions here too: the octahedron subdivided through a midpoint
+dictionary, and the van Oosterom-Strackee sum over an (F, 3, 3) array of
+triangle corners, one triangle per row.
 """
 
 import math
@@ -444,3 +449,59 @@ def stage_derivative(stage, point):
             x = forward(f, x) if s > 0 else inverse(f, x)
         d = jac if d is None else jac @ d
     return d
+
+
+# ---------------------------------------------------------------------------
+# Degree probes: the sphere mesh and the solid-angle sum, per triangle.
+# ---------------------------------------------------------------------------
+
+
+def octasphere(level):
+    """The octahedron subdivided ``level`` times, midpoints numbered by
+    first use and radially projected, then each triangle oriented
+    outward."""
+    v = [np.array(p, dtype=float) for p in
+         ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
+    f = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
+         (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
+    for _ in range(level):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (min(i, j), max(i, j))
+            if key not in cache:
+                m = v[i] + v[j]
+                m /= np.linalg.norm(m)
+                cache[key] = len(v)
+                v.append(m)
+            return cache[key]
+
+        nf = []
+        for a, b, c in f:
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            nf += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        f = nf
+    verts = np.array(v)
+    faces = np.array(f, dtype=np.int64)
+    for i, (a, b, c) in enumerate(faces):
+        if np.linalg.det(np.stack([verts[a], verts[b], verts[c]])) < 0:
+            faces[i] = (a, c, b)
+    return verts, faces
+
+
+def solid_angle_corners(tris, y):
+    """Sum of the signed solid angles that the triangles ``tris`` (F, 3, 3)
+    subtend at y, each from its own three corners."""
+    v = tris - y[None, None, :]
+    a, b, c = v[:, 0, :], v[:, 1, :], v[:, 2, :]
+    la = np.linalg.norm(a, axis=1)
+    lb = np.linalg.norm(b, axis=1)
+    lc = np.linalg.norm(c, axis=1)
+    det = np.einsum("ij,ij->i", a, np.cross(b, c))
+    den = (
+        la * lb * lc
+        + np.einsum("ij,ij->i", a, b) * lc
+        + np.einsum("ij,ij->i", b, c) * la
+        + np.einsum("ij,ij->i", c, a) * lb
+    )
+    return float(2.0 * np.arctan2(det, den).sum())

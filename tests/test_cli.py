@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from homlim import cli
@@ -82,6 +83,17 @@ class TestConfig:
         # a directory below a regular file (this test file) cannot be made
         ("params", {"out_dir": os.path.join(__file__, "sub")}),
         ("verify-boundary", {"out_dir": os.path.join(__file__, "sub")}),
+        # degree targets, centers, radii and slice heights are finite JSON numbers
+        ("degree", {"degree": {"y": [math.nan, 0.0, 0.0]}}),
+        ("degree", {"degree": {"y": [math.inf, 0.0, 0.0]}}),
+        ("degree", {"degree": {"y": [10**400, 0, 0]}}),
+        ("degree", {"degree": {"y": "0.1 0.2 0.3"}}),
+        ("degree", {"degree": {"y": 0.5}}),
+        ("degree", {"degree": {"center": [0.5, "0.1", 0.2]}}),
+        ("degree", {"degree": {"y": [0.5, False, 0.2]}}),
+        ("degree", {"degree": {"radius": "0.1"}}),
+        ("degree", {"degree": {"fixture": "identity", "radius": True}}),
+        ("export-slice", {"degree": {"slice_height": "0.5"}}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG
@@ -128,6 +140,11 @@ class TestCommands:
         assert cli.run("degree", cfg) == cli.EXIT_OK
         lines = (tmp_path / "out" / "degree.csv").read_text().splitlines()
         assert lines[1].split(",")[7] == "1"
+
+    def test_degree_of_an_overflowing_target_is_indeterminate(self, tmp_path):
+        cfg = write_cfg(tmp_path, max_stage=1, degree={"y": [1e308, 1e308, 1e308]})
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli.run("degree", cfg) == cli.EXIT_INDETERMINATE
 
     def test_witness(self, tmp_path):
         cfg = write_cfg(tmp_path, max_stage=2)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import homlim
+import reference_maps as ref
 from homlim.composite import build_stage
 from homlim.degree import (
     IndeterminateDegreeError,
@@ -56,6 +57,13 @@ class TestMesh:
         for a, b, c in faces:
             assert np.linalg.det(np.stack([verts[a], verts[b], verts[c]])) > 0
 
+    @pytest.mark.parametrize("level", range(7))
+    def test_octasphere_equals_the_loop_subdivision(self, level):
+        verts, faces = octasphere(level)
+        want_verts, want_faces = ref.octasphere(level)
+        assert np.array_equal(verts, want_verts)
+        assert np.array_equal(faces, want_faces)
+
 
 class TestFixtures:
     def test_identity_center(self):
@@ -92,6 +100,23 @@ class TestFixtures:
     def test_indeterminate_when_target_on_mesh(self):
         with pytest.raises(IndeterminateDegreeError):
             degree(identity, UNIT, (1.0, 0.0, 0.0), max_refine=3)
+
+    @pytest.mark.parametrize("y", [(np.inf, 0.0, 0.0), (0.0, np.nan, 0.0), (0.0, 0.0, -np.inf)])
+    def test_non_finite_target_is_rejected(self, y):
+        with pytest.raises(ValueError, match="finite"):
+            degree(identity, UNIT, y)
+
+    def test_overflowing_target_is_indeterminate(self):
+        # the squared offsets overflow, so every level's sum is NaN: no
+        # level resolves, and the certification gives up instead of crashing
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IndeterminateDegreeError):
+                degree(identity, UNIT, (1e308, 1e308, 1e308), max_refine=4)
+
+    @pytest.mark.parametrize("y", [(1e100, 1e100, 1e100), (1e200, 0.0, 0.0)])
+    def test_far_target_has_degree_zero(self, y):
+        with np.errstate(over="ignore"):
+            assert degree(identity, UNIT, y).degree == 0
 
 
 class TestStages:

@@ -61,14 +61,15 @@ def cantor_map_descended(points, descent, rs, rs_out, rt, rt_out, stage, out):
 def solid_angle_sum(faces, edges, face_edges, images, y):
     """``(sum of signed solid angles, min |v - y|)`` of a closed mesh.
 
-    ``faces`` (F, 3) and ``edges`` (E, 2) index the rows of ``images``;
-    row f of ``face_edges`` indexes the edges (a, b), (b, c), (c, a) of
+    ``images`` (3, V) holds the vertices component by component;
+    ``faces`` (F, 3) and ``edges`` (E, 2) index its columns, and row f of
+    ``face_edges`` indexes the edges (a, b), (b, c), (c, a) of
     face f = (a, b, c).  The angles are summed in face order.
     """
     # every three-term sum keeps the order of the per-triangle formula
     # it replaces (np.cross's cross product, einsum's (p0 + p2) + p1 dot
     # product, a (x^2 + y^2) + z^2 norm), so the sum is the same float
-    x0, x1, x2 = (images - y).T
+    x0, x1, x2 = images - y[:, None]
     norms = np.sqrt((x0 * x0 + x1 * x1) + x2 * x2)
     e0, e1 = edges.T
     dots = (x0[e0] * x0[e1] + x2[e0] * x2[e1]) + x1[e0] * x1[e1]
@@ -89,8 +90,10 @@ def solid_angle_sum(faces, edges, face_edges, images, y):
 
 
 def winding_sum(loop, y):
-    v = loop - y[None, :]
-    w = np.roll(v, -1, axis=0)
-    cross = v[:, 0] * w[:, 1] - v[:, 1] * w[:, 0]
-    dot = v[:, 0] * w[:, 0] + v[:, 1] * w[:, 1]
+    """Winding number of the closed loop (2, N), held component by
+    component, around y."""
+    v0, v1 = loop - y[:, None]
+    w0, w1 = np.roll(v0, -1), np.roll(v1, -1)
+    cross = v0 * w1 - v1 * w0
+    dot = v0 * w0 + v1 * w1
     return float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))

@@ -120,49 +120,85 @@ def _circle(center, radius, level):
 
 
 class _ImageCache:
-    """Per-probe cache of image meshes and of the centroid and diameter
-    of each mesh element.
+    """Per-probe cache of the image vertices of each mesh level, and of
+    the centroid and diameter of each image element, all held component
+    by component: (n, V) arrays, one contiguous row per coordinate.
 
-    ``map_rows`` evaluates the map on an (N, n) array of points, so every
-    mesh level is one call (see ``analysis.forward_rows``).  A probe maps
-    each mesh level once and sums it once per target, so the sums in
-    ``raw`` cost more than the map wherever a level serves several
-    targets."""
+    ``map_rows`` evaluates the map on an (N, n) array of points (see
+    ``analysis.forward_rows``), and a row's image does not depend on the
+    other rows of its batch: ``forward_rows`` calls a plain callable row
+    by row, and ``tests/test_batch.py::TestRowIndependence`` checks it
+    for the stage maps.  On the sphere (n = 3) an octasphere level's
+    vertices are the first vertices of the next level, so ``images``
+    slices a level out of a finer one already mapped, or maps only the
+    vertices it adds to the finest coarser one: a probe maps each vertex
+    it reads once.  Circle levels (n = 2) interleave, so each is mapped
+    whole.  Centroids and diameters are built at a level only when
+    ``locally_resolved`` first reads them there."""
 
     def __init__(self, map_rows, probe: SphereProbe):
         self.map_rows = map_rows
         self.probe = probe
+        self._images: dict[int, np.ndarray] = {}
         self._mesh: dict[int, tuple] = {}
 
-    def mesh(self, level: int):
-        if level not in self._mesh:
+    def images(self, level: int) -> np.ndarray:
+        """The (n, V) image vertices of a mesh level."""
+        if level not in self._images:
             c = np.asarray(self.probe.center, dtype=float)
-            if len(c) == 3:
-                verts, faces, edges, face_edges = _octamesh(level)
-                images = self.map_rows(c + self.probe.radius * verts)
-                fa, fb, fc = faces.T
-                cents = (images[fa] + images[fb] + images[fc]) / 3
-                sides = np.linalg.norm(images[edges[:, 0]] - images[edges[:, 1]], axis=1)
-                diams = sides[face_edges].max(axis=1)
+            if len(c) == 2:
+                images = self.map_rows(_circle(c, self.probe.radius, level)).T.copy()
             else:
-                images = np.ascontiguousarray(
-                    self.map_rows(_circle(c, self.probe.radius, level)))
-                nxt = np.roll(images, -1, axis=0)
+                verts = _octamesh(level)[0]
+                finer = [k for k in self._images if k > level]
+                coarser = [k for k in self._images if k < level]
+                if finer:
+                    images = self._images[min(finer)][:, :len(verts)]
+                else:
+                    done = self._images[max(coarser)] if coarser else np.empty((3, 0))
+                    new = self.map_rows(c + self.probe.radius * verts[done.shape[1]:])
+                    images = np.concatenate([done, new.T], axis=1)
+            self._images[level] = images
+        return self._images[level]
+
+    def mesh(self, level: int):
+        """``(centroids, diameters)`` of the image elements of a level."""
+        if level not in self._mesh:
+            images = self.images(level)
+            if len(images) == 3:
+                _, faces, edges, face_edges = _octamesh(level)
+                fa, fb, fc = faces.T
+                cents = (images[:, fa] + images[:, fb] + images[:, fc]) / 3
+                sides = _norms(images[:, edges[:, 0]] - images[:, edges[:, 1]])
+                ab, bc, ca = face_edges.T
+                diams = np.maximum(np.maximum(sides[ab], sides[bc]), sides[ca])
+            else:
+                nxt = np.roll(images, -1, axis=1)
                 cents = 0.5 * (images + nxt)
-                diams = np.linalg.norm(images - nxt, axis=1)
-            self._mesh[level] = (images, cents, diams)
+                diams = _norms(images - nxt)
+            self._mesh[level] = (cents, diams)
         return self._mesh[level]
 
     def raw(self, y: np.ndarray, level: int):
-        """``(raw degree, distance from y to the image vertices)``."""
-        images = self.mesh(level)[0]
-        y = np.ascontiguousarray(y)
-        if images.shape[1] == 3:
-            _, faces, edges, face_edges = _octamesh(level)
-            total, dist = _kernels.solid_angle_sum(faces, edges, face_edges, images, y)
-            return total / (4 * math.pi), dist
-        raw = _kernels.winding_sum(images, y)
-        return raw, float(np.min(np.linalg.norm(images - y, axis=1)))
+        """``(raw degree, distance from y to the image vertices)``.
+
+        A sum that overflows (y beyond about the square root of the
+        largest float) is 0.0 when y lies outside the bounding box of the
+        image vertices: a closed surface or loop does not wind around a
+        point outside its bounding box."""
+        images = self.images(level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if len(images) == 3:
+                _, faces, edges, face_edges = _octamesh(level)
+                total, dist = _kernels.solid_angle_sum(faces, edges, face_edges, images, y)
+                raw = total / (4 * math.pi)
+            else:
+                raw = _kernels.winding_sum(images, y)
+                dist = float(np.min(_norms(images - y[:, None])))
+        if not math.isfinite(raw) and (
+                (y < images.min(axis=1)) | (y > images.max(axis=1))).any():
+            raw = 0.0
+        return raw, dist
 
     def locally_resolved(self, y: np.ndarray, level: int, dist: float) -> bool:
         """True when no mesh element can both reach the vicinity of y and
@@ -170,11 +206,22 @@ class _ImageCache:
         image surface around y.  An element stays within 0.7 diam of its
         centroid, so only elements with |cent - y| - 0.7 diam < 2 dist
         matter."""
-        _, cents, diams = self.mesh(level)
-        hazard = np.linalg.norm(cents - y, axis=1) - 0.7 * diams < 2.0 * dist
+        cents, diams = self.mesh(level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hazard = _norms(cents - y[:, None]) - 0.7 * diams < 2.0 * dist
         if not hazard.any():
             return True
         return float(diams[hazard].max()) < 0.5 * dist
+
+
+def _norms(cols: np.ndarray) -> np.ndarray:
+    """The length of each column of an (n, N) array, summed one coordinate
+    at a time in ``np.linalg.norm``'s order, ``(x^2 + y^2) + z^2``: the
+    same floats, without its reduction over a short axis."""
+    sq = cols[0] * cols[0]
+    for col in cols[1:]:
+        sq += col * col
+    return np.sqrt(sq)
 
 
 # the finest mesh level a degree certification tries by default
@@ -199,11 +246,15 @@ def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport
     history = []
     prev_raw = None
     streak = 0
-    for level in range(cache.probe.refinement, max_refine + 1):
+    first = cache.probe.refinement
+    # a certification reads its first two levels: map both in one batch
+    if first < max_refine:
+        cache.images(first + 1)
+    for level in range(first, max_refine + 1):
         raw, dist = cache.raw(y, level)
         history.append((level, raw, dist))
-        # an overflowing sum (y far out, beyond the square root of the
-        # largest float) leaves the level as unresolved as a near target
+        # a sum that overflows inside the bounding box of the image leaves
+        # the level as unresolved as a near target
         if dist < MIN_DISTANCE or not math.isfinite(raw):
             prev_raw, streak = None, 0
             continue
@@ -312,10 +363,10 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
     n = len(c)
     probe = SphereProbe(tuple(c), radius, refinement)
     cache = _ImageCache(map_rows, probe)
-    sphere_images = cache.mesh(refinement)[0]
+    sphere_images = cache.images(refinement)
 
     def near_boundary(y):
-        return float(np.min(np.linalg.norm(sphere_images - y, axis=1))) < BOUNDARY_TOL
+        return float(np.min(_norms(sphere_images - y[:, None]))) < BOUNDARY_TOL
 
     inside = _ball_points(rng, c, radius, n_inside, n, inside=True)
     outside = _ball_points(rng, c, radius, n_outside, n, inside=False)
@@ -364,16 +415,16 @@ def nesting_probe(map_like, center, r_small: float, r_big: float,
     map_rows = forward_rows(map_like)
     small = _ImageCache(map_rows, SphereProbe(tuple(center), r_small, refinement))
     big = _ImageCache(map_rows, SphereProbe(tuple(center), r_big, refinement))
-    big_images = big.mesh(refinement)[0]
+    big_images = big.images(refinement)
     bad = 0
-    for y in y_grid:
+    for y in np.asarray(y_grid, dtype=float):
         try:
             d_small = _cached_degree(small, y).degree
         except IndeterminateDegreeError:
             continue
         if d_small == 0:
             continue
-        if float(np.min(np.linalg.norm(big_images - y, axis=1))) < BOUNDARY_TOL:
+        if float(np.min(_norms(big_images - y[:, None]))) < BOUNDARY_TOL:
             continue
         try:
             if _cached_degree(big, y).degree == 0:

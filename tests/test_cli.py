@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -141,10 +142,17 @@ class TestCommands:
         lines = (tmp_path / "out" / "degree.csv").read_text().splitlines()
         assert lines[1].split(",")[7] == "1"
 
-    def test_degree_of_an_overflowing_target_is_indeterminate(self, tmp_path):
-        cfg = write_cfg(tmp_path, max_stage=1, degree={"y": [1e308, 1e308, 1e308]})
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.run("degree", cfg) == cli.EXIT_INDETERMINATE
+    def test_degree_of_an_overflowing_target_is_zero(self, tmp_path):
+        # y lies outside the bounding box of every image mesh, so its
+        # degree is 0, however the squared offsets overflow; no numpy
+        # overflow warning reaches stderr
+        for y in ([1e308, 1e308, 1e308], [1e154, 1e154, 1e154]):
+            cfg = write_cfg(tmp_path, max_stage=1, degree={"y": y})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.run("degree", cfg) == cli.EXIT_OK
+            row = (tmp_path / "out" / "degree.csv").read_text().splitlines()[1].split(",")
+            assert row[7] == "0"
 
     def test_witness(self, tmp_path):
         cfg = write_cfg(tmp_path, max_stage=2)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,11 @@ import pytest
 
 import homlim
 import reference_maps as ref
+from homlim import degree as degree_mod
+from homlim.analysis import forward_rows
 from homlim.composite import build_stage
 from homlim.degree import (
+    DegreeReport,
     IndeterminateDegreeError,
     SphereProbe,
     degree,
@@ -106,17 +110,143 @@ class TestFixtures:
         with pytest.raises(ValueError, match="finite"):
             degree(identity, UNIT, y)
 
-    def test_overflowing_target_is_indeterminate(self):
-        # the squared offsets overflow, so every level's sum is NaN: no
-        # level resolves, and the certification gives up instead of crashing
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(IndeterminateDegreeError):
-                degree(identity, UNIT, (1e308, 1e308, 1e308), max_refine=4)
+    @pytest.mark.parametrize("probe,y", [
+        (UNIT, (1e308, 1e308, 1e308)),
+        (UNIT, (1e154, 1e154, 1e154)),
+        (SphereProbe((0.0, 0.0), 0.8, 2), (1e308, -1e308)),
+    ], ids=["sphere-1e308", "sphere-1e154", "circle-1e308"])
+    def test_overflowing_target_has_degree_zero(self, probe, y):
+        # the squared offsets overflow, so the sums are NaN; y lies outside
+        # the bounding box of the image, where a closed surface or loop
+        # has degree 0, and no overflow warning escapes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = degree(identity, probe, y)
+        assert rep.degree == 0 and rep.raw == 0.0
 
     @pytest.mark.parametrize("y", [(1e100, 1e100, 1e100), (1e200, 0.0, 0.0)])
     def test_far_target_has_degree_zero(self, y):
         with np.errstate(over="ignore"):
             assert degree(identity, UNIT, y).degree == 0
+
+
+def report_hex(rep: DegreeReport):
+    return (rep.degree, rep.raw.hex(), rep.distance.hex(), rep.refinements,
+            [(level, raw.hex(), dist.hex()) for level, raw, dist in rep.history])
+
+
+class _FromScratch(degree_mod._ImageCache):
+    """Oracle cache: maps every level whole, and builds the geometry of
+    each level with ``np.linalg.norm`` over the corner rows."""
+
+    def images(self, level):
+        if level not in self._images:
+            c = np.asarray(self.probe.center, dtype=float)
+            verts = octasphere(level)[0]
+            self._images[level] = np.array(self.map_rows(c + self.probe.radius * verts)).T
+        return self._images[level]
+
+    def mesh(self, level):
+        rows = self.images(level).T
+        corners = rows[octasphere(level)[1]]
+        cents = corners.sum(axis=1) / 3
+        sides = np.linalg.norm(corners - np.roll(corners, -1, axis=1), axis=2)
+        return cents, sides.max(axis=1)
+
+    def locally_resolved(self, y, level, dist):
+        cents, diams = self.mesh(level)
+        hazard = np.linalg.norm(cents - y, axis=1) - 0.7 * diams < 2.0 * dist
+        return not hazard.any() or float(diams[hazard].max()) < 0.5 * dist
+
+
+class TestImageCache:
+    """A probe maps each sphere-mesh vertex once: a level is a prefix of
+    the next, so it is sliced from a finer level or extended from a
+    coarser one, and the images are those of a fresh batch."""
+
+    CENTER = (0.55, 0.09, 0.25)
+    RADIUS = 0.05
+
+    @pytest.mark.parametrize("level", range(7))
+    def test_octasphere_level_is_a_prefix_of_the_next(self, level):
+        verts = octasphere(level)[0]
+        assert np.array_equal(verts, octasphere(level + 1)[0][:len(verts)])
+
+    @pytest.mark.parametrize("variant", ["T1", "T2", "W"])
+    @pytest.mark.parametrize("order", [(4, 3), (3, 5), (5, 4)])
+    def test_images_equal_a_fresh_batch(self, variant, order):
+        stage = build_stage(variant, 3)
+        probe = SphereProbe((0.5, 0.5, 0.5), 0.3, 3)
+        cache = degree_mod._ImageCache(stage.forward_many, probe)
+        for level in order:
+            got = cache.images(level)
+            want = stage.forward_many(np.asarray(probe.center) + probe.radius * octasphere(level)[0])
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want.T).tobytes()
+
+    def counted_degree(self, y, refinement=3, max_refine=degree_mod.MAX_REFINE):
+        stage = build_stage("T1", 2)
+        calls = []
+
+        def map_rows(points):
+            calls.append(len(points))
+            return stage.forward_many(points)
+
+        cache = degree_mod._ImageCache(map_rows, SphereProbe(self.CENTER, self.RADIUS, refinement))
+        try:
+            rep = degree_mod._cached_degree(cache, y, max_refine)
+        except IndeterminateDegreeError:
+            rep = None
+        return rep, calls
+
+    def target(self, t):
+        # the image of a point t radii from the center along x_1
+        x = np.asarray(self.CENTER) + self.RADIUS * t * np.array([1.0, 0.0, 0.0])
+        return build_stage("T1", 2).forward(x)
+
+    def test_level_four_certification_maps_one_batch(self):
+        rep, calls = self.counted_degree(self.target(0.0))
+        assert rep.refinements == 4
+        assert calls == [len(octasphere(4)[0])] == [1026]
+
+    def test_level_five_certification_maps_each_vertex_once(self):
+        rep, calls = self.counted_degree(self.target(0.9))
+        assert rep.refinements == 5
+        assert len(calls) == 2 and sum(calls) == len(octasphere(5)[0]) == 4098
+
+    def test_no_level_to_read_maps_nothing(self):
+        rep, calls = self.counted_degree(self.target(0.0), refinement=5, max_refine=4)
+        assert rep is None and calls == []
+
+    def test_degree_matches_the_from_scratch_oracle(self):
+        stage = build_stage("T1", 2)
+        for t in (0.0, 0.5, 0.9, 1.05, 2.0):
+            y = self.target(t)
+            got = degree(stage, SphereProbe(self.CENTER, self.RADIUS, 3), y)
+            cache = _FromScratch(forward_rows(stage), SphereProbe(self.CENTER, self.RADIUS, 3))
+            assert report_hex(got) == report_hex(degree_mod._cached_degree(cache, y))
+
+    def test_multi_target_probes_match_the_from_scratch_oracle(self, monkeypatch):
+        stage = build_stage("T1", 3)
+        rng = np.random.default_rng(4)
+        ys = stage.forward_many(np.asarray(self.CENTER) + 0.04 * rng.uniform(-1, 1, (12, 3)))
+        runs = []
+        for cache in (degree_mod._ImageCache, _FromScratch):
+            reports = []
+            cached = degree_mod._cached_degree
+
+            def recorded(c, y, max_refine=degree_mod.MAX_REFINE):
+                rep = cached(c, y, max_refine)
+                reports.append(report_hex(rep))
+                return rep
+
+            with monkeypatch.context() as m:
+                m.setattr(degree_mod, "_ImageCache", cache)
+                m.setattr(degree_mod, "_cached_degree", recorded)
+                inv = inv_check(stage, self.CENTER, self.RADIUS, 10, 10, seed=5)
+                bad = nesting_probe(stage, self.CENTER, self.RADIUS, 1.6 * self.RADIUS, ys)
+            runs.append((inv, bad, reports))
+        assert runs[0] == runs[1]
+        assert runs[0][0].passed and runs[0][1] == 0 and len(runs[0][2]) > 20
 
 
 class TestStages:

@@ -10,7 +10,8 @@ from homlim.degree import _octamesh
 
 def solid_angle(level, images, y):
     _, faces, edges, face_edges = _octamesh(level)
-    return _kernels.solid_angle_sum(faces, edges, face_edges, images, np.asarray(y, float))
+    # the kernel reads the vertices component by component
+    return _kernels.solid_angle_sum(faces, edges, face_edges, images.T, np.asarray(y, float))
 
 
 def perturbed(verts, rng, amount=0.3):
@@ -79,4 +80,4 @@ def test_circle_winds_once():
     rng = np.random.default_rng(2)
     th = np.sort(rng.uniform(0, 2 * np.pi, 64))
     loop = np.stack([np.cos(th), np.sin(th)], axis=1)
-    assert _kernels.winding_sum(loop, np.array([0.1, 0.2])) == pytest.approx(1.0, abs=1e-9)
+    assert _kernels.winding_sum(loop.T, np.array([0.1, 0.2])) == pytest.approx(1.0, abs=1e-9)

@@ -21,11 +21,9 @@ from .geometry import (
     Location,
     ParameterSchedule,
     cell_center,
-    frame_measure,
     harmonic_schedule,
     limit_measure,
     locate,
-    schedule_radii,
     stage_measure,
 )
 from .tentacles import (

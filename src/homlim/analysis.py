@@ -20,20 +20,16 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+import reprlib
+import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .composite import build_stage
 from .errors import DomainError
 from .geometry import Address, address_words, cell_center, tower_slots
-from .tentacles import (
-    TentacleSchedule,
-    _knot_lists,
-    _knot_rows,
-    _raise_first_bad,
-    _shear_rows,
-)
+from .tentacles import TentacleSchedule, _knot_lists, _shear_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -53,9 +49,75 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
+INT, REAL, CHOICE, TEXT, POINT = "int", "real", "choice", "text", "point"
+
+
+def _finite(value) -> float | None:
+    """A JSON number as a finite float, else None: strings and booleans are
+    not numbers here, nor an integer beyond the floats."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value) if math.isfinite(value) else None
+    except OverflowError:
+        return None
+
+
+@dataclass(frozen=True)
+class Field:
+    """One config field: its kind, its range and its default.  An INT or a
+    REAL lies between lo and hi, inclusive unless ``open`` names the end; a
+    field whose default is None also takes null, which means the default."""
+
+    kind: str
+    default: object
+    lo: float = -math.inf
+    hi: float = math.inf
+    open: tuple = ()
+    choices: tuple = ()
+
+    def describe(self) -> str:
+        """What a value must be, as the config errors and the README say it."""
+        text = {INT: "an integer", REAL: "a finite number", TEXT: "a non-empty string",
+                POINT: "a list of n finite numbers",
+                CHOICE: "one of " + ", ".join(map(repr, self.choices))}[self.kind]
+        if self.kind == INT and self.hi < math.inf:
+            text += f" in {self.lo}..{self.hi}"
+        elif self.hi < math.inf:
+            text += (f" in {'[('['lo' in self.open]}{self.lo!r}, "
+                     f"{self.hi!r}{'])'['hi' in self.open]}")
+        elif self.lo > -math.inf:
+            text += f" {'>' if 'lo' in self.open else '>='} {self.lo!r}"
+        return text + (" or null" if self.default is None else "")
+
+    def parse(self, value, n: int | None = None, name: str = "value"):
+        """``value`` as the field holds it (a REAL as a float, a POINT as a
+        tuple of n floats); a ValueError says that ``name`` must be what."""
+        if value is None and self.default is None:
+            return None
+        x = value
+        if self.kind == POINT:
+            x = tuple(map(_finite, value)) if isinstance(value, list) else ()
+            ok = len(x) == n and None not in x
+        elif self.kind in (CHOICE, TEXT):
+            ok = (isinstance(value, str) and value != ""
+                  and (self.kind == TEXT or value in self.choices))
+        else:
+            if self.kind == REAL:
+                x = _finite(value)
+            elif isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                x = None
+            ok = x is not None and (self.lo < x if "lo" in self.open else self.lo <= x) \
+                and (x < self.hi if "hi" in self.open else x <= self.hi)
+        if not ok:
+            raise ValueError(f"{name} must be {self.describe()}, got {reprlib.repr(value)}")
+        return x
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Grid resolutions and probe steps for the numeric checks."""
+    """Grid resolutions and probe steps for the numeric checks; the ranges
+    of the fields are those of ``QUADRATURE_FIELDS``."""
 
     resolution: int = 6              # per-axis midpoint nodes in a tower cell
     axial_resolution: int = 8        # along tentacle tubes (per axial segment)
@@ -69,21 +131,27 @@ class QuadratureConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "fd_step":
-                if value is not None and not (isinstance(value, numbers.Real)
-                                              and not isinstance(value, bool)
-                                              and 0 < value < math.inf):
-                    raise ValueError("fd_step must be a positive number or None")
-            elif not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise TypeError(f"{f.name} must be an integer, not {value!r}")
-        if self.resolution < 4:
-            raise ValueError("resolution must be >= 4 per axis")
-        if min(self.axial_resolution, self.transverse_resolution, self.cells_cap) < 1:
-            raise ValueError("axial_resolution, transverse_resolution and cells_cap must be >= 1")
-        if min(self.axial_levels, self.transverse_levels, self.seed) < 0:
-            raise ValueError("axial_levels, transverse_levels and seed must be >= 0")
+        for name, spec in QUADRATURE_FIELDS.items():
+            spec.parse(getattr(self, name), name=name)
+
+
+# The most points (rows of n coordinates) one config may make a command
+# hold at once; it caps the size fields, so that an oversized config is
+# rejected before anything is allocated.
+POINT_BUDGET = 1 << 18
+# The quadrature fields of a config.  export-slice maps a grid of
+# (8 resolution)^2 points.  jacobian_survey keeps its points 10 h inside
+# the cube, which leaves an interior for h < 0.1, and rechecks an exception
+# at h / 8, which moves a coordinate of magnitude <= 1 for h / 8 >= ulp(1).
+QUADRATURE_FIELDS = {
+    "resolution": Field(INT, QuadratureConfig.resolution, 4, math.isqrt(POINT_BUDGET) // 8),
+    "axial_resolution": Field(INT, QuadratureConfig.axial_resolution, 1, POINT_BUDGET),
+    "axial_levels": Field(INT, QuadratureConfig.axial_levels, 0, POINT_BUDGET),
+    "transverse_resolution": Field(INT, QuadratureConfig.transverse_resolution, 1, POINT_BUDGET),
+    "cells_cap": Field(INT, QuadratureConfig.cells_cap, 1, POINT_BUDGET),
+    "fd_step": Field(REAL, QuadratureConfig.fd_step, 8 * sys.float_info.epsilon, 0.1, open=("hi",)),
+    "seed": Field(INT, QuadratureConfig.seed, 0),
+}
 
 
 def _cube_nodes(center, r: float, res: int) -> tuple[np.ndarray, float]:
@@ -193,8 +261,7 @@ def _tube_nodes(sched: TentacleSchedule, k: int, word, config: QuadratureConfig,
     n = sched.n
     heights = [w[-1] for w in word]
     z_n = sched.center_height(heights)
-    ts, ss = _knot_lists(lv, sched.family, 0.0)
-    _raise_first_bad(_knot_rows(ts, ss, np.zeros(1))[2])
+    ts, ss = _knot_lists(lv, sched.family, 0.0)  # ordered: solve_parameters checks
     segs = _geom_segments(ts, config.axial_levels)
     t_res = config.axial_resolution * res_mult
     e_res = config.transverse_resolution * res_mult

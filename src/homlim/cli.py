@@ -19,26 +19,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, degree as degree_mod
+from .analysis import CHOICE, INT, POINT, REAL, TEXT, Field
 from .composite import VARIANTS, build_stage, continuum_witness
-from .errors import (
-    IndeterminateDegreeError,
-    InfeasibleScheduleError,
-    UnsupportedDimensionError,
-)
-from .tentacles import (
-    SQUEEZE,
-    STRETCH,
-    delta_tilde,
-    solve_parameters,
-    tentacle_seminorm_bound,
-)
+from .errors import IndeterminateDegreeError, InfeasibleScheduleError, UnsupportedDimensionError
+from .tentacles import SQUEEZE, STRETCH, delta_tilde, solve_parameters, tentacle_seminorm_bound
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,19 +40,28 @@ class ConfigError(Exception):
     pass
 
 
-_DEFAULTS = {
-    "n": 3,
-    "beta": 4.0,
-    "variant": "T1",
-    "schedule_mode": "demo",
-    "max_stage": 3,
-    "seed": 0,
-    "out_dir": "out",
-    "quadrature": {},
-    "degree": {},
+# The config fields: each entry gives a field's kind, range and default
+# (analysis.Field).  The size fields are capped by analysis.POINT_BUDGET:
+# the least tower cell, of 4^n nodes, fits it up to n = 9.
+FIELDS = {
+    "n": Field(INT, 3, 2, (analysis.POINT_BUDGET.bit_length() - 1) // 2),
+    "beta": Field(REAL, 4.0),
+    "variant": Field(CHOICE, "T1", choices=VARIANTS),
+    "schedule_mode": Field(CHOICE, "demo", choices=("demo", "strict")),
+    "max_stage": Field(INT, 3, 1, 24),
+    "seed": Field(INT, 0, 0),
+    "out_dir": Field(TEXT, "out"),
+    # quadrature.seed defaults to the top-level seed
+    "quadrature": analysis.QUADRATURE_FIELDS,
+    "degree": {
+        "center": Field(POINT, (0.55, 0.09, 0.25)),  # then zeros, to n coordinates
+        "y": Field(POINT, None),  # None: the image of the center
+        "radius": Field(REAL, 0.1, 0.0, open=("lo",)),
+        "refinement": Field(INT, 3, 0, degree_mod.MAX_REFINE),
+        "fixture": Field(CHOICE, None, choices=("identity",)),  # None: the stage maps
+        "slice_height": Field(REAL, 0.0, -1.0, 1.0),
+    },
 }
-# the degree fields the commands read: cmd_degree, and export-slice's height
-_DEGREE_FIELDS = ("center", "y", "radius", "refinement", "fixture", "slice_height")
 
 
 def load_config(path: str) -> dict:
@@ -75,53 +74,64 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config parse error at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    cfg = dict(_DEFAULTS)
-    cfg.update(raw)
-    _validate(cfg)
-    return cfg
+    return raw
 
 
 def _fail(field, msg):
     raise ConfigError(f"config field '{field}': {msg}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _validate(cfg):
-    unknown = sorted(set(cfg) - set(_DEFAULTS))
+def _section(raw, table: dict, prefix: str = "", n: int | None = None) -> dict:
+    """The fields of ``table`` in the JSON object ``raw``, parsed or defaulted."""
+    if not isinstance(raw, dict):
+        _fail(prefix[:-1], "must be a JSON object")
+    unknown = sorted(set(raw) - set(table))
     if unknown:
-        _fail(unknown[0], f"unknown field; the fields are {', '.join(_DEFAULTS)}")
-    if not _is_int(cfg["n"]) or cfg["n"] < 2:
-        _fail("n", "must be an integer >= 2")
-    if cfg["variant"] not in VARIANTS:
-        _fail("variant", f"must be one of {VARIANTS}")
-    if cfg["schedule_mode"] not in ("demo", "strict"):
-        _fail("schedule_mode", "must be 'demo' or 'strict'")
-    if cfg["variant"] in ("T1", "T2", "W") and cfg["n"] < 3:
-        _fail("n", "tentacle variants need n >= 3")
-    beta = cfg["beta"]
-    if not (_is_int(beta) or isinstance(beta, float)) or not math.isfinite(beta):
-        _fail("beta", "must be a finite number")
+        _fail(prefix + unknown[0], f"unknown field; the fields are {', '.join(table)}")
+    out = {}
+    for name, spec in table.items():
+        if isinstance(spec, dict):
+            out[name] = _section(raw.get(name, {}), spec, f"{name}.", out["n"])
+        elif name not in raw:
+            out[name] = (spec.default + (0.0,) * n)[:n] if spec.kind == POINT and spec.default \
+                else spec.default
+        else:
+            try:
+                out[name] = spec.parse(raw[name], n, f"'{prefix}{name}':")
+            except ValueError as exc:
+                raise ConfigError(f"config field {exc}") from None
+    return out
+
+
+def parse_config(raw: dict, command: str) -> dict:
+    """The config for ``command``: every field of ``FIELDS`` checked and
+    defaulted, ``quadrature`` as an analysis.QuadratureConfig, and the
+    rules that tie fields together."""
+    cfg = _section(raw, FIELDS)
+    if "seed" not in raw.get("quadrature", {}):
+        cfg["quadrature"]["seed"] = cfg["seed"]
+    n, q, d = cfg["n"], analysis.QuadratureConfig(**cfg["quadrature"]), cfg["degree"]
+    cfg["quadrature"] = q
     # every variant runs the tower relocation, which needs beta >= n+1
-    if beta < cfg["n"] + 1:
+    if cfg["beta"] < n + 1:
         _fail("beta", "need beta >= n+1")
-    if not _is_int(cfg["max_stage"]) or not 1 <= cfg["max_stage"] <= 24:
-        _fail("max_stage", "must be an integer in 1..24")
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
-        _fail("seed", "must be a non-negative integer")
-    if not isinstance(cfg["out_dir"], str) or not cfg["out_dir"]:
-        _fail("out_dir", "must be a non-empty string")
-    for field in ("quadrature", "degree"):
-        if not isinstance(cfg[field], dict):
-            _fail(field, "must be a JSON object")
-    unknown = sorted(set(cfg["degree"]) - set(_DEGREE_FIELDS))
-    if unknown:
-        _fail("degree", f"unknown field {unknown[0]!r}; the fields are {', '.join(_DEGREE_FIELDS)}")
-    if cfg["degree"].get("fixture", "identity") != "identity":
-        _fail("degree", "the only fixture is 'identity'")
-    _quad_config(cfg)
+    if cfg["variant"] in ("T1", "T2", "W") and n < 3:
+        _fail("n", "tentacle variants need n >= 3")
+    if cfg["schedule_mode"] == "strict" and command not in _STRICT_COMMANDS:
+        _fail("schedule_mode", f"'strict' is supported by {', '.join(_STRICT_COMMANDS)} "
+              f"only; {command} evaluates the demo-schedule stage maps")
+    if command == "witness" and cfg["variant"] not in ("T1", "T2"):
+        _fail("variant", "witnesses exist for variants T1 and T2")
+    # the stage maps are defined on [-1,1]^n only
+    if command == "degree" and d["fixture"] is None and \
+            not all(abs(c) + d["radius"] <= 1 for c in d["center"]):
+        _fail("degree", "the probe sphere must lie in [-1,1]^n: |c_i| + radius <= 1")
+    # the largest part of a Cauchy table: a tower cell, or a tube of at most
+    # three knot pieces of axial nodes, each with its shell and core nodes
+    tube = 3 * (q.axial_levels + 1) * q.axial_resolution * (2 * (n - 1) * q.transverse_resolution + 1)
+    if max(q.resolution ** n, tube) > analysis.POINT_BUDGET:
+        _fail("quadrature", f"a tower cell or tube exceeds {analysis.POINT_BUDGET} nodes")
+    return cfg
 
 
 def _fmt(x) -> str:
@@ -148,17 +158,6 @@ def _strict_mode(cfg) -> str:
 
 def _family(cfg) -> str:
     return STRETCH if cfg["variant"] in ("T2", "W") else SQUEEZE
-
-
-def _quad_config(cfg) -> analysis.QuadratureConfig:
-    q = dict(cfg["quadrature"])
-    if "transverse_levels" in q:
-        _fail("quadrature", "transverse_levels is read by no quadrature; remove it")
-    q.setdefault("seed", cfg["seed"])
-    try:
-        return analysis.QuadratureConfig(**q)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'quadrature': {exc}") from exc
 
 
 def cmd_params(cfg, out_dir):
@@ -201,7 +200,7 @@ def cmd_verify_sobolev(cfg, out_dir):
         code = EXIT_ASSERT
     if cfg["schedule_mode"] == "demo" and cfg["variant"] in ("T1", "T2"):
         table = analysis.cauchy_table(cfg["variant"], n - 1, k_max,
-                                      _quad_config(cfg), n, beta)
+                                      cfg["quadrature"], n, beta)
         write_csv(os.path.join(out_dir, "cauchy_table.csv"),
                   "k,integral,envelope,pass",
                   ((r.k, r.integral, r.envelope, int(r.passed)) for r in table.rows))
@@ -212,7 +211,7 @@ def cmd_verify_sobolev(cfg, out_dir):
 
 def cmd_verify_jacobian(cfg, out_dir):
     stage = build_stage(cfg["variant"], cfg["max_stage"], cfg["n"], cfg["beta"])
-    rep = analysis.jacobian_survey(stage, 2000, _quad_config(cfg), n=cfg["n"])
+    rep = analysis.jacobian_survey(stage, 2000, cfg["quadrature"], n=cfg["n"])
     write_csv(os.path.join(out_dir, "jacobian.csv"),
               "fraction_positive,min_det,exceptions,hard_failures",
               [(rep.fraction_positive, rep.min_det, rep.count, len(rep.hard_failures))])
@@ -228,14 +227,11 @@ def cmd_verify_boundary(cfg, out_dir):
 
 
 def cmd_witness(cfg, out_dir):
-    variant = cfg["variant"]
-    if variant not in ("T1", "T2"):
-        _fail("variant", "witnesses exist for variants T1 and T2")
     rows = []
     ok = True
     prev = None
     for k in range(1, cfg["max_stage"] + 1):
-        wit = continuum_witness([(1,) * cfg["n"]] * k, k, variant, cfg["n"], cfg["beta"])
+        wit = continuum_witness([(1,) * cfg["n"]] * k, k, cfg["variant"], cfg["n"], cfg["beta"])
         rows.append((k, wit.endpoint_separation, wit.image_diameter))
         if wit.endpoint_separation < 0.5:
             ok = False
@@ -248,35 +244,21 @@ def cmd_witness(cfg, out_dir):
 
 
 def cmd_degree(cfg, out_dir):
-    dcfg = cfg["degree"]
-    n = cfg["n"]
-    try:
-        center = _point(dcfg.get("center", (0.55, 0.09, 0.25)[:n]), n, "center")
-        y_cfg = dcfg.get("y")
-        y_fixed = None if y_cfg is None else np.array(_point(y_cfg, n, "y"))
-        radius = _real(dcfg.get("radius", 0.1), "radius")
-        refinement = dcfg.get("refinement", 3)
-        if not _is_int(refinement) or not 0 <= refinement <= degree_mod.MAX_REFINE:
-            raise ValueError(f"refinement must be an integer in 0..{degree_mod.MAX_REFINE}, "
-                             f"the finest mesh level a degree tries")
-        probe = degree_mod.SphereProbe(center, radius, refinement)
-        # the stage maps are defined on [-1,1]^n only
-        if dcfg.get("fixture") != "identity" and not all(abs(c) + radius <= 1 for c in center):
-            raise ValueError("the probe sphere must lie in [-1,1]^n: |c_i| + radius <= 1")
-    except (TypeError, ValueError, UnsupportedDimensionError) as exc:
-        raise ConfigError(f"config field 'degree': {exc}") from exc
+    dcfg, n = cfg["degree"], cfg["n"]
+    center, radius = dcfg["center"], dcfg["radius"]
+    probe = degree_mod.SphereProbe(center, radius, dcfg["refinement"])
     rows = []
     try:
-        if dcfg.get("fixture") == "identity":
-            y = np.zeros(len(center))
+        if dcfg["fixture"] == "identity":
+            y = np.zeros(n)
             rep = degree_mod.degree(lambda x: np.asarray(x, float), probe, y)
             rows.append(("identity", 0, *center, radius, _np_list(y), rep.degree,
                          rep.raw, rep.refinements))
         else:
-            stages = range(1, cfg["max_stage"] + 1)
-            for k in stages:
+            for k in range(1, cfg["max_stage"] + 1):
                 stage = build_stage(cfg["variant"], k, n, cfg["beta"])
-                y = y_fixed if y_fixed is not None else stage.forward(np.asarray(center))
+                y = (np.array(dcfg["y"]) if dcfg["y"] is not None
+                     else stage.forward(np.asarray(center)))
                 rep = degree_mod.degree(stage, probe, y)
                 rows.append((cfg["variant"], k, *center, radius, _np_list(y),
                              rep.degree, rep.raw, rep.refinements))
@@ -289,47 +271,19 @@ def cmd_degree(cfg, out_dir):
     return EXIT_OK if len(degs) <= 1 else EXIT_ASSERT
 
 
-def _real(value, name: str) -> float:
-    """A finite JSON number; strings and booleans are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError:  # an integer beyond the floats
-        x = math.inf
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
-    return x
-
-
-def _point(value, n: int, name: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be a list of n = {n} numbers, got {value!r}")
-    point = tuple(_real(c, name) for c in value)
-    if len(point) != n:
-        raise ValueError(f"{name} must have n = {n} coordinates, got {len(point)}")
-    return point
-
-
 def _np_list(y):
     return "[" + " ".join(format(v, ".17g") for v in np.asarray(y)) + "]"
 
 
 def cmd_export_slice(cfg, out_dir):
     n = cfg["n"]
-    res = _quad_config(cfg).resolution * 8
-    try:
-        zs = _real(cfg["degree"].get("slice_height", 0.0), "slice_height")
-    except ValueError as exc:
-        raise ConfigError(f"config field 'degree': {exc}") from exc
-    if not -1.0 <= zs <= 1.0:
-        _fail("degree", "slice_height must lie in [-1, 1], where the stage maps are defined")
+    res = cfg["quadrature"].resolution * 8
     stage = build_stage(cfg["variant"], cfg["max_stage"], n, cfg["beta"])
     axis = np.linspace(-0.999, 0.999, res)
     grid = np.zeros((res * res, n))
     grid[:, 0], grid[:, -1] = np.repeat(axis, res), np.tile(axis, res)
     if n > 2:
-        grid[:, 1] = zs
+        grid[:, 1] = cfg["degree"]["slice_height"]
     images = stage.forward_many(grid)
     rows = [(u, v, *q) for u, v, q in zip(grid[:, 0], grid[:, -1], images.tolist())]
     write_csv(os.path.join(out_dir, "slice.csv"),
@@ -355,17 +309,13 @@ _COMMANDS = {
 def run(command: str, config_path: str, out_dir: str | None = None,
         stage: int | None = None, seed: int | None = None) -> int:
     try:
-        cfg = load_config(config_path)
+        raw = load_config(config_path)
         if stage is not None:
-            cfg["max_stage"] = stage
+            raw["max_stage"] = stage
         if seed is not None:
-            cfg["seed"] = seed
-        _validate(cfg)
-        if cfg["schedule_mode"] == "strict" and command not in _STRICT_COMMANDS:
-            _fail("schedule_mode", f"'strict' is supported by {', '.join(_STRICT_COMMANDS)} "
-                  f"only; {command} evaluates the demo-schedule stage maps")
-        out = out_dir or cfg["out_dir"]
-        return _COMMANDS[command](cfg, out)
+            raw["seed"] = seed
+        cfg = parse_config(raw, command)
+        return _COMMANDS[command](cfg, out_dir or cfg["out_dir"])
     except (ConfigError, InfeasibleScheduleError, UnsupportedDimensionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,7 +33,6 @@ from .tentacles import (
     _knot_lists,
     _knot_rows,
     _pl_rows,
-    _raise_first_bad,
     _shear_rows,
     solve_parameters,
 )
@@ -244,8 +243,7 @@ def _stretch_inverse_on_chain(sched: TentacleSchedule, word_hat, k: int,
     heights = [w[-1] for w in word_hat]
     out = chain.copy()
     rows = np.flatnonzero(chain[:, 0] >= lv.r_hat)
-    ts, ss, unordered = _knot_rows(*_knot_lists(lv, STRETCH, lv.e_range), chain[rows, 0])
-    _raise_first_bad(unordered)
+    ts, ss, _ = _knot_rows(*_knot_lists(lv, STRETCH, lv.e_range), chain[rows, 0])
     t_back = _pl_rows(np.minimum(chain[rows, 0], ss[:, -1]), ss, ts)
     out[rows] = 0.0
     out[rows, 0] = t_back

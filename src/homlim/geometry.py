@@ -305,11 +305,6 @@ def locate(
     return Location(Address(TOWER_B, tuple(word)), "core", t)
 
 
-def schedule_radii(schedule: ParameterSchedule, k: int) -> tuple[float, float]:
-    """(r_k, r'_k); level 0 returns (alpha_0, alpha_0)."""
-    return schedule.r(k), schedule.r_outer(k)
-
-
 def stage_measure(schedule: ParameterSchedule, k: int) -> float:
     """Volume of the k-th stage union, 2^{nk} (2 r_k)^n = (2 alpha_k)^n."""
     return (2.0 * schedule.alpha(k)) ** schedule.n
@@ -318,9 +313,3 @@ def stage_measure(schedule: ParameterSchedule, k: int) -> float:
 def limit_measure(schedule: ParameterSchedule) -> float:
     """Volume of the limit set, (2 lim alpha_k)^n."""
     return (2.0 * schedule.alpha_limit()) ** schedule.n
-
-
-def frame_measure(schedule: ParameterSchedule, k: int) -> float:
-    """Volume of one frame Q'_{v(k)} \\ Q_{v(k)}."""
-    n = schedule.n
-    return (2.0 * schedule.r_outer(k)) ** n - (2.0 * schedule.r(k)) ** n

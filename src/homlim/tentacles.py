@@ -304,7 +304,10 @@ def solve_parameters(
         else:
             dt = delta_tilde(mode, n, beta, k)
             db = 2.0**(-n * k) * dt / c_shift
-            u_d = (2.0 ** ((beta + 1) * k * (n - 1)) / (c_fixd * db)) ** (1.0 / (n - 2))
+            try:
+                u_d = (2.0 ** ((beta + 1) * k * (n - 1)) / (c_fixd * db)) ** (1.0 / (n - 2))
+            except (OverflowError, ZeroDivisionError):  # db underflows to 0 first at some beta
+                raise InfeasibleScheduleError(f"level {k}: log 1/d_k overflows doubles") from None
             u_d = max(u_d, -math.log(2.0 ** -(n + 1) * r_prev))
             if prev is not None:
                 u_d = max(u_d, prev.u_b + n * math.log(4.0))
@@ -335,6 +338,11 @@ def solve_parameters(
             line_prev(lo), line_prev(hi), mid, db, dt,
             0.0 if k == 1 else r_prev - math.exp(-prev.u_b),
         )
+        # the knots are affine in e, so ordered at both ends means ordered
+        # for every modulation; r_k underflows or a_k rounds to c_k at large beta
+        if mode == "demo" and _knot_rows(*_knot_lists(lv, family, np.array([0.0, e_range])),
+                                         np.zeros(2))[2].any():
+            raise InfeasibleScheduleError(f"level {k}: knots not strictly increasing")
         levels.append(lv)
         prev = lv
     return TentacleSchedule(n, beta, family, mode, base, levels)
@@ -701,32 +709,33 @@ def _log_max_axial_slope(lv: TentacleLevel, family: str, beta: float) -> float:
 
 def _demo_energy(sched: TentacleSchedule, k: int) -> float:
     """Exact-in-axial, 1-D-quadrature-in-rho evaluation of
-    int_{P'_k} |D eta-map|_F^2 for n = 3.  The only user of scipy, which
-    is imported here so that importing the package does not load it."""
-    from scipy.integrate import quad
+    int_{P'_k} |D eta-map|_F^2 for n = 3."""
+    from numpy.polynomial.legendre import leggauss  # not loaded by numpy itself
 
     lv = sched.level(k)
     family = sched.family
     u_d, u_b, e_rng = lv.u_d, lv.u_b, lv.e_range
     d, b = lv.d, lv.b
 
-    # transverse moments over the sup-annulus b < rho < d (area el. 8 rho drho)
-    def moment(j):
-        val, _ = quad(
-            lambda u: 8.0 * math.exp(-2.0 * u) * (math.log(u / u_d)) ** j,
-            u_d,
-            u_b,
-            limit=200,
-        )
-        return val
+    # transverse moments int 8 e^{-2u} E^j du over the sup-annulus b < rho
+    # < d (area el. 8 rho drho), in the chart u = u_d e^E: 40-node
+    # Gauss-Legendre on the geometric pieces [E/2, E], [E/4, E/2], ... of
+    # [0, E], down to a first piece no wider than 1/(2 u_d), the decay
+    # length of exp(-2 u_d e^E) at E = 0
+    levels = max(0, math.ceil(math.log2(2.0 * u_d * e_rng)))
+    cuts = e_rng * 2.0 ** -np.arange(levels, -1, -1.0)
+    lo, hi = np.concatenate([[0.0], cuts[:-1]])[:, None], cuts[:, None]
+    x, w = leggauss(40)
+    e = ((lo + hi) / 2 + (hi - lo) / 2 * x).ravel()
+    u = u_d * np.exp(e)
+    dens = ((hi - lo) / 2 * w).ravel() * 8.0 * u * np.exp(-2.0 * u)
 
-    area_ann = (2 * d) ** 2 - (2 * b) ** 2
-    a0, a1, a2 = area_ann, moment(1), moment(2)
+    a0 = (2 * d) ** 2 - (2 * b) ** 2
+    a1, a2 = float(dens @ e), float(dens @ e**2)
     g2 = 8.0 * (1.0 / u_d - 1.0 / u_b)
     core = (2 * b) ** 2
 
-    ts, ss = _knot_lists(lv, family, 0.0)
-    _raise_first_bad(_knot_rows(ts, ss, np.zeros(1))[2])
+    ts, ss = _knot_lists(lv, family, 0.0)  # ordered: solve_parameters checks
     coeffs = _knot_e_coeffs(lv, family)
     total = 0.0
     for i in range(len(ts) - 1):

@@ -40,8 +40,7 @@ from .geometry import (
     tower_step,
 )
 
-__all__ = ["slot_correspondence", "slot_correspondence_inverse", "TowerMapping",
-           "verify_goodmap", "relocation_moves"]
+__all__ = ["slot_correspondence", "TowerMapping", "verify_goodmap", "relocation_moves"]
 
 
 def slot_index(v) -> int:
@@ -58,17 +57,6 @@ def slot_correspondence(v) -> tuple[float, ...]:
     """The tower slot assigned to cube vertex v."""
     n = len(v)
     return tower_slots(n)[slot_index(v) - 1]
-
-
-def slot_correspondence_inverse(vhat) -> tuple[int, ...]:
-    """The cube vertex whose slot is ``vhat``."""
-    n = len(vhat)
-    try:
-        j = tower_slots(n).index(tuple(vhat))
-    except ValueError:
-        raise InvalidAddressError(f"{vhat!r} is not a tower slot") from None
-    bits = format(j, f"0{n}b")
-    return tuple(2 * int(b) - 1 for b in bits)
 
 
 @dataclass(frozen=True)

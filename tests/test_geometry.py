@@ -9,11 +9,9 @@ from homlim.geometry import (
     ParameterSchedule,
     cell_center,
     cube_vertices,
-    frame_measure,
     harmonic_schedule,
     limit_measure,
     locate,
-    schedule_radii,
     stage_measure,
     tower_slots,
 )
@@ -25,14 +23,14 @@ B = ParameterSchedule(n=3, beta=4.0, kind="B")
 class TestScheduleRadii:
     def test_kind_a_level_one(self):
         # r_1 = 2^{-1}(1+2^{-4})/2 = 17/64, r'_1 = alpha_0/2
-        assert schedule_radii(A, 1) == (17 / 64, 0.5)
+        assert (A.r(1), A.r_outer(1)) == (17 / 64, 0.5)
 
     def test_level_zero_is_unit_cube(self):
-        assert schedule_radii(A, 0) == (1.0, 1.0)
-        assert schedule_radii(B, 0) == (1.0, 1.0)
+        assert (A.r(0), A.r_outer(0)) == (1.0, 1.0)
+        assert (B.r(0), B.r_outer(0)) == (1.0, 1.0)
 
     def test_kind_b_level_two(self):
-        assert schedule_radii(B, 2) == (2.0**-10, 2.0**-6)
+        assert (B.r(2), B.r_outer(2)) == (2.0**-10, 2.0**-6)
 
     def test_outer_is_half_previous_inner(self):
         for k in range(1, 12):
@@ -132,7 +130,4 @@ class TestMeasures:
         vals = [stage_measure(A, k) for k in range(21)]
         assert all(b < a or (b == a == lim) for a, b in zip(vals, vals[1:]))
         assert vals[20] == pytest.approx(lim, abs=1e-9)
-
-    def test_frame_measure(self):
-        assert frame_measure(A, 1) == pytest.approx(1.0 - (17 / 32) ** 3)
 

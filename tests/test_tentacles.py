@@ -357,7 +357,7 @@ class TestEnergy:
             tentacle_seminorm_bound(s4, 1)
 
     def test_import_leaves_scipy_unloaded(self):
-        # scipy serves the demo energy alone and is imported when it runs
+        # the package does not use scipy
         code = "import sys, homlim; assert 'scipy' not in sys.modules"
         env = dict(os.environ, PYTHONPATH=str(Path(homlim.__file__).parents[1]))
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

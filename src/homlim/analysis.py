@@ -141,15 +141,17 @@ class QuadratureConfig:
 POINT_BUDGET = 1 << 18
 # The quadrature fields of a config.  export-slice maps a grid of
 # (8 resolution)^2 points.  jacobian_survey keeps its points 10 h inside
-# the cube, which leaves an interior for h < 0.1, and rechecks an exception
-# at h / 8, which moves a coordinate of magnitude <= 1 for h / 8 >= ulp(1).
+# the cube: h <= 1e-3 leaves it [-0.99, 0.99]^n, while a step near 0.1
+# would shrink it to a sliver around the origin, where the stage maps are
+# near the identity and every survey passes.  It rechecks an exception at
+# h / 8, which moves a coordinate of magnitude <= 1 for h / 8 >= ulp(1).
 QUADRATURE_FIELDS = {
     "resolution": Field(INT, QuadratureConfig.resolution, 4, math.isqrt(POINT_BUDGET) // 8),
     "axial_resolution": Field(INT, QuadratureConfig.axial_resolution, 1, POINT_BUDGET),
     "axial_levels": Field(INT, QuadratureConfig.axial_levels, 0, POINT_BUDGET),
     "transverse_resolution": Field(INT, QuadratureConfig.transverse_resolution, 1, POINT_BUDGET),
     "cells_cap": Field(INT, QuadratureConfig.cells_cap, 1, POINT_BUDGET),
-    "fd_step": Field(REAL, QuadratureConfig.fd_step, 8 * sys.float_info.epsilon, 0.1, open=("hi",)),
+    "fd_step": Field(REAL, QuadratureConfig.fd_step, 8 * sys.float_info.epsilon, 1e-3),
     "seed": Field(INT, QuadratureConfig.seed, 0),
 }
 

@@ -1,12 +1,13 @@
 """Topological degree on sphere probes, and degree-based invertibility checks.
 
-For n = 3 the degree of f over S(a, r) around y is the sum of signed
-solid angles of the image triangles of a subdivided-octahedron mesh,
-divided by 4 pi; for n = 2 it is the winding number of the image loop.
-The raw sum is snapped to an integer only when it is both close to one
-and stable under one mesh refinement.  A brute-force signed-preimage
-count over a grid with Newton polishing serves as the independent oracle
-on smooth fixtures.
+The degree of f over S(a, r) around y is the signed number of facets of
+the image mesh that a ray from y crosses: the image triangles of a
+subdivided octahedron for n = 3, the image segments of a polygon for
+n = 2 (``_kernels.crossing_count``).  Each mesh level keeps a bucket index
+of its facets per ray direction, so a target reads only the facets near
+its ray.  The count is certified when it repeats under mesh refinement.
+A brute-force signed-preimage count over a grid with Newton polishing
+serves as the independent oracle on smooth fixtures.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "degree",
     "signed_preimage_count",
     "InvReport",
+    "ProbeViolations",
     "inv_check",
     "degree_stability",
     "nesting_probe",
@@ -69,8 +71,8 @@ def octasphere(level: int) -> tuple[np.ndarray, np.ndarray]:
 def _octamesh(level: int):
     """``octasphere(level)`` with its topology: ``(verts, faces, edges,
     face_edges)``, as ``_edge_table`` numbers the edges.  The index arrays
-    are column-major, so the solid-angle kernel gathers by contiguous
-    columns."""
+    are column-major, so the facet grid and the mesh geometry gather by
+    contiguous columns."""
     verts = np.array([
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
     ], dtype=float)
@@ -141,6 +143,7 @@ class _ImageCache:
         self.probe = probe
         self._images: dict[int, np.ndarray] = {}
         self._mesh: dict[int, tuple] = {}
+        self._grids: dict[tuple[int, int], _kernels.FacetGrid | None] = {}
 
     def images(self, level: int) -> np.ndarray:
         """The (n, V) image vertices of a mesh level."""
@@ -179,22 +182,45 @@ class _ImageCache:
             self._mesh[level] = (cents, diams)
         return self._mesh[level]
 
-    def raw(self, y: np.ndarray, level: int):
-        """``(raw degree, distance from y to the image vertices)``.
+    def facets(self, level: int) -> np.ndarray:
+        """The (F, n) facets of a mesh level, outward: the octasphere's
+        triangles, or the circle's segments (i, i + 1)."""
+        if len(self.probe.center) == 3:
+            return _octamesh(level)[1]
+        ends = np.arange(64 * 2**level)
+        return np.stack([ends, np.roll(ends, -1)], axis=1)
 
-        A sum that overflows (y beyond about the square root of the
-        largest float) is 0.0 when y lies outside the bounding box of the
-        image vertices: a closed surface or loop does not wind around a
-        point outside its bounding box."""
+    def grid(self, level: int, direction: int):
+        """The facet grid of a level along ``RAY_SLOPES[n][direction]``,
+        made on first use; None when an image vertex is not finite."""
+        key = (level, direction)
+        if key not in self._grids:
+            images = self.images(level)
+            self._grids[key] = (_kernels.FacetGrid(images, self.facets(level),
+                                                   RAY_SLOPES[len(images)][direction])
+                                if np.isfinite(images).all() else None)
+        return self._grids[key]
+
+    def raw(self, y: np.ndarray, level: int):
+        """``(degree count, distance from y to the image vertices)``.
+
+        The count is the signed number of image facets crossed by a ray
+        from y, along the first of ``RAY_SLOPES`` that passes no edge or
+        vertex within rounding.  It is NaN when both directions are
+        ambiguous, when y lies on a facet or so far out that its offsets
+        overflow, or when an image vertex is not finite; but 0.0 when y lies
+        outside the bounding box of the image vertices, as a closed surface
+        or loop does not wind around such a point."""
         images = self.images(level)
         with np.errstate(over="ignore", invalid="ignore"):
-            if len(images) == 3:
-                _, faces, edges, face_edges = _octamesh(level)
-                total, dist = _kernels.solid_angle_sum(faces, edges, face_edges, images, y)
-                raw = total / (4 * math.pi)
-            else:
-                raw = _kernels.winding_sum(images, y)
-                dist = float(np.min(_norms(images - y[:, None])))
+            dist = float(np.min(_norms(images - y[:, None])))
+        raw = math.nan
+        for direction in range(len(RAY_SLOPES[len(images)])):
+            grid = self.grid(level, direction)
+            count = math.nan if grid is None else _kernels.crossing_count(grid, y)
+            if count is not None:
+                raw = count
+                break
         if not math.isfinite(raw) and (
                 (y < images.min(axis=1)) | (y > images.max(axis=1))).any():
             raw = 0.0
@@ -226,12 +252,16 @@ def _norms(cols: np.ndarray) -> np.ndarray:
 
 # the finest mesh level a degree certification tries by default
 MAX_REFINE = 7
-# a raw sum certifies when within SNAP_TOL of an integer and moved less
-# than STABILITY_TOL since the previous mesh level; a level at which y
-# lies within MIN_DISTANCE of the image mesh is skipped
-SNAP_TOL = 0.2
-STABILITY_TOL = 0.05
+# a count certifies when it equals the previous mesh level's; a level at
+# which y lies within MIN_DISTANCE of the image vertices is skipped
 MIN_DISTANCE = 1e-9
+# ray directions (1, s) of the crossing counts per dimension, tried in
+# turn: oblique, because the probe targets f(center) see mesh vertices
+# along the axes, where a ray along e_1 meets vertices and edges
+RAY_SLOPES = {
+    2: ((1 / math.pi,), (-0.5772156649015329,)),
+    3: ((1 / math.pi, 0.5772156649015329), (-0.5772156649015329, 1 / math.e)),
+}
 # image points this close to the sphere image are not probed
 BOUNDARY_TOL = 1e-6
 # Newton oracle of signed_preimage_count: iterations per seed, residual
@@ -253,37 +283,31 @@ def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport
     for level in range(first, max_refine + 1):
         raw, dist = cache.raw(y, level)
         history.append((level, raw, dist))
-        # a sum that overflows inside the bounding box of the image leaves
-        # the level as unresolved as a near target
+        # a count that is ambiguous in both directions, or NaN inside the
+        # bounding box of the image, leaves the level as unresolved as a
+        # near target
         if dist < MIN_DISTANCE or not math.isfinite(raw):
             prev_raw, streak = None, 0
             continue
-        near = round(raw)
-        snapped = abs(raw - near) < SNAP_TOL
-        if snapped and prev_raw is not None and abs(raw - prev_raw) < STABILITY_TOL:
-            streak += 1
-        else:
-            streak = 0
+        streak = streak + 1 if raw == prev_raw else 0
         prev_raw = raw
-        if not (snapped and streak >= 1):
-            continue
         # one stable refinement suffices when the mesh is provably fine
         # around y; otherwise an unresolved fold can mimic stability for
         # one step, so demand a second consecutive stable refinement
-        if streak >= 2 or cache.locally_resolved(y, level, dist):
-            return DegreeReport(int(near), raw, dist, level, history)
+        if streak >= 2 or (streak == 1 and cache.locally_resolved(y, level, dist)):
+            return DegreeReport(int(raw), raw, dist, level, history)
     raise IndeterminateDegreeError(
         f"degree not certified after refinement {max_refine}: history={history}"
     )
 
 
 def degree(map_forward, probe: SphereProbe, y, max_refine: int = MAX_REFINE) -> DegreeReport:
-    """Degree deg(f, S(a,r), y), certified by snap and refinement stability.
+    """Degree deg(f, S(a,r), y), certified by refinement stability.
 
-    Refines the mesh until the raw sum is within ``SNAP_TOL`` of an
-    integer and moved less than ``STABILITY_TOL`` since the previous
-    level; raises when y stays too close to the image mesh, and
-    ``ValueError`` when y is not finite.
+    Refines the mesh until the crossing count equals the previous level's
+    (twice in a row, unless the mesh is locally resolved around y); raises
+    when y stays too close to the image mesh, and ``ValueError`` when y is
+    not finite.
     """
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():
@@ -333,27 +357,67 @@ def signed_preimage_count(map_forward, y, box, grid: int = 13) -> int:
                for x in roots)
 
 
+# a multi-target probe passes only when it decides at least this share of
+# its targets; it skips a target that lies near a sphere image or whose
+# degree is indeterminate, and a probe that skipped them all would pass
+MIN_DECIDED = 0.9
+
+
+def _enough(decided: int, skipped: int) -> bool:
+    return decided >= MIN_DECIDED * (decided + skipped)
+
+
 @dataclass
 class InvReport:
+    """``inv_check``'s samples drawn inside and outside the ball, the
+    violations among them, and how many of all its targets it decided and
+    skipped."""
+
     inside_checked: int
     inside_violations: int
     outside_checked: int
     outside_violations: int
+    decided: int
+    skipped: int
 
     @property
     def passed(self) -> bool:
-        return self.inside_violations == 0 and self.outside_violations == 0
+        return (self.inside_violations == 0 and self.outside_violations == 0
+                and _enough(self.decided, self.skipped))
+
+
+class ProbeViolations(int):
+    """The violations found by ``nesting_probe`` or ``disjointness_probe``:
+    an int, so callers that compare the count with 0 keep working, that
+    also carries how many targets the probe decided and skipped.  ``passed``
+    also asks that the probe decided ``MIN_DECIDED`` of its targets."""
+
+    def __new__(cls, violations: int, decided: int, skipped: int):
+        self = super().__new__(cls, violations)
+        self.decided, self.skipped = decided, skipped
+        return self
+
+    @property
+    def passed(self) -> bool:
+        return self == 0 and _enough(self.decided, self.skipped)
+
+    def __repr__(self):
+        return (f"ProbeViolations({int(self)}, decided={self.decided}, "
+                f"skipped={self.skipped})")
 
 
 def inv_check(map_like, center, radius: float, n_inside: int = 20,
               n_outside: int = 20, seed: int = 0, refinement: int = 3) -> InvReport:
     """Degree-based invertibility probe on one ball.
 
-    Sampled interior points must map to points of nonzero degree (or to
-    the sphere image within tolerance); sampled exterior points, drawn
-    1.1 to 2.1 radii from the center inside the cube, must map to degree
-    zero (or near the sphere image).  Raises ``ValueError`` when 1.1 radii
-    reach the far corner of the cube, where no exterior point fits.
+    Sampled interior points must map to points of nonzero degree, and
+    sampled exterior points, drawn 1.1 to 2.1 radii from the center inside
+    the cube, to degree zero.  An image within ``BOUNDARY_TOL`` of the
+    sphere image, or of indeterminate degree, is skipped; the report
+    passes only when no decided target is a violation and at least
+    ``MIN_DECIDED`` of the targets were decided.  Raises ``ValueError``
+    when 1.1 radii reach the far corner of the cube, where no exterior
+    point fits.
     """
     c = np.asarray(center, dtype=float)
     if 1.1 * radius >= np.linalg.norm(1.0 + np.abs(c)):
@@ -370,7 +434,7 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
 
     inside = _ball_points(rng, c, radius, n_inside, n, inside=True)
     outside = _ball_points(rng, c, radius, n_outside, n, inside=False)
-    violations = []
+    violations, decided = [], 0
     # interior points must land on nonzero degree, exterior ones on zero
     for pts, expect_nonzero in ((inside, True), (outside, False)):
         bad = 0
@@ -382,8 +446,10 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
                     bad += 1
             except IndeterminateDegreeError:
                 continue
+            decided += 1
         violations.append(bad)
-    return InvReport(len(inside), violations[0], len(outside), violations[1])
+    skipped = len(inside) + len(outside) - decided
+    return InvReport(len(inside), violations[0], len(outside), violations[1], decided, skipped)
 
 
 def _ball_points(rng, c, radius, count, n, inside: bool):
@@ -410,43 +476,54 @@ def degree_stability(stages, probe: SphereProbe, y) -> list[int]:
 
 
 def nesting_probe(map_like, center, r_small: float, r_big: float,
-                  y_grid, refinement: int = 3) -> int:
-    """Violations of E(f, B(a,r)) within E(f, B(a,s)) on a y-grid."""
+                  y_grid, refinement: int = 3) -> ProbeViolations:
+    """Violations of E(f, B(a,r)) within E(f, B(a,s)) on a y-grid.
+
+    A target of nonzero degree over the small sphere must have nonzero
+    degree over the big one; an indeterminate big degree counts as a
+    violation.  A target of indeterminate small degree, or near the big
+    sphere image, is skipped."""
     map_rows = forward_rows(map_like)
     small = _ImageCache(map_rows, SphereProbe(tuple(center), r_small, refinement))
     big = _ImageCache(map_rows, SphereProbe(tuple(center), r_big, refinement))
     big_images = big.images(refinement)
-    bad = 0
-    for y in np.asarray(y_grid, dtype=float):
+    bad = skipped = 0
+    targets = np.asarray(y_grid, dtype=float)
+    for y in targets:
         try:
             d_small = _cached_degree(small, y).degree
         except IndeterminateDegreeError:
+            skipped += 1
             continue
         if d_small == 0:
             continue
         if float(np.min(_norms(big_images - y[:, None]))) < BOUNDARY_TOL:
+            skipped += 1
             continue
         try:
             if _cached_degree(big, y).degree == 0:
                 bad += 1
         except IndeterminateDegreeError:
             bad += 1
-    return bad
+    return ProbeViolations(bad, len(targets) - skipped, skipped)
 
 
 def disjointness_probe(map_like, center_a, r_a: float, center_b, r_b: float,
-                       y_grid, refinement: int = 3) -> int:
-    """Violations of disjoint topological images over disjoint balls."""
+                       y_grid, refinement: int = 3) -> ProbeViolations:
+    """Violations of disjoint topological images over disjoint balls: a
+    target of nonzero degree over both spheres.  A target of indeterminate
+    degree over either is skipped."""
     map_rows = forward_rows(map_like)
     ca = _ImageCache(map_rows, SphereProbe(tuple(center_a), r_a, refinement))
     cb = _ImageCache(map_rows, SphereProbe(tuple(center_b), r_b, refinement))
-    bad = 0
+    bad = skipped = 0
     for y in y_grid:
         try:
             da = _cached_degree(ca, y).degree
             db = _cached_degree(cb, y).degree
         except IndeterminateDegreeError:
+            skipped += 1
             continue
         if da != 0 and db != 0:
             bad += 1
-    return bad
+    return ProbeViolations(bad, len(y_grid) - skipped, skipped)

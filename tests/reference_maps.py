@@ -19,10 +19,11 @@ calls are one-row batches, checked against ``tests/test_descent.py``'s
 reference walks and the closed forms there; the inverse of a Cantor map
 is the Cantor map with the two schedules swapped.
 
-The degree probes' sphere mesh and solid-angle sum have their loop
-versions here too: the octahedron subdivided through a midpoint
-dictionary, and the van Oosterom-Strackee sum over an (F, 3, 3) array of
-triangle corners, one triangle per row.
+The degree probes' sphere mesh has its loop version here too: the
+octahedron subdivided through a midpoint dictionary.  So do the oracles of
+their crossing counts: the van Oosterom-Strackee solid-angle sum over an
+(F, 3, 3) array of triangle corners, one triangle per row, and the winding
+number of a planar loop as a sum of turning angles.
 """
 
 import math
@@ -452,7 +453,8 @@ def stage_derivative(stage, point):
 
 
 # ---------------------------------------------------------------------------
-# Degree probes: the sphere mesh and the solid-angle sum, per triangle.
+# Degree probes: the sphere mesh, the solid-angle sum per triangle and the
+# winding number of a loop.
 # ---------------------------------------------------------------------------
 
 
@@ -505,3 +507,13 @@ def solid_angle_corners(tris, y):
         + np.einsum("ij,ij->i", c, a) * lb
     )
     return float(2.0 * np.arctan2(det, den).sum())
+
+
+def winding_sum(loop, y):
+    """Winding number of the closed loop (2, N), held component by
+    component, around y: its turning angles summed over 2 pi."""
+    v0, v1 = loop - y[:, None]
+    w0, w1 = np.roll(v0, -1), np.roll(v1, -1)
+    cross = v0 * w1 - v1 * w0
+    dot = v0 * w0 + v1 * w1
+    return float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))

@@ -121,6 +121,10 @@ class TestConfig:
         ("verify-sobolev", {"quadrature": {"cells_cap": 2**18 + 1}}),
         ("params", {"n": 10, "beta": 11}),
         ("degree", {"degree": {"fixture": "identity"}, "n": 4, "beta": 5}),
+        # steps whose 10 h margin clips the survey to a sliver around the
+        # origin, where the stage maps are near the identity
+        ("verify-jacobian", {"quadrature": {"fd_step": 0.099}, "max_stage": 1}),
+        ("verify-jacobian", {"quadrature": {"fd_step": 0.05}, "max_stage": 1}),
     ])
     def test_bad_config_exits_2(self, tmp_path, command, overrides):
         assert cli.run(command, write_cfg(tmp_path, **overrides)) == cli.EXIT_CONFIG
@@ -267,7 +271,7 @@ _FIELDS = {
         "transverse_resolution": (_ints(1, 2), _ints(0, _CAP + 1)),
         "cells_cap": (_ints(1, 2), _ints(0, _CAP + 1)),
         "fd_step": (st.floats(1e-8, 1e-3) | st.just(2.0**-49),
-                    st.sampled_from([10.0, 0.1, 1e-320, 2.0**-50])),
+                    st.sampled_from([10.0, 0.1, 0.099, 0.05, 1e-320, 2.0**-50])),
         "seed": (st.integers(0, 2**70), _ints(-1)),
     },
     "degree": {

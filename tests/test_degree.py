@@ -97,9 +97,10 @@ class TestFixtures:
         assert got == oracle == 2
 
     def test_refinement_stability(self):
+        # the raw value is a crossing count, certified when it repeats
         rep = degree(identity, UNIT, (0.3, 0.1, -0.2))
         raws = [raw for _, raw, _ in rep.history[-2:]]
-        assert abs(raws[-1] - raws[-2]) < 0.05
+        assert raws[-1] == raws[-2] == rep.raw == 1.0
 
     def test_indeterminate_when_target_on_mesh(self):
         with pytest.raises(IndeterminateDegreeError):
@@ -114,11 +115,14 @@ class TestFixtures:
         (UNIT, (1e308, 1e308, 1e308)),
         (UNIT, (1e154, 1e154, 1e154)),
         (SphereProbe((0.0, 0.0), 0.8, 2), (1e308, -1e308)),
-    ], ids=["sphere-1e308", "sphere-1e154", "circle-1e308"])
+        # projects into the projected image: far along the first ray
+        (UNIT, 1e300 * np.array((1.0, *degree_mod.RAY_SLOPES[3][0]))),
+        (SphereProbe((0.0, 0.0), 0.8, 2), 1e300 * np.array((1.0, *degree_mod.RAY_SLOPES[2][0]))),
+    ], ids=["sphere-1e308", "sphere-1e154", "circle-1e308", "sphere-on-ray", "circle-on-ray"])
     def test_overflowing_target_has_degree_zero(self, probe, y):
-        # the squared offsets overflow, so the sums are NaN; y lies outside
-        # the bounding box of the image, where a closed surface or loop
-        # has degree 0, and no overflow warning escapes
+        # the squared offsets overflow; y projects outside the projected
+        # image, where the ray crosses no facet, and no overflow warning
+        # escapes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = degree(identity, probe, y)
@@ -304,7 +308,23 @@ class TestStages:
 
     def test_inv_check_stage(self):
         rep = inv_check(build_stage("T1", 2), self.CENTER, 0.05, 6, 6, refinement=3)
-        assert rep.passed
+        assert rep.passed and (rep.decided, rep.skipped) == (12, 0)
+
+    def test_constant_map_does_not_pass_inv_check(self):
+        # every image is the sphere image's one point, so every target is
+        # skipped; a probe that decides nothing does not pass
+        rep = inv_check(lambda x: np.zeros(3), self.CENTER, 0.05, 12, 12)
+        assert rep == degree_mod.InvReport(12, 0, 12, 0, 0, 24)
+        assert not rep.passed
+
+    def test_probes_that_skip_their_targets_do_not_pass(self):
+        # targets on the small sphere's image have no certified degree
+        st = build_stage("T1", 2)
+        ys = st.forward_many(np.asarray(self.CENTER) + 0.1 * octasphere(3)[0][:20])
+        nest = nesting_probe(st, self.CENTER, 0.1, 0.3, ys)
+        disj = disjointness_probe(st, self.CENTER, 0.1, (-0.55, -0.09, -0.25), 0.1, ys)
+        for rep in (nest, disj):
+            assert rep == 0 and (rep.decided, rep.skipped) == (0, 20) and not rep.passed
 
     def test_nesting_no_violations(self):
         st = build_stage("T1", 2)
@@ -313,7 +333,8 @@ class TestStages:
             np.array([np.asarray(self.CENTER) + 0.04 * rng.uniform(-1, 1, 3)
                       for _ in range(20)])
         )
-        assert nesting_probe(st, self.CENTER, 0.1, 0.3, ys) == 0
+        rep = nesting_probe(st, self.CENTER, 0.1, 0.3, ys)
+        assert rep == 0 and rep.passed and (rep.decided, rep.skipped) == (20, 0)
 
     def test_disjoint_no_violations(self):
         st = build_stage("T1", 2)
@@ -322,5 +343,5 @@ class TestStages:
             np.array([np.asarray(self.CENTER) + 0.04 * rng.uniform(-1, 1, 3)
                       for _ in range(12)])
         )
-        assert disjointness_probe(st, self.CENTER, 0.1,
-                                  (-0.55, -0.09, -0.25), 0.1, ys) == 0
+        rep = disjointness_probe(st, self.CENTER, 0.1, (-0.55, -0.09, -0.25), 0.1, ys)
+        assert rep == 0 and rep.passed and (rep.decided, rep.skipped) == (12, 0)

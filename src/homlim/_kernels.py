@@ -81,20 +81,22 @@ class FacetGrid:
 
     ``images`` (n, V) holds the vertices component by component and
     ``facets`` (F, n) indexes its columns, each row in the mesh's outward
-    orientation.  The first query scans every facet with a per-vertex side
-    test; the second builds the index, which cuts the projected box of the
-    vertices into about F / 16 buckets (2-D) or F / 4 (1-D) and lists each
-    facet, by int32 CSR, in every bucket that its projected box meets.  A
-    query then reads the facets of the point's bucket only.  Building costs
-    a few scans, which a mesh queried once would never repay.
+    orientation.  A grid queried by one target scans every facet with a
+    per-vertex side test; a grid queried by more than one target, in one
+    batch or over several, builds the index, which cuts the projected box
+    of the vertices into about F / 16 buckets (2-D) or F / 4 (1-D) and
+    lists each facet, by int32 CSR, in every bucket that its projected box
+    meets.  A query then reads the facets of the point's bucket only.
+    Building costs a few scans, which a mesh queried once would never
+    repay.
     """
 
     def __init__(self, images, facets, slopes):
         self.images = images
-        self.slopes = tuple(slopes)
+        self.slopes = np.array(slopes)
         self.facets = facets
-        self.proj = images[1:] - np.array(self.slopes)[:, None] * images[0]
-        self.lo, self.hi = self.proj.min(axis=1).tolist(), self.proj.max(axis=1).tolist()
+        self.proj = images[1:] - self.slopes[:, None] * images[0]
+        self.lo, self.hi = self.proj.min(axis=1), self.proj.max(axis=1)
         self.queries = 0
         self.start = None
 
@@ -102,7 +104,7 @@ class FacetGrid:
         """Build the bucket index."""
         d = len(self.proj)
         cells = self.cells = max(1, int(len(self.facets) ** (1 / d)) // 4)
-        self.width = [(hi - lo) / cells if hi > lo else 1.0 for lo, hi in zip(self.lo, self.hi)]
+        self.width = np.where(self.hi > self.lo, (self.hi - self.lo) / cells, 1.0)
         # per axis, the buckets of the least and greatest corner of a facet
         first, count = [], []
         for axis, coords in enumerate(self.proj):
@@ -118,10 +120,7 @@ class FacetGrid:
         facet = np.arange(len(self.facets), dtype=np.int32)
         bucket = np.zeros(len(self.facets), dtype=np.int32)
         for axis in range(d):
-            repeats = count[axis][facet]
-            ends = np.cumsum(repeats, dtype=np.int32)
-            entry = np.repeat(np.arange(len(facet), dtype=np.int32), repeats)
-            step = np.arange(ends[-1], dtype=np.int32) - (ends - repeats)[entry]
+            entry, step = _ranges(count[axis][facet])
             facet = facet[entry]
             bucket = bucket[entry] * cells + first[axis][facet] + step
         # a stable sort of 16-bit keys is a radix sort
@@ -130,98 +129,116 @@ class FacetGrid:
         self.start = np.zeros(cells**d + 1, dtype=np.int32)
         np.cumsum(np.bincount(bucket, minlength=cells**d), out=self.start[1:])
 
-    def _bucket(self, coords, axis):
-        """Bucket numbers along an axis of projected coordinates inside the
-        box: monotone in the coordinate, so a point inside a facet's
-        projected box falls in one of the facet's buckets."""
+    def _bucket(self, coords, axis=slice(None)):
+        """Bucket numbers of projected coordinates inside the box, along one
+        axis or, by default, along each axis of (..., d) points: monotone
+        in the coordinate, so a point inside a facet's projected box falls
+        in one of the facet's buckets."""
         cell = (coords - self.lo[axis]) / self.width[axis]
         return np.minimum(cell.astype(np.int32), self.cells - 1)
 
-    def candidates(self, p):
-        """Indices of facets that include every facet whose projected box
-        contains the projected point p: none when p lies outside the
-        projected box of the vertices.  Builds the index on the second
-        query."""
-        if not all(lo <= c <= hi for c, lo, hi in zip(p, self.lo, self.hi)):
-            return self.facets[:0, 0]
-        self.queries += 1
+    def candidates(self, points):
+        """``(rows, ids)``: for each row of the (T, d) projected points,
+        facet indices that include every facet whose projected box contains
+        it, none for a row outside the projected box of the vertices.  Each
+        row inside the box is a query; the index is built once the grid has
+        had more than one."""
+        inside = np.flatnonzero(((self.lo <= points) & (points <= self.hi)).all(axis=1))
+        self.queries += len(inside)
         if self.start is None and self.queries > 1:
             self.build()
         if self.start is None:
-            # drop the facets whose corners all lie on one side of p
-            # along some axis
+            if not len(inside):
+                return inside, inside
+            # one query: drop the facets whose corners all lie on one side
+            # of its point along some axis
             side = np.zeros(self.proj.shape[1], dtype=np.uint8)
-            for axis, (coords, c) in enumerate(zip(self.proj, p)):
+            for axis, (coords, c) in enumerate(zip(self.proj, points[inside[0]])):
                 side |= (coords < c).view(np.uint8) << 2 * axis
                 side |= (coords > c).view(np.uint8) << 2 * axis + 1
             common = side[self.facets[:, 0]]
             for col in self.facets.T[1:]:
                 common &= side[col]
-            return np.flatnonzero(common == 0)
-        flat = 0
-        for c, lo, width in zip(p, self.lo, self.width):
-            flat = flat * self.cells + min(int((c - lo) / width), self.cells - 1)
-        return self.ids[self.start[flat]:self.start[flat + 1]]
+            ids = np.flatnonzero(common == 0)
+            return np.full(len(ids), inside[0]), ids
+        flat = np.ravel_multi_index(self._bucket(points[inside]).T, (self.cells,) * len(self.lo))
+        begin = self.start[flat]
+        entry, step = _ranges(self.start[flat + 1] - begin)
+        return inside[entry], self.ids[begin[entry] + step]
 
 
-def crossing_count(grid: FacetGrid, y):
-    """Signed number of the grid's facets that the ray y + t d (t > 0)
-    crosses, as a float.
+def _ranges(counts):
+    """``(entry, step)`` of ``counts[i]`` consecutive items per entry i:
+    the entry of each item, and its place 0, 1, ... within the entry."""
+    ends = np.cumsum(counts, dtype=np.int32)
+    entry = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    return entry, np.arange(len(entry), dtype=np.int32) - (ends - counts)[entry]
 
-    ``None`` when the ray passes within rounding of an edge or vertex of a
-    facet whose projection may contain p (the direction is ambiguous), and
-    NaN when y lies within rounding of the plane of such a facet.
+
+def crossing_count(grid: FacetGrid, ys):
+    """``(counts, retry)`` for the (T, n) targets ``ys``: the signed number
+    of the grid's facets that the ray y + t d (t > 0) crosses from each
+    target, as floats, and the targets whose direction is ambiguous.
+
+    A target is retried when the ray passes within rounding of an edge or
+    vertex of a facet whose projection may contain its point; its count is
+    NaN, and so is the count of a target within rounding of the plane of
+    such a facet.
     """
-    y = y.tolist()
-    p = [c - s * y[0] for c, s in zip(y[1:], grid.slopes)]
-    ids = grid.candidates(p)
-    if not len(ids):
-        return 0.0
-    corners = grid.facets[ids]                                # (k, n)
-    if len(p) == 1:
-        # the weight of each end of a segment is the other end's offset
-        weight = (grid.proj[0][corners] - p[0])[:, ::-1] * _SEGMENT_SIGNS
-        bound = 0.0
-    else:
-        # the weight of corner i is the orientation of corners i+1 and i+2
-        u = grid.proj[0][corners] - p[0]
-        v = grid.proj[1][corners] - p[1]
-        left = u[:, _NEXT] * v[:, _AFTER]
-        right = v[:, _NEXT] * u[:, _AFTER]
-        weight = left - right
-        bound = 2 * _EPS * (np.abs(left) + np.abs(right))
-    above = weight > bound
-    if (np.abs(weight) > bound).all():
-        inside = above.all(axis=1) | ~above.any(axis=1)
-    else:
-        below = weight < -bound
-        inside = above.all(axis=1) | below.all(axis=1)
-        if (~inside & ~(above.any(axis=1) & below.any(axis=1))).any():
-            return None
-    # a ray meets few facets: finish them one at a time
-    count = 0
-    for sign, corner in zip(np.sign(weight[inside, 0]).tolist(), corners[inside].tolist()):
-        det, err = _orientation([[float(c) - t for c, t in zip(grid.images[:, i], y)]
-                                 for i in corner])
-        if not abs(det) > err:      # on the plane, or overflowed
-            return math.nan
-        if det * sign > 0:
-            count += sign
-    return float(count)
+    counts = np.zeros(len(ys))
+    retry = np.zeros(len(ys), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = ys[:, 1:] - grid.slopes * ys[:, :1]
+        rows, ids = grid.candidates(p)
+        if not len(ids):
+            return counts, retry
+        corners = grid.facets[ids].T                          # (n, k)
+        # the weights, one row per corner: of a segment's end, the other
+        # end's offset; of a triangle's corner, the orientation of the
+        # next two corners
+        if p.shape[1] == 1:
+            weight = (grid.proj[0][corners] - p[rows, 0])[::-1] * _SEGMENT_SIGNS[:, None]
+            bound = 0.0
+        else:
+            left, right = _cofactors(grid.proj[:, corners] - p.T[:, None, rows])
+            weight = left - right
+            bound = 2 * _EPS * (np.abs(left) + np.abs(right))
+        above, below = weight > bound, weight < -bound
+        inside = above.all(axis=0) | below.all(axis=0)
+        if not (above | below).all():
+            # a weight within rounding: retry the targets whose ray may
+            # graze an edge or vertex of such a facet
+            retry[rows[~inside & ~(above.any(axis=0) & below.any(axis=0))]] = True
+            inside &= ~retry[rows]
+        # y lies behind a facet that contains p when the orientation of y
+        # and the facet has the sign of the facet's weights
+        rows, sign = rows[inside], np.sign(weight[0, inside])
+        det, err = _orientation(grid.images[:, corners[:, inside]] - ys[rows].T[:, None, :])
+        counts += np.bincount(rows, weights=np.where(det * sign > 0, sign, 0.0), minlength=len(ys))
+    counts[rows[~(np.abs(det) > err)]] = math.nan      # on the plane, or overflowed
+    counts[retry] = math.nan
+    return counts, retry
 
 
-def _orientation(rows):
-    """``(det, bound)`` of a 2x2 or 3x3 matrix of floats given by rows: the
-    determinant evaluated in floats, and a bound on its rounding error."""
-    if len(rows) == 2:
-        (a0, a1), (b0, b1) = rows
-        left, right = a0 * b1, a1 * b0
-        return left - right, 2 * _EPS * (abs(left) + abs(right))
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-    bc, ca, ab = b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1
-    perm = (abs(a0) * (abs(b1 * c2) + abs(b2 * c1)) + abs(b0) * (abs(c1 * a2) + abs(c2 * a1))
-            + abs(c0) * (abs(a1 * b2) + abs(a2 * b1)))
-    return a0 * bc + b0 * ca + c0 * ab, 8 * _EPS * perm
+def _cofactors(xy):
+    """``(left, right)`` of (2, 3, k) corner coordinates x, y: per corner
+    i, x[i+1] y[i+2] and y[i+1] x[i+2], whose difference is the
+    orientation of corners i+1 and i+2 in the (x, y) plane."""
+    one, two = xy[:, _NEXT], xy[:, _AFTER]
+    return one[0] * two[1], one[1] * two[0]
+
+
+def _orientation(m):
+    """``(det, bound)`` of k 2x2 or 3x3 matrices, ``m[component, row]``
+    an array of k floats: the determinants evaluated in floats, expanded
+    along component 0, and bounds on their rounding errors."""
+    if len(m) == 2:
+        left, right = m[0, 0] * m[1, 1], m[1, 0] * m[0, 1]
+        return left - right, 2 * _EPS * (np.abs(left) + np.abs(right))
+    left, right = _cofactors(m[1:])
+    terms = m[0] * (left - right)
+    perm = np.abs(m[0]) * (np.abs(left) + np.abs(right))
+    return terms[0] + terms[1] + terms[2], 8 * _EPS * (perm[0] + perm[1] + perm[2])
 
 
 # ---------------------------------------------------------------------------

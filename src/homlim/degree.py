@@ -3,11 +3,14 @@
 The degree of f over S(a, r) around y is the signed number of facets of
 the image mesh that a ray from y crosses: the image triangles of a
 subdivided octahedron for n = 3, the image segments of a polygon for
-n = 2 (``_kernels.crossing_count``).  Each mesh level keeps a bucket index
-of its facets per ray direction, so a target reads only the facets near
-its ray.  The count is certified when it repeats under mesh refinement.
-A brute-force signed-preimage count over a grid with Newton polishing
-serves as the independent oracle on smooth fixtures.
+n = 2 (``_kernels.crossing_count``).  The count is certified when it
+repeats under mesh refinement.  A probe certifies all its targets in one
+batch, one pass per mesh level over the targets still open (``_certify``;
+one target is a one-row batch).  A level's facet grid queried by more
+than one target builds a bucket index of its facets per ray direction,
+so a target reads only the facets near its ray; a grid queried by one
+target scans.  A brute-force signed-preimage count over a grid with
+Newton polishing serves as the independent oracle on smooth fixtures.
 """
 
 from __future__ import annotations
@@ -122,9 +125,9 @@ def _circle(center, radius, level):
 
 
 class _ImageCache:
-    """Per-probe cache of the image vertices of each mesh level, and of
-    the centroid and diameter of each image element, all held component
-    by component: (n, V) arrays, one contiguous row per coordinate.
+    """Per-probe cache of the image vertices of each mesh level, held
+    component by component (an (n, V) array, one contiguous row per
+    coordinate), and of the diameter of each image element.
 
     ``map_rows`` evaluates the map on an (N, n) array of points (see
     ``analysis.forward_rows``), and a row's image does not depend on the
@@ -135,14 +138,16 @@ class _ImageCache:
     slices a level out of a finer one already mapped, or maps only the
     vertices it adds to the finest coarser one: a probe maps each vertex
     it reads once.  Circle levels (n = 2) interleave, so each is mapped
-    whole.  Centroids and diameters are built at a level only when
-    ``locally_resolved`` first reads them there."""
+    whole.  Diameters are built at a level only when ``locally_resolved``
+    first reads them there, and centroids only when it first finds an
+    element large against a target's distance."""
 
     def __init__(self, map_rows, probe: SphereProbe):
         self.map_rows = map_rows
         self.probe = probe
         self._images: dict[int, np.ndarray] = {}
-        self._mesh: dict[int, tuple] = {}
+        self._diameters: dict[int, np.ndarray] = {}
+        self._centroids: dict[int, np.ndarray] = {}
         self._grids: dict[tuple[int, int], _kernels.FacetGrid | None] = {}
 
     def images(self, level: int) -> np.ndarray:
@@ -164,23 +169,30 @@ class _ImageCache:
             self._images[level] = images
         return self._images[level]
 
-    def mesh(self, level: int):
-        """``(centroids, diameters)`` of the image elements of a level."""
-        if level not in self._mesh:
+    def diameters(self, level: int) -> np.ndarray:
+        """The diameter of each image element of a level: its longest
+        side."""
+        if level not in self._diameters:
             images = self.images(level)
             if len(images) == 3:
-                _, faces, edges, face_edges = _octamesh(level)
-                fa, fb, fc = faces.T
-                cents = (images[:, fa] + images[:, fb] + images[:, fc]) / 3
+                _, _, edges, face_edges = _octamesh(level)
                 sides = _norms(images[:, edges[:, 0]] - images[:, edges[:, 1]])
                 ab, bc, ca = face_edges.T
-                diams = np.maximum(np.maximum(sides[ab], sides[bc]), sides[ca])
+                self._diameters[level] = np.maximum(np.maximum(sides[ab], sides[bc]), sides[ca])
             else:
-                nxt = np.roll(images, -1, axis=1)
-                cents = 0.5 * (images + nxt)
-                diams = _norms(images - nxt)
-            self._mesh[level] = (cents, diams)
-        return self._mesh[level]
+                self._diameters[level] = _norms(images - np.roll(images, -1, axis=1))
+        return self._diameters[level]
+
+    def centroids(self, level: int) -> np.ndarray:
+        """The (n, F) centroids of the image elements of a level."""
+        if level not in self._centroids:
+            images = self.images(level)
+            corners = self.facets(level).T
+            total = images[:, corners[0]]
+            for corner in corners[1:]:
+                total = total + images[:, corner]
+            self._centroids[level] = total / len(corners)
+        return self._centroids[level]
 
     def facets(self, level: int) -> np.ndarray:
         """The (F, n) facets of a mesh level, outward: the octasphere's
@@ -201,53 +213,85 @@ class _ImageCache:
                                 if np.isfinite(images).all() else None)
         return self._grids[key]
 
-    def raw(self, y: np.ndarray, level: int):
-        """``(degree count, distance from y to the image vertices)``.
+    def raw(self, ys: np.ndarray, level: int):
+        """``(degree counts, distances from each target to the image
+        vertices)`` of the (T, n) targets ``ys``.
 
-        The count is the signed number of image facets crossed by a ray
-        from y, along the first of ``RAY_SLOPES`` that passes no edge or
-        vertex within rounding.  It is NaN when both directions are
-        ambiguous, when y lies on a facet or so far out that its offsets
-        overflow, or when an image vertex is not finite; but 0.0 when y lies
-        outside the bounding box of the image vertices, as a closed surface
-        or loop does not wind around such a point."""
+        A count is the signed number of image facets crossed by a ray from
+        y, along the first of ``RAY_SLOPES`` that passes no edge or vertex
+        within rounding.  It is NaN when both directions are ambiguous,
+        when y lies on a facet or so far out that its offsets overflow, or
+        when an image vertex is not finite; but 0.0 when y lies outside the
+        bounding box of the image vertices, as a closed surface or loop
+        does not wind around such a point."""
         images = self.images(level)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dist = float(np.min(_norms(images - y[:, None])))
-        raw = math.nan
+        dist = _min_distance(images, ys)
+        raw = np.full(len(ys), math.nan)
+        todo = np.arange(len(ys))
         for direction in range(len(RAY_SLOPES[len(images)])):
-            grid = self.grid(level, direction)
-            count = math.nan if grid is None else _kernels.crossing_count(grid, y)
-            if count is not None:
-                raw = count
+            grid = self.grid(level, direction) if len(todo) else None
+            if grid is None:
                 break
-        if not math.isfinite(raw) and (
-                (y < images.min(axis=1)) | (y > images.max(axis=1))).any():
-            raw = 0.0
+            raw[todo], retry = _kernels.crossing_count(grid, ys[todo])
+            todo = todo[retry]
+        unset = np.flatnonzero(~np.isfinite(raw))
+        if len(unset):
+            y = ys[unset]
+            raw[unset[((y < images.min(axis=1)) | (y > images.max(axis=1))).any(axis=1)]] = 0.0
         return raw, dist
 
-    def locally_resolved(self, y: np.ndarray, level: int, dist: float) -> bool:
-        """True when no mesh element can both reach the vicinity of y and
-        be large against dist; such an element could hide a fold of the
-        image surface around y.  An element stays within 0.7 diam of its
-        centroid, so only elements with |cent - y| - 0.7 diam < 2 dist
-        matter."""
-        cents, diams = self.mesh(level)
-        with np.errstate(over="ignore", invalid="ignore"):
-            hazard = _norms(cents - y[:, None]) - 0.7 * diams < 2.0 * dist
-        if not hazard.any():
-            return True
-        return float(diams[hazard].max()) < 0.5 * dist
+    def locally_resolved(self, ys: np.ndarray, level: int, dists: np.ndarray) -> np.ndarray:
+        """Per target, True when no mesh element can both reach the
+        vicinity of y and be large against its distance; such an element
+        could hide a fold of the image surface around y.  An element stays
+        within 0.7 diam of its centroid, so only elements with
+        |cent - y| - 0.7 diam < 2 dist and diam >= 0.5 dist matter."""
+        diams = self.diameters(level)
+        resolved = np.ones(len(ys), dtype=bool)
+        for block in _blocks(len(ys), len(diams)):
+            # the large elements first (a NaN diameter is not small), then
+            # which of them reach y
+            rows, ids = np.nonzero(~(diams < 0.5 * dists[block, None]))
+            if not len(rows):
+                continue
+            rows += block.start
+            with np.errstate(over="ignore", invalid="ignore"):
+                reach = (_norms(self.centroids(level)[:, ids] - ys[rows].T) - 0.7 * diams[ids]
+                         < 2.0 * dists[rows])
+            resolved[rows[reach]] = False
+        return resolved
 
 
 def _norms(cols: np.ndarray) -> np.ndarray:
-    """The length of each column of an (n, N) array, summed one coordinate
-    at a time in ``np.linalg.norm``'s order, ``(x^2 + y^2) + z^2``: the
-    same floats, without its reduction over a short axis."""
+    """The length of each column of an (n, ...) array, summed one
+    coordinate at a time in ``np.linalg.norm``'s order, ``(x^2 + y^2) +
+    z^2``: the same floats, without its reduction over a short axis."""
     sq = cols[0] * cols[0]
     for col in cols[1:]:
         sq += col * col
     return np.sqrt(sq)
+
+
+# the (target, vertex or element) pairs that a batch compares at once
+BLOCK = 2**14
+
+
+def _blocks(count: int, width: int):
+    """Slices of ``count`` targets, each holding at most ``BLOCK`` pairs of
+    a target and one of ``width`` vertices or elements (one target at
+    least)."""
+    step = max(1, BLOCK // max(1, width))
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _min_distance(cols: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The distance from each of the (T, n) targets to the nearest column
+    of the (n, V) array ``cols``."""
+    dist = np.empty(len(ys))
+    for block in _blocks(len(ys), cols.shape[1]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            dist[block] = _norms(cols[:, None, :] - ys[block].T[:, :, None]).min(axis=1)
+    return dist
 
 
 # the finest mesh level a degree certification tries by default
@@ -271,34 +315,61 @@ NEWTON_TOL = 1e-10
 ROOT_DEDUPE = 1e-6
 
 
-def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport:
-    y = np.asarray(y, dtype=float)
-    history = []
-    prev_raw = None
-    streak = 0
+def _certify(cache: _ImageCache, ys: np.ndarray, max_refine=MAX_REFINE) -> list:
+    """Certify the degrees of the (T, n) targets ``ys`` over one probe, one
+    pass per mesh level for all the targets still open: per target its
+    ``DegreeReport``, or the ``IndeterminateDegreeError`` that says why it
+    has none."""
+    histories = [[] for _ in range(len(ys))]
+    reports = [None] * len(ys)
+    prev, streak = [None] * len(ys), [0] * len(ys)
+    open_ = list(range(len(ys)))
     first = cache.probe.refinement
     # a certification reads its first two levels: map both in one batch
-    if first < max_refine:
+    if first < max_refine and open_:
         cache.images(first + 1)
     for level in range(first, max_refine + 1):
-        raw, dist = cache.raw(y, level)
-        history.append((level, raw, dist))
-        # a count that is ambiguous in both directions, or NaN inside the
-        # bounding box of the image, leaves the level as unresolved as a
-        # near target
-        if dist < MIN_DISTANCE or not math.isfinite(raw):
-            prev_raw, streak = None, 0
-            continue
-        streak = streak + 1 if raw == prev_raw else 0
-        prev_raw = raw
-        # one stable refinement suffices when the mesh is provably fine
-        # around y; otherwise an unresolved fold can mimic stability for
-        # one step, so demand a second consecutive stable refinement
-        if streak >= 2 or (streak == 1 and cache.locally_resolved(y, level, dist)):
-            return DegreeReport(int(raw), raw, dist, level, history)
-    raise IndeterminateDegreeError(
-        f"degree not certified after refinement {max_refine}: history={history}"
-    )
+        if not open_:
+            break
+        targets = ys[open_]
+        raw, dist = cache.raw(targets, level)
+        done, check = [], []
+        for k, (i, r, d) in enumerate(zip(open_, raw.tolist(), dist.tolist())):
+            histories[i].append((level, r, d))
+            # a count that is ambiguous in both directions, or NaN inside
+            # the bounding box of the image, leaves the level as unresolved
+            # as a near target
+            if d < MIN_DISTANCE or not math.isfinite(r):
+                prev[i], streak[i] = None, 0
+                continue
+            streak[i] = streak[i] + 1 if r == prev[i] else 0
+            prev[i] = r
+            # one stable refinement suffices when the mesh is provably fine
+            # around y; otherwise an unresolved fold can mimic stability
+            # for one step, so demand a second consecutive stable refinement
+            if streak[i] >= 2:
+                done.append(i)
+            elif streak[i] == 1:
+                check.append(k)
+        if check:
+            resolved = cache.locally_resolved(targets[check], level, dist[check])
+            done += [open_[k] for k, ok in zip(check, resolved.tolist()) if ok]
+        for i in done:
+            _, r, d = histories[i][-1]
+            reports[i] = DegreeReport(int(r), r, d, level, histories[i])
+        open_ = [i for i in open_ if reports[i] is None]
+    for i in open_:
+        reports[i] = IndeterminateDegreeError(
+            f"degree not certified after refinement {max_refine}: history={histories[i]}")
+    return reports
+
+
+def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport:
+    """The certified degree of one target: a one-row ``_certify``."""
+    (report,) = _certify(cache, np.asarray(y, dtype=float)[None], max_refine)
+    if isinstance(report, IndeterminateDegreeError):
+        raise report
+    return report
 
 
 def degree(map_forward, probe: SphereProbe, y, max_refine: int = MAX_REFINE) -> DegreeReport:
@@ -428,28 +499,23 @@ def inv_check(map_like, center, radius: float, n_inside: int = 20,
     probe = SphereProbe(tuple(c), radius, refinement)
     cache = _ImageCache(map_rows, probe)
     sphere_images = cache.images(refinement)
-
-    def near_boundary(y):
-        return float(np.min(_norms(sphere_images - y[:, None]))) < BOUNDARY_TOL
-
     inside = _ball_points(rng, c, radius, n_inside, n, inside=True)
     outside = _ball_points(rng, c, radius, n_outside, n, inside=False)
-    violations, decided = [], 0
+    ys = map_rows(np.concatenate([inside, outside]))
+    probed = np.flatnonzero(~(_min_distance(sphere_images, ys) < BOUNDARY_TOL))
     # interior points must land on nonzero degree, exterior ones on zero
-    for pts, expect_nonzero in ((inside, True), (outside, False)):
-        bad = 0
-        for y in map_rows(pts):
-            if near_boundary(y):
-                continue
-            try:
-                if (_cached_degree(cache, y).degree != 0) != expect_nonzero:
-                    bad += 1
-            except IndeterminateDegreeError:
-                continue
-            decided += 1
-        violations.append(bad)
-    skipped = len(inside) + len(outside) - decided
-    return InvReport(len(inside), violations[0], len(outside), violations[1], decided, skipped)
+    decided = [(i < len(inside), d != 0)
+               for i, d in zip(probed.tolist(), _degrees(_certify(cache, ys[probed])))
+               if d is not None]
+    bad = [interior for interior, nonzero in decided if interior != nonzero]
+    skipped = len(inside) + len(outside) - len(decided)
+    return InvReport(len(inside), bad.count(True), len(outside), bad.count(False),
+                     len(decided), skipped)
+
+
+def _degrees(reports) -> list:
+    """The degree of each of ``_certify``'s reports, None where it has none."""
+    return [rep.degree if isinstance(rep, DegreeReport) else None for rep in reports]
 
 
 def _ball_points(rng, c, radius, count, n, inside: bool):
@@ -487,24 +553,12 @@ def nesting_probe(map_like, center, r_small: float, r_big: float,
     small = _ImageCache(map_rows, SphereProbe(tuple(center), r_small, refinement))
     big = _ImageCache(map_rows, SphereProbe(tuple(center), r_big, refinement))
     big_images = big.images(refinement)
-    bad = skipped = 0
-    targets = np.asarray(y_grid, dtype=float)
-    for y in targets:
-        try:
-            d_small = _cached_degree(small, y).degree
-        except IndeterminateDegreeError:
-            skipped += 1
-            continue
-        if d_small == 0:
-            continue
-        if float(np.min(_norms(big_images - y[:, None]))) < BOUNDARY_TOL:
-            skipped += 1
-            continue
-        try:
-            if _cached_degree(big, y).degree == 0:
-                bad += 1
-        except IndeterminateDegreeError:
-            bad += 1
+    targets = np.asarray(y_grid, dtype=float).reshape(-1, len(center))
+    d_small = _degrees(_certify(small, targets))
+    nonzero = np.array([i for i, d in enumerate(d_small) if d], dtype=int)
+    near = _min_distance(big_images, targets[nonzero]) < BOUNDARY_TOL
+    bad = sum(d is None or d == 0 for d in _degrees(_certify(big, targets[nonzero[~near]])))
+    skipped = d_small.count(None) + int(near.sum())
     return ProbeViolations(bad, len(targets) - skipped, skipped)
 
 
@@ -516,14 +570,10 @@ def disjointness_probe(map_like, center_a, r_a: float, center_b, r_b: float,
     map_rows = forward_rows(map_like)
     ca = _ImageCache(map_rows, SphereProbe(tuple(center_a), r_a, refinement))
     cb = _ImageCache(map_rows, SphereProbe(tuple(center_b), r_b, refinement))
-    bad = skipped = 0
-    for y in y_grid:
-        try:
-            da = _cached_degree(ca, y).degree
-            db = _cached_degree(cb, y).degree
-        except IndeterminateDegreeError:
-            skipped += 1
-            continue
-        if da != 0 and db != 0:
-            bad += 1
-    return ProbeViolations(bad, len(y_grid) - skipped, skipped)
+    targets = np.asarray(y_grid, dtype=float).reshape(-1, len(center_a))
+    da = _degrees(_certify(ca, targets))
+    both = np.array([i for i, d in enumerate(da) if d is not None], dtype=int)
+    pairs = [(da[i], db) for i, db in zip(both.tolist(), _degrees(_certify(cb, targets[both])))
+             if db is not None]
+    bad = sum(a != 0 and b != 0 for a, b in pairs)
+    return ProbeViolations(bad, len(pairs), len(targets) - len(pairs))

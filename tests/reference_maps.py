@@ -23,10 +23,15 @@ The degree probes' sphere mesh has its loop version here too: the
 octahedron subdivided through a midpoint dictionary.  So do the oracles of
 their crossing counts: the van Oosterom-Strackee solid-angle sum over an
 (F, 3, 3) array of triangle corners, one triangle per row, and the winding
-number of a planar loop as a sum of turning angles.
+number of a planar loop as a sum of turning angles.  The package certifies
+a batch of targets one mesh level at a time; ``certify`` certifies one
+target, with its own crossing count (a scan of every facet, each crossed
+facet's orientation in Python floats), count per level, local-resolution
+test and level loop.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +39,8 @@ import numpy as np
 from homlim import tentacles
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import AxisCollapse
-from homlim.errors import DomainError
+from homlim.degree import MIN_DISTANCE, RAY_SLOPES, DegreeReport
+from homlim.errors import DomainError, IndeterminateDegreeError
 from homlim.geometry import tower_slots
 from homlim.tower import TowerMapping
 
@@ -517,3 +523,128 @@ def winding_sum(loop, y):
     cross = v0 * w1 - v1 * w0
     dot = v0 * w0 + v1 * w1
     return float(np.arctan2(cross, dot).sum() / (2.0 * np.pi))
+
+
+# ---------------------------------------------------------------------------
+# Degree certification, one target at a time.
+# ---------------------------------------------------------------------------
+
+
+def crossing_count(images, facets, slopes, y):
+    """Signed number of the facets (F, n) of the mesh ``images`` (n, V)
+    that the ray y + t (1, slopes), t > 0, crosses, as a float: None when
+    the ray passes within rounding of an edge or vertex of a facet whose
+    projected box holds the projected y, NaN when y lies within rounding
+    of such a facet's plane."""
+    proj = images[1:] - np.array(slopes)[:, None] * images[0]
+    y = y.tolist()
+    p = [c - s * y[0] for c, s in zip(y[1:], slopes)]
+    if not all(lo <= c <= hi for c, lo, hi in
+               zip(p, proj.min(axis=1).tolist(), proj.max(axis=1).tolist())):
+        return 0.0
+    # the facets whose projected boxes hold p
+    lo, hi = proj[:, facets].min(axis=2), proj[:, facets].max(axis=2)
+    ids = np.flatnonzero(((lo <= np.array(p)[:, None]) & (np.array(p)[:, None] <= hi)).all(axis=0))
+    holds = []
+    for corner in facets[ids].tolist():
+        if len(p) == 1:
+            # the weight of each end of a segment is the other end's offset
+            weight = [proj[0][corner[1]] - p[0], -(proj[0][corner[0]] - p[0])]
+            bound = [0.0, 0.0]
+        else:
+            # the weight of corner i is the orientation of corners i+1 and i+2
+            weight, bound = zip(*(orientation([[proj[0][corner[j]] - p[0], proj[1][corner[j]] - p[1]]
+                                                for j in ((i + 1) % 3, (i + 2) % 3)])
+                                   for i in range(3)))
+        above = [w > b for w, b in zip(weight, bound)]
+        below = [w < -b for w, b in zip(weight, bound)]
+        if all(above) or all(below):
+            holds.append((corner, 1 if above[0] else -1))
+        elif not (any(above) and any(below)):
+            return None
+    count = 0
+    for corner, sign in holds:
+        det, err = orientation([[float(c) - t for c, t in zip(images[:, i], y)] for i in corner])
+        if not abs(det) > err:      # on the plane, or overflowed
+            return math.nan
+        if det * sign > 0:
+            count += sign
+    return float(count)
+
+
+def orientation(rows):
+    """``(det, bound)`` of a 2x2 or 3x3 matrix of floats given by rows: the
+    determinant evaluated in floats, and a bound on its rounding error."""
+    eps = sys.float_info.epsilon
+    if len(rows) == 2:
+        (a0, a1), (b0, b1) = rows
+        left, right = a0 * b1, a1 * b0
+        return left - right, 2 * eps * (abs(left) + abs(right))
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+    bc, ca, ab = b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1
+    perm = (abs(a0) * (abs(b1 * c2) + abs(b2 * c1)) + abs(b0) * (abs(c1 * a2) + abs(c2 * a1))
+            + abs(c0) * (abs(a1 * b2) + abs(a2 * b1)))
+    return a0 * bc + b0 * ca + c0 * ab, 8 * eps * perm
+
+
+def degree_raw(cache, y, level):
+    """``(count, distance from y to the image vertices)`` of a level of a
+    ``degree._ImageCache``: the count along the first of ``RAY_SLOPES``
+    that is not ambiguous, NaN when none is or an image vertex is not
+    finite, and 0.0 for a NaN count when y lies outside the bounding box
+    of the image vertices."""
+    images = cache.images(level)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dist = float(np.min(np.linalg.norm(images - y[:, None], axis=0)))
+    raw = math.nan
+    if np.isfinite(images).all():
+        for slopes in RAY_SLOPES[len(images)]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                count = crossing_count(images, cache.facets(level), slopes, y)
+            if count is not None:
+                raw = count
+                break
+    if not math.isfinite(raw) and ((y < images.min(axis=1)) | (y > images.max(axis=1))).any():
+        raw = 0.0
+    return raw, dist
+
+
+def mesh_geometry(images, facets):
+    """``(centroids, diameters)`` of the elements of a mesh, from the rows
+    of their corners: the corners' mean, and the longest side by
+    ``np.linalg.norm``."""
+    corners = images.T[facets]                             # (F, corners, n)
+    sides = np.linalg.norm(corners - np.roll(corners, -1, axis=1), axis=2)
+    return corners.sum(axis=1) / facets.shape[1], sides.max(axis=1)
+
+
+def locally_resolved(cache, y, level, dist):
+    """True when no image element of the level both reaches 2 dist of y,
+    by its centroid less 0.7 of its diameter, and has a diameter of
+    0.5 dist or more."""
+    cents, diams = mesh_geometry(cache.images(level), cache.facets(level))
+    with np.errstate(over="ignore", invalid="ignore"):
+        hazard = np.linalg.norm(cents - y, axis=1) - 0.7 * diams < 2.0 * dist
+    return not hazard.any() or float(diams[hazard].max()) < 0.5 * dist
+
+
+def certify(cache, y, max_refine):
+    """The degree of y over the cache's probe: the first level whose count
+    repeats the previous level's twice, or once where the mesh is locally
+    resolved, skipping levels with y within ``MIN_DISTANCE`` of the image
+    vertices or a NaN count; raises ``IndeterminateDegreeError`` when no
+    level up to ``max_refine`` certifies."""
+    y = np.asarray(y, dtype=float)
+    history, prev_raw, streak = [], None, 0
+    for level in range(cache.probe.refinement, max_refine + 1):
+        raw, dist = degree_raw(cache, y, level)
+        history.append((level, raw, dist))
+        if dist < MIN_DISTANCE or not math.isfinite(raw):
+            prev_raw, streak = None, 0
+            continue
+        streak = streak + 1 if raw == prev_raw else 0
+        prev_raw = raw
+        if streak >= 2 or (streak == 1 and locally_resolved(cache, y, level, dist)):
+            return DegreeReport(int(raw), raw, dist, level, history)
+    raise IndeterminateDegreeError(
+        f"degree not certified after refinement {max_refine}: history={history}")

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -6,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homlim
 import reference_maps as ref
+from homlim import _kernels
 from homlim import degree as degree_mod
 from homlim.analysis import forward_rows
 from homlim.composite import build_stage
@@ -140,8 +144,7 @@ def report_hex(rep: DegreeReport):
 
 
 class _FromScratch(degree_mod._ImageCache):
-    """Oracle cache: maps every level whole, and builds the geometry of
-    each level with ``np.linalg.norm`` over the corner rows."""
+    """Oracle cache: maps every level whole."""
 
     def images(self, level):
         if level not in self._images:
@@ -150,17 +153,13 @@ class _FromScratch(degree_mod._ImageCache):
             self._images[level] = np.array(self.map_rows(c + self.probe.radius * verts)).T
         return self._images[level]
 
-    def mesh(self, level):
-        rows = self.images(level).T
-        corners = rows[octasphere(level)[1]]
-        cents = corners.sum(axis=1) / 3
-        sides = np.linalg.norm(corners - np.roll(corners, -1, axis=1), axis=2)
-        return cents, sides.max(axis=1)
 
-    def locally_resolved(self, y, level, dist):
-        cents, diams = self.mesh(level)
-        hazard = np.linalg.norm(cents - y, axis=1) - 0.7 * diams < 2.0 * dist
-        return not hazard.any() or float(diams[hazard].max()) < 0.5 * dist
+def oracle_hex(cache, y, max_refine=degree_mod.MAX_REFINE):
+    """``report_hex`` of the pointwise oracle's report, or its error."""
+    try:
+        return report_hex(ref.certify(cache, y, max_refine))
+    except IndeterminateDegreeError as err:
+        return str(err)
 
 
 class TestImageCache:
@@ -227,30 +226,34 @@ class TestImageCache:
             y = self.target(t)
             got = degree(stage, SphereProbe(self.CENTER, self.RADIUS, 3), y)
             cache = _FromScratch(forward_rows(stage), SphereProbe(self.CENTER, self.RADIUS, 3))
-            assert report_hex(got) == report_hex(degree_mod._cached_degree(cache, y))
+            assert report_hex(got) == oracle_hex(cache, y)
 
     def test_multi_target_probes_match_the_from_scratch_oracle(self, monkeypatch):
+        # the probes certify their targets in batches; every report of a
+        # batch equals the pointwise oracle's on a cache that maps each
+        # level whole
         stage = build_stage("T1", 3)
         rng = np.random.default_rng(4)
         ys = stage.forward_many(np.asarray(self.CENTER) + 0.04 * rng.uniform(-1, 1, (12, 3)))
-        runs = []
-        for cache in (degree_mod._ImageCache, _FromScratch):
-            reports = []
-            cached = degree_mod._cached_degree
+        batches = []
+        certify = degree_mod._certify
 
-            def recorded(c, y, max_refine=degree_mod.MAX_REFINE):
-                rep = cached(c, y, max_refine)
-                reports.append(report_hex(rep))
-                return rep
+        def recorded(cache, targets, max_refine=degree_mod.MAX_REFINE):
+            reports = certify(cache, targets, max_refine)
+            batches.append((cache.probe, targets.copy(), reports))
+            return reports
 
-            with monkeypatch.context() as m:
-                m.setattr(degree_mod, "_ImageCache", cache)
-                m.setattr(degree_mod, "_cached_degree", recorded)
-                inv = inv_check(stage, self.CENTER, self.RADIUS, 10, 10, seed=5)
-                bad = nesting_probe(stage, self.CENTER, self.RADIUS, 1.6 * self.RADIUS, ys)
-            runs.append((inv, bad, reports))
-        assert runs[0] == runs[1]
-        assert runs[0][0].passed and runs[0][1] == 0 and len(runs[0][2]) > 20
+        monkeypatch.setattr(degree_mod, "_certify", recorded)
+        inv = inv_check(stage, self.CENTER, self.RADIUS, 10, 10, seed=5)
+        bad = nesting_probe(stage, self.CENTER, self.RADIUS, 1.6 * self.RADIUS, ys)
+        got, want = [], []
+        for probe, targets, reports in batches:
+            oracle = _FromScratch(forward_rows(stage), probe)
+            got += [report_hex(rep) if isinstance(rep, DegreeReport) else str(rep)
+                    for rep in reports]
+            want += [oracle_hex(oracle, y) for y in targets]
+        assert got == want
+        assert inv.passed and bad == 0 and len(got) > 20
 
 
 class TestStages:
@@ -345,3 +348,129 @@ class TestStages:
         )
         rep = disjointness_probe(st, self.CENTER, 0.1, (-0.55, -0.09, -0.25), 0.1, ys)
         assert rep == 0 and rep.passed and (rep.decided, rep.skipped) == (12, 0)
+
+
+def octahedral_rows(rows):
+    """The sphere onto the octahedron |x|_1 = 1, row by row."""
+    return rows / np.abs(rows).sum(axis=1, keepdims=True)
+
+
+def flat_rows(rows):
+    """The sphere onto the disk x_3 = 0: every facet's plane holds a target
+    with x_3 = 0 exactly."""
+    return rows * np.array([1.0, 1.0, 0.0])
+
+
+def square_rows(rows):
+    """z -> z^2 on the plane, row by row."""
+    x, y = rows.T
+    return np.stack([x * x - y * y, 2 * x * y], axis=1)
+
+
+def graze_target(map_rows, probe):
+    """A target whose ray along the first direction passes through the
+    first mesh vertex's image at every level: its first coordinate is 0,
+    so it projects to exactly that vertex's projection."""
+    cache = degree_mod._ImageCache(map_rows, probe)
+    images = cache.images(probe.refinement)
+    proj = images[1:, 0] - np.array(degree_mod.RAY_SLOPES[len(images)][0]) * images[0, 0]
+    return np.array([0.0, *proj])
+
+
+UNIT0 = SphereProbe((0.0, 0.0, 0.0), 1.0, 3)
+DISK = SphereProbe((0.0, 0.0), 0.8, 2)
+# per fixture: (rows map, probe, max_refine, targets that reach the
+# branches of a certification)
+BATCH_FIXTURES = {
+    "octahedral": (octahedral_rows, UNIT0, 5, [
+        graze_target(octahedral_rows, UNIT0),                   # retried along d_2
+        *(v + 1e-11 for v in np.eye(3)[[0, 1, 2]]),             # near a vertex
+        -np.eye(3)[0] + 1e-11,
+        1e300 * np.array([1.0, *degree_mod.RAY_SLOPES[3][0]]),  # overflows: 0.0 outside
+        0.99 * np.array([0.2, 0.3, 0.5]),                       # near the surface
+    ]),
+    "flat": (flat_rows, UNIT0, 5, [np.array([0.1, 0.2, 0.0])]),  # on facet planes
+    "square": (square_rows, DISK, 5, [
+        graze_target(square_rows, DISK),
+        np.array([0.64, 0.0]) + 1e-11,                          # near a vertex
+        np.array([0.1, 0.05]),                                  # degree 2
+    ]),
+}
+
+
+def one_row(map_rows, probe, y, max_refine):
+    """A one-target certification on a fresh cache, and the cache."""
+    cache = degree_mod._ImageCache(map_rows, probe)
+    try:
+        return report_hex(degree_mod._cached_degree(cache, y, max_refine)), cache
+    except IndeterminateDegreeError as err:
+        return str(err), cache
+
+
+class TestBatchCertification:
+    """``_certify`` certifies a batch of targets one mesh level at a time;
+    each target gets what a one-row call gives it."""
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.sampled_from(sorted(BATCH_FIXTURES)), st.data())
+    def test_batch_equals_one_row_calls(self, name, data):
+        map_rows, probe, max_refine, special = BATCH_FIXTURES[name]
+        n = len(probe.center)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        count = data.draw(st.integers(16, 40))
+        rng = np.random.default_rng(seed)
+        scale = np.max(np.abs(map_rows(np.asarray(probe.center) + probe.radius * np.eye(n))))
+        ys = np.vstack([1.3 * scale * rng.uniform(-1, 1, (count, n)), special])
+        ys = ys[data.draw(st.permutations(range(len(ys))))]
+        cache = degree_mod._ImageCache(map_rows, probe)
+        got = [report_hex(rep) if isinstance(rep, DegreeReport) else str(rep)
+               for rep in degree_mod._certify(cache, ys, max_refine)]
+        for y, batch in zip(ys, got):
+            want, single = one_row(map_rows, probe, y, max_refine)
+            assert batch == want
+            # a grid queried by one target scans and never builds its index
+            assert all(grid is None or grid.start is None for grid in single._grids.values())
+        # the batch queried each first-direction grid with every target
+        # still open there, inside the projected box of the image
+        assert any(grid is not None and grid.start is not None
+                   for grid in cache._grids.values())
+
+    def test_special_targets_reach_every_branch(self):
+        reached = set()
+        for name, (map_rows, probe, max_refine, special) in BATCH_FIXTURES.items():
+            n = len(probe.center)
+            at_five = 0
+            for y in special:
+                cache = degree_mod._ImageCache(map_rows, probe)
+                levels = []
+                raw = cache.raw
+
+                def recorded(ys, level):
+                    counts, dists = raw(ys, level)
+                    levels.append((level, counts[0], dists[0]))
+                    return counts, dists
+
+                cache.raw = recorded
+                try:
+                    degree_mod._cached_degree(cache, y, max_refine)
+                except IndeterminateDegreeError:
+                    reached.add("indeterminate at max_refine")
+                if any(direction == 1 for _, direction in cache._grids):
+                    reached.add(f"retry n={n}")
+                at_five += levels[-1][0] >= 5
+                for level, count, dist in levels:
+                    if dist < degree_mod.MIN_DISTANCE:
+                        reached.add("near a vertex")
+                    elif math.isnan(count):
+                        reached.add("on a facet")
+                    if level >= 5:
+                        reached.add("level 5")
+                    first, _ = _kernels.crossing_count(cache.grid(level, 0), y[None])
+                    if count == 0.0 and math.isnan(first[0]):
+                        reached.add("0.0 outside the bounding box")
+            if name == "octahedral":
+                # more targets reach level 5 than one distance block holds
+                assert at_five > degree_mod.BLOCK // len(octasphere(5)[0])
+        assert reached == {"retry n=2", "retry n=3", "indeterminate at max_refine",
+                           "near a vertex", "on a facet", "level 5",
+                           "0.0 outside the bounding box"}

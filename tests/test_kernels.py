@@ -76,16 +76,23 @@ class TestTopology:
         assert outside == pytest.approx(0.0, abs=1e-12)
 
 
+def one_target(grid, y):
+    """The grid's crossing count of one target, None when its direction is
+    ambiguous."""
+    (count,), (retry,) = _kernels.crossing_count(grid, np.asarray(y, float)[None])
+    return None if retry else count
+
+
 def crossings(images, facets, y, indexed=False):
     """The crossing count as a degree probe takes it: along the first ray
     direction that is not ambiguous, NaN when none is.  ``images`` is
-    (V, n); ``indexed`` reads the bucket index instead of the first-query
+    (V, n); ``indexed`` reads the bucket index instead of the one-query
     scan."""
     for slopes in RAY_SLOPES[images.shape[1]]:
         grid = _kernels.FacetGrid(np.ascontiguousarray(images.T), facets, slopes)
         if indexed:
             grid.build()
-        count = _kernels.crossing_count(grid, np.asarray(y, float))
+        count = one_target(grid, y)
         if count is not None:
             return count
     return math.nan
@@ -117,7 +124,8 @@ class TestCrossingCount:
     def test_index_lists_every_facet_whose_box_holds_the_target(self, level):
         # a scan over all facets finds the facets whose projected boxes hold
         # the projected target; the bucket of the target lists each of them,
-        # and the indexed count equals the first-query scan's
+        # and the indexed count equals the one-query scan's, target by
+        # target or all in one batch
         rng = np.random.default_rng(20 + level)
         verts, faces, _, _ = _octamesh(level)
         images = np.ascontiguousarray((perturbed(verts, rng, 0.5) + 0.3 * rng.normal(size=3)).T)
@@ -125,15 +133,21 @@ class TestCrossingCount:
         grid.build()
         corners = grid.proj[:, faces]                      # (2, F, 3)
         lo, hi = corners.min(axis=2), corners.max(axis=2)
+        targets = np.vstack([1.5 * rng.uniform(-1, 1, (40, 3)), images.T[:5]])
         counts = []
-        for y in np.vstack([1.5 * rng.uniform(-1, 1, (40, 3)), images.T[:5]]):
+        for y in targets:
             p = y[1:] - np.array(RAY_SLOPES[3][0]) * y[0]
             holds = set(np.flatnonzero(((lo <= p[:, None]) & (p[:, None] <= hi)).all(axis=0)))
-            assert holds <= set(grid.candidates(p).tolist())
+            assert holds <= set(grid.candidates(p[None])[1].tolist())
             fresh = _kernels.FacetGrid(images, faces, RAY_SLOPES[3][0])
-            assert holds <= set(fresh.candidates(p).tolist()) and fresh.start is None
-            scan = _kernels.crossing_count(_kernels.FacetGrid(images, faces, RAY_SLOPES[3][0]), y)
-            counts.append((_kernels.crossing_count(grid, y), scan))
+            assert holds <= set(fresh.candidates(p[None])[1].tolist()) and fresh.start is None
+            scan = one_target(_kernels.FacetGrid(images, faces, RAY_SLOPES[3][0]), y)
+            counts.append((one_target(grid, y), scan))
+        batch = _kernels.FacetGrid(images, faces, RAY_SLOPES[3][0])
+        batch_counts, retry = _kernels.crossing_count(batch, targets)
+        assert batch.start is not None
+        counts += [(None if r else c, want)
+                   for c, r, (_, want) in zip(batch_counts.tolist(), retry.tolist(), counts)]
         assert all(got == want or got is want is None or (math.isnan(got) and math.isnan(want))
                    for got, want in counts)
         assert {want for _, want in counts if want == want} >= {0.0, 1.0}

@@ -1,8 +1,8 @@
 """Hot numeric kernels, vectorized with numpy.
 
 The loops that dominate runtime: batched evaluation of the nested-cube
-homeomorphism, and signed ray-crossing counts over a bucket grid of the
-facets of a closed loop or triangle mesh.
+homeomorphism, signed ray-crossing counts over a bucket grid of the
+facets of a closed loop or triangle mesh, and point-to-facet distances.
 """
 
 from __future__ import annotations
@@ -239,6 +239,57 @@ def _orientation(m):
     terms = m[0] * (left - right)
     perm = np.abs(m[0]) * (np.abs(left) + np.abs(right))
     return terms[0] + terms[1] + terms[2], 8 * _EPS * (perm[0] + perm[1] + perm[2])
+
+
+# ---------------------------------------------------------------------------
+# Point-to-facet distances, for the homotopy-gap certificate of the degree
+# probes.  The distance from y to a segment is its distance to the
+# orthogonal projection of y onto the segment's line, clamped to the ends;
+# to a triangle, the distance to its plane when the projection of y falls
+# inside it (y lies left of each side, seen along the normal), else the
+# least distance to its three sides.  Every sum runs one coordinate at a
+# time, x, y, z, so a pointwise loop in floats gives the same distances.
+# ---------------------------------------------------------------------------
+
+
+def facet_distances(corners, ys):
+    """The distance from each of k points to its facet: ``corners``
+    (n, n, k) holds the facets' corners, ``corners[c, i]`` coordinate c of
+    corner i (segments at n = 2, triangles at n = 3), and ``ys`` (n, k)
+    the points, one column per facet."""
+    n, m, k = corners.shape
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 2:
+            return _segment_distance(corners[:, 1] - corners[:, 0], ys - corners[:, 0])
+        # the sides (a, b), (b, c), (c, a) of every triangle, side by side
+        starts = corners.reshape(n, 3 * k)
+        sides = corners[:, _NEXT].reshape(n, 3 * k) - starts
+        offsets = np.concatenate([ys] * 3, axis=1) - starts
+        nearest = _segment_distance(sides, offsets).reshape(3, k).min(axis=0)
+        normal = _cross(sides[:, :k], -sides[:, 2 * k:])
+        square = _dot(normal, normal)
+        left = _dot(_cross(sides, offsets), np.concatenate([normal] * 3, axis=1)).reshape(3, k)
+        inside = (left >= 0).all(axis=0) & (square > 0)
+        plane = np.abs(_dot(offsets[:, :k], normal)) / np.sqrt(square)
+    return np.where(inside, plane, nearest)
+
+
+def _segment_distance(side, offset):
+    """The distance from the ends of the (n, k) ``offset`` vectors to the
+    segments from 0 along the ``side`` vectors."""
+    square = _dot(side, side)
+    t = np.minimum(np.maximum(np.where(square > 0, _dot(offset, side) / square, 0.0), 0.0), 1.0)
+    rest = offset - t * side
+    return np.sqrt(_dot(rest, rest))
+
+
+def _dot(u, v):
+    """Column dot products, summed x, y, z in turn."""
+    return (u * v).sum(axis=0)
+
+
+def _cross(u, v):
+    return u[_NEXT] * v[_AFTER] - u[_AFTER] * v[_NEXT]
 
 
 # ---------------------------------------------------------------------------

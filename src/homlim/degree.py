@@ -3,14 +3,34 @@
 The degree of f over S(a, r) around y is the signed number of facets of
 the image mesh that a ray from y crosses: the image triangles of a
 subdivided octahedron for n = 3, the image segments of a polygon for
-n = 2 (``_kernels.crossing_count``).  The count is certified when it
-repeats under mesh refinement.  A probe certifies all its targets in one
-batch, one pass per mesh level over the targets still open (``_certify``;
-one target is a one-row batch).  A level's facet grid queried by more
-than one target builds a bucket index of its facets per ray direction,
-so a target reads only the facets near its ray; a grid queried by one
-target scans.  A brute-force signed-preimage count over a grid with
-Newton polishing serves as the independent oracle on smooth fixtures.
+n = 2 (``_kernels.crossing_count``).  The count at mesh level l is the
+degree of P_l, the piecewise-linear image surface of that level, and it
+is certified in one of two ways:
+
+- **the homotopy gap.**  The gap δ_l bounds |P_{l+1} - P_l| over the
+  sphere (``_midpoint_gap``).  When dist(y, P_l) > δ_l, the straight-line
+  homotopy from P_l to P_{l+1} avoids y, so the two degrees are equal; when
+  dist(y, P_l) exceeds the sum of the gaps from level l on, the count is
+  the degree of every finer level, and of f as their uniform limit
+  (Stenger, Numer. Math. 25, 1975; Franek & Ratschan, Math. Comp. 84,
+  2015).  That sum is estimated a posteriori as a geometric series with
+  the ratio of the last two gaps, and the distance is bounded from below
+  by exact point-to-facet distances near y (``_ImageCache.gap_margins``).
+  On tame spheres the gaps fall about fourfold per level, and a target
+  certifies at the probe's first level.
+- **the streak rule**, for targets that the gap does not clear: the count
+  repeats at consecutive levels, twice, or once where the mesh is locally
+  resolved around y.  Near folds of a wild sphere the gaps do not decay,
+  and only this rule certifies.
+
+A probe certifies all its targets in one batch, one pass per mesh level
+over the targets still open (``_certify``; one target is a one-row batch),
+and maps a level only when a target still open reads it.  A level's facet
+grid queried by more than one target builds a bucket index of its facets
+per ray direction, so a target reads only the facets near its ray; a grid
+queried by one target scans.  A brute-force signed-preimage count over a
+grid with Newton polishing serves as the independent oracle on smooth
+fixtures.
 """
 
 from __future__ import annotations
@@ -57,11 +77,23 @@ class SphereProbe:
 
 @dataclass
 class DegreeReport:
+    """A certified degree: ``raw``, the crossing count at the certifying
+    mesh level ``refinements``; ``distance``, from y to that level's image
+    vertices; ``history``, (level, count, distance) per level read.
+    ``rule`` names the test that certified it, ``"gap"`` or ``"streak"``.
+    A gap certificate carries the level's gap, its a-posteriori tail and
+    its margin, a lower bound on the distance from y to the level's image
+    surface over the tail; a streak has none of them."""
+
     degree: int
     raw: float
     distance: float
     refinements: int
     history: list = field(default_factory=list)
+    rule: str = "streak"
+    gap: float | None = None
+    tail: float | None = None
+    margin: float | None = None
 
 
 def octasphere(level: int) -> tuple[np.ndarray, np.ndarray]:
@@ -73,20 +105,24 @@ def octasphere(level: int) -> tuple[np.ndarray, np.ndarray]:
 @lru_cache(maxsize=None)
 def _octamesh(level: int):
     """``octasphere(level)`` with its topology: ``(verts, faces, edges,
-    face_edges)``, as ``_edge_table`` numbers the edges.  The index arrays
+    face_edges)``, as ``_edge_table`` numbers the edges.  Each level
+    subdivides the one before: every edge gets its midpoint, numbered by
+    first use after the vertices there were, and every face (a, b, c) four
+    children that run their corners as it does, so the octahedron's outward
+    orientation carries over.  The vertices that level + 1 adds are thus
+    the midpoints of this level's ``edges``, in order.  The index arrays
     are column-major, so the facet grid and the mesh geometry gather by
     contiguous columns."""
-    verts = np.array([
-        (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
-    ], dtype=float)
-    faces = np.array([
-        (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
-        (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
-    ], dtype=np.int64)
-    for _ in range(level):
-        # each edge gets its midpoint, numbered by first use, and each
-        # face (a, b, c) four children
-        edges, face_edges = _edge_table(faces)
+    if level == 0:
+        verts = np.array([
+            (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
+        ], dtype=float)
+        faces = np.array([
+            (0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
+            (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5),
+        ], dtype=np.int64)
+    else:
+        verts, faces, edges, face_edges = _octamesh(level - 1)
         mid = verts[edges[:, 0]] + verts[edges[:, 1]]
         mid /= np.sqrt(np.vecdot(mid, mid))[:, None]
         ab, bc, ca = (len(verts) + face_edges).T
@@ -94,10 +130,6 @@ def _octamesh(level: int):
         faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
                          axis=1).reshape(-1, 3)
         verts = np.concatenate([verts, mid])
-    # enforce outward orientation
-    a, b, c = (verts[corner] for corner in faces.T)
-    inward = np.vecdot(a, np.cross(b, c)) < 0
-    faces[inward] = faces[inward][:, [0, 2, 1]]
     edges, face_edges = _edge_table(faces)
     return verts, np.asfortranarray(faces), np.asfortranarray(edges), np.asfortranarray(face_edges)
 
@@ -127,7 +159,8 @@ def _circle(center, radius, level):
 class _ImageCache:
     """Per-probe cache of the image vertices of each mesh level, held
     component by component (an (n, V) array, one contiguous row per
-    coordinate), and of the diameter of each image element.
+    coordinate), and of what certification reads of them: the facet
+    grids, the gaps, the facets' bounding boxes and the diameters.
 
     ``map_rows`` evaluates the map on an (N, n) array of points (see
     ``analysis.forward_rows``), and a row's image does not depend on the
@@ -148,6 +181,8 @@ class _ImageCache:
         self._images: dict[int, np.ndarray] = {}
         self._diameters: dict[int, np.ndarray] = {}
         self._centroids: dict[int, np.ndarray] = {}
+        self._gaps: dict[int, tuple[float, float]] = {}
+        self._boxes: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
         self._grids: dict[tuple[int, int], _kernels.FacetGrid | None] = {}
 
     def images(self, level: int) -> np.ndarray:
@@ -240,6 +275,69 @@ class _ImageCache:
             raw[unset[((y < images.min(axis=1)) | (y > images.max(axis=1))).any(axis=1)]] = 0.0
         return raw, dist
 
+    def gap(self, level: int) -> tuple[float, float]:
+        """``(gap, tail)`` of a level l >= 1, from the images of level
+        l + 1.  The gap δ_l bounds |P_{l+1} - P_l| over the sphere, P_l
+        being the level-l image surface (``_midpoint_gap``).  The tail
+        δ_l / (1 - q), with q = δ_l / δ_{l-1}, sums the gaps from level l
+        on as a geometric series: an a-posteriori estimate, NaN unless
+        q < 1, and NaN when an image is not finite."""
+        if level not in self._gaps:
+            gap = _midpoint_gap(self.images(level + 1), level)
+            below = _midpoint_gap(self.images(level), level - 1)
+            ratio = gap / below if below > 0 else math.nan
+            self._gaps[level] = gap, gap / (1.0 - ratio) if ratio < 1 else math.nan
+        return self._gaps[level]
+
+    def boxes(self, level: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """``(lo, hi, extent)``: the (n, F) least and greatest coordinates
+        of each image facet of a level, and the largest |coordinate| of its
+        image vertices."""
+        if level not in self._boxes:
+            images = self.images(level)
+            corners = self.facets(level).T
+            lo = images[:, corners[0]]
+            hi = lo.copy()
+            for corner in corners[1:]:
+                np.minimum(lo, images[:, corner], out=lo)
+                np.maximum(hi, images[:, corner], out=hi)
+            self._boxes[level] = lo, hi, float(np.max(np.abs(images)))
+        return self._boxes[level]
+
+    def gap_margins(self, ys: np.ndarray, level: int) -> np.ndarray:
+        """Per target of the (T, n) ``ys``, the margin of the level's gap
+        certificate, NaN where it does not hold.  It holds when a lower
+        bound on dist(y, P_l) exceeds the tail (``gap``) by ``GAP_ROUNDING``
+        of the scale of the coordinates, the larger of |y| and the image's
+        extent; the margin is the bound over the tail.  The bound is the
+        exact distance to each facet whose bounding box, padded by that
+        much, contains y, and the sup-norm distance to the box of every
+        other facet."""
+        margins = np.full(len(ys), math.nan)
+        _, tail = self.gap(level)
+        if not math.isfinite(tail):
+            return margins
+        images, facets = self.images(level), self.facets(level)
+        lo, hi, extent = self.boxes(level)
+        bound = np.empty(len(ys))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            pad = tail + GAP_ROUNDING * np.maximum(np.abs(ys).max(axis=1), extent)
+            for block in _blocks(len(ys), lo.shape[1]):
+                y = ys[block].T[:, :, None]
+                out = np.maximum(lo[0] - y[0], y[0] - hi[0])
+                for c in range(1, len(y)):
+                    out = np.maximum(out, np.maximum(lo[c] - y[c], y[c] - hi[c]))
+                rows, ids = np.nonzero(~(out > pad[block, None]))
+                out[rows, ids] = math.inf
+                best = out.min(axis=1)
+                if len(rows):
+                    np.minimum.at(best, rows, _kernels.facet_distances(
+                        images[:, facets[ids].T], y[:, rows, 0]))
+                bound[block] = best
+            clear = bound > pad
+            margins[clear] = bound[clear] / tail
+        return margins
+
     def locally_resolved(self, ys: np.ndarray, level: int, dists: np.ndarray) -> np.ndarray:
         """Per target, True when no mesh element can both reach the
         vicinity of y and be large against its distance; such an element
@@ -260,6 +358,28 @@ class _ImageCache:
                          < 2.0 * dists[rows])
             resolved[rows[reach]] = False
         return resolved
+
+
+def _midpoint_gap(images: np.ndarray, level: int) -> float:
+    """δ_level, from the (n, V) image vertices of level + 1: the largest
+    |f(v) - (f(a) + f(b)) / 2| over the vertices v that level + 1 adds,
+    each at the midpoint of a level edge (a, b).  The level-(l+1) mesh
+    subdivides the level-l one at those midpoints, on which P_l, the
+    level-l image surface, interpolates (f(a) + f(b)) / 2; P_{l+1} - P_l
+    is linear on each facet of the finer mesh, so |P_{l+1} - P_l| <= δ_l
+    everywhere.  On the sphere the edges are the level's ``edges``, whose
+    midpoints follow its vertices in order (``_octamesh``); on the circle,
+    the added vertices are the odd points of level + 1 and their ends the
+    even points around them.  NaN when an image is not finite."""
+    if len(images) == 3:
+        verts, _, edges, _ = _octamesh(level)
+        added = images[:, len(verts):]
+        ends = images[:, edges[:, 0]], images[:, edges[:, 1]]
+    else:
+        added, even = images[:, 1::2], images[:, ::2]
+        ends = even, np.roll(even, -1, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(_norms(added - 0.5 * (ends[0] + ends[1]))))
 
 
 def _norms(cols: np.ndarray) -> np.ndarray:
@@ -299,6 +419,12 @@ MAX_REFINE = 7
 # a count certifies when it equals the previous mesh level's; a level at
 # which y lies within MIN_DISTANCE of the image vertices is skipped
 MIN_DISTANCE = 1e-9
+# a gap certificate asks its distance bound to exceed the tail by this
+# share of the coordinates' scale: room for the rounding of the gap, the
+# tail and the point-to-facet distances, each a few ulps of that scale on
+# facets that are not slivers (a triangle's normal, and so its plane
+# distance, is only as accurate as its area is large against its sides)
+GAP_ROUNDING = 1e-12
 # ray directions (1, s) of the crossing counts per dimension, tried in
 # turn: oblique, because the probe targets f(center) see mesh vertices
 # along the axes, where a ray along e_1 meets vertices and edges
@@ -319,7 +445,16 @@ def _certify(cache: _ImageCache, ys: np.ndarray, max_refine=MAX_REFINE) -> list:
     """Certify the degrees of the (T, n) targets ``ys`` over one probe, one
     pass per mesh level for all the targets still open: per target its
     ``DegreeReport``, or the ``IndeterminateDegreeError`` that says why it
-    has none."""
+    has none.
+
+    At each level a target's count certifies by the streak rule when it
+    repeats the previous level's twice, or once where the mesh is locally
+    resolved around y.  A target that the streak rule leaves open, and
+    that would therefore map the next level anyway, then tries the gap
+    certificate (``_ImageCache.gap_margins``).  On the first level no
+    count repeats, and the first two levels are mapped in one batch, so
+    every target tries the gap there; a level 0 has no gap (no δ_{-1}),
+    nor has ``max_refine`` (no level after it is mapped)."""
     histories = [[] for _ in range(len(ys))]
     reports = [None] * len(ys)
     prev, streak = [None] * len(ys), [0] * len(ys)
@@ -333,7 +468,7 @@ def _certify(cache: _ImageCache, ys: np.ndarray, max_refine=MAX_REFINE) -> list:
             break
         targets = ys[open_]
         raw, dist = cache.raw(targets, level)
-        done, check = [], []
+        check, unsettled = [], []
         for k, (i, r, d) in enumerate(zip(open_, raw.tolist(), dist.tolist())):
             histories[i].append((level, r, d))
             # a count that is ambiguous in both directions, or NaN inside
@@ -348,20 +483,32 @@ def _certify(cache: _ImageCache, ys: np.ndarray, max_refine=MAX_REFINE) -> list:
             # around y; otherwise an unresolved fold can mimic stability
             # for one step, so demand a second consecutive stable refinement
             if streak[i] >= 2:
-                done.append(i)
-            elif streak[i] == 1:
-                check.append(k)
+                reports[i] = _report(histories[i])
+            else:
+                (check if streak[i] == 1 else unsettled).append(k)
         if check:
             resolved = cache.locally_resolved(targets[check], level, dist[check])
-            done += [open_[k] for k, ok in zip(check, resolved.tolist()) if ok]
-        for i in done:
-            _, r, d = histories[i][-1]
-            reports[i] = DegreeReport(int(r), r, d, level, histories[i])
+            for k, ok in zip(check, resolved.tolist()):
+                if ok:
+                    reports[open_[k]] = _report(histories[open_[k]])
+                else:
+                    unsettled.append(k)
+        if unsettled and 0 < level < max_refine:
+            gap, tail = cache.gap(level)
+            for k, margin in zip(unsettled, cache.gap_margins(targets[unsettled], level).tolist()):
+                if not math.isnan(margin):
+                    reports[open_[k]] = _report(histories[open_[k]], "gap", gap, tail, margin)
         open_ = [i for i in open_ if reports[i] is None]
     for i in open_:
         reports[i] = IndeterminateDegreeError(
             f"degree not certified after refinement {max_refine}: history={histories[i]}")
     return reports
+
+
+def _report(history, *certificate) -> DegreeReport:
+    """The report of the count of a history's last level."""
+    level, r, d = history[-1]
+    return DegreeReport(int(r), r, d, level, history, *certificate)
 
 
 def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport:
@@ -373,12 +520,13 @@ def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport
 
 
 def degree(map_forward, probe: SphereProbe, y, max_refine: int = MAX_REFINE) -> DegreeReport:
-    """Degree deg(f, S(a,r), y), certified by refinement stability.
+    """Degree deg(f, S(a,r), y), certified by the homotopy gap between mesh
+    levels or by refinement stability (see ``_certify``).
 
-    Refines the mesh until the crossing count equals the previous level's
-    (twice in a row, unless the mesh is locally resolved around y); raises
-    when y stays too close to the image mesh, and ``ValueError`` when y is
-    not finite.
+    Refines the mesh until the gap certificate holds or the crossing count
+    equals the previous level's (twice in a row, unless the mesh is locally
+    resolved around y); raises when y stays too close to the image mesh,
+    and ``ValueError`` when y is not finite.
     """
     y = np.asarray(y, dtype=float)
     if not np.isfinite(y).all():

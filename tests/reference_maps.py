@@ -27,7 +27,11 @@ number of a planar loop as a sum of turning angles.  The package certifies
 a batch of targets one mesh level at a time; ``certify`` certifies one
 target, with its own crossing count (a scan of every facet, each crossed
 facet's orientation in Python floats), count per level, local-resolution
-test and level loop.
+test, gap certificate and level loop.  The gap pairs each added vertex
+with the edge ends of the loop subdivision's midpoint dictionary, and
+the distance bound visits every facet in Python floats, with the
+package's float operations in the package's order, so that reports
+compare as ``float.hex``.
 """
 
 import math
@@ -39,7 +43,7 @@ import numpy as np
 from homlim import tentacles
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import AxisCollapse
-from homlim.degree import MIN_DISTANCE, RAY_SLOPES, DegreeReport
+from homlim.degree import GAP_ROUNDING, MIN_DISTANCE, RAY_SLOPES, DegreeReport
 from homlim.errors import DomainError, IndeterminateDegreeError
 from homlim.geometry import tower_slots
 from homlim.tower import TowerMapping
@@ -464,14 +468,16 @@ def stage_derivative(stage, point):
 # ---------------------------------------------------------------------------
 
 
-def octasphere(level):
-    """The octahedron subdivided ``level`` times, midpoints numbered by
-    first use and radially projected, then each triangle oriented
-    outward."""
+def _loop_subdivision(level):
+    """``(verts, faces, parents)`` of the octahedron subdivided ``level``
+    times through a midpoint dictionary: the vertices, the faces as
+    subdivided, and per vertex added by the last subdivision (none at
+    level 0) the ends of the edge it splits."""
     v = [np.array(p, dtype=float) for p in
          ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))]
     f = [(0, 2, 4), (2, 1, 4), (1, 3, 4), (3, 0, 4),
          (2, 0, 5), (1, 2, 5), (3, 1, 5), (0, 3, 5)]
+    cache = {}
     for _ in range(level):
         cache = {}
 
@@ -489,6 +495,14 @@ def octasphere(level):
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             nf += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
         f = nf
+    return v, f, sorted(cache, key=cache.get)
+
+
+def octasphere(level):
+    """The octahedron subdivided ``level`` times, midpoints numbered by
+    first use and radially projected, then each triangle oriented
+    outward."""
+    v, f, _ = _loop_subdivision(level)
     verts = np.array(v)
     faces = np.array(f, dtype=np.int64)
     for i, (a, b, c) in enumerate(faces):
@@ -628,12 +642,113 @@ def locally_resolved(cache, y, level, dist):
     return not hazard.any() or float(diams[hazard].max()) < 0.5 * dist
 
 
+def midpoint_gap(images, level):
+    """The gap of a mesh level from the images (n, V) of the next, one
+    added vertex at a time: the largest distance from a vertex's image to
+    the mean of the images of the ends of the edge it splits, NaN when one
+    is NaN.  On the sphere the ends come from the loop subdivision's
+    midpoint dictionary; on the circle they are the even points next to an
+    odd one."""
+    cols = images.T.tolist()
+    if len(images) == 3:
+        parents = _loop_subdivision(level + 1)[2]
+        start = len(cols) - len(parents)
+        pairs = [(start + k, i, j) for k, (i, j) in enumerate(parents)]
+    else:
+        pairs = [(v, v - 1, (v + 1) % len(cols)) for v in range(1, len(cols), 2)]
+    gap = -math.inf
+    for v, i, j in pairs:
+        off = [c - 0.5 * (a + b) for c, a, b in zip(cols[v], cols[i], cols[j])]
+        d = math.sqrt(_dot(off, off))
+        if math.isnan(d):
+            return math.nan
+        gap = max(gap, d)
+    return gap
+
+
+def gap_tail(cache, level):
+    """``(gap, tail)`` of a level: its gap, and the gap over 1 - q, where
+    q is the gap over the previous level's (NaN unless q < 1)."""
+    gap = midpoint_gap(cache.images(level + 1), level)
+    below = midpoint_gap(cache.images(level), level - 1)
+    ratio = gap / below if below > 0 else math.nan
+    return gap, gap / (1.0 - ratio) if ratio < 1 else math.nan
+
+
+def _sub(u, v):
+    return [a - b for a, b in zip(u, v)]
+
+
+def _dot(u, v):
+    """The dot product, summed x, y, z in turn."""
+    total = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        total = total + a * b
+    return total
+
+
+def _cross(u, v):
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+def segment_distance(a, b, y):
+    """The distance from y to the segment [a, b]: to the projection of y
+    on its line, clamped to the ends."""
+    side, off = _sub(b, a), _sub(y, a)
+    square = _dot(side, side)
+    t = min(max(_dot(off, side) / square if square > 0 else 0.0, 0.0), 1.0)
+    rest = [o - t * s for o, s in zip(off, side)]
+    return math.sqrt(_dot(rest, rest))
+
+
+def facet_distance(corners, y):
+    """The distance from y to a segment or triangle given by its corners:
+    to a triangle's plane when y projects inside it, else to its nearest
+    side."""
+    if len(corners) == 2:
+        return segment_distance(*corners, y)
+    a, b, c = corners
+    nearest = min(segment_distance(a, b, y), segment_distance(b, c, y), segment_distance(c, a, y))
+    normal = _cross(_sub(b, a), _sub(c, a))
+    square = _dot(normal, normal)
+    if square > 0 and all(_dot(_cross(_sub(q, p), _sub(y, p)), normal) >= 0
+                          for p, q in ((a, b), (b, c), (c, a))):
+        return abs(_dot(_sub(y, a), normal)) / math.sqrt(square)
+    return nearest
+
+
+def gap_certificate(cache, y, level):
+    """``(gap, tail, margin)`` when the level's gap certifies y, else None:
+    a lower bound on the distance from y to the level's image surface, the
+    least over its facets of the exact distance where the facet's box
+    padded by the tail and the rounding allowance contains y and the
+    sup-norm distance to the box elsewhere, must exceed that pad."""
+    gap, tail = gap_tail(cache, level)
+    if not math.isfinite(tail):
+        return None
+    cols = cache.images(level).T.tolist()
+    y = y.tolist()
+    extent = max(abs(c) for col in cols for c in col)
+    pad = tail + GAP_ROUNDING * max(max(abs(c) for c in y), extent)
+    bound = math.inf
+    for facet in cache.facets(level).tolist():
+        corners = [cols[i] for i in facet]
+        out = max(max(min(c[k] for c in corners) - y[k], y[k] - max(c[k] for c in corners))
+                  for k in range(len(y)))
+        bound = min(bound, out if out > pad else facet_distance(corners, y))
+    if not bound > pad:
+        return None
+    return gap, tail, bound / tail if tail > 0 else math.inf
+
+
 def certify(cache, y, max_refine):
     """The degree of y over the cache's probe: the first level whose count
     repeats the previous level's twice, or once where the mesh is locally
-    resolved, skipping levels with y within ``MIN_DISTANCE`` of the image
-    vertices or a NaN count; raises ``IndeterminateDegreeError`` when no
-    level up to ``max_refine`` certifies."""
+    resolved, or else whose gap certificate holds, below ``max_refine``
+    and above level 0; levels with y within ``MIN_DISTANCE`` of the image
+    vertices or a NaN count are skipped.  Raises
+    ``IndeterminateDegreeError`` when no level up to ``max_refine``
+    certifies."""
     y = np.asarray(y, dtype=float)
     history, prev_raw, streak = [], None, 0
     for level in range(cache.probe.refinement, max_refine + 1):
@@ -646,5 +761,8 @@ def certify(cache, y, max_refine):
         prev_raw = raw
         if streak >= 2 or (streak == 1 and locally_resolved(cache, y, level, dist)):
             return DegreeReport(int(raw), raw, dist, level, history)
+        cert = gap_certificate(cache, y, level) if 0 < level < max_refine else None
+        if cert is not None:
+            return DegreeReport(int(raw), raw, dist, level, history, "gap", *cert)
     raise IndeterminateDegreeError(
         f"degree not certified after refinement {max_refine}: history={history}")

@@ -135,6 +135,44 @@ class TestBoundary:
         assert not passed
         assert dev == pytest.approx(0.1)
 
+    @staticmethod
+    def per_face(map_rows, n, samples_per_face, seed):
+        """The deviation face by face: each face's samples drawn and mapped
+        in turn, the largest kept."""
+        rng = make_rng(seed)
+        worst = 0.0
+        for axis in range(n):
+            for side in (-1.0, 1.0):
+                pts = rng.uniform(-1, 1, (samples_per_face, n))
+                pts[:, axis] = side
+                worst = max(worst, float(np.max(np.abs(map_rows(pts) - pts), initial=0.0)))
+        return worst
+
+    @pytest.mark.parametrize("variant", ["T1", "T2", "W", "FL"])
+    def test_one_batch_equals_the_per_face_loop(self, variant):
+        ripple = analysis.forward_rows(lambda x: x + 1e-3 * np.sin(7.0 * x[::-1]))
+        for k in (1, 2, 3):
+            stage = build_stage(variant, k)
+            for rows in (stage.forward_many, lambda pts: ripple(stage.forward_many(pts))):
+                for seed in (0, 1, 7):
+                    want = self.per_face(rows, 3, 20, seed)
+                    passed, dev = boundary_identity_check(
+                        type("Rows", (), {"forward_many": staticmethod(rows)}), 3, 20, seed)
+                    assert (passed, dev.hex()) == (want <= 1e-12, want.hex())
+
+    def test_a_nan_image_fails(self):
+        # the one batch's maximum is NaN; a face loop with max() kept the
+        # deviation of the other faces and passed
+        def rows(pts):
+            out = pts.copy()
+            out[pts[:, 2] == 1.0] = np.nan
+            return out
+
+        passed, dev = boundary_identity_check(type("Rows", (), {"forward_many": staticmethod(rows)}),
+                                              3, 10)
+        assert not passed and np.isnan(dev)
+        assert self.per_face(rows, 3, 10, 0) == 0.0
+
 
 class TestCauchyTable:
     def test_rows_positive_and_fitted_envelope(self):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -61,9 +62,10 @@ class TestMesh:
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0)
 
     def test_outward_orientation(self):
-        verts, faces = octasphere(1)
-        for a, b, c in faces:
-            assert np.linalg.det(np.stack([verts[a], verts[b], verts[c]])) > 0
+        # the subdivision keeps the octahedron's orientation, with no flip
+        for level in range(6):
+            verts, faces = octasphere(level)
+            assert (np.linalg.det(verts[faces]) > 0).all()
 
     @pytest.mark.parametrize("level", range(7))
     def test_octasphere_equals_the_loop_subdivision(self, level):
@@ -101,10 +103,21 @@ class TestFixtures:
         assert got == oracle == 2
 
     def test_refinement_stability(self):
-        # the raw value is a crossing count, certified when it repeats
+        # the raw value is a crossing count, certified when it repeats; a
+        # target 1e-4 inside the sphere lies within reach of the gaps of
+        # levels 2 and 3, so the streak rule certifies it
+        rep = degree(identity, UNIT, (0.9999, 0.0, 0.0))
+        raws = [raw for _, raw, _ in rep.history]
+        assert raws == [1.0, 1.0, 1.0] == [rep.raw] * 3
+        assert (rep.rule, rep.gap, rep.tail, rep.margin) == ("streak", None, None, None)
+
+    def test_tame_target_certifies_by_its_gap_at_the_first_level(self):
         rep = degree(identity, UNIT, (0.3, 0.1, -0.2))
-        raws = [raw for _, raw, _ in rep.history[-2:]]
-        assert raws[-1] == raws[-2] == rep.raw == 1.0
+        assert (rep.degree, rep.refinements, rep.rule) == (1, 2, "gap")
+        assert rep.history == [(2, 1.0, rep.distance)]
+        # the margin is a lower bound on the distance to the image surface
+        # over the tail; the surface lies within the sphere
+        assert 0 < rep.gap < rep.tail < rep.margin * rep.tail <= rep.distance
 
     def test_indeterminate_when_target_on_mesh(self):
         with pytest.raises(IndeterminateDegreeError):
@@ -140,7 +153,8 @@ class TestFixtures:
 
 def report_hex(rep: DegreeReport):
     return (rep.degree, rep.raw.hex(), rep.distance.hex(), rep.refinements,
-            [(level, raw.hex(), dist.hex()) for level, raw, dist in rep.history])
+            [(level, raw.hex(), dist.hex()) for level, raw, dist in rep.history],
+            rep.rule, [None if v is None else v.hex() for v in (rep.gap, rep.tail, rep.margin)])
 
 
 class _FromScratch(degree_mod._ImageCache):
@@ -207,13 +221,18 @@ class TestImageCache:
         return build_stage("T1", 2).forward(x)
 
     def test_level_four_certification_maps_one_batch(self):
+        # the image of the center certifies at level 3 by its gap, which
+        # reads level 4: the one batch that the first two levels map
         rep, calls = self.counted_degree(self.target(0.0))
-        assert rep.refinements == 4
+        assert (rep.refinements, rep.rule) == (3, "gap")
         assert calls == [len(octasphere(4)[0])] == [1026]
 
     def test_level_five_certification_maps_each_vertex_once(self):
-        rep, calls = self.counted_degree(self.target(0.9))
-        assert rep.refinements == 5
+        # a target near the sphere image, within reach of the gaps of
+        # levels 3 and 4, certifies by the streak rule at level 5; the gap
+        # of level 4 reads level 5, which the streak maps in any case
+        rep, calls = self.counted_degree(self.target(0.997))
+        assert (rep.refinements, rep.rule) == (5, "streak")
         assert len(calls) == 2 and sum(calls) == len(octasphere(5)[0]) == 4098
 
     def test_no_level_to_read_maps_nothing(self):
@@ -474,3 +493,212 @@ class TestBatchCertification:
         assert reached == {"retry n=2", "retry n=3", "indeterminate at max_refine",
                            "near a vertex", "on a facet", "level 5",
                            "0.0 outside the bounding box"}
+
+
+def smooth_rows(rows):
+    """A smooth map near the identity: its sphere images are tame."""
+    x, y, z = rows.T
+    return np.stack([x + 0.2 * np.sin(2 * y), y + 0.1 * z * z, z - 0.3 * x * y], axis=1)
+
+
+class _Rows:
+    """A map given by its rows function, counting the points it maps."""
+
+    def __init__(self, rows):
+        self.rows, self.points = rows, 0
+
+    def forward_many(self, pts):
+        self.points += len(pts)
+        return self.rows(pts)
+
+
+E1 = np.array([1.0, 0.0, 0.0])
+
+
+def fold_rows(rows):
+    """The unit sphere's cap around e_1 pushed in along -e_1, past the
+    center: a narrow fold that the coarse meshes do not resolve."""
+    bump = np.exp(-((rows - E1) ** 2).sum(axis=1) / 0.15**2)
+    return rows - 1.5 * bump[:, None] * E1
+
+
+@lru_cache(maxsize=None)
+def lemma_probe(name):
+    """``(rows map, probe)`` of the gap lemma's fixtures."""
+    if name == "sphere-smooth":
+        return smooth_rows, SphereProbe((0.1, -0.2, 0.05), 0.7, 1)
+    if name == "sphere-T1":
+        # the wild sphere of ``TestStages``, whose gaps do not decay
+        return build_stage("T1", 2).forward_many, SphereProbe((0.55, 0.55, 0.55), 0.1, 1)
+    if name == "circle-smooth":
+        return square_rows, DISK
+    return build_stage("FL", 2, 2, 3.5).forward_many, SphereProbe((0.3, 0.2), 0.1, 1)
+
+
+class TestGapCertificate:
+    """A target certifies at level l by the homotopy gap when a lower bound
+    on its distance to the level's image surface P_l exceeds the tail of
+    the gaps; a target that the gap does not clear goes on under the
+    streak rule."""
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(st.sampled_from(["sphere-smooth", "sphere-T1", "circle-smooth", "circle-FL"]),
+           st.integers(0, 4), st.integers(0, 2**31 - 1),
+           st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_consecutive_surfaces_lie_within_the_gap(self, name, level, pick, weights):
+        # |P_{l+1}(p) - P_l(p)| <= delta_l at a parameter point p of a
+        # level-l facet: P_l interpolates the facet's corners, P_{l+1} the
+        # child of the facet that holds p, whose corners are the facet's
+        # and its sides' midpoints, found here by position
+        rows, probe = lemma_probe(name)
+        cache = degree_mod._ImageCache(rows, probe)
+        coarse, fine = cache.images(level), cache.images(level + 1)
+        gap = degree_mod._midpoint_gap(fine, level)
+        if len(coarse) == 2:
+            m = coarse.shape[1]
+            i, t = pick % m, weights[0]
+            here = (1 - t) * coarse[:, i] + t * coarse[:, (i + 1) % m]
+            a, mid, b = fine[:, 2 * i], fine[:, 2 * i + 1], fine[:, (2 * i + 2) % (2 * m)]
+            there = (1 - 2 * t) * a + 2 * t * mid if t < 0.5 else (2 - 2 * t) * mid + (2 * t - 1) * b
+        else:
+            verts, faces = octasphere(level)
+            finer = octasphere(level + 1)[0]
+
+            def midpoint(i, j):
+                m = verts[i] + verts[j]
+                return int(np.argmin(np.linalg.norm(finer - m / np.linalg.norm(m), axis=1)))
+
+            a, b, c = faces[pick % len(faces)]
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            lam = np.array(weights) + 1e-3
+            la, lb, lc = lam / lam.sum()
+            here = la * coarse[:, a] + lb * coarse[:, b] + lc * coarse[:, c]
+            if la >= 0.5:
+                corners, mu = (a, ab, ca), (2 * la - 1, 2 * lb, 2 * lc)
+            elif lb >= 0.5:
+                corners, mu = (ab, b, bc), (2 * la, 2 * lb - 1, 2 * lc)
+            elif lc >= 0.5:
+                corners, mu = (ca, bc, c), (2 * la, 2 * lb, 2 * lc - 1)
+            else:
+                corners, mu = (ab, bc, ca), (1 - 2 * lc, 1 - 2 * la, 1 - 2 * lb)
+            there = sum(w * fine[:, v] for w, v in zip(mu, corners))
+        assert np.linalg.norm(there - here) <= gap * (1 + 1e-9) + 1e-15
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_added_vertices_are_the_midpoints_of_the_edges(self, level):
+        # the gap pairs each vertex that level + 1 adds with the ends of
+        # the level edge it splits: the level's edges, in order
+        verts, _, edges, _ = degree_mod._octamesh(level)
+        added = octasphere(level + 1)[0][len(verts):]
+        mid = verts[edges[:, 0]] + verts[edges[:, 1]]
+        assert np.allclose(added, mid / np.linalg.norm(mid, axis=1)[:, None], rtol=0, atol=1e-15)
+
+    def test_a_fold_within_the_gap_is_left_to_the_streak_rule(self):
+        # the counts of this target run 0, 1, 0 over levels 2 to 4: the
+        # coarse surfaces miss the fold; its gap exceeds the target's
+        # distance, so no level certifies it by the gap
+        y = np.array([0.7, 0.1, 0.1])
+        probe = SphereProbe((0.0, 0.0, 0.0), 1.0, 2)
+        rep = degree(_Rows(fold_rows), probe, y)
+        assert [raw for _, raw, _ in rep.history[:3]] == [0.0, 1.0, 0.0]
+        assert (rep.degree, rep.rule) == (0, "streak")
+        cache = degree_mod._ImageCache(fold_rows, probe)
+        for level, _, dist in rep.history[:-1]:
+            _, tail = cache.gap(level)
+            assert tail > dist and np.isnan(cache.gap_margins(y[None], level)).all()
+
+    @pytest.mark.parametrize("case", ["tame", "wild", "fold", "circle", "inv_check", "nesting"])
+    def test_no_probe_maps_more_than_the_streak_rule_alone(self, case, monkeypatch):
+        # with the gap's margins cleared, certification is the streak rule
+        # alone; the gap certificate maps no point that the streak rule
+        # does not, and every degree it gives is the streak rule's
+        def run():
+            tame = SphereProbe(TestImageCache.CENTER, TestImageCache.RADIUS, 3)
+            if case == "inv_check":
+                rows = _Rows(build_stage("T1", 3).forward_many)
+                rep = inv_check(rows, TestImageCache.CENTER, 0.05, 10, 10, seed=3)
+                return rows.points, (rep.inside_violations, rep.outside_violations, rep.decided)
+            if case == "nesting":
+                stage = build_stage("T1", 3)
+                rows = _Rows(stage.forward_many)
+                ys = stage.forward_many(np.asarray(TestImageCache.CENTER)
+                                        + 0.04 * np.random.default_rng(4).uniform(-1, 1, (12, 3)))
+                rep = nesting_probe(rows, TestImageCache.CENTER, 0.05, 0.08, ys)
+                return rows.points, (int(rep), rep.decided, rep.skipped)
+            probes = {
+                "tame": (build_stage("T1", 2).forward_many, tame,
+                         [TestImageCache().target(t) for t in (0.0, 0.9, 0.997, 1.5)], 7),
+                "wild": (build_stage("T1", 2).forward_many, SphereProbe((0.55, 0.55, 0.55), 0.1, 3),
+                         [build_stage("T1", 2).forward(np.array([0.514, 0.532, 0.548]))], 8),
+                "fold": (fold_rows, SphereProbe((0.0, 0.0, 0.0), 1.0, 2),
+                         [np.array([0.7, 0.1, 0.1]), np.array([0.3, 0.0, 0.0])], 7),
+                "circle": (square_rows, DISK, [np.array([0.1, 0.05]), np.array([0.6, 0.1])], 7),
+            }
+            map_rows, probe, ys, max_refine = probes[case]
+            points, degrees = 0, []
+            for y in ys:
+                rows = _Rows(map_rows)
+                degrees.append(degree(rows, probe, y, max_refine).degree)
+                points += rows.points
+            return points, degrees
+
+        with_gap = run()
+        monkeypatch.setattr(degree_mod._ImageCache, "gap_margins",
+                            lambda self, ys, level: np.full(len(ys), np.nan))
+        streak_only = run()
+        assert with_gap[0] <= streak_only[0] and with_gap[1] == streak_only[1]
+
+    def test_refinement_zero_has_no_gap(self, monkeypatch):
+        read = []
+        gap = degree_mod._ImageCache.gap
+
+        def recorded(self, level):
+            read.append(level)
+            return gap(self, level)
+
+        monkeypatch.setattr(degree_mod._ImageCache, "gap", recorded)
+        rep = degree(identity, SphereProbe((0.0, 0.0, 0.0), 1.0, 0), (0.3, 0.1, -0.2))
+        assert [level for level, _, _ in rep.history] == [0, 1]
+        assert (rep.degree, rep.refinements, rep.rule) == (1, 1, "gap") and set(read) == {1}
+        # with no level after it, level 0 is left to the streak rule alone
+        read.clear()
+        with pytest.raises(IndeterminateDegreeError):
+            degree(identity, SphereProbe((0.0, 0.0, 0.0), 1.0, 0), (0.3, 0.1, -0.2), max_refine=0)
+        assert read == []
+
+    @pytest.mark.parametrize("probe", [UNIT, DISK], ids=["sphere", "circle"])
+    def test_a_non_finite_image_has_a_nan_gap(self, probe):
+        def rows(pts):
+            out = pts.copy()
+            out[pts[:, 0] > 0.9 * probe.radius] = np.inf
+            return out
+
+        cache = degree_mod._ImageCache(rows, probe)
+        ys = np.zeros((2, len(probe.center)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap, tail = cache.gap(probe.refinement)
+            margins = cache.gap_margins(ys, probe.refinement)
+        assert math.isnan(gap) and math.isnan(tail) and np.isnan(margins).all()
+
+    @pytest.mark.parametrize("probe", [UNIT, DISK], ids=["sphere", "circle"])
+    def test_far_targets_clear_without_warnings(self, probe):
+        n = len(probe.center)
+        cache = degree_mod._ImageCache(doubling if n == 3 else square_rows, probe)
+        # far out, overflowing, and on a vertex image
+        vertex = cache.images(probe.refinement)[:, 0]
+        ys = np.array([[1e308] * n, [-1e308] + [0.0] * (n - 1), [5.0] * n, vertex])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            margins = cache.gap_margins(ys, probe.refinement)
+        _, tail = cache.gap(probe.refinement)
+        # beyond the padded box of every facet, the bound is a box distance
+        assert (margins[:3] * tail > 1.0).all() and np.isnan(margins[3])
+
+    def test_refinement_seven_maps_level_seven_only(self):
+        # the one level has no repeat and no gap; level 8 would map more
+        # than 2^18 points
+        rows = _Rows(lambda pts: pts)
+        with pytest.raises(IndeterminateDegreeError):
+            degree(rows, SphereProbe((0.0, 0.0, 0.0), 1.0, 7), (0.3, 0.1, -0.2))
+        assert rows.points == len(octasphere(7)[0]) <= 2**18 < 4 * 4**8 + 2

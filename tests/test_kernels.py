@@ -225,3 +225,50 @@ class TestLoopCrossings:
                 assert math.isnan(crossings(square, segments, y, indexed)), y
         assert crossings(square, segments, [0.5, 0.25]) == 1.0
         assert crossings(square, segments, [1.5, 0.0]) == 0.0
+
+
+class TestFacetDistances:
+    """``facet_distances`` is exact up to rounding: no farther than the
+    nearest of a dense set of points of the facet, and no nearer than that
+    less the set's spacing; and a pointwise loop gives the same floats."""
+
+    SAMPLES = 48
+
+    def sampled(self, corners, y):
+        """The least distance from y to the points of a barycentric grid of
+        spacing 1 / SAMPLES on the facet, and that spacing in length."""
+        m = self.SAMPLES
+        if len(corners) == 2:
+            t = np.linspace(0, 1, m + 1)[:, None]
+            pts = (1 - t) * corners[0] + t * corners[1]
+        else:
+            i, j = np.meshgrid(np.arange(m + 1), np.arange(m + 1), indexing="ij")
+            keep = i + j <= m
+            u, v = i[keep][:, None] / m, j[keep][:, None] / m
+            pts = (1 - u - v) * corners[0] + u * corners[1] + v * corners[2]
+        diam = max(np.linalg.norm(p - q) for p in corners for q in corners)
+        return float(np.min(np.linalg.norm(pts - y, axis=1))), diam / m
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_distance_is_within_the_sampled_distance(self, n):
+        rng = np.random.default_rng(n)
+        corners = rng.uniform(-1, 1, (200, n, n))
+        # slivers and points on the facet's plane and sides too
+        corners[:20, 2 % n] = corners[:20, 0] + 1e-3 * (corners[:20, 1] - corners[:20, 0])
+        ys = rng.uniform(-1.5, 1.5, (200, n))
+        ys[20:40] = corners[20:40].mean(axis=1)
+        ys[40:60] = 0.5 * (corners[40:60, 0] + corners[40:60, 1])
+        got = _kernels.facet_distances(corners.transpose(2, 1, 0), ys.T)
+        for d, facet, y in zip(got.tolist(), corners, ys):
+            want, spacing = self.sampled(facet, y)
+            assert want - spacing - 1e-12 <= d <= want + 1e-12
+            assert d.hex() == ref.facet_distance(facet.tolist(), y.tolist()).hex()
+
+    def test_degenerate_facets(self):
+        # a triangle with two equal corners, a segment of zero length
+        tri = np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0]])
+        seg = np.array([[0.5, 0.5], [0.5, 0.5]])
+        with np.errstate(all="raise"):
+            d3 = _kernels.facet_distances(tri.T[:, :, None], np.array([[0.5], [1.0], [0.0]]))
+            d2 = _kernels.facet_distances(seg.T[:, :, None], np.array([[0.5], [1.5]]))
+        assert d3.tolist() == [1.0] and d2.tolist() == [1.0]

@@ -1,11 +1,11 @@
 """Topological degree on sphere probes, and degree-based invertibility checks.
 
 The degree of f over S(a, r) around y is the signed number of facets of
-the image mesh that a ray from y crosses: the image triangles of a
-subdivided octahedron for n = 3, the image segments of a polygon for
-n = 2 (``_kernels.crossing_count``).  The count at mesh level l is the
-degree of P_l, the piecewise-linear image surface of that level, and it
-is certified in one of two ways:
+the image mesh that a ray from y crosses (``_kernels.crossing_count``):
+a subdivided octahedron for n = 3, a polygon for n = 2, whose levels
+nest, each level's vertices the first vertices of the next (``MESHES``).
+The count at mesh level l is the degree of P_l, the piecewise-linear
+image surface of that level, and it is certified in one of two ways:
 
 - **the homotopy gap.**  The gap δ_l bounds |P_{l+1} - P_l| over the
   sphere (``_midpoint_gap``).  When dist(y, P_l) > δ_l, the straight-line
@@ -48,13 +48,11 @@ from .errors import IndeterminateDegreeError, UnsupportedDimensionError
 __all__ = [
     "SphereProbe",
     "DegreeReport",
-    "octasphere",
     "degree",
     "signed_preimage_count",
     "InvReport",
     "ProbeViolations",
     "inv_check",
-    "degree_stability",
     "nesting_probe",
     "disjointness_probe",
 ]
@@ -71,8 +69,8 @@ class SphereProbe:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
-        if len(self.center) not in (2, 3):
-            raise UnsupportedDimensionError("degree probes support n in {2, 3}")
+        if len(self.center) not in MESHES:
+            raise UnsupportedDimensionError(f"degree probes support n in {sorted(MESHES)}")
 
 
 @dataclass
@@ -96,15 +94,10 @@ class DegreeReport:
     margin: float | None = None
 
 
-def octasphere(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit sphere mesh: octahedron subdivided ``level`` times, radially
-    projected; triangles oriented outward."""
-    return _octamesh(level)[:2]
-
-
 @lru_cache(maxsize=None)
 def _octamesh(level: int):
-    """``octasphere(level)`` with its topology: ``(verts, faces, edges,
+    """The unit sphere's mesh: the octahedron subdivided ``level`` times and
+    radially projected, with its topology: ``(verts, faces, edges,
     face_edges)``, as ``_edge_table`` numbers the edges.  Each level
     subdivides the one before: every edge gets its midpoint, numbered by
     first use after the vertices there were, and every face (a, b, c) four
@@ -148,12 +141,35 @@ def _edge_table(faces):
     return sides[first[order]], number[inverse].reshape(-1, 3)
 
 
-def _circle(center, radius, level):
-    m = 64 * 2**level
-    th = 2 * np.pi * np.arange(m) / m
-    return np.stack(
-        [center[0] + radius * np.cos(th), center[1] + radius * np.sin(th)], axis=1
-    )
+@lru_cache(maxsize=None)
+def _circlemesh(level: int):
+    """The unit circle's polygon of 64·2^level points, in ``_octamesh``'s
+    form, each segment its own edge.  Each level splits every segment
+    (a, b) of the one before into (a, m) and (m, b) at a point m numbered
+    after the old points, in segment order, so the segments run counter-
+    clockwise in angular order.  The point k steps of 2π/M round from
+    (1, 0) of M points lies at the angle 2π·k/M, the same float at every
+    level, as k and M both double."""
+    if level == 0:
+        ends = np.arange(64)
+        verts = np.empty((0, 2))
+        segments = np.stack([ends, np.roll(ends, -1)], axis=1)
+        th = 2 * np.pi * ends / 64
+    else:
+        verts, segments, _, _ = _circlemesh(level - 1)
+        count = 2 * len(segments)
+        th = 2 * np.pi * np.arange(1, count, 2) / count
+        a, b = segments.T
+        mid = len(verts) + np.arange(len(segments))
+        segments = np.stack([a, mid, mid, b], axis=1).reshape(-1, 2)
+    verts = np.concatenate([verts, np.stack([np.cos(th), np.sin(th)], axis=1)])
+    segments = np.asfortranarray(segments)
+    return verts, segments, segments, np.arange(len(segments))[:, None]
+
+
+# the sphere mesh of each supported n, by level: (verts, facets, edges,
+# face_edges), the vertices that level + 1 adds the midpoints of the edges
+MESHES = {2: _circlemesh, 3: _octamesh}
 
 
 class _ImageCache:
@@ -166,18 +182,18 @@ class _ImageCache:
     ``analysis.forward_rows``), and a row's image does not depend on the
     other rows of its batch: ``forward_rows`` calls a plain callable row
     by row, and ``tests/test_batch.py::TestRowIndependence`` checks it
-    for the stage maps.  On the sphere (n = 3) an octasphere level's
-    vertices are the first vertices of the next level, so ``images``
-    slices a level out of a finer one already mapped, or maps only the
-    vertices it adds to the finest coarser one: a probe maps each vertex
-    it reads once.  Circle levels (n = 2) interleave, so each is mapped
-    whole.  Diameters are built at a level only when ``locally_resolved``
-    first reads them there, and centroids only when it first finds an
-    element large against a target's distance."""
+    for the stage maps.  A mesh level's vertices are the first vertices of
+    the next (``MESHES``), so ``images`` slices a level out of a finer one
+    already mapped, or maps only the vertices it adds to the finest coarser
+    one: a probe maps each vertex it reads once.  Diameters are built at a
+    level only when ``locally_resolved`` first reads them there, and
+    centroids only when it first finds an element large against a target's
+    distance."""
 
     def __init__(self, map_rows, probe: SphereProbe):
         self.map_rows = map_rows
         self.probe = probe
+        self.mesh = MESHES[len(probe.center)]
         self._images: dict[int, np.ndarray] = {}
         self._diameters: dict[int, np.ndarray] = {}
         self._centroids: dict[int, np.ndarray] = {}
@@ -189,18 +205,15 @@ class _ImageCache:
         """The (n, V) image vertices of a mesh level."""
         if level not in self._images:
             c = np.asarray(self.probe.center, dtype=float)
-            if len(c) == 2:
-                images = self.map_rows(_circle(c, self.probe.radius, level)).T.copy()
+            verts = self.mesh(level)[0]
+            finer = [k for k in self._images if k > level]
+            coarser = [k for k in self._images if k < level]
+            if finer:
+                images = self._images[min(finer)][:, :len(verts)]
             else:
-                verts = _octamesh(level)[0]
-                finer = [k for k in self._images if k > level]
-                coarser = [k for k in self._images if k < level]
-                if finer:
-                    images = self._images[min(finer)][:, :len(verts)]
-                else:
-                    done = self._images[max(coarser)] if coarser else np.empty((3, 0))
-                    new = self.map_rows(c + self.probe.radius * verts[done.shape[1]:])
-                    images = np.concatenate([done, new.T], axis=1)
+                done = self._images[max(coarser)] if coarser else np.empty((len(c), 0))
+                new = self.map_rows(c + self.probe.radius * verts[done.shape[1]:])
+                images = np.concatenate([done, new.T], axis=1)
             self._images[level] = images
         return self._images[level]
 
@@ -209,13 +222,9 @@ class _ImageCache:
         side."""
         if level not in self._diameters:
             images = self.images(level)
-            if len(images) == 3:
-                _, _, edges, face_edges = _octamesh(level)
-                sides = _norms(images[:, edges[:, 0]] - images[:, edges[:, 1]])
-                ab, bc, ca = face_edges.T
-                self._diameters[level] = np.maximum(np.maximum(sides[ab], sides[bc]), sides[ca])
-            else:
-                self._diameters[level] = _norms(images - np.roll(images, -1, axis=1))
+            _, _, edges, face_edges = self.mesh(level)
+            sides = _norms(images[:, edges[:, 0]] - images[:, edges[:, 1]])
+            self._diameters[level] = sides[face_edges].max(axis=1)
         return self._diameters[level]
 
     def centroids(self, level: int) -> np.ndarray:
@@ -230,12 +239,8 @@ class _ImageCache:
         return self._centroids[level]
 
     def facets(self, level: int) -> np.ndarray:
-        """The (F, n) facets of a mesh level, outward: the octasphere's
-        triangles, or the circle's segments (i, i + 1)."""
-        if len(self.probe.center) == 3:
-            return _octamesh(level)[1]
-        ends = np.arange(64 * 2**level)
-        return np.stack([ends, np.roll(ends, -1)], axis=1)
+        """The (F, n) facets of a mesh level, outward."""
+        return self.mesh(level)[1]
 
     def grid(self, level: int, direction: int):
         """The facet grid of a level along ``RAY_SLOPES[n][direction]``,
@@ -367,17 +372,12 @@ def _midpoint_gap(images: np.ndarray, level: int) -> float:
     subdivides the level-l one at those midpoints, on which P_l, the
     level-l image surface, interpolates (f(a) + f(b)) / 2; P_{l+1} - P_l
     is linear on each facet of the finer mesh, so |P_{l+1} - P_l| <= δ_l
-    everywhere.  On the sphere the edges are the level's ``edges``, whose
-    midpoints follow its vertices in order (``_octamesh``); on the circle,
-    the added vertices are the odd points of level + 1 and their ends the
-    even points around them.  NaN when an image is not finite."""
-    if len(images) == 3:
-        verts, _, edges, _ = _octamesh(level)
-        added = images[:, len(verts):]
-        ends = images[:, edges[:, 0]], images[:, edges[:, 1]]
-    else:
-        added, even = images[:, 1::2], images[:, ::2]
-        ends = even, np.roll(even, -1, axis=1)
+    everywhere.  The edges are the level's ``edges``, whose midpoints
+    follow its vertices in order (``MESHES``).  NaN when an image is not
+    finite."""
+    verts, _, edges, _ = MESHES[len(images)](level)
+    added = images[:, len(verts):]
+    ends = images[:, edges[:, 0]], images[:, edges[:, 1]]
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max(_norms(added - 0.5 * (ends[0] + ends[1]))))
 
@@ -681,12 +681,6 @@ def _ball_points(rng, c, radius, count, n, inside: bool):
                 continue
         pts.append(x)
     return np.reshape(pts, (count, n))
-
-
-def degree_stability(stages, probe: SphereProbe, y) -> list[int]:
-    """Degrees of a family of maps over one probe (expected constant
-    when every stage change happens away from the sphere)."""
-    return [degree(s, probe, y).degree for s in stages]
 
 
 def nesting_probe(map_like, center, r_small: float, r_big: float,

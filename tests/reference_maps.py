@@ -642,20 +642,26 @@ def locally_resolved(cache, y, level, dist):
     return not hazard.any() or float(diams[hazard].max()) < 0.5 * dist
 
 
-def midpoint_gap(images, level):
-    """The gap of a mesh level from the images (n, V) of the next, one
-    added vertex at a time: the largest distance from a vertex's image to
-    the mean of the images of the ends of the edge it splits, NaN when one
-    is NaN.  On the sphere the ends come from the loop subdivision's
-    midpoint dictionary; on the circle they are the even points next to an
-    odd one."""
+def midpoint_gap(images, level, verts):
+    """The gap of a mesh level from the images (n, V) of the next, taken
+    at its unit mesh vertices ``verts`` (V, n), one added vertex at a time:
+    the largest distance from a vertex's image to the mean of the images of
+    the ends of the edge it splits, NaN when one is NaN.  On the sphere the
+    ends come from the loop subdivision's midpoint dictionary; on the
+    circle of M points, from the angles of ``verts``: each point k steps of
+    2π/M round from (1, 0) with k odd is added, between the points k - 1
+    and k + 1 of the level, counter-clockwise."""
     cols = images.T.tolist()
     if len(images) == 3:
         parents = _loop_subdivision(level + 1)[2]
         start = len(cols) - len(parents)
         pairs = [(start + k, i, j) for k, (i, j) in enumerate(parents)]
     else:
-        pairs = [(v, v - 1, (v + 1) % len(cols)) for v in range(1, len(cols), 2)]
+        m = len(cols)
+        steps = np.rint(np.arctan2(verts[:, 1], verts[:, 0]) * (m / (2 * np.pi))).astype(int) % m
+        at = {k: v for v, k in enumerate(steps.tolist())}
+        assert sorted(at) == list(range(m))
+        pairs = [(at[k], at[k - 1], at[(k + 1) % m]) for k in range(1, m, 2)]
     gap = -math.inf
     for v, i, j in pairs:
         off = [c - 0.5 * (a + b) for c, a, b in zip(cols[v], cols[i], cols[j])]
@@ -669,8 +675,8 @@ def midpoint_gap(images, level):
 def gap_tail(cache, level):
     """``(gap, tail)`` of a level: its gap, and the gap over 1 - q, where
     q is the gap over the previous level's (NaN unless q < 1)."""
-    gap = midpoint_gap(cache.images(level + 1), level)
-    below = midpoint_gap(cache.images(level), level - 1)
+    gap = midpoint_gap(cache.images(level + 1), level, cache.mesh(level + 1)[0])
+    below = midpoint_gap(cache.images(level), level - 1, cache.mesh(level)[0])
     ratio = gap / below if below > 0 else math.nan
     return gap, gap / (1.0 - ratio) if ratio < 1 else math.nan
 

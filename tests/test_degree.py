@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import homlim
 import reference_maps as ref
-from homlim import _kernels
+from homlim import _kernels, cli
 from homlim import degree as degree_mod
 from homlim.analysis import forward_rows
 from homlim.composite import build_stage
@@ -21,12 +22,12 @@ from homlim.degree import (
     DegreeReport,
     IndeterminateDegreeError,
     SphereProbe,
+    UnsupportedDimensionError,
+    _octamesh,
     degree,
-    degree_stability,
     disjointness_probe,
     inv_check,
     nesting_probe,
-    octasphere,
     signed_preimage_count,
 )
 
@@ -57,22 +58,39 @@ def planar_square(x):
 
 class TestMesh:
     def test_octasphere_counts(self):
-        verts, faces = octasphere(2)
+        verts, faces, _, _ = _octamesh(2)
         assert len(faces) == 8 * 4**2
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0)
 
     def test_outward_orientation(self):
         # the subdivision keeps the octahedron's orientation, with no flip
         for level in range(6):
-            verts, faces = octasphere(level)
+            verts, faces, _, _ = _octamesh(level)
             assert (np.linalg.det(verts[faces]) > 0).all()
 
     @pytest.mark.parametrize("level", range(7))
     def test_octasphere_equals_the_loop_subdivision(self, level):
-        verts, faces = octasphere(level)
+        verts, faces, _, _ = _octamesh(level)
         want_verts, want_faces = ref.octasphere(level)
         assert np.array_equal(verts, want_verts)
         assert np.array_equal(faces, want_faces)
+
+    def test_circle_points_lie_at_their_angles(self):
+        # in angular order, which the segments run in, the points of a level
+        # of M points are exactly those at the angles 2 pi k / M
+        for level in range(8):
+            verts, segments, _, _ = degree_mod.MESHES[2](level)
+            th = 2 * np.pi * np.arange(len(verts)) / len(verts)
+            assert np.array_equal(verts[segments[:, 0]], np.stack([np.cos(th), np.sin(th)], axis=1))
+            assert np.array_equal(segments[:, 1], np.roll(segments[:, 0], -1))
+
+    def test_n4_is_rejected_through_the_mesh_table(self, tmp_path, capsys):
+        with pytest.raises(UnsupportedDimensionError, match=r"n in \[2, 3\]"):
+            SphereProbe((0.1,) * 4, 0.1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "beta": 5.0, "variant": "FL", "max_stage": 1}))
+        assert cli.run("degree", str(cfg), str(tmp_path)) == cli.EXIT_CONFIG
+        assert "degree probes support n in [2, 3]" in capsys.readouterr().err
 
 
 class TestFixtures:
@@ -163,7 +181,7 @@ class _FromScratch(degree_mod._ImageCache):
     def images(self, level):
         if level not in self._images:
             c = np.asarray(self.probe.center, dtype=float)
-            verts = octasphere(level)[0]
+            verts = self.mesh(level)[0]
             self._images[level] = np.array(self.map_rows(c + self.probe.radius * verts)).T
         return self._images[level]
 
@@ -176,6 +194,13 @@ def oracle_hex(cache, y, max_refine=degree_mod.MAX_REFINE):
         return str(err)
 
 
+def mesh_levels(count):
+    """``(n, level)`` over the sphere's and the circle's first ``count``
+    levels, the sphere's with the level as their id."""
+    return ([pytest.param(3, level, id=str(level)) for level in range(count)]
+            + [pytest.param(2, level, id=f"circle-{level}") for level in range(count)])
+
+
 class TestImageCache:
     """A probe maps each sphere-mesh vertex once: a level is a prefix of
     the next, so it is sliced from a finer level or extended from a
@@ -184,20 +209,22 @@ class TestImageCache:
     CENTER = (0.55, 0.09, 0.25)
     RADIUS = 0.05
 
-    @pytest.mark.parametrize("level", range(7))
-    def test_octasphere_level_is_a_prefix_of_the_next(self, level):
-        verts = octasphere(level)[0]
-        assert np.array_equal(verts, octasphere(level + 1)[0][:len(verts)])
+    @pytest.mark.parametrize("n,level", mesh_levels(7))
+    def test_octasphere_level_is_a_prefix_of_the_next(self, n, level):
+        verts = degree_mod.MESHES[n](level)[0]
+        assert np.array_equal(verts, degree_mod.MESHES[n](level + 1)[0][:len(verts)])
 
-    @pytest.mark.parametrize("variant", ["T1", "T2", "W"])
+    @pytest.mark.parametrize("variant", ["T1", "T2", "W", "FL"])
     @pytest.mark.parametrize("order", [(4, 3), (3, 5), (5, 4)])
     def test_images_equal_a_fresh_batch(self, variant, order):
-        stage = build_stage(variant, 3)
-        probe = SphereProbe((0.5, 0.5, 0.5), 0.3, 3)
+        # FL on the plane, the others in space
+        stage = build_stage(variant, 3, 2, 3.5) if variant == "FL" else build_stage(variant, 3)
+        probe = SphereProbe((0.5, 0.5, 0.5)[:stage.n], 0.3, 3)
         cache = degree_mod._ImageCache(stage.forward_many, probe)
         for level in order:
+            verts = cache.mesh(level)[0]
+            want = stage.forward_many(np.asarray(probe.center) + probe.radius * verts)
             got = cache.images(level)
-            want = stage.forward_many(np.asarray(probe.center) + probe.radius * octasphere(level)[0])
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want.T).tobytes()
 
     def counted_degree(self, y, refinement=3, max_refine=degree_mod.MAX_REFINE):
@@ -225,7 +252,7 @@ class TestImageCache:
         # reads level 4: the one batch that the first two levels map
         rep, calls = self.counted_degree(self.target(0.0))
         assert (rep.refinements, rep.rule) == (3, "gap")
-        assert calls == [len(octasphere(4)[0])] == [1026]
+        assert calls == [len(_octamesh(4)[0])] == [1026]
 
     def test_level_five_certification_maps_each_vertex_once(self):
         # a target near the sphere image, within reach of the gaps of
@@ -233,7 +260,21 @@ class TestImageCache:
         # of level 4 reads level 5, which the streak maps in any case
         rep, calls = self.counted_degree(self.target(0.997))
         assert (rep.refinements, rep.rule) == (5, "streak")
-        assert len(calls) == 2 and sum(calls) == len(octasphere(5)[0]) == 4098
+        assert len(calls) == 2 and sum(calls) == len(_octamesh(5)[0]) == 4098
+
+    def test_circle_certification_maps_one_batch(self):
+        # a circle level is a prefix of the next too: the level-2 gap
+        # certificate reads level 3, whose 512 points hold level 2's 256
+        calls = []
+
+        def map_rows(points):
+            calls.append(len(points))
+            return square_rows(points)
+
+        cache = degree_mod._ImageCache(map_rows, DISK)
+        rep = degree_mod._cached_degree(cache, np.array([0.1, 0.05]))
+        assert (rep.degree, rep.refinements, rep.rule) == (2, 2, "gap")
+        assert calls == [512]
 
     def test_no_level_to_read_maps_nothing(self):
         rep, calls = self.counted_degree(self.target(0.0), refinement=5, max_refine=4)
@@ -241,11 +282,21 @@ class TestImageCache:
 
     def test_degree_matches_the_from_scratch_oracle(self):
         stage = build_stage("T1", 2)
-        for t in (0.0, 0.5, 0.9, 1.05, 2.0):
-            y = self.target(t)
-            got = degree(stage, SphereProbe(self.CENTER, self.RADIUS, 3), y)
-            cache = _FromScratch(forward_rows(stage), SphereProbe(self.CENTER, self.RADIUS, 3))
-            assert report_hex(got) == oracle_hex(cache, y)
+        cases = [(stage, SphereProbe(self.CENTER, self.RADIUS, 3), self.target(t))
+                 for t in (0.0, 0.5, 0.9, 1.05, 2.0)]
+        # on the plane: the disk under z^2, and an FL stage
+        cases += [(_Rows(square_rows), DISK, np.array(y))
+                  for y in ((0.1, 0.05), (0.6, 0.1), (0.64, 0.0), (2.0, 0.3))]
+        fl = build_stage("FL", 2, 2, 3.5)
+        c, r = np.array(FL_PROBE.center), FL_PROBE.radius
+        cases += [(fl, FL_PROBE, fl.forward(c + r * np.array(t)))
+                  for t in ((0.0, 0.0), (0.5, -0.3), (0.9, 0.3), (1.5, 0.0))]
+        for map_like, probe, y in cases:
+            try:
+                got = report_hex(degree(map_like, probe, y))
+            except IndeterminateDegreeError as err:
+                got = str(err)
+            assert got == oracle_hex(_FromScratch(forward_rows(map_like), probe), y)
 
     def test_multi_target_probes_match_the_from_scratch_oracle(self, monkeypatch):
         # the probes certify their targets in batches; every report of a
@@ -265,14 +316,20 @@ class TestImageCache:
         monkeypatch.setattr(degree_mod, "_certify", recorded)
         inv = inv_check(stage, self.CENTER, self.RADIUS, 10, 10, seed=5)
         bad = nesting_probe(stage, self.CENTER, self.RADIUS, 1.6 * self.RADIUS, ys)
+        # on the plane, an FL stage
+        fl = build_stage("FL", 2, 2, 3.5)
+        c, r = np.array(FL_PROBE.center), FL_PROBE.radius
+        fl_ys = fl.forward_many(c + 0.8 * r * rng.uniform(-1, 1, (12, 2)))
+        fl_inv = inv_check(fl, FL_PROBE.center, r, 10, 10, seed=5)
+        fl_bad = nesting_probe(fl, FL_PROBE.center, r, 1.6 * r, fl_ys)
         got, want = [], []
         for probe, targets, reports in batches:
-            oracle = _FromScratch(forward_rows(stage), probe)
+            oracle = _FromScratch(forward_rows(stage if len(probe.center) == 3 else fl), probe)
             got += [report_hex(rep) if isinstance(rep, DegreeReport) else str(rep)
                     for rep in reports]
             want += [oracle_hex(oracle, y) for y in targets]
         assert got == want
-        assert inv.passed and bad == 0 and len(got) > 20
+        assert inv.passed and bad == 0 and fl_inv.passed and fl_bad == 0 and len(got) > 40
 
 
 class TestStages:
@@ -293,7 +350,7 @@ class TestStages:
         stages = [build_stage("T1", k) for k in (1, 2, 3, 4)]
         probe = SphereProbe(self.CENTER, 0.05, 3)
         y = stages[0].forward(np.asarray(self.CENTER))
-        assert degree_stability(stages, probe, y) == [1, 1, 1, 1]
+        assert [degree(s, probe, y).degree for s in stages] == [1, 1, 1, 1]
 
     def test_wild_sphere_still_certifies(self):
         # the image of this sphere has corridor folds; the two-tier
@@ -342,7 +399,7 @@ class TestStages:
     def test_probes_that_skip_their_targets_do_not_pass(self):
         # targets on the small sphere's image have no certified degree
         st = build_stage("T1", 2)
-        ys = st.forward_many(np.asarray(self.CENTER) + 0.1 * octasphere(3)[0][:20])
+        ys = st.forward_many(np.asarray(self.CENTER) + 0.1 * _octamesh(3)[0][:20])
         nest = nesting_probe(st, self.CENTER, 0.1, 0.3, ys)
         disj = disjointness_probe(st, self.CENTER, 0.1, (-0.55, -0.09, -0.25), 0.1, ys)
         for rep in (nest, disj):
@@ -398,6 +455,7 @@ def graze_target(map_rows, probe):
 
 UNIT0 = SphereProbe((0.0, 0.0, 0.0), 1.0, 3)
 DISK = SphereProbe((0.0, 0.0), 0.8, 2)
+FL_PROBE = SphereProbe((0.3, 0.2), 0.1, 1)
 # per fixture: (rows map, probe, max_refine, targets that reach the
 # branches of a certification)
 BATCH_FIXTURES = {
@@ -489,7 +547,7 @@ class TestBatchCertification:
                         reached.add("0.0 outside the bounding box")
             if name == "octahedral":
                 # more targets reach level 5 than one distance block holds
-                assert at_five > degree_mod.BLOCK // len(octasphere(5)[0])
+                assert at_five > degree_mod.BLOCK // len(_octamesh(5)[0])
         assert reached == {"retry n=2", "retry n=3", "indeterminate at max_refine",
                            "near a vertex", "on a facet", "level 5",
                            "0.0 outside the bounding box"}
@@ -532,7 +590,7 @@ def lemma_probe(name):
         return build_stage("T1", 2).forward_many, SphereProbe((0.55, 0.55, 0.55), 0.1, 1)
     if name == "circle-smooth":
         return square_rows, DISK
-    return build_stage("FL", 2, 2, 3.5).forward_many, SphereProbe((0.3, 0.2), 0.1, 1)
+    return build_stage("FL", 2, 2, 3.5).forward_many, FL_PROBE
 
 
 class TestGapCertificate:
@@ -554,21 +612,20 @@ class TestGapCertificate:
         cache = degree_mod._ImageCache(rows, probe)
         coarse, fine = cache.images(level), cache.images(level + 1)
         gap = degree_mod._midpoint_gap(fine, level)
+        verts, facets, finer = cache.mesh(level)[0], cache.facets(level), cache.mesh(level + 1)[0]
+
+        def midpoint(i, j):
+            m = verts[i] + verts[j]
+            return int(np.argmin(np.linalg.norm(finer - m / np.linalg.norm(m), axis=1)))
+
         if len(coarse) == 2:
-            m = coarse.shape[1]
-            i, t = pick % m, weights[0]
-            here = (1 - t) * coarse[:, i] + t * coarse[:, (i + 1) % m]
-            a, mid, b = fine[:, 2 * i], fine[:, 2 * i + 1], fine[:, (2 * i + 2) % (2 * m)]
+            i, j = facets[pick % len(facets)]
+            t = weights[0]
+            here = (1 - t) * coarse[:, i] + t * coarse[:, j]
+            a, mid, b = fine[:, i], fine[:, midpoint(i, j)], fine[:, j]
             there = (1 - 2 * t) * a + 2 * t * mid if t < 0.5 else (2 - 2 * t) * mid + (2 * t - 1) * b
         else:
-            verts, faces = octasphere(level)
-            finer = octasphere(level + 1)[0]
-
-            def midpoint(i, j):
-                m = verts[i] + verts[j]
-                return int(np.argmin(np.linalg.norm(finer - m / np.linalg.norm(m), axis=1)))
-
-            a, b, c = faces[pick % len(faces)]
+            a, b, c = facets[pick % len(facets)]
             ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
             lam = np.array(weights) + 1e-3
             la, lb, lc = lam / lam.sum()
@@ -584,12 +641,12 @@ class TestGapCertificate:
             there = sum(w * fine[:, v] for w, v in zip(mu, corners))
         assert np.linalg.norm(there - here) <= gap * (1 + 1e-9) + 1e-15
 
-    @pytest.mark.parametrize("level", range(6))
-    def test_added_vertices_are_the_midpoints_of_the_edges(self, level):
+    @pytest.mark.parametrize("n,level", mesh_levels(6))
+    def test_added_vertices_are_the_midpoints_of_the_edges(self, n, level):
         # the gap pairs each vertex that level + 1 adds with the ends of
         # the level edge it splits: the level's edges, in order
-        verts, _, edges, _ = degree_mod._octamesh(level)
-        added = octasphere(level + 1)[0][len(verts):]
+        verts, _, edges, _ = degree_mod.MESHES[n](level)
+        added = degree_mod.MESHES[n](level + 1)[0][len(verts):]
         mid = verts[edges[:, 0]] + verts[edges[:, 1]]
         assert np.allclose(added, mid / np.linalg.norm(mid, axis=1)[:, None], rtol=0, atol=1e-15)
 
@@ -701,4 +758,4 @@ class TestGapCertificate:
         rows = _Rows(lambda pts: pts)
         with pytest.raises(IndeterminateDegreeError):
             degree(rows, SphereProbe((0.0, 0.0, 0.0), 1.0, 7), (0.3, 0.1, -0.2))
-        assert rows.points == len(octasphere(7)[0]) <= 2**18 < 4 * 4**8 + 2
+        assert rows.points == len(_octamesh(7)[0]) <= 2**18 < 4 * 4**8 + 2

@@ -29,10 +29,6 @@ class BatchMap:
         """Analytic Jacobians at every row of ``points``: an (N, n, n) array."""
         return self._walk_rows(points, jacobian=True)[1]
 
-    def forward_derivative_many(self, points: np.ndarray):
-        """(``forward_many``, ``derivative_many``) of ``points`` from one walk."""
-        return self._walk_rows(points, jacobian=True)
-
     def forward(self, point) -> np.ndarray:
         return self.forward_many(_one_row(point))[0]
 

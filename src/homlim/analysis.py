@@ -1,16 +1,17 @@
 """Cauchy tables of Sobolev differences, Jacobian and boundary probes.
 
-The Cauchy table has one quadrature.  A level-k tentacle tube is
-integrated on a grid in its (t, E) chart, t axial and E the transverse
-log-log modulation, whose strips carry the exact sup-annulus measure;
-that absorbs the 1/(rho log 1/rho) transverse gradient of the squeeze
-profile into a bounded integrand.  A tower cell is integrated by the
-midpoint rule on a cube grid.  The nodes of a level's sampled tubes and
-cells are evaluated in batches of about ``CAUCHY_BATCH`` nodes, one
-``derivative_many`` per stage and batch (one batch a level on small
-quadratures), and their weights are summed in node order, tube by tube
-and cell by cell, so the rows are those of a loop over the nodes and do
-not depend on the batch size.  Finite-difference
+The Cauchy table has one quadrature, held in arrays.  A level-k tentacle
+tube is integrated on a grid in its (t, E) chart, t axial and E the
+transverse log-log modulation, whose strips carry the exact sup-annulus
+measure (n-1) 2^(n-1) rho^(n-1) u dE dt at every n; that absorbs the
+1/(rho log 1/rho) transverse gradient of the squeeze profile into a
+bounded integrand.  A tower cell is integrated by the midpoint rule on a
+cube grid.  The nodes of a level's sampled tubes and cells are evaluated
+in batches of about ``CAUCHY_BATCH`` nodes, one ``derivative_many`` per
+stage and batch (one batch a level on small quadratures), and each tube's
+or cell's weighted measures are summed by one cumulative sum, which adds
+in node order, so the rows are those of a loop over the nodes and do not
+depend on the batch size.  Finite-difference
 Jacobians come from one central-difference stencil, evaluated in one
 batch of the map.  All randomness flows from one counter-based generator
 seeded by the caller.
@@ -235,91 +236,75 @@ def _sample_words(n: int, level: int, cap: int, rng) -> tuple[list, float]:
     return words, len(slots) ** level / len(words)
 
 
-def _geom_segments(breaks, levels: int):
-    """Split each interval geometrically toward its lower end."""
-    segs = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        if levels <= 0:
-            segs.append((lo, hi))
-            continue
-        cuts = [lo + (hi - lo) * 2.0**-j for j in range(levels, 0, -1)]
-        segs.extend(zip([lo] + cuts, cuts + [hi]))
-    return segs
-
-
 def _tube_nodes(sched: TentacleSchedule, k: int, word, config: QuadratureConfig,
-                res_mult: int = 1) -> tuple[np.ndarray, list]:
-    """Quadrature nodes of one twisted level-k tube, and per node the pair
-    (m, s) whose product is its measure: a node of weight w adds w * m * s.
+                res_mult: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature nodes of one twisted level-k tube, (N, n), and their
+    measure factors (m, s), (N, 2): a node of weight w adds (w * m) * s.
 
     The grid lives in the chart (t, E): t is the axial coordinate (split
     at the knot planes and geometrically toward each piece's low end,
     where the composed maps run through their scale cascade) and E the
-    transverse log-log modulation.  The sup-annulus measure per strip,
-    2 rho^2 u dE dt with u = log(1/rho), is exact, which absorbs the
-    1/(rho u) transverse gradient of the squeeze profile into a bounded
-    integrand.  Strips of measure 0 carry no node.
+    transverse log-log modulation.  The strip at sup radius rho(E), u =
+    log(1/rho), has the exact sup-annulus measure (n-1) 2^(n-1) rho^(n-1)
+    u dE dt, which absorbs the 1/(rho u) transverse gradient of the
+    squeeze profile into a bounded integrand; its 2(n-1) nodes, +rho then
+    -rho on each transverse axis, carry 2^(n-2) rho^(n-1) u dE dt each.
+    Per axial node come the strips' nodes, then the core node, (2b)^(n-1)
+    times dt.  Strips of measure 0 carry no node.
     """
-    lv = sched.level(k)
-    n = sched.n
+    lv, n = sched.level(k), sched.n
     heights = [w[-1] for w in word]
-    z_n = sched.center_height(heights)
-    ts, ss = _knot_lists(lv, sched.family, 0.0)  # ordered: solve_parameters checks
-    segs = _geom_segments(ts, config.axial_levels)
+    ts = np.array(_knot_lists(lv, sched.family, 0.0)[0])  # ordered: solve_parameters checks
+    # each knot interval split geometrically toward its low end
+    fracs = [2.0**-j for j in range(config.axial_levels, 0, -1)]
+    edges = np.column_stack([ts[:-1], ts[:-1, None] + np.diff(ts)[:, None] * fracs, ts[1:]])
+    lo, hi = edges[:, :-1].ravel(), edges[:, 1:].ravel()
     t_res = config.axial_resolution * res_mult
     e_res = config.transverse_resolution * res_mult
-    u_d, e_rng = lv.u_d, lv.e_range
-    core_area = (2.0 * lv.b) ** (n - 1)
-    dirs = [(axis, sign) for axis in range(1, n) for sign in (1.0, -1.0)]
-    axial = []  # (t, dt) per axial node
-    for t_lo, t_hi in segs:
-        dt = (t_hi - t_lo) / t_res
-        axial += [(t_lo + (it + 0.5) * dt, dt) for it in range(t_res)]
-    sigma = _shear_rows(sched, heights, np.array([t for t, _ in axial]))
-    nodes, measures = [], []
-    x = np.zeros(n)
-    for (t, dt), sig in zip(axial, sigma.tolist()):
-        # shell: strips at transverse sup radius rho(E)
-        de = e_rng / e_res
-        for ie in range(e_res):
-            e = (ie + 0.5) * de
-            u = u_d * math.exp(e)
-            rho = math.exp(-u)
-            meas = 2.0 * rho * rho * u * de * dt
-            if meas == 0.0:
-                continue
-            for axis, sign in dirs:
-                x[:] = 0.0
-                x[0] = t
-                x[axis] = sign * rho
-                x[n - 1] += z_n + sig
-                nodes.append(x.copy())
-                measures.append((meas, 1.0))
-        # core below the clamp radius: no transverse gradient
-        if core_area > 0.0:
-            x[:] = 0.0
-            x[0] = t
-            x[n - 1] = z_n + sig
-            nodes.append(x.copy())
-            measures.append((core_area, dt))
-    return np.array(nodes).reshape(-1, n), measures
+    de = lv.e_range / e_res
+    rhos, bases = [], []
+    for ie in range(e_res):  # Python floats: numpy's exp need not round as math's
+        u = lv.u_d * math.exp((ie + 0.5) * de)
+        rho = math.exp(-u)
+        base = 2.0 ** (n - 2) * rho
+        for _ in range(n - 2):
+            base *= rho
+        rhos.append(rho)
+        bases.append(base * u * de)
+    dt = np.repeat((hi - lo) / t_res, t_res)
+    t = np.repeat(lo, t_res) + np.tile(np.arange(t_res) + 0.5, len(lo)) * dt
+    height = sched.center_height(heights) + _shear_rows(sched, heights, t)
+    # per axial node: each strip's nodes, then the core node
+    per = 2 * (n - 1)
+    m = per * e_res + 1
+    nodes = np.zeros((len(t), m, n))
+    nodes[..., 0] = t[:, None]
+    nodes[:, np.arange(m - 1), np.tile(np.repeat(np.arange(1, n), 2), e_res)] = \
+        np.repeat(rhos, per) * np.tile([1.0, -1.0], (n - 1) * e_res)
+    nodes[:, :-1, n - 1] += height[:, None]
+    nodes[:, -1, n - 1] = height
+    measures = np.ones((len(t), m, 2))
+    measures[:, :-1, 0] = np.multiply.outer(dt, np.repeat(bases, per))
+    measures[:, -1, 0], measures[:, -1, 1] = (2.0 * lv.b) ** (n - 1), dt
+    keep = measures[..., 0] != 0.0
+    return nodes[keep], measures[keep]
 
 
-def _weighted_sum(weights, measures) -> float:
-    """Sum of w * m * s over the nodes, in node order from 0.0."""
-    total = 0.0
-    for w, (m, s) in zip(weights, measures):
-        total += w * m * s
-    return total
+def _ordered_sum(weights, measures) -> float:
+    """Sum of (w * m) * s over the nodes, in node order from 0.0: one
+    cumulative sum, which adds sequentially where np.sum adds pairwise, so
+    the result is that of a loop over the nodes."""
+    terms = (weights * measures[:, 0]) * measures[:, 1]
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
                    config: QuadratureConfig, res_mult: int = 1) -> float:
     """Integral of a pointwise weight over one twisted level-k tube, on the
-    nodes of ``_tube_nodes``: ``weight_fn`` is called once per node, in
-    node order."""
+    nodes and measures of ``_tube_nodes``, summed by ``_ordered_sum``:
+    ``weight_fn`` is called once per node, in node order."""
     nodes, measures = _tube_nodes(sched, k, word, config, res_mult)
-    return _weighted_sum((weight_fn(x) for x in nodes), measures)
+    return _ordered_sum(np.array([weight_fn(x) for x in nodes], dtype=float), measures)
 
 
 # Nodes per derivative batch of a Cauchy table: enough that the fixed
@@ -331,21 +316,20 @@ CAUCHY_BATCH = 1 << 13
 def _change_region(sched: TentacleSchedule, k: int, words, inflate: float, words1,
                    inflate1: float, config: QuadratureConfig, res_mult: int):
     """The parts of the stage-k change region, the sampled level-k tubes
-    and then the sampled level-(k-1) tower cells, as pairs (nodes,
-    integral): ``integral`` maps the weights at the nodes to the part's
-    inflated term of the table row."""
+    and then the sampled level-(k-1) tower cells, as tuples (nodes,
+    measures, inflate, vol): a part adds inflate * (vol * S) to the table
+    row, S the ``_ordered_sum`` of the weights at its nodes."""
     for word in words:
-        nodes, measures = _tube_nodes(sched, k, word, config, res_mult)
-        yield nodes, lambda w, m=measures: inflate * _weighted_sum(w, m)
+        yield *_tube_nodes(sched, k, word, config, res_mult), inflate, 1.0
     r_in = sched.base.r(k - 1)
     for word in words1:
         z = cell_center(sched.base, Address("towerB", word))
         nodes, vol = _cube_nodes(z, r_in, config.resolution * res_mult)
-        yield nodes, lambda w, vol=vol: inflate1 * (vol * sum(w))
+        yield nodes, np.ones((len(nodes), 2)), inflate1, vol
 
 
 def _batches(parts, size: int):
-    """Consecutive runs of the (nodes, ...) pairs ``parts``, each closed
+    """Consecutive runs of the (nodes, ...) tuples ``parts``, each closed
     once it holds ``size`` nodes or more, the last one when they end."""
     batch, count = [], 0
     for part in parts:
@@ -385,19 +369,18 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
         parts = _change_region(sched, k, words, inflate, words1, inflate1, config, res_mult)
         total = 0.0
         for batch in _batches(parts, CAUCHY_BATCH):
-            nodes = np.concatenate([part_nodes for part_nodes, _ in batch])
+            nodes = np.concatenate([part[0] for part in batch])
             diff = stages[k].derivative_many(nodes) - stages[k - 1].derivative_many(nodes)
             flat = diff.reshape(len(nodes), n * n)
-            # |D|_F as np.linalg.norm takes it: the root of the dot product
-            # of the flat entries, one row at a time
-            weights = [float(np.sqrt(v.dot(v)) ** p) for v in flat]
-            # one float add per node, in node order, part by part: the rows
-            # stay those of a loop over the nodes, which the pairwise
-            # summation of np.sum would not keep to the last bit
+            # |D|_F as np.linalg.norm takes it, the root of the dot product
+            # of the flat entries, raised to p per element: numpy's power
+            # of an array rounds differently from the scalar one
+            weights = np.array([r ** p for r in np.sqrt(np.vecdot(flat, flat)).tolist()])
             start = 0
-            for part_nodes, integral in batch:
-                total += integral(weights[start:start + len(part_nodes)])
-                start += len(part_nodes)
+            for part_nodes, measures, inflate_part, vol in batch:
+                stop = start + len(part_nodes)
+                total += inflate_part * (vol * _ordered_sum(weights[start:stop], measures))
+                start = stop
         rows.append(CauchyRow(k, total, 0.0, True))
 
     env = [2.0 ** (-k * beta) + 1.0 / k**2 for k in range(2, k_max + 1)]

@@ -12,7 +12,9 @@ time, so the reference shares only the knot tables and the modulation
 with the package.  The Jacobians of the inverse maps are closed forms
 too, not matrix inversions: an elementary move and the straight-chart
 tentacle map are the identity but for one row (m, g), which inverts to
-(1/m, -g/m) at the preimage.
+(1/m, -g/m) at the preimage.  The Cauchy table's tube quadrature has its
+loop version here too: ``tube_nodes`` places a tube's nodes and measure
+factors one node at a time, with the shear of this file.
 
 The Cantor map and the axis collapse have no body here: their pointwise
 calls are one-row batches, checked against ``tests/test_descent.py``'s
@@ -385,6 +387,59 @@ def tentacle_derivative(h, point):
 
 def tentacle_inverse_derivative(h, point):
     return _tentacle_jacobian(h, point, inverse=True)
+
+
+def tube_nodes(sched, k, word, config, res_mult=1):
+    """The Cauchy-table quadrature nodes of one level-k tube and their
+    measure factors (m, s), one node at a time: per axial node, each
+    strip's 2(n-1) nodes (axis by axis, +rho then -rho), each of measure
+    2^(n-2) rho^(n-1) u dE dt, then the core node, (2b)^(n-1) times dt.
+    A strip of measure 0 carries no node."""
+    lv = sched.level(k)
+    n = sched.n
+    heights = [w[-1] for w in word]
+    z_n = sched.center_height(heights)
+    ts = level_knots(lv, sched.family, 0.0).ts
+    t_res = config.axial_resolution * res_mult
+    e_res = config.transverse_resolution * res_mult
+    levels = config.axial_levels
+    segs = []
+    for lo, hi in zip(ts, ts[1:]):
+        cuts = [lo + (hi - lo) * 2.0**-j for j in range(levels, 0, -1)]
+        segs.extend(zip([lo] + cuts, cuts + [hi]))
+    core_area = (2.0 * lv.b) ** (n - 1)
+    nodes, measures = [], []
+    x = np.zeros(n)
+    for t_lo, t_hi in segs:
+        dt = (t_hi - t_lo) / t_res
+        for it in range(t_res):
+            t = t_lo + (it + 0.5) * dt
+            sig = sigma(sched, heights, t)
+            de = lv.e_range / e_res
+            for ie in range(e_res):
+                u = lv.u_d * math.exp((ie + 0.5) * de)
+                rho = math.exp(-u)
+                meas = 2.0 ** (n - 2) * rho
+                for _ in range(n - 2):
+                    meas *= rho
+                meas = meas * u * de * dt
+                if meas == 0.0:
+                    continue
+                for axis in range(1, n):
+                    for sign in (1.0, -1.0):
+                        x[:] = 0.0
+                        x[0] = t
+                        x[axis] = sign * rho
+                        x[n - 1] += z_n + sig
+                        nodes.append(x.copy())
+                        measures.append((meas, 1.0))
+            if core_area > 0.0:
+                x[:] = 0.0
+                x[0] = t
+                x[n - 1] = z_n + sig
+                nodes.append(x.copy())
+                measures.append((core_area, dt))
+    return np.array(nodes).reshape(-1, n), np.array(measures).reshape(-1, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ class TestDerivativeMany:
         factors = [CANTOR[(k, False)], CANTOR[(k, True)], TOWERS[k],
                    TENTACLES[(SqueezeStage, k)], TENTACLES[(StretchStage, k)]]
         for f in factors:
-            images, jac = f.forward_derivative_many(pts)
+            images, jac = f._walk_rows(pts, jacobian=True)
             assert bit_equal(images, f.forward_many(pts))
             assert np.array_equal(jac, f.derivative_many(pts))
             # the inverse walk's images are those of inverse_many, or both raise
@@ -293,7 +293,7 @@ class TestDerivativeMany:
             assert joint is want if isinstance(want, type) else bit_equal(joint, want)
         collapse = STAGES[("FL", k)].chain[-1][0]
         with pytest.raises(DomainError, match="finite differences"):
-            collapse.forward_derivative_many(pts)
+            collapse._walk_rows(pts, jacobian=True)
 
     def test_empty_batch(self):
         maps = [STAGES[(v, 2)] for v in ("T1", "T2", "W")]
@@ -336,7 +336,7 @@ class TestInverseJacobians:
 
     @staticmethod
     def check(f, x):
-        images, jac = f.forward_derivative_many(x)
+        images, jac = f._walk_rows(x, jacobian=True)
         back, inv_jac = f._walk_rows(images, inverse=True, jacobian=True)
         assert np.max(np.abs(back - x)) < 1e-10
         norms = np.linalg.norm(inv_jac, axis=(1, 2)) * np.linalg.norm(jac, axis=(1, 2))
@@ -439,11 +439,11 @@ class TestBatchErrors:
             # the derivative has no range check: only unordered knots raise
             check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
                        equal=np.array_equal)
-            # the joint call raises what derivative_many and then forward_many raise
+            # the joint walk raises what derivative_many and then forward_many raise
             pts = np.array(pts)
             jac, fwd = outcome(h.derivative_many, pts), outcome(h.forward_many, pts)
             want = jac if isinstance(jac, type) else fwd
-            got = outcome(h.forward_derivative_many, pts)
+            got = outcome(lambda p: h._walk_rows(p, jacobian=True), pts)
             if isinstance(want, type):
                 assert got is want
             else:

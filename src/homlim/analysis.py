@@ -29,7 +29,7 @@ import numpy as np
 from .composite import build_stage
 from .errors import DomainError
 from .geometry import Address, address_words, cell_center, tower_slots
-from .tentacles import TentacleSchedule, _knot_lists, _shear_rows
+from .tentacles import TentacleSchedule, _shear_rows
 
 __all__ = [
     "QuadratureConfig",
@@ -254,7 +254,7 @@ def _tube_nodes(sched: TentacleSchedule, k: int, word, config: QuadratureConfig,
     """
     lv, n = sched.level(k), sched.n
     heights = [w[-1] for w in word]
-    ts = np.array(_knot_lists(lv, sched.family, 0.0)[0])  # ordered: solve_parameters checks
+    ts = np.array(lv.ts)  # ordered: solve_parameters checks
     # each knot interval split geometrically toward its low end
     fracs = [2.0**-j for j in range(config.axial_levels, 0, -1)]
     edges = np.column_stack([ts[:-1], ts[:-1, None] + np.diff(ts)[:, None] * fracs, ts[1:]])

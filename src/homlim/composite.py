@@ -30,8 +30,6 @@ from .tentacles import (
     SqueezeStage,
     StretchStage,
     TentacleSchedule,
-    _knot_lists,
-    _knot_rows,
     _pl_rows,
     _shear_rows,
     solve_parameters,
@@ -139,14 +137,13 @@ def build_stage(variant: str, k: int, n: int = 3, beta: float = 4.0) -> Composit
         return CompositeStage(variant, k, n, beta, chain)
     sched_a = ParameterSchedule(n=n, beta=beta, kind="A")
     g = CantorHomeomorphism(sched_a, sched_b, k)
-    g_inv = CantorHomeomorphism(sched_b, sched_a, k)
     family = SQUEEZE if variant == "T1" else STRETCH
     ts = _tentacle_sched(n, beta, family, k)
     h = (SqueezeStage if variant == "T1" else StretchStage)(ts, k)
     chain = {
-        "T1": ((h, 1), (tower, -1), (g_inv, 1)),
-        "T2": ((g, 1), (tower, 1), (h, 1), (tower, -1), (g_inv, 1)),
-        "W": ((g, 1), (tower, 1), (h, -1), (tower, -1), (g_inv, 1)),
+        "T1": ((h, 1), (tower, -1), (g, -1)),
+        "T2": ((g, 1), (tower, 1), (h, 1), (tower, -1), (g, -1)),
+        "W": ((g, 1), (tower, 1), (h, -1), (tower, -1), (g, -1)),
     }[variant]
     return CompositeStage(variant, k, n, beta, chain, ts)
 
@@ -243,7 +240,7 @@ def _stretch_inverse_on_chain(sched: TentacleSchedule, word_hat, k: int,
     heights = [w[-1] for w in word_hat]
     out = chain.copy()
     rows = np.flatnonzero(chain[:, 0] >= lv.r_hat)
-    ts, ss, _ = _knot_rows(*_knot_lists(lv, STRETCH, lv.e_range), chain[rows, 0])
+    ts, ss = lv.knots(np.full(len(rows), lv.e_range))
     t_back = _pl_rows(np.minimum(chain[rows, 0], ss[:, -1]), ss, ts)
     out[rows] = 0.0
     out[rows, 0] = t_back

@@ -12,12 +12,17 @@ strict schedules they fall far below floating-point range and are kept
 in log-magnitude form, so geometric evaluation of the stage maps is a
 demo-schedule feature.
 
+Each level has one knot table, solved with it: the axial knots ``ts``
+and the s-knots ``s0 + se e``, affine in the modulation e in [0, E].  Its
+order is checked once, at e = 0 and e = E, where a schedule is solved and
+where a stage takes it, so it holds for every row a stage evaluates.
+
 Each kernel works on rows and has one flavor: ``_pl_rows`` (the axial
-profile and its inverse, through the knot tables of ``_knot_rows``) and
+profile and its inverse, through the rows of ``TentacleLevel.knots``) and
 ``_shear_rows`` (the shear and its slope).  A stage map has one body,
-``_TentacleStage._walk_rows``: one descent and one knot table per level
-give the images and, when asked, the Jacobians, of the stage or of its
-inverse; every evaluation method of a stage is a call of it.
+``_TentacleStage._walk_rows``: one descent and the knot table of each
+level give the images and, when asked, the Jacobians, of the stage or of
+its inverse; every evaluation method of a stage is a call of it.
 """
 
 from __future__ import annotations
@@ -63,24 +68,11 @@ _FLOAT_LOG_RANGE = 700.0
 # ---------------------------------------------------------------------------
 
 
-def _knot_rows(ts, ss, v: np.ndarray):
-    """The knot lists ``ts``, ``ss`` (floats, or arrays of one value per
-    row of v) as two (N, K) arrays, and the mask of the rows whose knots
-    are not strictly increasing."""
-    ts, ss = (np.stack(np.broadcast_arrays(*knots, v)[:-1], axis=1) for knots in (ts, ss))
-    return ts, ss, (ts[:, 1:] <= ts[:, :-1]).any(axis=1) | (ss[:, 1:] <= ss[:, :-1]).any(axis=1)
-
-
-def _raise_first_bad(unordered: np.ndarray, outside=False) -> None:
-    """Raise the error of the first row whose knots are not strictly
-    increasing (a ValueError) or that lies outside them (a DomainError),
-    as a loop over the rows would; nothing if every row passes."""
-    bad = unordered | outside
-    if bad.any():
-        i = int(np.argmax(bad))
-        if unordered[i]:
-            raise ValueError(f"row {i}: knots not strictly increasing")
-        raise DomainError(f"row {i}: outside the knot range")
+def _raise_first_outside(outside: np.ndarray) -> None:
+    """Raise the DomainError of the first row that lies outside its knots,
+    as a loop over the rows would; nothing if every row is inside."""
+    if outside.any():
+        raise DomainError(f"row {int(np.argmax(outside))}: outside the knot range")
 
 
 def _pl_rows(v: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -109,7 +101,8 @@ class TentacleLevel:
     coefficient of the middle knot (A_k when squeezing, the analogous
     constant when stretching); it is None at level 1 where that knot
     leaves the cube and is dropped.  ``shift_drop`` = r_{k-1} - b_{k-1}
-    feeds the level-k shear.
+    feeds the level-k shear.  The knot table of the level map is ``ts``
+    (axial knots) against ``s0 + se e`` (s-knots at modulation e).
     """
 
     k: int
@@ -125,10 +118,11 @@ class TentacleLevel:
     bend: float | None
     line_prev_at_a: float
     line_prev_at_c: float
-    mid_knot: float | None
     delta_budget: float | None
-    delta_tilde: float | None
     shift_drop: float
+    ts: tuple[float, ...]
+    s0: tuple[float, ...]
+    se: tuple[float, ...]
 
     @property
     def d(self) -> float:
@@ -137,6 +131,12 @@ class TentacleLevel:
     @property
     def b(self) -> float:
         return math.exp(-self.u_b)
+
+    def knots(self, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The axial knots and the s-knots s0 + se e at every modulation of
+        the array e, as two (len(e), K) arrays."""
+        ss = np.add(self.s0, np.multiply.outer(e, self.se))
+        return np.broadcast_to(self.ts, ss.shape), ss
 
 
 @dataclass
@@ -294,7 +294,7 @@ def solve_parameters(
         if e_range <= 0:
             raise InfeasibleScheduleError(f"level {k}: non-positive modulation range")
 
-        dt = db = None
+        db = None
         if mode == "demo":
             u_d = math.log(20.0) + (k - 1) * math.log(4.0)
             floor = -math.log(2.0 ** -(n + 1) * r_prev)
@@ -302,8 +302,7 @@ def solve_parameters(
             if prev is not None:
                 u_d = max(u_d, prev.u_b + n * math.log(4.0))
         else:
-            dt = delta_tilde(mode, n, beta, k)
-            db = 2.0**(-n * k) * dt / c_shift
+            db = 2.0**(-n * k) * delta_tilde(mode, n, beta, k) / c_shift
             try:
                 u_d = (2.0 ** ((beta + 1) * k * (n - 1)) / (c_fixd * db)) ** (1.0 / (n - 2))
             except (OverflowError, ZeroDivisionError):  # db underflows to 0 first at some beta
@@ -323,26 +322,31 @@ def solve_parameters(
             )
 
         if k == 1:
-            bend = mid = None
+            bend = None
         elif family == SQUEEZE:
             mid = r + (a_sq - r) * (r_prev - r) / (a - r)  # l_k(r_{k-1})
             bend = (r_prev - mid) / e_range
         else:
             mid = 0.5 * (a + c)
             bend = (mid - r_prev) / e_range
-        # the previous line at the domain tube ends: a, c when squeezing,
-        # the squeezed ends a~, c~ when stretching
+        # the knot table: the domain tube ends (a, c when squeezing, the
+        # squeezed ends a~, c~ when stretching) go to the previous line
+        # there, the near end phi moving down (squeezing) or up
+        # (stretching) by e; from level 2 on the middle knot r_{k-1}, below
+        # a or above a~, moves the same way by bend e
         lo, hi = (a, c) if family == SQUEEZE else (a_sq, c_sq)
+        at_lo, at_hi = line_prev(lo), line_prev(hi)
+        sign = -1.0 if family == SQUEEZE else 1.0
+        ts, s0, se = [r, lo, hi], [r, at_lo, at_hi], [0.0, sign, 0.0]
+        if k > 1:
+            i = 1 if family == SQUEEZE else 2
+            ts.insert(i, r_prev), s0.insert(i, r_prev), se.insert(i, sign * bend)
         lv = TentacleLevel(
-            k, r, r_prev, a, c, a_sq, c_sq, u_d, u_b, e_range, bend,
-            line_prev(lo), line_prev(hi), mid, db, dt,
-            0.0 if k == 1 else r_prev - math.exp(-prev.u_b),
+            k, r, r_prev, a, c, a_sq, c_sq, u_d, u_b, e_range, bend, at_lo, at_hi, db,
+            0.0 if k == 1 else r_prev - math.exp(-prev.u_b), tuple(ts), tuple(s0), tuple(se),
         )
-        # the knots are affine in e, so ordered at both ends means ordered
-        # for every modulation; r_k underflows or a_k rounds to c_k at large beta
-        if mode == "demo" and _knot_rows(*_knot_lists(lv, family, np.array([0.0, e_range])),
-                                         np.zeros(2))[2].any():
-            raise InfeasibleScheduleError(f"level {k}: knots not strictly increasing")
+        if mode == "demo":  # r_k underflows or a_k rounds to c_k at large beta
+            _check_knot_order(lv)
         levels.append(lv)
         prev = lv
     return TentacleSchedule(n, beta, family, mode, base, levels)
@@ -353,38 +357,21 @@ def solve_parameters(
 # ---------------------------------------------------------------------------
 
 
-def _knot_lists(level: TentacleLevel, family: str, e):
-    """(ts, ss): the axial knots of the level map at transverse modulation
-    e in [0, E]; e may be an array, giving array entries in ss."""
-    lv = level
-    if family == SQUEEZE:
-        phi = lv.line_prev_at_a - e
-        if lv.k == 1:
-            return (lv.r_hat, lv.a, lv.c), (lv.r_hat, phi, lv.line_prev_at_c)
-        psi = lv.r_hat_prev - lv.bend * e
-        return (lv.r_hat, lv.r_hat_prev, lv.a, lv.c), (lv.r_hat, psi, phi, lv.line_prev_at_c)
-    phi = lv.line_prev_at_a + e
-    if lv.k == 1:
-        return (lv.r_hat, lv.a_sq, lv.c_sq), (lv.r_hat, phi, lv.line_prev_at_c)
-    psi = lv.r_hat_prev + lv.bend * e
-    return (lv.r_hat, lv.a_sq, lv.r_hat_prev, lv.c_sq), (lv.r_hat, phi, psi, lv.line_prev_at_c)
-
-
-def _knot_e_coeffs(level: TentacleLevel, family: str) -> tuple[float, ...]:
-    """d s_i / d e for the knot table above."""
-    if family == SQUEEZE:
-        if level.k == 1:
-            return (0.0, -1.0, 0.0)
-        return (0.0, -level.bend, -1.0, 0.0)
-    if level.k == 1:
-        return (0.0, 1.0, 0.0)
-    return (0.0, 1.0, level.bend, 0.0)
+def _check_knot_order(level: TentacleLevel) -> None:
+    """Raise InfeasibleScheduleError (a ValueError) unless the level's knots
+    are strictly increasing at e = 0 and at e = E.  The knots are affine in
+    e and ``_modulation`` keeps e in [0, E], so then every row a stage
+    evaluates has ordered knots."""
+    ts, ss = level.knots(np.array([0.0, level.e_range]))
+    if (np.diff(ts) <= 0).any() or (np.diff(ss) <= 0).any():
+        raise InfeasibleScheduleError(f"level {level.k}: knots not strictly increasing")
 
 
 def _modulation(level: TentacleLevel, rho: float) -> tuple[float, float]:
     """(e, de/drho) for transverse sup radius rho.
 
-    e = log log(1/max(b, rho)) - log log(1/d), clamped to [0, E]."""
+    e = log log(1/max(b, rho)) - log log(1/d), clamped to [0, E]: just
+    below b the difference of the two logs can round above E."""
     if rho <= 0.0:
         return level.e_range, 0.0
     u = -math.log(rho)
@@ -392,7 +379,7 @@ def _modulation(level: TentacleLevel, rho: float) -> tuple[float, float]:
         return level.e_range, 0.0
     if u <= level.u_d:
         return 0.0, 0.0
-    return math.log(u) - math.log(level.u_d), -1.0 / (rho * u)
+    return min(math.log(u) - math.log(level.u_d), level.e_range), -1.0 / (rho * u)
 
 
 # ---------------------------------------------------------------------------
@@ -442,24 +429,23 @@ def shift_inverse(sched: TentacleSchedule, word, point) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _level_rows(lv: TentacleLevel, family: str, w: np.ndarray):
+def _level_rows(lv: TentacleLevel, w: np.ndarray):
     """The modulation slope and the axial knots of the level map at every
-    row of the (N, n) chart array w: (de/drho, ts, ss, unordered), the
-    knots as (N, K) arrays and ``unordered`` the rows whose knots are not
-    strictly increasing."""
+    row of the (N, n) chart array w: (de/drho, ts, ss), the knots as
+    (N, K) arrays."""
     rho = np.abs(w[:, 1:]).max(axis=1)
     # math.log per row: np.log rounds differently on some inputs
     e, de_drho = np.array([_modulation(lv, r) for r in rho.tolist()]).reshape(len(w), 2).T
-    return (de_drho,) + _knot_rows(*_knot_lists(lv, family, e), e)
+    return (de_drho,) + lv.knots(e)
 
 
-def _straight_jacobian_rows(lv: TentacleLevel, family: str, w: np.ndarray,
-                            de_drho: np.ndarray, ts: np.ndarray,
-                            ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _straight_jacobian_rows(lv: TentacleLevel, w: np.ndarray, de_drho: np.ndarray,
+                            ts: np.ndarray, ss: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Jacobian of the level map x -> (eta(x_1, |x_perp|), x_perp) at
-    every row of the (N, n) chart array w, from the ``_level_rows`` of w
-    (ordered knots): ((N, n, n) Jacobians, etas).  The first row of each
-    is (axial slope, d eta / d w_perp), the others are the identity."""
+    every row of the (N, n) chart array w, from the ``_level_rows`` of w:
+    ((N, n, n) Jacobians, etas).  The first row of each is (axial slope,
+    d eta / d w_perp), the others are the identity; d eta / d e
+    interpolates the knot slopes ``se``."""
     count, n = w.shape
     t = w[:, 0]
     # the piece rule of _pl_rows: the number of inner knots below t
@@ -468,8 +454,8 @@ def _straight_jacobian_rows(lv: TentacleLevel, family: str, w: np.ndarray,
     t0, t1 = ts[rows, piece], ts[rows, piece + 1]
     s0, s1 = ss[rows, piece], ss[rows, piece + 1]
     lam = (t - t0) / (t1 - t0)
-    coeffs = np.array(_knot_e_coeffs(lv, family))
-    deta_de = coeffs[piece] * (1 - lam) + coeffs[piece + 1] * lam
+    se = np.array(lv.se)
+    deta_de = se[piece] * (1 - lam) + se[piece + 1] * lam
     d = np.tile(np.eye(n), (count, 1, 1))
     d[:, 0, 0] = (s1 - s0) / (t1 - t0)
     graded = np.flatnonzero(de_drho != 0.0)
@@ -500,6 +486,8 @@ class _TentacleStage(BatchMap):
             )
         if stage > len(sched.levels):
             raise NotInitializedError(f"stage {stage} beyond solved levels")
+        for lv in sched.levels[:stage]:
+            _check_knot_order(lv)
         self.sched = sched
         self.stage = stage
         self.n = sched.n
@@ -573,9 +561,9 @@ class _TentacleStage(BatchMap):
         the new axial value.  A Jacobian conjugates the straight-chart one,
         taken at the forward map's side of the chart (at the preimage when
         inverting, where it is inverted), by the shear slopes at the axial
-        coordinates going in and coming out.  With Jacobians, the first row
-        with unordered knots raises its ValueError; then, with images, the
-        first row that is unordered or outside its knots raises."""
+        coordinates going in and coming out.  The knots of every row are
+        ordered (``__init__`` checks each level's table); with images, the
+        first row outside its knots raises its DomainError."""
         x = np.array(points, dtype=float)
         count, n = x.shape
         J, heights, z_n, w = self._descend_rows(
@@ -586,25 +574,22 @@ class _TentacleStage(BatchMap):
             return x if images else None, d
         # x becomes the images; w keeps the axial coordinate of the points
         x[rows] = w[rows]
-        unordered, outside = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+        outside = np.zeros(count, dtype=bool)
         for j in range(1, J.max() + 1):
             lv = self.sched.level(j)
             axial = rows[(J[rows] == j) & (w[rows, 0] >= lv.r_hat)]
             if not len(axial):
                 continue
-            de_drho, ts, ss, bad = _level_rows(lv, self.family, w[axial])
-            unordered[axial] = bad
+            de_drho, ts, ss = _level_rows(lv, w[axial])
             v = w[axial, 0]
             src, dst = (ss, ts) if inverse else (ts, ss)
             outside[axial] = (v < src[:, 0]) | (v > src[:, -1])
-            if bad.any():
-                continue
             x[axial, 0] = _pl_rows(v, src, dst)
             if jacobian:
                 chart = w[axial]
                 if inverse:
                     chart[:, 0] = x[axial, 0]
-                b, eta = _straight_jacobian_rows(lv, self.family, chart, de_drho, ts, ss)
+                b, eta = _straight_jacobian_rows(lv, chart, de_drho, ts, ss)
                 if inverse:
                     # the first row (m, g) of b inverts to (1/m, -g/m), and
                     # the axial coordinate coming out is the preimage's
@@ -617,18 +602,15 @@ class _TentacleStage(BatchMap):
                 a[:, n - 1, 0] = _shear_rows(self.sched, heights[:j, axial], eta, slope=True)
                 c[:, n - 1, 0] = -_shear_rows(self.sched, heights[:j, axial], v, slope=True)
                 d[axial] = np.matmul(np.matmul(a, b), c)
-        if jacobian:
-            _raise_first_bad(unordered)
         if not images:
             return None, d
-        _raise_first_bad(unordered, outside)
+        _raise_first_outside(outside)
         x[rows, -1] += z_n[rows] + _shear_rows(self.sched, heights[:, rows], x[rows, 0])
         return x, d
 
     def derivative_many(self, points: np.ndarray) -> np.ndarray:
         """Analytic Jacobians of the forward map (off interface surfaces) at
-        every row of ``points``, an (N, n, n) array; a batch with rows whose
-        knots are not ordered raises the ValueError of the first of them."""
+        every row of ``points``, an (N, n, n) array."""
         return self._walk_rows(points, jacobian=True, images=False)[1]
 
 
@@ -713,7 +695,6 @@ def _demo_energy(sched: TentacleSchedule, k: int) -> float:
     from numpy.polynomial.legendre import leggauss  # not loaded by numpy itself
 
     lv = sched.level(k)
-    family = sched.family
     u_d, u_b, e_rng = lv.u_d, lv.u_b, lv.e_range
     d, b = lv.d, lv.b
 
@@ -735,8 +716,7 @@ def _demo_energy(sched: TentacleSchedule, k: int) -> float:
     g2 = 8.0 * (1.0 / u_d - 1.0 / u_b)
     core = (2 * b) ** 2
 
-    ts, ss = _knot_lists(lv, family, 0.0)  # ordered: solve_parameters checks
-    coeffs = _knot_e_coeffs(lv, family)
+    ts, ss, coeffs = lv.ts, lv.s0, lv.se  # ordered: solve_parameters checks
     total = 0.0
     for i in range(len(ts) - 1):
         t_lo, t_hi = ts[i], ts[i + 1]

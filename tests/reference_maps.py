@@ -8,7 +8,8 @@ a batch with them: images bit for bit, signs of zeros included, and
 Jacobians with ``np.array_equal`` (here ``np.eye(n) @ d`` turns -0.0 into
 +0.0 where the batch skips an identity factor).  The piecewise-linear
 profile and the shear of the tentacle stages are here too, one point at a
-time, so the reference shares only the knot tables and the modulation
+time, and so are the knot tables, from their per-family formulas: the
+reference shares only the modulation and the solved level constants
 with the package.  The Jacobians of the inverse maps are closed forms
 too, not matrix inversions: an elementary move and the straight-chart
 tentacle map are the identity but for one row (m, g), which inverts to
@@ -18,8 +19,8 @@ factors one node at a time, with the shear of this file.
 
 The Cantor map and the axis collapse have no body here: their pointwise
 calls are one-row batches, checked against ``tests/test_descent.py``'s
-reference walks and the closed forms there; the inverse of a Cantor map
-is the Cantor map with the two schedules swapped.
+reference walks and the closed forms there; the reference inverse of a
+Cantor map is the Cantor map with the two schedules swapped.
 
 The degree probes' sphere mesh has its loop version here too: the
 octahedron subdivided through a midpoint dictionary.  So do the oracles of
@@ -39,6 +40,7 @@ compare as ``float.hex``.
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -264,8 +266,30 @@ def pl_slope(t, knots):
 
 
 def level_knots(lv, family, e):
-    """Axial knots of the level map at transverse modulation e in [0, E]."""
-    return PLKnots(*tentacles._knot_lists(lv, family, e))
+    """Axial knots of the level map at transverse modulation e in [0, E],
+    family by family: the near tube end goes to phi = l(a) - e when
+    squeezing, l(a~) + e when stretching, and from level 2 on the middle
+    knot r_{k-1} to psi = r_{k-1} -+ bend e."""
+    if family == "squeeze":
+        phi = lv.line_prev_at_a - e
+        if lv.k == 1:
+            return PLKnots((lv.r_hat, lv.a, lv.c), (lv.r_hat, phi, lv.line_prev_at_c))
+        psi = lv.r_hat_prev - lv.bend * e
+        return PLKnots((lv.r_hat, lv.r_hat_prev, lv.a, lv.c),
+                       (lv.r_hat, psi, phi, lv.line_prev_at_c))
+    phi = lv.line_prev_at_a + e
+    if lv.k == 1:
+        return PLKnots((lv.r_hat, lv.a_sq, lv.c_sq), (lv.r_hat, phi, lv.line_prev_at_c))
+    psi = lv.r_hat_prev + lv.bend * e
+    return PLKnots((lv.r_hat, lv.a_sq, lv.r_hat_prev, lv.c_sq),
+                   (lv.r_hat, phi, psi, lv.line_prev_at_c))
+
+
+def knot_e_coeffs(lv, family):
+    """d s_i / d e for the knots of ``level_knots``."""
+    if family == "squeeze":
+        return (0.0, -1.0, 0.0) if lv.k == 1 else (0.0, -lv.bend, -1.0, 0.0)
+    return (0.0, 1.0, 0.0) if lv.k == 1 else (0.0, 1.0, lv.bend, 0.0)
 
 
 def _taper(t, r_k, r_prev):
@@ -363,7 +387,7 @@ def _tentacle_jacobian(h, point, inverse):
     t = pl_inverse(w[0], knots) if inverse else w[0]
     i = _pl_piece(t, knots.ts)
     lam = (t - knots.ts[i]) / (knots.ts[i + 1] - knots.ts[i])
-    coeffs = tentacles._knot_e_coeffs(lv, h.family)
+    coeffs = knot_e_coeffs(lv, h.family)
     deta_de = coeffs[i] * (1 - lam) + coeffs[i + 1] * lam
     b = np.eye(n)
     slope = pl_slope(t, knots)
@@ -458,11 +482,15 @@ def forward(f, point):
 
 
 def inverse(f, point):
+    """``f.inverse`` at one point; for a Cantor map, the forward map of the
+    Cantor map with the two schedules swapped."""
     if isinstance(f, TowerMapping):
         return tower_inverse(f, point)
     if isinstance(f, tentacles._TentacleStage):
         return tentacle_inverse(f, point)
-    assert isinstance(f, (CantorHomeomorphism, AxisCollapse))
+    if isinstance(f, CantorHomeomorphism):
+        return _swapped(f).forward(point)
+    assert isinstance(f, AxisCollapse)
     return f.inverse(point)
 
 
@@ -483,7 +511,12 @@ def inverse_derivative(f, point):
     if isinstance(f, tentacles._TentacleStage):
         return tentacle_inverse_derivative(f, point)
     assert isinstance(f, CantorHomeomorphism)
-    return CantorHomeomorphism(f.dst, f.src, f.stage).derivative(point)
+    return _swapped(f).derivative(point)
+
+
+@lru_cache(maxsize=None)
+def _swapped(g):
+    return CantorHomeomorphism(g.dst, g.src, g.stage)
 
 
 def stage_forward(stage, point):

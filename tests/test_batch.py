@@ -11,8 +11,6 @@ differ.  The pointwise methods are one-row batches, and a batch gives
 each row what a one-row call gives it.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,7 @@ from hypothesis import strategies as st
 import reference_maps as ref
 from test_descent import TOWERS, A, B, set_points, tower_points
 
-from homlim import analysis, tentacles
+from homlim import analysis
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import VARIANTS, AxisCollapse, build_stage
 from homlim.degree import DegreeReport, SphereProbe, degree, inv_check, nesting_probe
@@ -29,7 +27,6 @@ from homlim.geometry import cube_vertices, tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
-    _knot_lists,
     shift_forward,
     solve_parameters,
 )
@@ -64,8 +61,7 @@ def tube_points(draw, sched, squeezed, levels=None, exact_radius=False):
     lv = sched.level(j)
     heights = draw(st.lists(st.sampled_from(HEIGHTS), min_size=j, max_size=j))
     end = lv.c_sq if squeezed else lv.c
-    ts, _ = _knot_lists(lv, sched.family, 0.0)
-    t = nudged(draw, draw(st.sampled_from(ts + (end,)) | st.floats(lv.r_hat, end)))
+    t = nudged(draw, draw(st.sampled_from(lv.ts + (end,)) | st.floats(lv.r_hat, end)))
     radial = st.sampled_from([0.0, -0.0, lv.b, -lv.b, lv.d, -lv.d]) | st.floats(-lv.d, lv.d)
     p1 = nudged(draw, draw(radial))
     p2 = draw(st.floats(-0.5 * lv.b, 0.5 * lv.b)) if exact_radius else nudged(draw, draw(radial))
@@ -117,8 +113,8 @@ def inverse_jacobians(f):
 def pull_back(stage, pts):
     """The points that the first two factors of a T2 or W stage, L o g,
     carry to ``pts`` (up to rounding): g^{-1} L^{-1} of each."""
-    (L, _), (g_inv, _) = stage.chain[-2:]
-    return np.array([g_inv.forward(L.inverse(p)) for p in pts])
+    (L, _), (g, _) = stage.chain[-2:]
+    return np.array([g.inverse(L.inverse(p)) for p in pts])
 
 
 ANY_POINTS = (st.lists(set_points(A), max_size=5), st.lists(set_points(B), max_size=5),
@@ -402,52 +398,45 @@ class TestRowIndependence:
 
 
 class TestBatchErrors:
-    """A batch raises the error of its first bad row, as a loop over the
-    rows does, whatever the level and the check that row fails.  Valid
-    schedules give no bad tube rows, so the stage is bent: its tubes run
-    on to t = 1, past the last axial knot c_j, and the modulation is 10
-    beyond half the tube width, which unorders the knots."""
+    """A batch raises the error of its first row outside its knots, as a
+    loop over the rows does.  Valid schedules give no such tube rows, so
+    the stage is bent: its tubes run on to t = 1, past the last axial knot
+    c_1.  Knots out of order cannot reach a row: the stage checks each
+    level's table when it is built (``tests/test_tentacles.py``,
+    ``TestPiecewiseLinear::test_knot_validation``)."""
 
-    KINDS = {"good": ((1e-3, 0.02), None), "out_of_range": ((1e-3, 0.02), DomainError),
-             "unsorted": ((0.6, 0.9), ValueError)}
-
-    @given(st.lists(st.tuples(st.sampled_from(sorted(KINDS)), st.integers(1, 2),
-                              st.sampled_from(HEIGHTS), st.floats(0, 1), st.floats(0, 1)),
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from(HEIGHTS), st.floats(0, 1),
+                              st.floats(1e-3, 0.02)),
                     min_size=1, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_tentacle_stage(self, rows):
         h = SqueezeStage(SQ, 2)
         h._tube_end = lambda lv, squeezed: 1.0
-        modulation = tentacles._modulation
+        lv = SQ.level(1)
         pts, wants = [], []
-        for kind, level, height, u, v in rows:
-            (lo, hi), want = self.KINDS[kind]
-            level = 1 if kind != "unsorted" else level
-            lv = SQ.level(level)
-            t = lv.c + u * (1.0 - lv.c) if kind == "out_of_range" else lv.r_hat + u * (lv.c - lv.r_hat)
-            if kind == "out_of_range":
+        for out_of_range, height, u, perp in rows:
+            if out_of_range:
                 # past the last knot, inside the half-open tube [r_hat, 1)
-                t = float(np.clip(t, np.nextafter(lv.c, 1.0), np.nextafter(1.0, 0.0)))
-            perp = (lo + v * (hi - lo)) * (lv.d if kind == "unsorted" else 1.0)
-            pts.append(chart_point(SQ, [height] * level, (t, perp, 0.0)))
-            wants.append(want)
-        with mock.patch.object(tentacles, "_modulation",
-                               lambda lv, rho: (10.0, 0.0) if rho > 0.5 * lv.d else modulation(lv, rho)):
-            got = [outcome(lambda x: ref.tentacle_forward(h, x), p) for p in pts]
-            assert [g if isinstance(g, type) else None for g in got] == wants
-            check_rows(h.forward_many, lambda x: ref.tentacle_forward(h, x), pts)
-            # the derivative has no range check: only unordered knots raise
-            check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
-                       equal=np.array_equal)
-            # the joint walk raises what derivative_many and then forward_many raise
-            pts = np.array(pts)
-            jac, fwd = outcome(h.derivative_many, pts), outcome(h.forward_many, pts)
-            want = jac if isinstance(jac, type) else fwd
-            got = outcome(lambda p: h._walk_rows(p, jacobian=True), pts)
-            if isinstance(want, type):
-                assert got is want
+                t = float(np.clip(lv.c + u * (1.0 - lv.c), np.nextafter(lv.c, 1.0),
+                                  np.nextafter(1.0, 0.0)))
             else:
-                assert bit_equal(got[0], fwd) and np.array_equal(got[1], jac)
+                t = lv.r_hat + u * (lv.c - lv.r_hat)
+            pts.append(chart_point(SQ, [height], (t, perp, 0.0)))
+            wants.append(DomainError if out_of_range else None)
+        got = [outcome(lambda x: ref.tentacle_forward(h, x), p) for p in pts]
+        assert [g if isinstance(g, type) else None for g in got] == wants
+        check_rows(h.forward_many, lambda x: ref.tentacle_forward(h, x), pts)
+        # the derivative has no range check
+        check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
+                   equal=np.array_equal)
+        # the joint walk raises what forward_many raises
+        pts = np.array(pts)
+        jac, fwd = h.derivative_many(pts), outcome(h.forward_many, pts)
+        got = outcome(lambda p: h._walk_rows(p, jacobian=True), pts)
+        if isinstance(fwd, type):
+            assert got is fwd
+        else:
+            assert bit_equal(got[0], fwd) and np.array_equal(got[1], jac)
 
 
 class TestRoundtripsAtStageFour:

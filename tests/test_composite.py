@@ -231,8 +231,8 @@ class TestChainFold:
         words, _ = _sample_words(3, 3, 2, make_rng(3))
         nodes = np.concatenate([_tube_nodes(stage.schedule, 3, word, cfg)[0] for word in words])
         assert len(nodes) == 324
-        (L, _), (g_inv, _) = stage.chain[-2:]
-        jac = stage.derivative_many(g_inv.forward_many(L.inverse_many(nodes)))
+        (L, _), (g, _) = stage.chain[-2:]
+        jac = stage.derivative_many(g.inverse_many(L.inverse_many(nodes)))
         assert np.isfinite(jac).all()
 
     def test_fl_inverse_and_derivative_raise(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_maps import tentacle_descend
+from reference_maps import knot_e_coeffs, level_knots, tentacle_descend
 
 import homlim
 from homlim.errors import (
@@ -21,10 +22,9 @@ from homlim.geometry import tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
-    _knot_lists,
-    _knot_rows,
+    _modulation,
     _pl_rows,
-    _raise_first_bad,
+    _raise_first_outside,
     _straight_jacobian_rows,
     delta_tilde,
     log_tentacle_union_measure,
@@ -36,6 +36,8 @@ from homlim.tentacles import (
 
 SQ = solve_parameters(3, 4.0, "demo", "squeeze", 4)
 ST = solve_parameters(3, 4.0, "demo", "stretch", 4)
+DEMO = (SQ, ST, solve_parameters(4, 5.0, "demo", "squeeze", 4),
+        solve_parameters(4, 5.0, "demo", "stretch", 4))
 SLOTS = [s[-1] for s in tower_slots(3)]
 
 
@@ -50,18 +52,27 @@ def tube_point(sched, k, rng, squeezed, frac_perp=0.9):
     return shift_forward(sched, word, w), word
 
 
+def bent(sched, k, **fields):
+    """``sched`` with the fields of its level k replaced."""
+    levels = list(sched.levels)
+    levels[k - 1] = dataclasses.replace(levels[k - 1], **fields)
+    return dataclasses.replace(sched, levels=levels)
+
+
 class TestPiecewiseLinear:
-    """The row kernels of the axial profile: ``_knot_rows`` lays the knots
-    out per row and flags unordered ones, ``_pl_rows`` interpolates (and
-    inverts, with the knot roles swapped), ``_raise_first_bad`` raises the
-    error of the first bad row."""
+    """The row kernels of the axial profile: ``_pl_rows`` interpolates (and
+    inverts, with the knot roles swapped) through knots given per row,
+    ``_raise_first_outside`` raises the error of the first row outside
+    them; a stage takes only schedules whose knot tables are ordered."""
 
     TS, SS = (0.0, 1.0, 2.0, 3.0), (0.0, 2.0, 3.0, 4.0)
 
+    def rows(self, v):
+        return (np.tile(knots, (len(v), 1)) for knots in (self.TS, self.SS))
+
     def pl(self, v, inverse=False):
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        ts, ss, unordered = _knot_rows(self.TS, self.SS, v)
-        assert not unordered.any()
+        ts, ss = self.rows(v)
         return _pl_rows(v, ss, ts) if inverse else _pl_rows(v, ts, ss)
 
     def test_first_piece(self):
@@ -74,31 +85,34 @@ class TestPiecewiseLinear:
     def test_third_piece(self):
         assert self.pl(2.5)[0] == 3.5
         # a row takes its own knots: the second row's s-knots are twice the first's
-        e = np.array([0.0, 1.0])
-        ts, ss, unordered = _knot_rows(self.TS, (0.0, 2.0 + 2 * e, 3.0 + 3 * e, 4.0 + 4 * e), e)
-        assert not unordered.any()
+        ts = np.tile(self.TS, (2, 1))
+        ss = np.array([self.SS, (0.0, 4.0, 6.0, 8.0)])
         assert _pl_rows(np.array([2.5, 2.5]), ts, ss).tolist() == [3.5, 7.0]
 
     def test_domain_error(self):
         v = np.array([1.0, 3.5, -0.5])
-        ts, _, unordered = _knot_rows(self.TS, self.SS, v)
+        ts, _ = self.rows(v)
         outside = (v < ts[:, 0]) | (v > ts[:, -1])
         assert outside.tolist() == [False, True, True]
         with pytest.raises(DomainError, match="row 1"):
-            _raise_first_bad(unordered, outside)
-        _raise_first_bad(unordered, np.zeros(3, dtype=bool))  # no bad row: no error
+            _raise_first_outside(outside)
+        _raise_first_outside(np.zeros(3, dtype=bool))  # no bad row: no error
 
     def test_knot_validation(self):
-        v = np.zeros(1)
-        assert _knot_rows((0.0, 1.0, 1.0), (0.0, 1.0, 2.0), v)[2].tolist() == [True]
-        assert _knot_rows((0.0, 1.0, 2.0), (0.0, 2.0, 1.0), v)[2].tolist() == [True]
-        assert _knot_rows(self.TS, self.SS, v)[2].tolist() == [False]
-        unordered = np.array([False, False, True])
-        with pytest.raises(ValueError, match="row 2"):
-            _raise_first_bad(unordered)
-        # the first bad row decides the error, whatever its kind
-        with pytest.raises(DomainError, match="row 1"):
-            _raise_first_bad(unordered, np.array([False, True, False]))
+        for cls, sched in ((SqueezeStage, SQ), (StretchStage, ST)):
+            lv = sched.level(2)
+            unordered = [
+                bent(sched, 2, ts=(lv.ts[0], lv.ts[1], lv.ts[1], lv.ts[3])),  # a repeated t-knot
+                bent(sched, 2, s0=(lv.s0[0], lv.s0[2], lv.s0[1], lv.s0[3])),  # s-knots swapped
+                # ordered at e = 0 but not at e = E: phi passes r_k
+                # (squeezing) or l(c~) (stretching)
+                bent(sched, 2, e_range=10.0),
+            ]
+            for bad in unordered:
+                with pytest.raises(ValueError, match="level 2: knots not strictly increasing"):
+                    cls(bad, 2)
+                cls(bad, 1)  # a stage checks the levels it walks
+            cls(sched, 4)
 
     @given(st.floats(0.0, 3.0))
     @settings(max_examples=60, deadline=None)
@@ -109,8 +123,8 @@ class TestPiecewiseLinear:
     def test_slope(self):
         # the axial entry of the chart Jacobian, at no transverse gradient
         w = np.array([[0.5, 0.0, 0.0], [2.5, 0.0, 0.0]])
-        ts, ss, _ = _knot_rows(self.TS, self.SS, w[:, 0])
-        d, _ = _straight_jacobian_rows(SQ.level(2), "squeeze", w, np.zeros(2), ts, ss)
+        ts, ss = self.rows(w[:, 0])
+        d, _ = _straight_jacobian_rows(SQ.level(2), w, np.zeros(2), ts, ss)
         assert d[:, 0, 0].tolist() == [2.0, 1.0]
 
 
@@ -169,28 +183,71 @@ class TestSolveParameters:
             SqueezeStage(s, 2)
 
 
+@st.composite
+def radii(draw, sched):
+    """A level of ``sched`` and a transverse sup radius: 0, subnormal,
+    within a relative 1e-6 of b_k or d_k, or anywhere in [0, 1]."""
+    lv = draw(st.sampled_from(sched.levels))
+    rho = draw(st.just(0.0)
+               | st.floats(0.0, sys.float_info.min, exclude_max=True)
+               | st.sampled_from([lv.b, lv.d]).flatmap(
+                   lambda w: st.floats(w * (1 - 1e-6), w * (1 + 1e-6)))
+               | st.floats(0.0, 1.0))
+    return lv, rho
+
+
+def assert_modulation_in_range(lv, rho):
+    e, de_drho = _modulation(lv, rho)
+    assert 0.0 <= e <= lv.e_range and math.isfinite(de_drho), (lv.k, rho, e)
+
+
 class TestKnots:
     def test_monotone_for_all_modulations(self):
         for sched in (SQ, ST):
             for k in range(1, 5):
                 lv = sched.level(k)
-                e = np.linspace(0.0, lv.e_range, 17)
-                _, _, unordered = _knot_rows(*_knot_lists(lv, sched.family, e), e)
-                assert not unordered.any()
+                ts, ss = lv.knots(np.linspace(0.0, lv.e_range, 17))
+                assert (np.diff(ts) > 0).all() and (np.diff(ss) > 0).all()
+
+    # e in [0, E] is what makes a table ordered at e = 0 and at e = E
+    # ordered on every row a stage evaluates
+    @given(st.sampled_from(DEMO).flatmap(radii))
+    @settings(max_examples=300, deadline=None)
+    def test_modulation_stays_in_its_range(self, case):
+        assert_modulation_in_range(*case)
+
+    def test_modulation_stays_in_its_range_at_the_widths(self):
+        # b_k, d_k and every radius within 256 ulps of them; at n = 4 the
+        # stretch level 3 rounds log log(1/rho) - log log(1/d_3) above E
+        # from 64 to 190 ulps above b_3
+        ulps = np.arange(-256, 257)
+        for sched in DEMO:
+            for lv in sched.levels:
+                for width in (lv.b, lv.d):
+                    for rho in (np.float64(width).view(np.int64) + ulps).view(np.float64).tolist():
+                        assert_modulation_in_range(lv, rho)
+
+    def test_table_matches_the_family_formulas(self):
+        for sched in DEMO:
+            for lv in sched.levels:
+                e = np.array([0.0, 0.3 * lv.e_range, lv.e_range])
+                ts, ss = lv.knots(e)
+                for i, ei in enumerate(e.tolist()):
+                    want = level_knots(lv, sched.family, ei)
+                    assert ts[i].tolist() == list(want.ts) and ss[i].tolist() == list(want.ss)
+                assert lv.se == knot_e_coeffs(lv, sched.family)
 
     def test_squeeze_boundary_values(self):
         lv = SQ.level(1)
-        _, ss_d = _knot_lists(lv, "squeeze", 0.0)  # |x_perp| = d_1
-        assert ss_d[1] == pytest.approx(lv.a)  # phi = l_0(a_1) = a_1
-        _, ss_b = _knot_lists(lv, "squeeze", lv.e_range)  # |x_perp| <= b_1
-        assert ss_b[1] == pytest.approx(lv.a_sq)  # phi = 2 r_1 = 0.0625
+        _, ss = lv.knots(np.array([0.0, lv.e_range]))
+        assert ss[0, 1] == pytest.approx(lv.a)  # |x_perp| = d_1: phi = l_0(a_1) = a_1
+        assert ss[1, 1] == pytest.approx(lv.a_sq)  # |x_perp| <= b_1: phi = 2 r_1 = 0.0625
 
     def test_stretch_boundary_values(self):
         lv = ST.level(1)
-        _, ss_b = _knot_lists(lv, "stretch", lv.e_range)
-        assert ss_b[1] == pytest.approx(lv.a)  # axial image of a~ is a
-        _, ss_d = _knot_lists(lv, "stretch", 0.0)
-        assert ss_d[1] == pytest.approx(lv.a_sq)  # reduces to the boundary line
+        _, ss = lv.knots(np.array([0.0, lv.e_range]))
+        assert ss[1, 1] == pytest.approx(lv.a)  # axial image of a~ is a
+        assert ss[0, 1] == pytest.approx(lv.a_sq)  # reduces to the boundary line
 
 
 class TestShift:

@@ -45,8 +45,6 @@ __all__ = [
     "TentacleLevel",
     "TentacleSchedule",
     "solve_parameters",
-    "shift_forward",
-    "shift_inverse",
     "SqueezeStage",
     "StretchStage",
     "tentacle_seminorm_bound",
@@ -409,19 +407,6 @@ def _shear_rows(sched: TentacleSchedule, heights, t: np.ndarray,
                  else _taper_rows(t, r_k, r_prev))
         total -= lv.shift_drop * h * taper
     return total
-
-
-def shift_forward(sched: TentacleSchedule, word, point) -> np.ndarray:
-    """Apply the composed shifting map of the tower-address ``word``."""
-    x = np.array(point, dtype=float)
-    x[-1] += _shear_rows(sched, [w[-1] for w in word], x[:1])[0]
-    return x
-
-
-def shift_inverse(sched: TentacleSchedule, word, point) -> np.ndarray:
-    y = np.array(point, dtype=float)
-    y[-1] -= _shear_rows(sched, [w[-1] for w in word], y[:1])[0]
-    return y
 
 
 # ---------------------------------------------------------------------------

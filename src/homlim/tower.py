@@ -14,17 +14,20 @@ composition is a bijection of the cell fixing its boundary.
 Scale invariance: the move table is computed once in coordinates where
 the parent cell is the unit cube and reused at every level.
 
-Evaluation has one body, on (N, n) batches, run a level at a time: the
-corridor boxes of the move table are held as (n, M) arrays, every row of
-the level is screened against all of them in one comparison, and only the
-moves some row hits run their exact corridor test and act, on those rows.
-A single point is a one-row batch.
+Evaluation has one body, on (N, n) batches, run a level at a time, and
+the moves of a level run in dependency layers (``move_layers``): a
+move's layer is one more than the largest layer of the earlier moves
+whose padded corridor box meets its own, so the boxes of a layer are
+disjoint and each row lies in at most one.  One pass per layer screens
+the rows against the layer's boxes and runs every row inside one through
+its owning move, with that move's constants gathered per row, in the
+float operations of the move alone.  A single point is a one-row batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,93 +81,6 @@ class ElementaryMove:
     trans_center: tuple[float, ...]  # all coordinates except `axis`
     rho: float
     width: float
-
-    @cached_property
-    def _others(self) -> np.ndarray:
-        """The coordinates other than ``axis``, in order."""
-        return np.array([d for d in range(len(self.trans_center) + 1) if d != self.axis])
-
-    def corridor_rows(self, w: np.ndarray, cand: np.ndarray):
-        """The rows ``cand`` of the (N, n) array w that lie inside the
-        corridor: (their indices, axial coordinates, transverse sup
-        distances, and tau there), or None if none does.  tau falls
-        linearly from dst - src (distance <= rho) to 0 (distance width)."""
-        sub = w.take(cand, axis=0)
-        xa = sub[:, self.axis]
-        delta = np.maximum.reduce(np.abs(sub.take(self._others, axis=1) - self.trans_center), axis=1)
-        inside = (xa > self.lo) & (xa < self.hi) & (delta < self.width)
-        count = np.count_nonzero(inside)
-        if not count:
-            return None
-        rows = cand
-        if count < len(cand):
-            rows, xa, delta = cand.compress(inside), xa.compress(inside), delta.compress(inside)
-        # 1 where delta <= rho: the ratio is >= 1 there, and <= 1 elsewhere
-        chi = np.minimum(1.0, (self.width - delta) / (self.width - self.rho))
-        return rows, xa, delta, chi * (self.dst - self.src)
-
-    def apply_rows(self, w: np.ndarray, hit, inverse: bool = False) -> None:
-        """The move (its inverse with ``inverse``) on the rows ``hit`` of
-        ``corridor_rows`` found in the (N, n) array w, in place; the other
-        rows stay fixed.
-
-        Along the axis it is the PL map taking the knots lo < a2 < a3 < hi
-        to lo, b2, b3, hi, with the piece between a2 and a3 moved by
-        ``shift``: a2, a3 = src -/+ rho and b2, b3 = a2 + tau, a3 + tau,
-        or for the inverse the two pairs swapped and the shift -tau."""
-        rows, xa, _, tau = hit
-        s2, s3 = self.src - self.rho, self.src + self.rho
-        a2, a3, b2, b3, shift = ((s2 + tau, s3 + tau, s2, s3, -tau) if inverse
-                                 else (s2, s3, s2 + tau, s3 + tau, tau))
-        lo, hi = self.lo, self.hi
-        ya = xa + shift
-        # the two end pieces, on the rows that reach them (no row inside
-        # the cube does); the knots are arrays on one side, floats on the other
-        below = xa < a2
-        if np.count_nonzero(below):
-            x, a, b = (v.compress(below) if np.ndim(v) else v for v in (xa, a2, b2))
-            ya[below] = lo + (x - lo) * (b - lo) / (a - lo)
-        above = xa > a3
-        if np.count_nonzero(above):
-            x, a, b = (v.compress(above) if np.ndim(v) else v for v in (xa, a3, b3))
-            ya[above] = hi - (hi - x) * (hi - b) / (hi - a)
-        w[:, self.axis][rows] = ya
-
-    def derivative_rows(self, w: np.ndarray, d: np.ndarray, hit, inverse: bool = False) -> None:
-        """d <- (Jacobian of the move) @ d on the rows ``hit`` of
-        ``corridor_rows`` found in the (N, n) array w, in place on the
-        (N, n, n) array d, in one stacked matmul; the Jacobian is the
-        identity on the other rows, so they keep their d.  It is taken
-        where the rows of w are: at the points before the move, or with
-        ``inverse``, after ``apply_rows`` moved them back, at their
-        preimages, where it is inverted.  It is the identity except on the
-        axis row (slope, blend entry), whose inverse is (1/slope,
-        -blend entry/slope)."""
-        rows, _, delta, tau = hit
-        xa = w[rows, self.axis]
-        n = w.shape[1]
-        lo, hi, tau_full = self.lo, self.hi, self.dst - self.src
-        s2 = self.src - self.rho
-        s3 = self.src + self.rho
-        below, inside = xa < s2, xa <= s3
-        slope = np.where(below, (s2 + tau - lo) / (s2 - lo),
-                         np.where(inside, 1.0, (hi - (s3 + tau)) / (hi - s3)))
-        pl_minus_x = np.where(
-            below, (lo + (xa - lo) * (s2 + tau_full - lo) / (s2 - lo)) - xa,
-            np.where(inside, tau_full, (hi - (hi - xa) * (hi - (s3 + tau_full)) / (hi - s3)) - xa))
-        jac = np.tile(np.eye(n), (len(rows), 1, 1))
-        jac[:, self.axis, self.axis] = 1.0 / slope if inverse else slope
-        blend = np.flatnonzero(delta > self.rho)
-        if len(blend):
-            # d chi / d x at the first transverse coordinate that attains
-            # the sup distance
-            j = np.abs(w[rows[blend]][:, self._others] - self.trans_center).argmax(axis=1)
-            arg = self._others[j]
-            sgn = np.where(w[rows[blend], arg] >= np.take(self.trans_center, j), 1.0, -1.0)
-            dchi = -1.0 / (self.width - self.rho) * sgn
-            entry = dchi * pl_minus_x[blend]
-            jac[blend, self.axis, arg] = -entry / slope[blend] if inverse else entry
-        d[rows] = np.matmul(jac, d.take(rows, axis=0))
 
     def corridor_box(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         lo = np.empty(n)
@@ -282,31 +198,61 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
     return tuple(moves)
 
 
-@lru_cache(maxsize=None)
-def _screen_table(n: int, beta: float):
-    """The corridor boxes of ``relocation_moves(n, beta)`` for the screen:
-    (lo, hi, meets_later, meets_earlier).
+@dataclass(frozen=True)
+class MoveLayers:
+    """``relocation_moves(n, beta)`` in dependency layers, built by
+    ``move_layers``.  Positions count the moves in layer order."""
 
-    lo and hi are (n, M, 1) arrays, so that a screen reduces over its
-    first axis and gives one row per move.  The boxes are padded by 1e-9,
-    far beyond the rounding of |w_d - c| <= 2 in unit-cell coordinates, so
-    screening a row against them never drops a row the exact corridor test
-    keeps.  A move keeps the rows it moves inside its box, so afterwards
-    they can enter only the boxes that meet it: meets_later[m] holds those
-    of the moves after m, meets_earlier[m] those before it (the order of
-    the inverse), as (indices, lo, hi)."""
-    boxes = [mv.corridor_box(n) for mv in relocation_moves(n, beta)]
+    order: np.ndarray  # (M,) the move at each position
+    starts: tuple[int, ...]  # layer l holds the positions starts[l]:starts[l + 1]
+    lo: np.ndarray  # (n, M) padded corridor boxes
+    hi: np.ndarray
+    boxes: tuple  # per layer: its padded boxes (lo, hi), (n, K, 1) each, for the screen
+    meets: tuple  # per position: the layers holding a box that meets its own
+    axis: np.ndarray  # (M,) move axes
+    # (M, 2n + 13): the corridor axis with 0.0 on the move axis, 1.0 off the move
+    # axis and 0.0 on it, then the floats that ``TowerMapping._layer_pass`` unpacks
+    const: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def move_layers(n: int, beta: float) -> MoveLayers:
+    """The move table of ``relocation_moves(n, beta)`` in dependency layers.
+
+    The corridor boxes are padded by 1e-9, far beyond the rounding of
+    |w_d - c| <= 2 in unit-cell coordinates, so screening a row against
+    them never drops a row the exact corridor test keeps.  A move's layer
+    is 1 + the largest layer of the earlier moves whose padded box meets
+    its own (0 if none does), so the boxes of one layer are pairwise
+    disjoint and a meeting pair keeps its order.  A move is the identity
+    off its corridor and keeps the corridor's points in it, so two moves
+    whose boxes are disjoint commute, float for float: the layers run in
+    order (in reverse for the inverse) compose to the moves run in order."""
+    moves = relocation_moves(n, beta)
+    boxes = [mv.corridor_box(n) for mv in moves]
     lo = np.array([lo for lo, _ in boxes]) - 1e-9
     hi = np.array([hi for _, hi in boxes]) + 1e-9
     meet = ((lo[:, None] < hi[None]) & (lo[None] < hi[:, None])).all(axis=2)
-    lo, hi = lo.T[:, :, None].copy(), hi.T[:, :, None].copy()
-
-    def boxes_of(moves):
-        return moves, lo[:, moves], hi[:, moves]
-
-    count = len(boxes)
-    return (lo, hi, [boxes_of(np.flatnonzero(meet[m, m + 1:]) + m + 1) for m in range(count)],
-            [boxes_of(np.flatnonzero(meet[m, :m])) for m in range(count)])
+    layer: list[int] = []
+    for m in range(len(moves)):
+        layer.append(1 + max((layer[j] for j in range(m) if meet[j, m]), default=-1))
+    order = np.argsort(layer, kind="stable")
+    layer_at = np.array(layer)[order]
+    lo, hi, meet = lo[order].T.copy(), hi[order].T.copy(), meet[order][:, order]
+    starts = tuple(np.searchsorted(layer_at, range(layer_at[-1] + 2)).tolist())
+    const = []
+    for m in order:
+        mv = moves[m]
+        tc, s2, s3, tau = mv.trans_center, mv.src - mv.rho, mv.src + mv.rho, mv.dst - mv.src
+        const.append((*tc[:mv.axis], 0.0, *tc[mv.axis:], *(float(d != mv.axis) for d in range(n)),
+                      mv.lo, mv.hi, mv.width, mv.rho, mv.width - mv.rho, tau, s2, s3,
+                      s2 - mv.lo, mv.hi - s3, s2 + tau - mv.lo, mv.hi - (s3 + tau),
+                      -1.0 / (mv.width - mv.rho)))
+    return MoveLayers(order, starts, lo, hi,
+                      tuple((lo[:, a:b, None].copy(), hi[:, a:b, None].copy())
+                            for a, b in zip(starts, starts[1:])),
+                      tuple(tuple(sorted(set(layer_at[row].tolist()))) for row in meet),
+                      np.array([moves[m].axis for m in order]), np.array(const, dtype=float))
 
 
 class TowerMapping(BatchMap):
@@ -330,8 +276,8 @@ class TowerMapping(BatchMap):
         self.stage = stage
         self.n = schedule.n
         self.moves = relocation_moves(self.n, schedule.beta)
-        self._box_lo, self._box_hi, self._meets_later, self._meets_earlier = (
-            _screen_table(self.n, schedule.beta))
+        self.layers = move_layers(self.n, schedule.beta)
+        self._eye = np.eye(self.n)
         self._r = [schedule.r(k) for k in range(stage + 1)]
 
     # -- evaluation: one body for both directions, on (N, n) arrays; a row
@@ -368,33 +314,87 @@ class TowerMapping(BatchMap):
         also d <- (Jacobian of each move or inverse move) @ d on the
         (N, n, n) array d.
 
-        Each row is screened against every corridor box at once.  Only the
-        moves some row hits run their exact corridor test, once, for both
-        the Jacobian and the move, and the rows a move changes are screened
-        again against the boxes still to come that meet its own."""
-        count = len(self.moves)
-        meets = self._meets_earlier if inverse else self._meets_later
-        hits = self._screen(w, self._box_lo, self._box_hi)
-        pending = np.logical_or.reduce(hits, axis=1).tolist()
-        for m in (range(count - 1, -1, -1) if inverse else range(count)):
-            if not pending[m]:
+        The moves run a layer at a time (``move_layers``), the last layer
+        first for the inverse.  A layer's rows are those inside one of its
+        padded boxes, found by one screen of every row against them; the
+        boxes are disjoint, so each such row has one owning move, and one
+        pass runs them all.  Only layers that can hold a row are screened:
+        those with a box meeting the bounding box of the rows, and those
+        with a box meeting one that a pass ran, as a move keeps the rows
+        it moves inside its box."""
+        t = self.layers
+        low = np.minimum.reduce(w, axis=0, initial=np.inf)
+        high = np.maximum.reduce(w, axis=0, initial=-np.inf)
+        near = np.logical_and.reduce((t.lo < high[:, None]) & (low[:, None] < t.hi), axis=0)
+        live = np.logical_or.reduceat(near, t.starts[:-1]).tolist()
+        for l in (range(len(live) - 1, -1, -1) if inverse else range(len(live))):
+            if not live[l]:
                 continue
-            mv = self.moves[m]
-            hit = mv.corridor_rows(w, hits[m].nonzero()[0])
-            if hit is None:
-                continue
-            if d is not None and not inverse:
-                mv.derivative_rows(w, d, hit)
-            mv.apply_rows(w, hit, inverse)
-            if d is not None and inverse:
-                mv.derivative_rows(w, d, hit, inverse=True)
-            later, lo, hi = meets[m]
-            if len(later):
-                rows = hit[0]
-                rescreen = self._screen(w.take(rows, axis=0), lo, hi)
-                hits[later[:, None], rows] = rescreen
-                for j in later[np.logical_or.reduce(rescreen, axis=1)].tolist():
-                    pending[j] = True
+            owner, rows = self._screen(w, *t.boxes[l]).nonzero()
+            if len(rows):
+                owner += t.starts[l]
+                self._layer_pass(w, d, rows, owner, inverse)
+                for p in np.bincount(owner).nonzero()[0].tolist():
+                    for m in t.meets[p]:
+                        live[m] = True
+
+    def _layer_pass(self, w: np.ndarray, d: np.ndarray | None, rows: np.ndarray,
+                    owner: np.ndarray, inverse: bool) -> None:
+        """One layer's moves (inverse moves) on the rows ``rows`` of w, row
+        i by the move at position owner[i], in place, with d as in
+        ``_run_moves``; every row sees the float operations of its move.
+
+        A move acts where lo < x_axis < hi and the transverse sup distance
+        delta < width, with tau falling linearly from dst - src (delta <=
+        rho) to 0 (delta = width): along the axis it is the PL map taking
+        lo < s2 < s3 < hi (s2, s3 = src -/+ rho) to lo, s2 + tau, s3 + tau,
+        hi.  Its Jacobian is the identity but for the axis row (slope, blend
+        entry), taken before the move, or for the inverse at the preimage,
+        where it inverts to (1/slope, -blend entry/slope).  The blend entry
+        goes to the first transverse coordinate that attains the sup
+        distance (the argmax): on a diagonal of the corridor, where x_i and
+        x_j tie, i < j, it is the derivative on the side where x_i does."""
+        n = self.n
+        sub = w.take(rows, axis=0)
+        axis = self.layers.axis.take(owner)
+        xa = sub[np.arange(len(rows)), axis]
+        c = self.layers.const.take(owner, axis=0)
+        diff = sub - c[:, :n]
+        off = np.abs(diff) * c[:, n:2 * n]
+        delta = np.maximum.reduce(off, axis=1)
+        inside = (xa > c[:, 2 * n]) & (xa < c[:, 2 * n + 1]) & (delta < c[:, 2 * n + 2])
+        if np.count_nonzero(inside) < len(rows):
+            keep = inside.nonzero()[0]
+            rows, axis, xa, c, diff, off, delta = (
+                v.take(keep, axis=0) for v in (rows, axis, xa, c, diff, off, delta))
+        lo, hi, width, rho, wr, tau_full, s2, s3, k2, k3, q2, q3, dchi = c[:, 2 * n:].T
+        # 1 where delta <= rho: the ratio is >= 1 there, and <= 1 elsewhere
+        tau = np.minimum(1.0, (width - delta) / wr) * tau_full
+        t2, t3 = s2 + tau, s3 + tau
+        p2, p3 = t2 - lo, hi - t3
+        if inverse:
+            ya = np.where(xa < t2, lo + (xa - lo) * k2 / p2,
+                          np.where(xa > t3, hi - (hi - xa) * k3 / p3, xa - tau))
+        else:
+            ya = np.where(xa < s2, lo + (xa - lo) * p2 / k2,
+                          np.where(xa > s3, hi - (hi - xa) * p3 / k3, xa + tau))
+        w[rows, axis] = ya
+        if d is None:
+            return
+        x = ya if inverse else xa
+        below, mid = x < s2, x <= s3
+        slope = np.where(below, p2 / k2, np.where(mid, 1.0, p3 / k3))
+        jac = self._eye[None].repeat(len(rows), axis=0)
+        jac[np.arange(len(rows)), axis, axis] = 1.0 / slope if inverse else slope
+        blend = np.flatnonzero(delta > rho)
+        if len(blend):
+            pl_minus_x = np.where(below, (lo + (x - lo) * q2 / k2) - x,
+                                  np.where(mid, tau_full, (hi - (hi - x) * q3 / k3) - x))
+            arg = off[blend].argmax(axis=1)
+            sgn = np.where(diff[blend, arg] >= 0.0, 1.0, -1.0)
+            entry = dchi[blend] * sgn * pl_minus_x[blend]
+            jac[blend, axis[blend], arg] = -entry / slope[blend] if inverse else entry
+        d[rows] = np.matmul(jac, d.take(rows, axis=0))
 
     def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
         """The stages, or with ``inverse`` their inverses, on every row of

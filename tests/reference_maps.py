@@ -314,6 +314,21 @@ def sigma(sched, heights, t, taper=_taper):
     return total
 
 
+def shift_forward(sched, word, point):
+    """The composed shifting map of the tower-address ``word`` at point,
+    x_n += sigma(x_1), through the package's shear kernel."""
+    x = np.array(point, dtype=float)
+    x[-1] += tentacles._shear_rows(sched, [w[-1] for w in word], x[:1])[0]
+    return x
+
+
+def shift_inverse(sched, word, point):
+    """The inverse of ``shift_forward``: x_n -= sigma(x_1)."""
+    y = np.array(point, dtype=float)
+    y[-1] -= tentacles._shear_rows(sched, [w[-1] for w in word], y[:1])[0]
+    return y
+
+
 def tentacle_descend(h, x, squeezed):
     """(J, heights, z_n, w): the deepest level J whose tentacle holds x, the
     address height letters, the tentacle center height and the chart point;

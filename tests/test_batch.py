@@ -27,7 +27,6 @@ from homlim.geometry import cube_vertices, tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
-    shift_forward,
     solve_parameters,
 )
 
@@ -72,7 +71,7 @@ def chart_point(sched, heights, w):
     """The point of the tentacle with slot heights ``heights`` whose
     straight-chart coordinates are w."""
     w = (w[0], w[1], sched.center_height(heights) + w[2])
-    return shift_forward(sched, [(h,) for h in heights], w)
+    return ref.shift_forward(sched, [(h,) for h in heights], w)
 
 
 def outcome(fn, x):

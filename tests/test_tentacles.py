@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_maps import knot_e_coeffs, level_knots, tentacle_descend
+from reference_maps import (
+    knot_e_coeffs,
+    level_knots,
+    shift_forward,
+    shift_inverse,
+    tentacle_descend,
+)
 
 import homlim
 from homlim.errors import (
@@ -28,8 +34,6 @@ from homlim.tentacles import (
     _straight_jacobian_rows,
     delta_tilde,
     log_tentacle_union_measure,
-    shift_forward,
-    shift_inverse,
     solve_parameters,
     tentacle_seminorm_bound,
 )

@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+import reference_maps as ref
 
 from homlim.cantor_map import CantorHomeomorphism
-from homlim.errors import InvalidAddressError
+from homlim.composite import build_stage
+from homlim.errors import InfeasibleScheduleError, InvalidAddressError
 from homlim.geometry import ParameterSchedule, cube_vertices
 from homlim.tower import (
     TowerMapping,
+    move_layers,
     relocation_moves,
     slot_correspondence,
     verify_goodmap,
@@ -40,6 +45,128 @@ class TestRelocationLayout:
         for mv in relocation_moves(3, 4.0):
             lo, hi = mv.corridor_box(3)
             assert np.all(lo > -1.0) and np.all(hi < 1.0)
+
+
+def padded_boxes(n, beta):
+    """The corridor boxes of the move table padded by 1e-9, in move order."""
+    return [(lo - 1e-9, hi + 1e-9) for lo, hi in
+            (mv.corridor_box(n) for mv in relocation_moves(n, beta))]
+
+
+def boxes_meet(a, b):
+    return all(a[0][d] < b[1][d] and b[0][d] < a[1][d] for d in range(len(a[0])))
+
+
+class TestMoveLayers:
+    """The moves of a level run in dependency layers: each move in one
+    layer, the padded boxes of a layer pairwise disjoint, and every
+    meeting pair in its move order."""
+
+    LAYERS = {2: 7, 3: 6, 4: 7}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("beta", [3.5, 4.0, 4.5, 5.0])
+    def test_layers_order_the_meeting_moves(self, n, beta):
+        if beta < n + 1:
+            with pytest.raises(InfeasibleScheduleError):
+                move_layers(n, beta)
+            return
+        table = move_layers(n, beta)
+        count = len(relocation_moves(n, beta))
+        assert sorted(table.order.tolist()) == list(range(count))
+        assert table.starts[0] == 0 and table.starts[-1] == count
+        assert all(a < b for a, b in zip(table.starts, table.starts[1:]))
+        assert len(table.starts) - 1 == self.LAYERS[n]
+        layer = {}
+        for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
+            for m in table.order[a:b].tolist():
+                layer[m] = l
+        assert len(layer) == count
+        boxes = padded_boxes(n, beta)
+        for j, m in itertools.combinations(range(count), 2):
+            if boxes_meet(boxes[j], boxes[m]):
+                assert layer[j] < layer[m]
+        # the screen's boxes are those of the moves of each layer
+        for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
+            lo, hi = table.boxes[l]
+            for k, m in enumerate(table.order[a:b].tolist()):
+                assert np.array_equal(lo[:, k, 0], boxes[m][0])
+                assert np.array_equal(hi[:, k, 0], boxes[m][1])
+
+    def test_a_pass_runs_a_whole_layer(self, monkeypatch):
+        # a uniform batch through T2 k = 1 meets most corridors; at most one
+        # pass per layer (6 at n = 3) runs per tower level, in each direction
+        stage = build_stage("T2", 1)
+        levels, passes = [0, 0], [0, 0]
+        run_moves, layer_pass = TowerMapping._run_moves, TowerMapping._layer_pass
+
+        def counted_run(self, w, d=None, inverse=False):
+            levels[inverse] += 1
+            return run_moves(self, w, d, inverse)
+
+        def counted_pass(self, w, d, rows, owner, inverse):
+            passes[inverse] += 1
+            return layer_pass(self, w, d, rows, owner, inverse)
+
+        monkeypatch.setattr(TowerMapping, "_run_moves", counted_run)
+        monkeypatch.setattr(TowerMapping, "_layer_pass", counted_pass)
+        pts = np.random.default_rng(2400).uniform(-1, 1, (2400, 3))
+        stage.forward_many(pts)
+        assert levels[False] >= 1 and levels[True] >= 1
+        for inverse in (False, True):
+            assert 1 <= passes[inverse] <= 6 * levels[inverse]
+
+
+def diagonal_points(n, beta, m, rng):
+    """Points in the blend shell of move m whose transverse offsets from
+    the corridor axis tie, two or (n >= 4) all of them, at three axial
+    places; every coordinate is a short dyadic, so the ties are exact."""
+    mv = relocation_moves(n, beta)[m]
+    others = [d for d in range(n) if d != mv.axis]
+    s2, s3 = mv.src - mv.rho, mv.src + mv.rho
+    pts = []
+    for tied in itertools.combinations(others, 2 if n == 3 else 3):
+        for xa in (0.5 * (mv.lo + s2), mv.src, 0.5 * (s3 + mv.hi)):
+            t = mv.rho + (mv.width - mv.rho) * rng.uniform(0.05, 0.95)
+            t = np.round(t * 2.0**20) / 2.0**20
+            x = np.zeros(n)
+            x[mv.axis] = np.round(xa * 2.0**20) / 2.0**20
+            for j, d in enumerate(others):
+                off = t if d in tied else 0.5 * t
+                x[d] = mv.trans_center[j] + rng.choice([-1.0, 1.0]) * off
+            pts.append(x)
+    return pts
+
+
+class TestBlendTies:
+    """On the sup-norm diagonals of a blended corridor the blend entry goes
+    to the first transverse coordinate that attains the sup distance, as
+    in the reference ``move_derivative``."""
+
+    @pytest.mark.parametrize("n, beta", [(3, 4.0), (4, 5.0)])
+    def test_diagonal_rows_match_the_reference(self, n, beta):
+        L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
+        rng = np.random.default_rng(n)
+        tested = 0
+        for m, mv in enumerate(L.moves):
+            for x in diagonal_points(n, beta, m, rng):
+                # the first move to act on x in the walk is m, forward, and
+                # the last one, backward, so m sees x on its diagonal
+                first = [j for j, u in enumerate(L.moves)
+                         if u.lo < x[u.axis] < u.hi and ref._trans_delta(u, x)[0] < u.width]
+                for inverse, order in ((False, first), (True, first[::-1])):
+                    if not order or order[0] != m:
+                        continue
+                    tested += 1
+                    move = ref.move_derivative(mv, x, inverse=inverse)
+                    assert np.count_nonzero(np.delete(move[mv.axis], mv.axis)) == 1
+                    want = (ref.tower_inverse_derivative if inverse else ref.tower_derivative)(L, x)
+                    got = L._walk_rows(x[None], inverse=inverse, jacobian=True)[1][0]
+                    assert np.array_equal(got, want)
+                    image = (ref.tower_inverse if inverse else ref.tower_forward)(L, x)
+                    assert np.array_equal(L._walk_rows(x[None], inverse=inverse)[0][0].view(np.int64),
+                                          image.view(np.int64))
+        assert tested >= 2 * len(L.moves)
 
 
 class TestTowerMapping:

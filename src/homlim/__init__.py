@@ -17,13 +17,10 @@ from .composite import (
     continuum_witness,
 )
 from .geometry import (
-    Address,
-    Location,
     ParameterSchedule,
     cell_center,
     harmonic_schedule,
     limit_measure,
-    locate,
     stage_measure,
 )
 from .tentacles import (

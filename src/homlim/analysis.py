@@ -28,7 +28,7 @@ import numpy as np
 
 from .composite import build_stage
 from .errors import DomainError
-from .geometry import Address, address_words, cell_center, tower_slots
+from .geometry import address_words, cell_center, tower_slots
 from .tentacles import TentacleSchedule, _shear_rows
 
 __all__ = [
@@ -323,7 +323,7 @@ def _change_region(sched: TentacleSchedule, k: int, words, inflate: float, words
         yield *_tube_nodes(sched, k, word, config, res_mult), inflate, 1.0
     r_in = sched.base.r(k - 1)
     for word in words1:
-        z = cell_center(sched.base, Address("towerB", word))
+        z = cell_center(sched.base, word, tower=True)
         nodes, vol = _cube_nodes(z, r_in, config.resolution * res_mult)
         yield nodes, np.ones((len(nodes), 2)), inflate1, vol
 

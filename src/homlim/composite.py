@@ -23,7 +23,7 @@ import numpy as np
 from ._maps import BatchMap
 from .cantor_map import CantorHomeomorphism
 from .errors import DomainError
-from .geometry import Address, ParameterSchedule, cell_center, harmonic_schedule
+from .geometry import ParameterSchedule, cell_center, harmonic_schedule
 from .tentacles import (
     SQUEEZE,
     STRETCH,
@@ -109,7 +109,8 @@ class CompositeStage(BatchMap):
 
     def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
         x = np.asarray(points, dtype=float)
-        if not inverse and x.size and np.max(np.abs(x)) > 1.0:
+        # a NaN row fails the test too, and the inverse has the same domain
+        if not (np.abs(x) <= 1.0).all():
             raise DomainError("point outside [-1,1]^n")
         return _fold(_reverse(self.chain) if inverse else self.chain, x, jacobian)
 
@@ -211,7 +212,7 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
     stage = build_stage(variant if variant == "T1" else "W", k, n, beta)
     chain = _tentacle_chain_points(stage.schedule, word_hat, k, WITNESS_SAMPLES)
     sched_a = ParameterSchedule(n=n, beta=beta, kind="A")
-    target = cell_center(sched_a, Address("setA", word))
+    target = cell_center(sched_a, word)
     if variant == "T1":
         polyline = chain
         images = stage.forward_many(chain)

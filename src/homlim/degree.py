@@ -36,6 +36,7 @@ fixtures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -69,6 +70,10 @@ class SphereProbe:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        level = self.refinement
+        if (not isinstance(level, numbers.Integral) or isinstance(level, bool)
+                or not 0 <= level <= MAX_REFINE):
+            raise ValueError(f"refinement must be an integer in 0..{MAX_REFINE}")
         if len(self.center) not in MESHES:
             raise UnsupportedDimensionError(f"degree probes support n in {sorted(MESHES)}")
 

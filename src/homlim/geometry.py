@@ -1,15 +1,20 @@
-"""Nested-cube geometry: parameter schedules, addresses, point location.
+"""Nested-cube geometry: parameter schedules, address words, descents.
 
 Everything else in the package is built on the family of nested cubes
 inside [-1,1]^n.  A schedule supplies the shrinking half-widths
-r_k = 2^{-k} alpha_k and r'_k = 2^{-k} alpha_{k-1}; an address (a word of
-child letters) names one cell of the construction.  Three constructions
+r_k = 2^{-k} alpha_k and r'_k = 2^{-k} alpha_{k-1}; an address word (a
+tuple of child letters) names one cell of the construction.  Two trees
 share the machinery:
 
-* ``setA`` / ``setB``: 2^n children per cell, centered at the parent
-  center plus (r_{k-1}/2) v for v in {-1,1}^n.
-* ``towerB``: 2^n children stacked along the last axis, centered at the
-  parent center plus r_{k-1} vhat for the 2^n slot vectors vhat.
+* the setA/setB tree: 2^n children per cell, letters v in {-1,1}^n,
+  centered at the parent center plus (r_{k-1}/2) v;
+* the towerB tree: 2^n children stacked along the last axis, letters the
+  slot vectors vhat of ``tower_slots``, centered at the parent center
+  plus r_{k-1} vhat.
+
+``cell_center`` turns a word into its center; ``descend_set`` finds the
+setA/setB cells of a batch of points, and ``tower_step`` takes one step
+down the towerB tree.
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ import numpy as np
 from .errors import InvalidAddressError, UnsupportedDimensionError
 
 DEPTH_CAP = 24
-
-SET_A = "setA"
-SET_B = "setB"
-TOWER_B = "towerB"
 
 
 @lru_cache(maxsize=None)
@@ -118,43 +119,6 @@ def harmonic_schedule(n: int, depth: int = DEPTH_CAP) -> ParameterSchedule:
     )
 
 
-def _alphabet(construction: str, n: int):
-    if construction in (SET_A, SET_B):
-        return cube_vertices(n)
-    if construction == TOWER_B:
-        return tower_slots(n)
-    raise InvalidAddressError(f"unknown construction {construction!r}")
-
-
-@dataclass(frozen=True)
-class Address:
-    """A word of child letters naming one cell of a construction."""
-
-    construction: str
-    word: tuple[tuple[float, ...], ...]
-
-    def __post_init__(self):
-        if not self.word:
-            return
-        n = len(self.word[0])
-        allowed = set(_alphabet(self.construction, n))
-        for letter in self.word:
-            if len(letter) != n or tuple(letter) not in allowed:
-                raise InvalidAddressError(f"letter {letter!r} not in the {self.construction} alphabet")
-
-    @property
-    def level(self) -> int:
-        return len(self.word)
-
-    def parent(self) -> "Address":
-        if not self.word:
-            raise InvalidAddressError("root address has no parent")
-        return Address(self.construction, self.word[:-1])
-
-    def child(self, letter) -> "Address":
-        return Address(self.construction, self.word + (tuple(letter),))
-
-
 def address_words(alphabet, level: int, cap: int, rng) -> list[tuple]:
     """Words of ``level`` letters: all of them when there are at most
     ``cap``, else ``cap`` words drawn letter by letter from ``rng``."""
@@ -167,37 +131,23 @@ def address_words(alphabet, level: int, cap: int, rng) -> list[tuple]:
             for _ in range(cap)]
 
 
-def cell_center(schedule: ParameterSchedule, address: Address) -> np.ndarray:
-    """Center of the cell named by ``address`` under ``schedule``.
+def cell_center(schedule: ParameterSchedule, word, tower: bool = False) -> np.ndarray:
+    """Center of the cell named by the address ``word`` under ``schedule``:
+    a cell of the towerB tree when ``tower``, else of the setA/setB tree.
 
     setA/setB recursion: z_k = z_{k-1} + (r_{k-1}/2) v_k;
     towerB recursion:    z_k = z_{k-1} + r_{k-1} vhat_k.
     """
     n = schedule.n
     z = np.zeros(n)
-    half = address.construction != TOWER_B
-    for j, letter in enumerate(address.word, start=1):
+    for j, letter in enumerate(word, start=1):
         if len(letter) != n:
             raise InvalidAddressError("letter dimension does not match schedule")
         step = schedule.r(j - 1)
-        if half:
+        if not tower:
             step *= 0.5
         z += step * np.asarray(letter, dtype=float)
     return z
-
-
-@dataclass(frozen=True)
-class Location:
-    """Result of point location: the deepest address and the zone there.
-
-    zone 'frame': the point sits in Q'\\Q of ``address`` (level = |word|);
-    zone 'core':  the point is still inside the inner cube at the depth cap;
-    zone 'outside': towerB only, the point escaped every child cell.
-    """
-
-    address: Address
-    zone: str
-    sup_offset: float
 
 
 def descend_set(points: np.ndarray, radii, depth: int):
@@ -262,47 +212,6 @@ def tower_step(points: np.ndarray, centers: np.ndarray, r_prev: float):
     tile = np.minimum(np.maximum(np.floor(offset / (2.0 * r_prev / 2**n)), 0), 2**n - 1)
     tile = tile.astype(np.intp)
     return tile, centers + r_prev * _slot_array(n)[tile]
-
-
-def locate(
-    schedule: ParameterSchedule,
-    construction: str,
-    point,
-    max_level: int,
-) -> Location:
-    """Descend the address tree under the half-open face convention.
-
-    At each level the child is chosen by per-coordinate comparison with
-    the current center (setA/setB) or by binning the last coordinate into
-    the 2^n slot tiles (towerB); descent stops in the first frame, at the
-    depth cap, or (towerB) when the point escapes the chosen child cell.
-    """
-    x = np.asarray(point, dtype=float)
-    n = schedule.n
-    if x.shape != (n,):
-        raise ValueError("point dimension does not match schedule")
-    if max_level < 1:
-        raise ValueError("max_level must be >= 1")
-    if construction in (SET_A, SET_B):
-        radii = [schedule.r(k) for k in range(max_level + 1)]
-        level, letters, _, sup = descend_set(x[None, :], radii, max_level)
-        k = int(level[0]) or max_level
-        word = tuple(tuple(int(s) for s in letters[j, 0]) for j in range(k))
-        zone = "frame" if level[0] else "core"
-        return Location(Address(construction, word), zone, float(sup[0]))
-    if construction != TOWER_B:
-        raise InvalidAddressError(f"unknown construction {construction!r}")
-    slots = tower_slots(n)
-    z = np.zeros((1, n))
-    word = []
-    for lev in range(1, max_level + 1):
-        tile, z = tower_step(x[None, :], z, schedule.r(lev - 1))
-        word.append(slots[tile[0]])
-        t = float(np.max(np.abs(x - z)))
-        if t >= schedule.r(lev):
-            zone = "frame" if t <= schedule.r_outer(lev) else "outside"
-            return Location(Address(TOWER_B, tuple(word)), zone, t)
-    return Location(Address(TOWER_B, tuple(word)), "core", t)
 
 
 def stage_measure(schedule: ParameterSchedule, k: int) -> float:

@@ -456,7 +456,7 @@ def _straight_jacobian_rows(lv: TentacleLevel, w: np.ndarray, de_drho: np.ndarra
 
 
 class _TentacleStage(BatchMap):
-    """Common machinery: locate the deepest twisted tentacle containing a
+    """Common machinery: find the deepest twisted tentacle containing a
     point, work in its straight chart, apply the per-slice axial map."""
 
     family: str

@@ -34,7 +34,6 @@ import numpy as np
 from ._maps import BatchMap
 from .errors import InfeasibleScheduleError, InvalidAddressError
 from .geometry import (
-    Address,
     ParameterSchedule,
     address_words,
     cell_center,
@@ -460,8 +459,8 @@ def verify_goodmap(tower: TowerMapping, max_level: int) -> dict[int, bool]:
         r_in = sched.r(level)
         z_srcs, pts = [], []
         for word in words:
-            z_srcs.append(cell_center(sched, Address("setB", word)))
-            z_hat = cell_center(sched, Address("towerB", tuple(map(slot_correspondence, word))))
+            z_srcs.append(cell_center(sched, word))
+            z_hat = cell_center(sched, tuple(map(slot_correspondence, word)), tower=True)
             pts.append(z_hat + r_in * 0.9 * rng.uniform(-1, 1, size=(GOODMAP_SAMPLES, n)))
         back = tower.inverse_many(np.concatenate(pts)).reshape(len(words), GOODMAP_SAMPLES, n)
         result[level] = bool(np.max(np.abs(back - np.array(z_srcs)[:, None, :])) <= r_in + 1e-12)

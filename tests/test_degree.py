@@ -93,6 +93,21 @@ class TestMesh:
         assert "degree probes support n in [2, 3]" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("refinement", [-1, 2.5, 8, True, "3", None])
+    def test_refinement_outside_the_mesh_levels_is_rejected(self, refinement):
+        # -1 and 2.5 used to recurse without end in _octamesh, and 8 gave
+        # an indeterminate degree without reading a level
+        with pytest.raises(ValueError, match="refinement"):
+            SphereProbe((0.0, 0.0, 0.0), 0.5, refinement)
+        with pytest.raises(ValueError, match="refinement"):
+            inv_check(identity, (0.0, 0.0, 0.0), 0.5, refinement=refinement)
+
+    @pytest.mark.parametrize("refinement", [0, np.int64(3)])
+    def test_integer_refinements_are_accepted(self, refinement):
+        probe = SphereProbe((0.0, 0.0, 0.0), 0.5, refinement)
+        assert degree(identity, probe, (0.1, 0.0, 0.0)).degree == 1
+
+
 class TestFixtures:
     def test_identity_center(self):
         assert degree(identity, UNIT, (0, 0, 0)).degree == 1

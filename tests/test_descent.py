@@ -1,9 +1,8 @@
 """Property tests for the shared address-tree descents.
 
-``geometry.descend_set`` holds the setA/setB child rule and feeds
-``locate``, the batched Cantor kernel and the Cantor derivative;
-``geometry.tower_step`` holds the towerB tile rule and feeds ``locate`` and
-``TowerMapping``.  The points sit on half-open faces (a coordinate equal to
+``geometry.descend_set`` holds the setA/setB child rule and feeds the
+batched Cantor kernel and the Cantor derivative; ``geometry.tower_step``
+holds the towerB tile rule and feeds ``TowerMapping``.  The points sit on half-open faces (a coordinate equal to
 a cell center), on frame radii, on slot-tile boundaries, within an ulp of
 cell faces, and at random.  Every comparison is bit-exact, except the
 finite-difference check of the derivative.
@@ -19,12 +18,10 @@ from reference_maps import move_apply
 from homlim import _kernels
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.geometry import (
-    Address,
     ParameterSchedule,
     cell_center,
     cube_vertices,
     descend_set,
-    locate,
     tower_slots,
 )
 from homlim.tower import TowerMapping
@@ -65,12 +62,20 @@ def reference_tower_cell(x, sched, level):
     return np.array(z)
 
 
+def set_cell(sched, x, depth):
+    """The setA/setB cell of the point x by ``descend_set``: (frame level, 0
+    inside the level-``depth`` inner cube; word; sup offset)."""
+    level, letters, _, sup = descend_set(x[None, :], sched.radii(depth)[0], depth)
+    k = int(level[0]) or depth
+    return int(level[0]), tuple(map(tuple, letters[:k, 0])), float(sup[0])
+
+
 @st.composite
 def set_points(draw, sched):
     """A point of [-1,1]^3 near a level-k cell of the setA/setB tree."""
     k = draw(st.integers(1, 4))
     word = tuple(draw(st.lists(st.sampled_from(cube_vertices(3)), min_size=k, max_size=k)))
-    z = cell_center(sched, Address("setA", word))
+    z = cell_center(sched, word)
     u = np.array(draw(st.lists(COORD, min_size=3, max_size=3)))
     kind = draw(st.sampled_from(["face", "frame", "random"]))
     if kind == "random":
@@ -81,7 +86,7 @@ def set_points(draw, sched):
     # copy coordinates of an ancestor center: equality with the center
     # the sign rule compares against at the next level
     x = z + sched.r(k) * u
-    zj = cell_center(sched, Address("setA", word[: draw(st.integers(0, k - 1))]))
+    zj = cell_center(sched, word[: draw(st.integers(0, k - 1))])
     for d in draw(st.sets(st.integers(0, 2), min_size=1)):
         x[d] = zj[d]
     return x
@@ -112,17 +117,6 @@ class TestSetDescent:
             assert np.array_equal(one[1][:, 0], letters[:, i])
             assert np.array_equal(one[2][0], center[i])
 
-    @given(set_batches())
-    @settings(max_examples=60, deadline=None)
-    def test_locate_matches_reference(self, case):
-        sched, pts, depth = case
-        for x in pts:
-            k, word, _, t = reference_set_walk(x, sched, depth)
-            loc = locate(sched, "setA", x, depth)
-            assert loc.address.word == tuple(word)
-            assert loc.zone == ("frame" if k else "core")
-            assert loc.sup_offset == t
-
 
 class TestCantorKernel:
     @given(set_batches())
@@ -141,8 +135,9 @@ class TestCantorKernel:
     @given(set_batches())
     @settings(max_examples=60, deadline=None)
     def test_kernel_takes_locate_cells(self, case):
-        # the image of a point is its offset from the located source cell,
-        # rescaled about the center of the target cell of the same word
+        # the image of a point is its offset from its source cell (as
+        # descend_set finds it), rescaled about the center of the target
+        # cell of the same word
         sched, pts, stage = case
         src, dst = (A, B) if sched is A else (B, A)
         g = CantorHomeomorphism(src, dst, stage)
@@ -151,11 +146,11 @@ class TestCantorKernel:
         out = np.empty_like(pts)
         _kernels.cantor_map_points(pts, rs, rs_out, rt, rt_out, stage, out)
         for x, y in zip(pts, out):
-            loc = locate(src, "setA", x, stage)
-            k, t = loc.address.level, loc.sup_offset
-            zs = cell_center(src, loc.address)
-            zt = cell_center(dst, loc.address)
-            if loc.zone == "core":
+            frame, word, t = set_cell(src, x, stage)
+            k = len(word)
+            zs = cell_center(src, word)
+            zt = cell_center(dst, word)
+            if not frame:
                 scale = rt[stage] / rs[stage]
             else:
                 lam = rt[k] + (t - rs[k]) * (rt_out[k] - rt[k]) / (rs_out[k] - rs[k])
@@ -172,13 +167,12 @@ class TestCantorDerivative:
         src, dst = (A, B) if forward else (B, A)
         g = CantorHomeomorphism(src, dst, stage)
         for x in pts:
-            loc = locate(src, "setA", x, stage)
+            k, word, t = set_cell(src, x, stage)
             d = g.derivative(x)
-            if loc.zone == "core":
+            if not k:
                 assert np.array_equal(d, (dst.r(stage) / src.r(stage)) * np.eye(3))
                 continue
-            k, t = loc.address.level, loc.sup_offset
-            xi = x - cell_center(src, loc.address)
+            xi = x - cell_center(src, word)
             slope = (dst.r_outer(k) - dst.r(k)) / (src.r_outer(k) - src.r(k))
             lam = dst.r(k) + (t - src.r(k)) * slope
             mx = int(np.argmax(np.abs(xi)))
@@ -192,16 +186,15 @@ class TestCantorDerivative:
         _, pts, stage = case
         g = CantorHomeomorphism(A, B, stage)
         for x in pts:
-            loc = locate(A, "setA", x, stage)
-            h = 1e-3 * A.r(loc.address.level)
-            top = np.sort(np.abs(x - cell_center(A, loc.address)))
+            cell = set_cell(A, x, stage)
+            h = 1e-3 * A.r(len(cell[1]))
+            top = np.sort(np.abs(x - cell_center(A, cell[1])))
             # skip points whose stencil leaves the cube, crosses a face or a
             # frame radius, or meets the sup-norm edge set
             if np.max(np.abs(x)) >= 1 - 2 * h or top[-1] - top[-2] <= 4 * h:
                 continue
             steps = [s * e for s in (-2 * h, 2 * h) for e in np.eye(3)]
-            if any((locate(A, "setA", x + e, stage).address, locate(A, "setA", x + e, stage).zone)
-                   != (loc.address, loc.zone) for e in steps):
+            if any(set_cell(A, x + e, stage)[:2] != cell[:2] for e in steps):
                 continue
             df = np.empty((3, 3))
             for d in range(3):
@@ -218,14 +211,14 @@ def tower_points(draw):
     parent, within a few ulps of one of its faces, or at random."""
     k = draw(st.integers(1, 4))
     word = draw(st.lists(st.sampled_from(SLOTS), min_size=k, max_size=k))
-    z = cell_center(B, Address("towerB", tuple(word)))
+    z = cell_center(B, tuple(word), tower=True)
     u = np.array(draw(st.lists(COORD, min_size=3, max_size=3)))
     kind = draw(st.sampled_from(["tile", "face", "random"]))
     if kind == "random":
         return u
     x = z + B.r(k) * u
     if kind == "tile":
-        zp, r_prev = cell_center(B, Address("towerB", tuple(word[:-1]))), B.r(k - 1)
+        zp, r_prev = cell_center(B, tuple(word[:-1]), tower=True), B.r(k - 1)
         x[2] = zp[2] - r_prev + draw(st.integers(0, 8)) * (2.0 * r_prev / 8)
         return np.clip(x, -1, 1)
     d = draw(st.integers(0, 2))
@@ -268,25 +261,6 @@ TOWERS = {k: TowerMapping(B, k) for k in range(1, 5)}
 
 
 class TestTowerDescent:
-    @given(st.lists(tower_points(), min_size=1, max_size=8), st.integers(1, 5))
-    @settings(max_examples=100, deadline=None)
-    def test_locate_matches_reference(self, pts, depth):
-        for x in pts:
-            loc = locate(B, "towerB", x, depth)
-            k = loc.address.level
-            zp, r_prev = reference_tower_cell(x, B, k - 1), B.r(k - 1)
-            assert zp is not None  # every ancestor holds the point
-            assert np.array_equal(cell_center(B, loc.address.parent()), zp)
-            tile = math.floor((x[2] - zp[2] + r_prev) / (2.0 * r_prev / 8))
-            assert loc.address.word[-1] == SLOTS[min(max(tile, 0), 7)]
-            t = float(np.max(np.abs(x - cell_center(B, loc.address))))
-            assert loc.sup_offset == t
-            if loc.zone == "core":
-                assert k == depth and t < B.r(k)
-            else:
-                assert t >= B.r(k)
-                assert loc.zone == ("frame" if t <= B.r_outer(k) else "outside")
-
     @given(st.lists(tower_points(), min_size=1, max_size=6), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_stage_steps_match_root_walks(self, pts, stage):

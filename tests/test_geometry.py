@@ -3,17 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homlim.errors import InvalidAddressError
 from homlim.geometry import (
-    Address,
     ParameterSchedule,
     cell_center,
     cube_vertices,
+    descend_set,
     harmonic_schedule,
     limit_measure,
-    locate,
     stage_measure,
     tower_slots,
+    tower_step,
 )
 
 A = ParameterSchedule(n=3, beta=4.0, kind="A")
@@ -48,73 +47,64 @@ class TestScheduleRadii:
 
 class TestCellCenter:
     def test_first_level_corner(self):
-        addr = Address("setA", ((1, 1, 1),))
-        assert np.allclose(cell_center(A, addr), [0.5, 0.5, 0.5])
+        assert np.allclose(cell_center(A, ((1, 1, 1),)), [0.5, 0.5, 0.5])
 
     def test_tower_first_slot(self):
-        addr = Address("towerB", (tower_slots(3)[0],))
-        assert np.allclose(cell_center(B, addr), [0, 0, -7 / 8])
+        assert np.allclose(cell_center(B, (tower_slots(3)[0],), tower=True), [0, 0, -7 / 8])
 
     def test_empty_word_is_origin(self):
-        assert np.allclose(cell_center(A, Address("setA", ())), 0.0)
-
-    def test_invalid_letter_rejected(self):
-        with pytest.raises(InvalidAddressError):
-            Address("setA", ((2, 0, 0),))
-        with pytest.raises(InvalidAddressError):
-            Address("towerB", ((1, 1, 1),))
+        assert np.allclose(cell_center(A, ()), 0.0)
 
     def test_children_outer_cubes_tile_parent(self):
         # the 2^n half-open outer child cubes partition the parent inner cube
         rng = np.random.default_rng(0)
-        parent = Address("setA", ((1, -1, 1),))
+        parent = ((1, -1, 1),)
         zp = cell_center(A, parent)
         pts = zp + A.r(1) * rng.uniform(-1, 1, size=(300, 3)) * 0.999
         r_out = A.r_outer(2)
         for x in pts:
             hits = 0
             for v in cube_vertices(3):
-                z = cell_center(A, parent.child(v))
+                z = cell_center(A, parent + (v,))
                 hits += bool(np.all(x >= z - r_out) and np.all(x < z + r_out))
             assert hits == 1
 
 
-class TestLocate:
-    def test_frame_level_one(self):
-        loc = locate(A, "setA", (0.1, 0.1, 0.1), 5)
-        assert loc.zone == "frame"
-        assert loc.address.word == ((1, 1, 1),)
-        assert loc.sup_offset == pytest.approx(0.4)
+class TestDescents:
+    @given(st.booleans(), st.integers(1, 4), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_descent_inverts_cell_center(self, tower, k, data):
+        # the descent from a cell's center returns the cell's word and
+        # center, bit for bit: descend_set on the setA tree (the center
+        # stays inside every nested inner cube), tower_step on towerB
+        alphabet = tower_slots(3) if tower else cube_vertices(3)
+        word = tuple(data.draw(st.lists(st.sampled_from(alphabet), min_size=k, max_size=k)))
+        sched = B if tower else A
+        x = cell_center(sched, word, tower)[None, :]
+        if tower:
+            z, found = np.zeros((1, 3)), []
+            for j in range(1, k + 1):
+                tile, z = tower_step(x, z, sched.r(j - 1))
+                found.append(alphabet[tile[0]])
+        else:
+            level, letters, z, _ = descend_set(x, sched.radii(k)[0], k)
+            assert level[0] == 0
+            found = [tuple(int(s) for s in letters[j, 0]) for j in range(k)]
+        assert tuple(found) == word
+        assert np.array_equal(z[0], x[0])
 
-    def test_center_stays_core(self):
-        # the deep cell center stays inside every nested inner cube
-        word = ((1, 1, 1),) * 3
-        x = cell_center(A, Address("setA", word))
-        loc = locate(A, "setA", x, 3)
-        assert loc.zone == "core"
-        assert loc.address.word == word
-
-    def test_tower_outside(self):
-        loc = locate(B, "towerB", (0.9, 0.9, 0.9), 5)
-        assert loc.zone == "outside"
-
-    def test_locate_inverts_cell_center(self):
-        rng = np.random.default_rng(1)
-        for _ in range(40):
-            word = tuple(tuple(rng.choice([-1, 1], 3)) for _ in range(4))
-            addr = Address("setA", word)
-            loc = locate(A, "setA", cell_center(A, addr), 4)
-            assert loc.zone == "core"
-            assert loc.address.word == word
-
-    @given(st.lists(st.floats(-1, 1, exclude_max=True, allow_nan=False), min_size=3, max_size=3))
+    @given(st.lists(st.lists(st.floats(-1, 1, exclude_max=True, allow_nan=False),
+                             min_size=3, max_size=3), min_size=1, max_size=20))
     @settings(max_examples=60, deadline=None)
-    def test_total_on_half_open_cube(self, coords):
-        loc = locate(A, "setA", np.array(coords), 6)
-        assert loc.zone in ("frame", "core")
-        if loc.zone == "frame":
-            k = loc.address.level
-            assert A.r(k) <= loc.sup_offset <= A.r_outer(k)
+    def test_set_frames_lie_between_the_radii(self, rows):
+        # every row of the half-open cube stops in a level-k frame, where
+        # r_k <= t <= r'_k, or stays inside the level-6 inner cube
+        level, _, _, sup = descend_set(np.array(rows), A.radii(6)[0], 6)
+        for k, t in zip(level, sup):
+            if k:
+                assert A.r(k) <= t <= A.r_outer(k)
+            else:
+                assert t < A.r(6)
 
 
 class TestMeasures:

@@ -57,7 +57,7 @@ FIELDS = {
         "center": Field(POINT, (0.55, 0.09, 0.25)),  # then zeros, to n coordinates
         "y": Field(POINT, None),  # None: the image of the center
         "radius": Field(REAL, 0.1, 0.0, open=("lo",)),
-        "refinement": Field(INT, 3, 0, degree_mod.MAX_REFINE),
+        "refinement": Field(INT, 3, 0, degree_mod.MAX_REFINE - 1),  # needs a next level
         "fixture": Field(CHOICE, None, choices=("identity",)),  # None: the stage maps
         "slice_height": Field(REAL, 0.0, -1.0, 1.0),
     },

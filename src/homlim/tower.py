@@ -17,11 +17,13 @@ the parent cell is the unit cube and reused at every level.
 Evaluation has one body, on (N, n) batches, run a level at a time, and
 the moves of a level run in dependency layers (``move_layers``): a
 move's layer is one more than the largest layer of the earlier moves
-whose padded corridor box meets its own, so the boxes of a layer are
-disjoint and each row lies in at most one.  One pass per layer screens
-the rows against the layer's boxes and runs every row inside one through
-its owning move, with that move's constants gathered per row, in the
-float operations of the move alone.  A single point is a one-row batch.
+whose padded corridor box overlaps its own, so the boxes of a layer are
+disjoint and each row lies in at most one.  The box edges cut the cell
+into a grid, and an owner table names per layer and grid cell the move
+whose box holds it, so a row's owners are one gather.  One pass per
+layer runs every row it owns through its move, with that move's
+constants gathered per row, in the float operations of the move alone.
+A single point is a one-row batch.
 """
 
 from __future__ import annotations
@@ -204,14 +206,16 @@ class MoveLayers:
 
     order: np.ndarray  # (M,) the move at each position
     starts: tuple[int, ...]  # layer l holds the positions starts[l]:starts[l + 1]
-    lo: np.ndarray  # (n, M) padded corridor boxes
-    hi: np.ndarray
-    boxes: tuple  # per layer: its padded boxes (lo, hi), (n, K, 1) each, for the screen
-    meets: tuple  # per position: the layers holding a box that meets its own
     axis: np.ndarray  # (M,) move axes
     # (M, 2n + 13): the corridor axis with 0.0 on the move axis, 1.0 off the move
     # axis and 0.0 on it, then the floats that ``TowerMapping._layer_pass`` unpacks
     const: np.ndarray
+    edges: np.ndarray  # (G,) the padded box edges of every axis, sorted, distinct
+    shift: np.ndarray  # (n, 1): (G + 1) d, where axis d's block of ``weight`` starts
+    # (n (G + 1),): at shift[d] + searchsorted(edges, v), the number of axis-d
+    # edges below v times the stride of axis d in the cell numbering
+    weight: np.ndarray
+    owner: np.ndarray  # (layers, cells) int8: the position whose box holds a cell, or -1
 
 
 @lru_cache(maxsize=None)
@@ -219,14 +223,20 @@ def move_layers(n: int, beta: float) -> MoveLayers:
     """The move table of ``relocation_moves(n, beta)`` in dependency layers.
 
     The corridor boxes are padded by 1e-9, far beyond the rounding of
-    |w_d - c| <= 2 in unit-cell coordinates, so screening a row against
-    them never drops a row the exact corridor test keeps.  A move's layer
-    is 1 + the largest layer of the earlier moves whose padded box meets
-    its own (0 if none does), so the boxes of one layer are pairwise
-    disjoint and a meeting pair keeps its order.  A move is the identity
-    off its corridor and keeps the corridor's points in it, so two moves
-    whose boxes are disjoint commute, float for float: the layers run in
-    order (in reverse for the inverse) compose to the moves run in order."""
+    |w_d - c| <= 2 in unit-cell coordinates, so a padded box holds every
+    row the exact corridor test keeps.  A move's layer is 1 + the largest
+    layer of the earlier moves whose padded box overlaps its own (0 if
+    none does), so the boxes of one layer are pairwise disjoint and an
+    overlapping pair keeps its order.  A move is the identity off its
+    corridor and keeps the corridor's points in it, so two moves whose
+    boxes are disjoint commute, float for float: the layers run in order
+    (in reverse for the inverse) compose to the moves run in order.
+
+    The padded edges e_0 < e_1 < ... of axis d cut it into the cells
+    (e_{i-1}, e_i], i = searchsorted(e, v).  ``owner`` gives per layer and
+    grid cell the position of the move whose box holds the cell (lo <=
+    e_{i-1} and e_i <= hi on every axis), so a row inside a padded box is
+    handed to that box's move: every row an exact test keeps, and more."""
     moves = relocation_moves(n, beta)
     boxes = [mv.corridor_box(n) for mv in moves]
     lo = np.array([lo for lo, _ in boxes]) - 1e-9
@@ -237,7 +247,7 @@ def move_layers(n: int, beta: float) -> MoveLayers:
         layer.append(1 + max((layer[j] for j in range(m) if meet[j, m]), default=-1))
     order = np.argsort(layer, kind="stable")
     layer_at = np.array(layer)[order]
-    lo, hi, meet = lo[order].T.copy(), hi[order].T.copy(), meet[order][:, order]
+    lo, hi = lo[order].T, hi[order].T
     starts = tuple(np.searchsorted(layer_at, range(layer_at[-1] + 2)).tolist())
     const = []
     for m in order:
@@ -247,11 +257,19 @@ def move_layers(n: int, beta: float) -> MoveLayers:
                       mv.lo, mv.hi, mv.width, mv.rho, mv.width - mv.rho, tau, s2, s3,
                       s2 - mv.lo, mv.hi - s3, s2 + tau - mv.lo, mv.hi - (s3 + tau),
                       -1.0 / (mv.width - mv.rho)))
-    return MoveLayers(order, starts, lo, hi,
-                      tuple((lo[:, a:b, None].copy(), hi[:, a:b, None].copy())
-                            for a, b in zip(starts, starts[1:])),
-                      tuple(tuple(sorted(set(layer_at[row].tolist()))) for row in meet),
-                      np.array([moves[m].axis for m in order]), np.array(const, dtype=float))
+    cuts = [sorted(set(lo[d].tolist() + hi[d].tolist())) for d in range(n)]
+    owner = np.full((len(starts) - 1, *(len(e) + 1 for e in cuts)), -1, dtype=np.int8)
+    for p, l in enumerate(layer_at.tolist()):
+        owner[(l, *(slice(e.index(lo[d, p]) + 1, e.index(hi[d, p]) + 1)
+                    for d, e in enumerate(cuts)))] = p
+    # searchsorted(cuts[d], v) is the number of axis-d edges among the edges below v
+    edges = np.array(sorted(set().union(*cuts)))
+    weight = np.concatenate([np.searchsorted(e, [*edges, np.inf])
+                             * int(np.prod(owner.shape[d + 2:])) for d, e in enumerate(cuts)])
+    return MoveLayers(order, starts, np.array([moves[m].axis for m in order]),
+                      np.array(const, dtype=float), edges,
+                      (len(edges) + 1) * np.arange(n)[:, None], weight,
+                      owner.reshape(len(starts) - 1, -1))
 
 
 class TowerMapping(BatchMap):
@@ -274,7 +292,6 @@ class TowerMapping(BatchMap):
         self.schedule = schedule
         self.stage = stage
         self.n = schedule.n
-        self.moves = relocation_moves(self.n, schedule.beta)
         self.layers = move_layers(self.n, schedule.beta)
         self._eye = np.eye(self.n)
         self._r = [schedule.r(k) for k in range(stage + 1)]
@@ -298,13 +315,10 @@ class TowerMapping(BatchMap):
             stay &= np.maximum.reduce(np.abs(x - center), axis=1) < self._r[level - 1]
         return stay, z.compress(stay, axis=0)
 
-    @staticmethod
-    def _screen(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """(M', N) mask of the rows of w inside the padded corridor boxes
-        (lo, hi) of M' moves: every row such a move acts on, and a few
-        more."""
-        v = w.T[:, None, :]
-        return np.logical_and.reduce((v > lo) & (v < hi), axis=0)
+    def _cells(self, w: np.ndarray) -> np.ndarray:
+        """The cell of ``move_layers``'s grid holding each row of w."""
+        t = self.layers
+        return t.weight.take(np.searchsorted(t.edges, w.T) + t.shift).sum(axis=0)
 
     def _run_moves(self, w: np.ndarray, d: np.ndarray | None = None,
                    inverse: bool = False) -> None:
@@ -314,28 +328,21 @@ class TowerMapping(BatchMap):
         (N, n, n) array d.
 
         The moves run a layer at a time (``move_layers``), the last layer
-        first for the inverse.  A layer's rows are those inside one of its
-        padded boxes, found by one screen of every row against them; the
-        boxes are disjoint, so each such row has one owning move, and one
-        pass runs them all.  Only layers that can hold a row are screened:
-        those with a box meeting the bounding box of the rows, and those
-        with a box meeting one that a pass ran, as a move keeps the rows
-        it moves inside its box."""
-        t = self.layers
-        low = np.minimum.reduce(w, axis=0, initial=np.inf)
-        high = np.maximum.reduce(w, axis=0, initial=-np.inf)
-        near = np.logical_and.reduce((t.lo < high[:, None]) & (low[:, None] < t.hi), axis=0)
-        live = np.logical_or.reduceat(near, t.starts[:-1]).tolist()
-        for l in (range(len(live) - 1, -1, -1) if inverse else range(len(live))):
-            if not live[l]:
+        first for the inverse.  Each row's cell is found once and its
+        owners, one per layer, gathered from the owner table; a layer's
+        rows are those with an owner in it, and one pass runs them all,
+        each through its owning move.  A pass changes its rows, so their
+        cells and owners are gathered again after it."""
+        owner = self.layers.owner
+        own = owner.take(self._cells(w), axis=1)
+        top = own.max(axis=1, initial=-1).tolist()
+        for l in (range(len(top) - 1, -1, -1) if inverse else range(len(top))):
+            if top[l] < 0:
                 continue
-            owner, rows = self._screen(w, *t.boxes[l]).nonzero()
-            if len(rows):
-                owner += t.starts[l]
-                self._layer_pass(w, d, rows, owner, inverse)
-                for p in np.bincount(owner).nonzero()[0].tolist():
-                    for m in t.meets[p]:
-                        live[m] = True
+            rows = (own[l] >= 0).nonzero()[0]
+            self._layer_pass(w, d, rows, own[l].take(rows), inverse)
+            own[:, rows] = owner.take(self._cells(w.take(rows, axis=0)), axis=1)
+            top = own.max(axis=1).tolist()
 
     def _layer_pass(self, w: np.ndarray, d: np.ndarray | None, rows: np.ndarray,
                     owner: np.ndarray, inverse: bool) -> None:

@@ -50,7 +50,7 @@ from homlim.composite import AxisCollapse
 from homlim.degree import GAP_ROUNDING, MIN_DISTANCE, RAY_SLOPES, DegreeReport
 from homlim.errors import DomainError, IndeterminateDegreeError
 from homlim.geometry import tower_slots
-from homlim.tower import TowerMapping
+from homlim.tower import TowerMapping, relocation_moves
 
 # ---------------------------------------------------------------------------
 # Tower: the elementary moves and the cell walk.
@@ -166,7 +166,7 @@ def _tower_walk(L, point, jacobian):
             break
         scale = L.schedule.r(i - 1)
         w = (x - center) / scale
-        for mv in L.moves:
+        for mv in relocation_moves(L.n, L.schedule.beta):
             if jacobian:
                 d = move_derivative(mv, w) @ d
             w = move_apply(mv, w)
@@ -195,7 +195,7 @@ def _tower_inverse_walk(L, point, jacobian):
         center = centers[i - 1]
         scale = L.schedule.r(i - 1)
         w = (y - center) / scale
-        for mv in reversed(L.moves):
+        for mv in reversed(relocation_moves(L.n, L.schedule.beta)):
             if jacobian:
                 d = move_derivative(mv, w, inverse=True) @ d
             w = move_apply(mv, w, inverse=True)

@@ -24,7 +24,7 @@ from homlim.geometry import (
     descend_set,
     tower_slots,
 )
-from homlim.tower import TowerMapping
+from homlim.tower import TowerMapping, relocation_moves
 
 A = ParameterSchedule(n=3, beta=4.0, kind="A")
 B = ParameterSchedule(n=3, beta=4.0, kind="B")
@@ -237,7 +237,7 @@ def reference_tower_forward(L, x):
             continue
         scale = L.schedule.r(i - 1)
         w = (x - center) / scale
-        for mv in L.moves:
+        for mv in relocation_moves(L.n, L.schedule.beta):
             w = move_apply(mv, w)
         x = center + scale * w
     return x
@@ -251,7 +251,7 @@ def reference_tower_inverse(L, y):
             continue
         scale = L.schedule.r(i - 1)
         w = (y - center) / scale
-        for mv in reversed(L.moves):
+        for mv in reversed(relocation_moves(L.n, L.schedule.beta)):
             w = move_apply(mv, w, inverse=True)
         y = center + scale * w
     return y

@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 import reference_maps as ref
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import build_stage
@@ -57,10 +59,32 @@ def boxes_meet(a, b):
     return all(a[0][d] < b[1][d] and b[0][d] < a[1][d] for d in range(len(a[0])))
 
 
+@st.composite
+def corridor_points(draw, n, beta):
+    """A point of [-1, 1]^n, or of the padded box of a move with some
+    coordinates on a face of the padded or the exact box, or an ulp or two
+    off one."""
+    if draw(st.booleans()):
+        return np.array([draw(st.floats(-1, 1)) for _ in range(n)])
+    moves = relocation_moves(n, beta)
+    m = draw(st.integers(0, len(moves) - 1))
+    lo, hi = padded_boxes(n, beta)[m]
+    exact = moves[m].corridor_box(n)
+    x = np.array([draw(st.floats(lo[d], hi[d])) for d in range(n)])
+    for d in draw(st.sets(st.integers(0, n - 1))):
+        x[d] = draw(st.sampled_from([lo[d], hi[d], exact[0][d], exact[1][d]]))
+        for _ in range(draw(st.integers(0, 2))):
+            x[d] = np.nextafter(x[d], draw(st.sampled_from([-np.inf, np.inf])))
+    return x
+
+
 class TestMoveLayers:
     """The moves of a level run in dependency layers: each move in one
     layer, the padded boxes of a layer pairwise disjoint, and every
-    meeting pair in its move order."""
+    meeting pair in its move order.  An owner table hands each layer its
+    rows."""
+
+    FEASIBLE = [(n, beta) for n in (2, 3, 4) for beta in (3.5, 4.0, 4.5, 5.0) if beta >= n + 1]
 
     LAYERS = {2: 7, 3: 6, 4: 7}
 
@@ -86,12 +110,51 @@ class TestMoveLayers:
         for j, m in itertools.combinations(range(count), 2):
             if boxes_meet(boxes[j], boxes[m]):
                 assert layer[j] < layer[m]
-        # the screen's boxes are those of the moves of each layer
+
+    @pytest.mark.parametrize("n, beta", FEASIBLE)
+    def test_owner_table_matches_the_boxes(self, n, beta):
+        # the owner of every cell (e_{i-1}, e_i] is the move of the layer
+        # whose padded box holds a point of the cell: its midpoint, or e_i
+        # where the two edges are an ulp apart and no float lies between
+        # them; the unbounded end cells are sampled 0.5 beyond the outer
+        # edges.  A cell's point lies in a box (lo, hi] exactly when the
+        # cell does, lo and hi being edges.
+        table = move_layers(n, beta)
+        boxes = padded_boxes(n, beta)
+        cuts = [np.array(sorted({b[side][d] for b in boxes for side in (0, 1)}))
+                for d in range(n)]
+        points = []
+        for e in cuts:
+            mid = 0.5 * (e[1:] + e[:-1])
+            points.append(np.concatenate(([e[0] - 0.5], np.where(mid > e[:-1], mid, e[1:]),
+                                          [e[-1] + 0.5])))
+        grid = np.stack(np.meshgrid(*points, indexing="ij"), axis=-1).reshape(-1, n)
+        want = np.full((len(table.starts) - 1, len(grid)), -1)
         for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
-            lo, hi = table.boxes[l]
-            for k, m in enumerate(table.order[a:b].tolist()):
-                assert np.array_equal(lo[:, k, 0], boxes[m][0])
-                assert np.array_equal(hi[:, k, 0], boxes[m][1])
+            for p in range(a, b):
+                lo, hi = boxes[table.order[p]]
+                held = ((grid > lo) & (grid <= hi)).all(axis=1)
+                assert (want[l, held] == -1).all()
+                want[l, held] = p
+        assert table.owner.shape == want.shape
+        assert np.array_equal(table.owner, want)
+
+    @pytest.mark.parametrize("n, beta", FEASIBLE)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_a_move_keeps_are_owned_by_it(self, n, beta, data):
+        # every row that a move's exact corridor test keeps has that move
+        # as its owner in the move's layer, on and off the box faces
+        L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
+        table, moves = L.layers, relocation_moves(n, beta)
+        pts = np.array(data.draw(st.lists(corridor_points(n, beta), min_size=1, max_size=8)))
+        own = table.owner.take(L._cells(pts), axis=1)
+        for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
+            for p in range(a, b):
+                mv = moves[table.order[p]]
+                for x, owner in zip(pts, own[l].tolist()):
+                    if mv.lo < x[mv.axis] < mv.hi and ref._trans_delta(mv, x)[0] < mv.width:
+                        assert owner == p
 
     def test_a_pass_runs_a_whole_layer(self, monkeypatch):
         # a uniform batch through T2 k = 1 meets most corridors; at most one
@@ -146,13 +209,14 @@ class TestBlendTies:
     @pytest.mark.parametrize("n, beta", [(3, 4.0), (4, 5.0)])
     def test_diagonal_rows_match_the_reference(self, n, beta):
         L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
+        moves = relocation_moves(n, beta)
         rng = np.random.default_rng(n)
         tested = 0
-        for m, mv in enumerate(L.moves):
+        for m, mv in enumerate(moves):
             for x in diagonal_points(n, beta, m, rng):
                 # the first move to act on x in the walk is m, forward, and
                 # the last one, backward, so m sees x on its diagonal
-                first = [j for j, u in enumerate(L.moves)
+                first = [j for j, u in enumerate(moves)
                          if u.lo < x[u.axis] < u.hi and ref._trans_delta(u, x)[0] < u.width]
                 for inverse, order in ((False, first), (True, first[::-1])):
                     if not order or order[0] != m:
@@ -166,7 +230,7 @@ class TestBlendTies:
                     image = (ref.tower_inverse if inverse else ref.tower_forward)(L, x)
                     assert np.array_equal(L._walk_rows(x[None], inverse=inverse)[0][0].view(np.int64),
                                           image.view(np.int64))
-        assert tested >= 2 * len(L.moves)
+        assert tested >= 2 * len(moves)
 
 
 class TestTowerMapping:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import build_stage
 from homlim.errors import InfeasibleScheduleError, InvalidAddressError
-from homlim.geometry import ParameterSchedule, cube_vertices
+from homlim.geometry import ParameterSchedule, address_words, cell_center, cube_vertices
 from homlim.tower import (
     TowerMapping,
     move_layers,
@@ -81,10 +81,11 @@ def corridor_points(draw, n, beta):
 class TestMoveLayers:
     """The moves of a level run in dependency layers: each move in one
     layer, the padded boxes of a layer pairwise disjoint, and every
-    meeting pair in its move order.  An owner table hands each layer its
+    meeting pair in its move order.  Span tables hand each layer its
     rows."""
 
-    FEASIBLE = [(n, beta) for n in (2, 3, 4) for beta in (3.5, 4.0, 4.5, 5.0) if beta >= n + 1]
+    FEASIBLE = [(n, beta) for n in (2, 3, 4) for beta in (3.5, 4.0, 4.5, 5.0)
+                if beta >= n + 1] + [(5, 6.0)]
 
     LAYERS = {2: 7, 3: 6, 4: 7}
 
@@ -111,50 +112,69 @@ class TestMoveLayers:
             if boxes_meet(boxes[j], boxes[m]):
                 assert layer[j] < layer[m]
 
-    @pytest.mark.parametrize("n, beta", FEASIBLE)
-    def test_owner_table_matches_the_boxes(self, n, beta):
-        # the owner of every cell (e_{i-1}, e_i] is the move of the layer
-        # whose padded box holds a point of the cell: its midpoint, or e_i
-        # where the two edges are an ulp apart and no float lies between
-        # them; the unbounded end cells are sampled 0.5 beyond the outer
-        # edges.  A cell's point lies in a box (lo, hi] exactly when the
-        # cell does, lo and hi being edges.
+    @pytest.mark.parametrize("n, beta", [*FEASIBLE, (7, 8.0)])
+    def test_span_tables_match_the_boxes(self, n, beta):
+        # the words cut each layer into runs of up to 64 positions
         table = move_layers(n, beta)
         boxes = padded_boxes(n, beta)
-        cuts = [np.array(sorted({b[side][d] for b in boxes for side in (0, 1)}))
-                for d in range(n)]
+        base = table.base.tolist()
+        ends = [*base[1:], len(boxes)]
+        assert base[0] == 0 and set(table.starts[:-1]) <= set(base)
+        assert all(0 < b - a <= 64 for a, b in zip(base, ends))
+        # bit p - a of word s on interval (e_{i-1}, e_i] of axis d is set when
+        # the padded box of position p holds a point of the interval: its
+        # midpoint, or e_i where the two edges are an ulp apart and no float
+        # lies between them; the unbounded end intervals are sampled 0.5
+        # beyond the outer edges.  The point lies in a box (lo, hi] exactly
+        # when the interval does, lo and hi being edges.
         points = []
-        for e in cuts:
+        for d in range(n):
+            e = np.array(sorted({b[side][d] for b in boxes for side in (0, 1)}))
+            assert np.array_equal(table.cuts[d], e)
             mid = 0.5 * (e[1:] + e[:-1])
-            points.append(np.concatenate(([e[0] - 0.5], np.where(mid > e[:-1], mid, e[1:]),
-                                          [e[-1] + 0.5])))
+            x = np.concatenate(([e[0] - 0.5], np.where(mid > e[:-1], mid, e[1:]), [e[-1] + 0.5]))
+            for s, (a, b) in enumerate(zip(base, ends)):
+                want = np.zeros(len(x), dtype=np.uint64)
+                for p in range(a, b):
+                    lo, hi = boxes[table.order[p]]
+                    want[(x > lo[d]) & (x <= hi[d])] |= np.uint64(1 << (p - a))
+                assert np.array_equal(table.spans[d][s], want)
+            points.append(x)
+        if n > 4:
+            return
+        # on a point of every grid cell, the words ANDed over the axes mark
+        # the boxes that hold it, at most one per layer
+        L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
         grid = np.stack(np.meshgrid(*points, indexing="ij"), axis=-1).reshape(-1, n)
-        want = np.full((len(table.starts) - 1, len(grid)), -1)
-        for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
+        held = L._spanned(grid)
+        layer = np.zeros((len(table.starts) - 1, len(grid)), dtype=int)
+        for s, (a, b) in enumerate(zip(base, ends)):
+            want = np.zeros(len(grid), dtype=np.uint64)
             for p in range(a, b):
                 lo, hi = boxes[table.order[p]]
-                held = ((grid > lo) & (grid <= hi)).all(axis=1)
-                assert (want[l, held] == -1).all()
-                want[l, held] = p
-        assert table.owner.shape == want.shape
-        assert np.array_equal(table.owner, want)
+                inside = ((grid > lo) & (grid <= hi)).all(axis=1)
+                want[inside] |= np.uint64(1 << (p - a))
+                layer[np.searchsorted(table.starts, p, side="right") - 1] += inside
+            assert np.array_equal(held[s], want)
+        assert layer.max() == 1
 
     @pytest.mark.parametrize("n, beta", FEASIBLE)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_rows_a_move_keeps_are_owned_by_it(self, n, beta, data):
-        # every row that a move's exact corridor test keeps has that move
-        # as its owner in the move's layer, on and off the box faces
+        # every row that a move's exact corridor test keeps has that move's
+        # bit, and no other, in the move's word, on and off the box faces
         L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
         table, moves = L.layers, relocation_moves(n, beta)
         pts = np.array(data.draw(st.lists(corridor_points(n, beta), min_size=1, max_size=8)))
-        own = table.owner.take(L._cells(pts), axis=1)
-        for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
+        held = L._spanned(pts)
+        base = table.base.tolist()
+        for s, (a, b) in enumerate(zip(base, [*base[1:], len(moves)])):
             for p in range(a, b):
                 mv = moves[table.order[p]]
-                for x, owner in zip(pts, own[l].tolist()):
+                for x, word in zip(pts, held[s].tolist()):
                     if mv.lo < x[mv.axis] < mv.hi and ref._trans_delta(mv, x)[0] < mv.width:
-                        assert owner == p
+                        assert word == 1 << (p - a)
 
     def test_a_pass_runs_a_whole_layer(self, monkeypatch):
         # a uniform batch through T2 k = 1 meets most corridors; at most one
@@ -237,6 +257,28 @@ class TestTowerMapping:
     def test_cell_center_moves_to_slot(self):
         L = TowerMapping(B, 1)
         assert np.allclose(L.forward((0.5, 0.5, 0.5)), (0, 0, 7 / 8))
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_five_dimensions_match_the_reference(self, inverse):
+        # at n = 5 (160 moves, up to 32 in a layer) the walk gives each row
+        # the reference's image and Jacobian, points near the level-2 cells
+        # of the set and of the tower among them
+        sched = ParameterSchedule(n=5, beta=6.0, kind="B")
+        L = TowerMapping(sched, 2)
+        rng = np.random.default_rng(5)
+        words = address_words(cube_vertices(5), 2, 20, rng)
+        centers = [cell_center(sched, w) for w in words]
+        centers += [cell_center(sched, tuple(map(slot_correspondence, w)), tower=True)
+                    for w in words]
+        pts = np.concatenate([rng.uniform(-1, 1, (40, 5)),
+                              np.array(centers) + sched.r(2) * rng.uniform(-0.99, 0.99, (40, 5))])
+        images, jacobians = L._walk_rows(pts, inverse=inverse, jacobian=True)
+        walk = ref._tower_inverse_walk if inverse else ref._tower_walk
+        for x, image, d in zip(pts, images, jacobians):
+            want, want_d = walk(L, x, True)
+            assert np.array_equal(image.view(np.int64), want.view(np.int64))
+            assert np.array_equal(d, want_d)
+        assert np.count_nonzero((images != pts).any(axis=1)) >= 40
 
     def test_identity_outside_corridors(self):
         L = TowerMapping(B, 1)

@@ -75,20 +75,25 @@ MUTANTS = (
            "tests/test_tower.py::TestBlendTies::test_diagonal_rows_match_the_reference",
            "the blend entry given to the last tying coordinate"),
     Mutant("src/homlim/tower.py",
-           "            own[:, rows] = owner.take(self._cells(w.take(rows, axis=0)), axis=1)\n",
+           "            held[:, rows] = self._spanned(w.take(rows, axis=0))\n",
            "",
            "tests/test_descent.py::TestTowerDescent::test_stage_steps_match_root_walks",
-           "the owners of a pass's rows not gathered again after the pass"),
+           "the boxes of a pass's rows not gathered again after the pass"),
     Mutant("src/homlim/tower.py",
-           "slice(e.index(lo[d, p]) + 1, ",
-           "slice(e.index(lo[d, p]), ",
-           "tests/test_tower.py::TestMoveLayers::test_owner_table_matches_the_boxes",
-           "the owner table filled from one cell below each box"),
+           "first, last = np.searchsorted(e, lo[d]) + 1,",
+           "first, last = np.searchsorted(e, lo[d]),",
+           "tests/test_tower.py::TestMoveLayers::test_span_tables_match_the_boxes",
+           "the span tables filled from one interval below each box"),
     Mutant("src/homlim/tower.py",
-           "e.index(hi[d, p]) + 1)",
-           "e.index(hi[d, p]))",
+           "np.searchsorted(e, hi[d]) + 1",
+           "np.searchsorted(e, hi[d])",
            "tests/test_tower.py::TestMoveLayers::test_rows_a_move_keeps_are_owned_by_it",
-           "the owner table filled short of each box's last cell"),
+           "the span tables filled short of each box's last interval"),
+    Mutant("src/homlim/tower.py",
+           "np.bitwise_count(held[s].take(rows) - 1)",
+           "np.bitwise_count(held[s].take(rows)) - 1",
+           "tests/test_tower.py::TestTowerMapping::test_five_dimensions_match_the_reference",
+           "a row's move numbered by the count of its word's bits"),
     Mutant("src/homlim/degree.py",
            "pad = tail + GAP_ROUNDING * np.maximum(np.abs(ys).max(axis=1), extent)",
            "pad = tail",

@@ -6,12 +6,14 @@ transverse log-log modulation, whose strips carry the exact sup-annulus
 measure (n-1) 2^(n-1) rho^(n-1) u dE dt at every n; that absorbs the
 1/(rho log 1/rho) transverse gradient of the squeeze profile into a
 bounded integrand.  A tower cell is integrated by the midpoint rule on a
-cube grid.  The nodes of a level's sampled tubes and cells are evaluated
-in batches of about ``CAUCHY_BATCH`` nodes, one ``derivative_many`` per
-stage and batch (one batch a level on small quadratures), and each tube's
-or cell's weighted measures are summed by one cumulative sum, which adds
-in node order, so the rows are those of a loop over the nodes and do not
-depend on the batch size.  Finite-difference
+cube grid.  The nodes of a row's sampled tubes and cells go in batches
+of about ``CAUCHY_BATCH`` nodes (one batch a row on small quadratures),
+and batch j of every row makes batch column j.  Per column each stage
+differentiates once: stage s runs one ``derivative_many`` on batch j of
+rows s and s+1, which serves row s as its minuend and row s+1 as its
+subtrahend.  Each tube's or cell's weighted measures are summed by one
+cumulative sum, which adds in node order, so the rows are those of a
+loop over the nodes and do not depend on the batch size.  Finite-difference
 Jacobians come from one central-difference stencil, evaluated in one
 batch of the map.  All randomness flows from one counter-based generator
 seeded by the caller.
@@ -23,6 +25,7 @@ import math
 import numbers
 import reprlib
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -307,9 +310,11 @@ def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
     return _ordered_sum(np.array([weight_fn(x) for x in nodes], dtype=float), measures)
 
 
-# Nodes per derivative batch of a Cauchy table: enough that the fixed
-# cost of a batch is small, few enough that the (N, n, n) Jacobians and
-# their temporaries stay a few MB whatever the quadrature.
+# Nodes per batch of a Cauchy row.  A stage differentiates batch j of two
+# rows in one walk (a batch column), so this is enough that the fixed
+# cost of a walk is small, and few enough that the (N, n, n) Jacobians of
+# a walk, the slice held from the walk before and their temporaries stay
+# a few MB whatever the quadrature.
 CAUCHY_BATCH = 1 << 13
 
 
@@ -342,6 +347,23 @@ def _batches(parts, size: int):
         yield batch
 
 
+def _add_parts(total: float, diff: np.ndarray, batch, p: float) -> float:
+    """``total`` plus each part's inflate * (vol * S) in part order, S the
+    ``_ordered_sum`` of |D|_F^p at its nodes, D the rows of ``diff`` that
+    the concatenated parts of ``batch`` cover."""
+    flat = diff.reshape(len(diff), -1)
+    # |D|_F as np.linalg.norm takes it, the root of the dot product of the
+    # flat entries, raised to p per element: numpy's power of an array
+    # rounds differently from the scalar one
+    weights = np.array([r ** p for r in np.sqrt(np.vecdot(flat, flat)).tolist()])
+    start = 0
+    for part_nodes, measures, inflate, vol in batch:
+        stop = start + len(part_nodes)
+        total += inflate * (vol * _ordered_sum(weights[start:stop], measures))
+        start = stop
+    return total
+
+
 def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
                  n: int = 3, beta: float = 4.0, refine: bool = False) -> CauchyTable:
     """Integrals of |Df_k - Df_{k-1}|_F^p over the stage-k change region.
@@ -350,38 +372,46 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
     the new squeeze acts) and the level-(k-1) tower cells (where the
     deeper nested-cube and relocation structure appears); both maps agree
     elsewhere.  Tubes are integrated on the exact-measure chart grid of
-    ``_tube_nodes``, cells by midpoint boxes, their nodes in batches of
-    about ``CAUCHY_BATCH``, one ``derivative_many`` per stage and batch.
-    Addresses are subsampled above ``config.cells_cap`` and rescaled by
-    the cell count.
+    ``_tube_nodes``, cells by midpoint boxes.  Addresses are subsampled
+    above ``config.cells_cap`` and rescaled by the cell count.
+
+    Each row's parts go in batches of about ``CAUCHY_BATCH`` nodes, and
+    column j is batch j of every row.  Per column, stage s differentiates
+    once, on batch j of row s and of row s+1 together: row s takes its
+    slice minus the stage-(s-1) Jacobians held from the walk before, and
+    the slice of row s+1 is held for the next walk.  So each stage runs
+    once per column, and between walks a table holds one batch of
+    Jacobians, during a walk that batch and the walk's two.
     """
     if variant not in ("T1", "T2"):
         raise ValueError("cauchy tables exist for variants T1 and T2")
     rng = make_rng(config.seed)
-    rows = []
     stages = {k: build_stage(variant, k, n, beta) for k in range(1, k_max + 1)}
     sched = stages[k_max].schedule
     res_mult = 2 if refine else 1
-
+    batches = []  # per row, its batches, made as the columns need them
     for k in range(2, k_max + 1):
         words, inflate = _sample_words(n, k, config.cells_cap, rng)
         words1, inflate1 = _sample_words(n, k - 1, config.cells_cap, rng)
         parts = _change_region(sched, k, words, inflate, words1, inflate1, config, res_mult)
-        total = 0.0
-        for batch in _batches(parts, CAUCHY_BATCH):
-            nodes = np.concatenate([part[0] for part in batch])
-            diff = stages[k].derivative_many(nodes) - stages[k - 1].derivative_many(nodes)
-            flat = diff.reshape(len(nodes), n * n)
-            # |D|_F as np.linalg.norm takes it, the root of the dot product
-            # of the flat entries, raised to p per element: numpy's power
-            # of an array rounds differently from the scalar one
-            weights = np.array([r ** p for r in np.sqrt(np.vecdot(flat, flat)).tolist()])
-            start = 0
-            for part_nodes, measures, inflate_part, vol in batch:
-                stop = start + len(part_nodes)
-                total += inflate_part * (vol * _ordered_sum(weights[start:stop], measures))
-                start = stop
-        rows.append(CauchyRow(k, total, 0.0, True))
+        batches.append(_batches(parts, CAUCHY_BATCH))
+    totals = [0.0] * (k_max - 1)
+    for column in zip_longest(*batches):  # column[k - 2]: the batch of row k, or None
+        held = None  # D_{s-1} at the nodes of row s's batch
+        for s in range(1, k_max + 1):
+            mine = column[s - 2] if s >= 2 else None
+            ahead = column[s - 1] if s < k_max else None
+            walk = [part[0] for batch in (mine, ahead) if batch for part in batch]
+            if not walk:
+                continue
+            jac = stages[s].derivative_many(np.concatenate(walk))
+            m = 0
+            if mine:
+                m = sum(len(part[0]) for part in mine)
+                totals[s - 2] = _add_parts(totals[s - 2], jac[:m] - held, mine, p)
+            # a copy, so that row s's Jacobians are not kept alive with it
+            held = (jac[m:].copy() if m else jac) if ahead else None
+    rows = [CauchyRow(k, total, 0.0, True) for k, total in enumerate(totals, start=2)]
 
     env = [2.0 ** (-k * beta) + 1.0 / k**2 for k in range(2, k_max + 1)]
     c = max((r.integral / e for r, e in zip(rows, env)), default=0.0)

@@ -17,12 +17,14 @@ and the s-knots ``s0 + se e``, affine in the modulation e in [0, E].  Its
 order is checked once, at e = 0 and e = E, where a schedule is solved and
 where a stage takes it, so it holds for every row a stage evaluates.
 
-Each kernel works on rows and has one flavor: ``_pl_rows`` (the axial
-profile and its inverse, through the rows of ``TentacleLevel.knots``) and
-``_shear_rows`` (the shear and its slope).  A stage map has one body,
-``_TentacleStage._walk_rows``: one descent and the knot table of each
-level give the images and, when asked, the Jacobians, of the stage or of
-its inverse; every evaluation method of a stage is a call of it.
+Each kernel works on rows and has one flavor: ``_modulation_rows`` (the
+modulation and its slope at every transverse radius), ``_pl_rows`` (the
+axial profile and its inverse, through the rows of
+``TentacleLevel.knots``) and ``_shear_rows`` (the shear and its slope).
+A stage map has one body, ``_TentacleStage._walk_rows``: one descent and
+the knot table of each level give the images and, when asked, the
+Jacobians, of the stage or of its inverse; every evaluation method of a
+stage is a call of it.
 """
 
 from __future__ import annotations
@@ -358,26 +360,11 @@ def solve_parameters(
 def _check_knot_order(level: TentacleLevel) -> None:
     """Raise InfeasibleScheduleError (a ValueError) unless the level's knots
     are strictly increasing at e = 0 and at e = E.  The knots are affine in
-    e and ``_modulation`` keeps e in [0, E], so then every row a stage
+    e and ``_modulation_rows`` keeps e in [0, E], so then every row a stage
     evaluates has ordered knots."""
     ts, ss = level.knots(np.array([0.0, level.e_range]))
     if (np.diff(ts) <= 0).any() or (np.diff(ss) <= 0).any():
         raise InfeasibleScheduleError(f"level {level.k}: knots not strictly increasing")
-
-
-def _modulation(level: TentacleLevel, rho: float) -> tuple[float, float]:
-    """(e, de/drho) for transverse sup radius rho.
-
-    e = log log(1/max(b, rho)) - log log(1/d), clamped to [0, E]: just
-    below b the difference of the two logs can round above E."""
-    if rho <= 0.0:
-        return level.e_range, 0.0
-    u = -math.log(rho)
-    if u >= level.u_b:
-        return level.e_range, 0.0
-    if u <= level.u_d:
-        return 0.0, 0.0
-    return min(math.log(u) - math.log(level.u_d), level.e_range), -1.0 / (rho * u)
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +401,34 @@ def _shear_rows(sched: TentacleSchedule, heights, t: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
+def _modulation_rows(lv: TentacleLevel, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(e, de/drho) at every transverse sup radius of the array rho.
+
+    e = log log(1/max(b, rho)) - log log(1/d), clamped to [0, E]: just
+    below b the difference of the two logs can round above E.  It is E
+    where rho <= 0 or log(1/rho) >= u_b, 0 where log(1/rho) <= u_d, and
+    the slope is 0 on both; a NaN radius falls through to the interior
+    formula, and gives NaN.  The logs are math.log, one call per entry:
+    np.log rounds differently on some inputs."""
+    e, de_drho = np.full(len(rho), lv.e_range), np.zeros(len(rho))
+    pos = np.flatnonzero(~(rho <= 0.0))
+    r = rho[pos]
+    u = -np.fromiter(map(math.log, r.tolist()), float, len(r))
+    flat = u <= lv.u_d
+    e[pos[flat]] = 0.0
+    mid = ~(flat | (u >= lv.u_b))
+    r, u, pos = r[mid], u[mid], pos[mid]
+    e[pos] = np.minimum(np.fromiter(map(math.log, u.tolist()), float, len(u))
+                        - math.log(lv.u_d), lv.e_range)
+    de_drho[pos] = -1.0 / (r * u)
+    return e, de_drho
+
+
 def _level_rows(lv: TentacleLevel, w: np.ndarray):
     """The modulation slope and the axial knots of the level map at every
     row of the (N, n) chart array w: (de/drho, ts, ss), the knots as
     (N, K) arrays."""
-    rho = np.abs(w[:, 1:]).max(axis=1)
-    # math.log per row: np.log rounds differently on some inputs
-    e, de_drho = np.array([_modulation(lv, r) for r in rho.tolist()]).reshape(len(w), 2).T
+    e, de_drho = _modulation_rows(lv, np.abs(w[:, 1:]).max(axis=1))
     return (de_drho,) + lv.knots(e)
 
 

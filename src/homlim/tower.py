@@ -125,6 +125,7 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
         raise InfeasibleScheduleError("corridor width exceeds slot clearance")
 
     verts = cube_vertices(n)
+    index = {v: i for i, v in enumerate(verts)}
     grid = {v: np.array(v, dtype=float) / 2.0 for v in verts}
     target = {v: np.array(slot_correspondence(v)) for v in verts}
 
@@ -154,8 +155,9 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
         if np.any(clo <= -1.0) or np.any(chi_ >= 1.0):
             return False
         # each other cube [p - rho, p + rho] lies off the box along some axis
-        cubes = np.array([positions[u] for u in verts if u != mover])
-        return bool(((chi_ <= cubes - rho) | (cubes + rho <= clo)).any(axis=1).all())
+        off = ((chi_ <= positions - rho) | (positions + rho <= clo)).any(axis=1)
+        off[index[mover]] = True
+        return bool(off.all())
 
     def legs(v, positions):
         pos = grid[v].copy()
@@ -187,7 +189,8 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
         return out
 
     moves: list[ElementaryMove] = []
-    positions = {v: grid[v].copy() for v in verts}
+    # the current cube centers, one row per vertex in ``verts`` order
+    positions = np.array([grid[v] for v in verts])
     for v in order:
         for mv in legs(v, positions):
             if not corridor_clear(mv, positions, v):
@@ -195,7 +198,7 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
                     f"corridor of {v} leg axis {mv.axis} blocked"
                 )
             moves.append(mv)
-        positions[v] = target[v].copy()
+        positions[index[v]] = target[v]
     return tuple(moves)
 
 

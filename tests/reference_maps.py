@@ -8,12 +8,12 @@ a batch with them: images bit for bit, signs of zeros included, and
 Jacobians with ``np.array_equal`` (here ``np.eye(n) @ d`` turns -0.0 into
 +0.0 where the batch skips an identity factor).  The piecewise-linear
 profile and the shear of the tentacle stages are here too, one point at a
-time, and so are the knot tables, from their per-family formulas: the
-reference shares only the modulation and the solved level constants
-with the package.  The Jacobians of the inverse maps are closed forms
-too, not matrix inversions: an elementary move and the straight-chart
-tentacle map are the identity but for one row (m, g), which inverts to
-(1/m, -g/m) at the preimage.  The Cauchy table's tube quadrature has its
+time, and so are the modulation and the knot tables, the latter from
+their per-family formulas: the reference shares only the solved level
+constants with the package.  The Jacobians of the inverse maps are
+closed forms too, not matrix inversions: an elementary move and the
+straight-chart tentacle map are the identity but for one row (m, g),
+which inverts to (1/m, -g/m) at the preimage.  The Cauchy table's tube quadrature has its
 loop version here too: ``tube_nodes`` places a tube's nodes and measure
 factors one node at a time, with the shear of this file.
 
@@ -265,6 +265,21 @@ def pl_slope(t, knots):
     return (knots.ss[i + 1] - knots.ss[i]) / (knots.ts[i + 1] - knots.ts[i])
 
 
+def modulation(lv, rho):
+    """(e, de/drho) for transverse sup radius rho, one radius at a time.
+
+    e = log log(1/max(b, rho)) - log log(1/d), clamped to [0, E]: just
+    below b the difference of the two logs can round above E."""
+    if rho <= 0.0:
+        return lv.e_range, 0.0
+    u = -math.log(rho)
+    if u >= lv.u_b:
+        return lv.e_range, 0.0
+    if u <= lv.u_d:
+        return 0.0, 0.0
+    return min(math.log(u) - math.log(lv.u_d), lv.e_range), -1.0 / (rho * u)
+
+
 def level_knots(lv, family, e):
     """Axial knots of the level map at transverse modulation e in [0, E],
     family by family: the near tube end goes to phi = l(a) - e when
@@ -368,7 +383,7 @@ def _tentacle_map(h, point, inverse):
     lv = h.sched.level(J)
     out = w.copy()
     if w[0] >= lv.r_hat:
-        e, _ = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
+        e, _ = modulation(lv, float(np.max(np.abs(w[1:]))))
         knots = level_knots(lv, h.family, e)
         out[0] = (pl_inverse if inverse else pl_interpolate)(w[0], knots)
     out[-1] += z_n + sigma(h.sched, heights, out[0])
@@ -397,7 +412,7 @@ def _tentacle_jacobian(h, point, inverse):
     lv = h.sched.level(J)
     if w[0] < lv.r_hat:
         return np.eye(n)
-    e, de_drho = tentacles._modulation(lv, float(np.max(np.abs(w[1:]))))
+    e, de_drho = modulation(lv, float(np.max(np.abs(w[1:]))))
     knots = level_knots(lv, h.family, e)
     t = pl_inverse(w[0], knots) if inverse else w[0]
     i = _pl_piece(t, knots.ts)

@@ -6,6 +6,8 @@ from homlim import analysis
 from homlim.analysis import (
     QuadratureConfig,
     _batches,
+    _change_region,
+    _ordered_sum,
     _sample_words,
     _tube_integral,
     _tube_nodes,
@@ -15,7 +17,7 @@ from homlim.analysis import (
     jacobian_survey,
     make_rng,
 )
-from homlim.composite import build_stage
+from homlim.composite import CompositeStage, build_stage
 from homlim.errors import DomainError
 from homlim.geometry import tower_slots
 from homlim.tentacles import SqueezeStage, solve_parameters, tentacle_seminorm_bound
@@ -289,13 +291,84 @@ class TestCauchyTable:
         want = self.pointwise_rows("T1", 3, 4.0, 2, 1.5, cfg)
         assert [r.integral.hex() for r in table.rows] == [v.hex() for v in want]
 
-    @pytest.mark.parametrize("size", [1, 100])
+    @staticmethod
+    def row_by_row(k_max, p, config):
+        """The table as it was before its stages shared walks: each row's
+        nodes differentiated in one batch by both of its stages, the
+        weights taken one node at a time."""
+        rng = make_rng(config.seed)
+        stages = {k: build_stage("T1", k) for k in range(1, k_max + 1)}
+        sched = stages[k_max].schedule
+        rows = []
+        for k in range(2, k_max + 1):
+            words = _sample_words(3, k, config.cells_cap, rng)
+            words1 = _sample_words(3, k - 1, config.cells_cap, rng)
+            parts = list(_change_region(sched, k, *words, *words1, config, 1))
+            nodes = np.concatenate([part[0] for part in parts])
+            diff = stages[k].derivative_many(nodes) - stages[k - 1].derivative_many(nodes)
+            weights = np.array([float(np.linalg.norm(d, "fro") ** p) for d in diff])
+            total, start = 0.0, 0
+            for part_nodes, measures, inflate, vol in parts:
+                stop = start + len(part_nodes)
+                total += inflate * (vol * _ordered_sum(weights[start:stop], measures))
+                start = stop
+            rows.append(total)
+        return rows
+
+    # cells_cap 10 gives row 2 18 parts and rows 3 and 4 20 parts each, so
+    # at sizes 1 and 100 the last batch columns leave row 2 out
+    CAP10 = QuadratureConfig(resolution=4, axial_resolution=2, axial_levels=2,
+                             transverse_resolution=2, cells_cap=10, seed=1)
+
+    @pytest.mark.parametrize("size", [1, 100, None])
     def test_rows_do_not_depend_on_the_batch_size(self, monkeypatch, size):
-        cfg = QuadratureConfig(resolution=4, axial_resolution=2, axial_levels=2,
-                               transverse_resolution=2, cells_cap=2, seed=1)
-        whole = [r.integral.hex() for r in cauchy_table("T1", 2, 3, cfg).rows]
+        if size is not None:
+            monkeypatch.setattr(analysis, "CAUCHY_BATCH", size)
+        for k_max in (3, 4):
+            table = cauchy_table("T1", 2, k_max, self.CAP10)
+            want = self.row_by_row(k_max, 2, self.CAP10)
+            assert [r.integral.hex() for r in table.rows] == [v.hex() for v in want]
+
+    @staticmethod
+    def record_walks(monkeypatch):
+        """Record (stage, node count) of every ``derivative_many`` call of a
+        composite stage."""
+        walks = []
+        walk = CompositeStage.derivative_many
+        monkeypatch.setattr(CompositeStage, "derivative_many",
+                            lambda self, pts: walks.append((self.k, len(pts))) or walk(self, pts))
+        return walks
+
+    @pytest.mark.parametrize("k_max", [2, 3, 4])
+    def test_each_stage_walks_once_per_batch_column(self, monkeypatch, k_max):
+        walks = self.record_walks(monkeypatch)
+        cauchy_table("T1", 2, k_max, self.CFG)
+        assert [k for k, _ in walks] == list(range(1, k_max + 1))
+        # stage s walks the nodes of rows s and s+1
+        counts = [m for _, m in walks]
+        rows = [counts[0]]
+        for m in counts[1:-1]:
+            rows.append(m - rows[-1])
+        assert rows[-1] == counts[-1] and all(m > 0 for m in rows)
+
+    @pytest.mark.parametrize("size", [1, 100])
+    def test_a_walk_holds_at_most_two_batches(self, monkeypatch, size):
         monkeypatch.setattr(analysis, "CAUCHY_BATCH", size)
-        assert [r.integral.hex() for r in cauchy_table("T1", 2, 3, cfg).rows] == whole
+        walks = self.record_walks(monkeypatch)
+        cauchy_table("T1", 2, 4, self.CAP10)
+        # a batch closes once it reaches the size, so it holds fewer than
+        # size plus its last part; stage s walks batch j of rows s and s+1.
+        # A part's node count depends on its level, not on its word.
+        sched, rng = build_stage("T1", 4).schedule, make_rng(0)
+        largest = max(len(nodes) for k in (2, 3, 4) for nodes, *_ in _change_region(
+            sched, k, *_sample_words(3, k, 10, rng), *_sample_words(3, k - 1, 10, rng),
+            self.CAP10, 1))
+        assert all(m < 2 * (size + largest) for _, m in walks)
+        # every stage walks in every column that holds one of its rows: 18
+        # columns for row 2, 20 for rows 3 and 4 at size 1
+        if size == 1:
+            per_stage = [sum(k == s for k, _ in walks) for s in range(1, 5)]
+            assert per_stage == [18, 20, 20, 20]
 
     def test_batches_close_at_the_size(self):
         parts = [(np.zeros((m, 3)), m) for m in (3, 5, 2, 7, 1)]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from reference_maps import (
     knot_e_coeffs,
     level_knots,
+    modulation,
     shift_forward,
     shift_inverse,
     tentacle_descend,
@@ -28,7 +29,7 @@ from homlim.geometry import tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
-    _modulation,
+    _modulation_rows,
     _pl_rows,
     _raise_first_outside,
     _straight_jacobian_rows,
@@ -201,8 +202,54 @@ def radii(draw, sched):
 
 
 def assert_modulation_in_range(lv, rho):
-    e, de_drho = _modulation(lv, rho)
+    e, de_drho = (v[0] for v in _modulation_rows(lv, np.array([rho])))
     assert 0.0 <= e <= lv.e_range and math.isfinite(de_drho), (lv.k, rho, e)
+
+
+def assert_modulation_matches_the_oracle(lv, rho):
+    """The array modulation at every entry of rho equals the scalar oracle
+    as float.hex."""
+    rho = np.asarray(rho, dtype=float)
+    got = _modulation_rows(lv, rho)
+    want = np.array([modulation(lv, r) for r in rho.tolist()]).reshape(len(rho), 2).T
+    for g, w in zip(got, want):
+        assert list(map(float.hex, g.tolist())) == list(map(float.hex, w.tolist())), lv.k
+
+
+class TestModulation:
+    """The array modulation against the scalar oracle, as float.hex."""
+
+    def test_matches_the_oracle_at_the_widths(self):
+        for sched in DEMO:
+            for lv in sched.levels:
+                rho = [0.0, -0.0, 5e-324, math.inf, math.nan]
+                for width in (lv.b, lv.d):
+                    rho += [np.nextafter(width, 0.0), width, np.nextafter(width, 1.0)]
+                assert_modulation_matches_the_oracle(lv, rho)
+
+    def test_matches_the_oracle_where_the_clamp_acts(self):
+        # n = 4 stretch level 3: from 64 to 190 ulps above b_3 the two logs
+        # differ by more than E, and e is E only by the clamp
+        lv = DEMO[3].level(3)
+        rho = (np.float64(lv.b).view(np.int64) + np.arange(64, 191)).view(np.float64)
+        raw = [math.log(-math.log(r)) - math.log(lv.u_d) for r in rho.tolist()]
+        assert all(-math.log(r) < lv.u_b for r in rho.tolist())
+        assert all(v > lv.e_range for v in raw)
+        assert_modulation_matches_the_oracle(lv, rho)
+
+    @pytest.mark.parametrize("index", range(len(DEMO)))
+    def test_matches_the_oracle_on_seeded_radii(self, index):
+        # uniform and log-uniform over [b/2, 1], and uniform over the graded
+        # annulus [b, d], which the others miss where it is thin
+        rng = np.random.default_rng(index)
+        for lv in DEMO[index].levels:
+            lo = lv.b / 2
+            rho = np.concatenate([rng.uniform(lo, 1.0, 500),
+                                  np.exp(rng.uniform(math.log(lo), 0.0, 1000)),
+                                  rng.uniform(lv.b, lv.d, 500)])
+            e, _ = _modulation_rows(lv, rho)
+            assert 0 < np.count_nonzero((0.0 < e) & (e < lv.e_range))
+            assert_modulation_matches_the_oracle(lv, rho)
 
 
 class TestKnots:

@@ -48,6 +48,23 @@ class TestRelocationLayout:
             lo, hi = mv.corridor_box(3)
             assert np.all(lo > -1.0) and np.all(hi < 1.0)
 
+    @pytest.mark.parametrize("n,beta", [(2, 3.0), (3, 4.0), (3, 5.0), (4, 5.0), (5, 6.0)])
+    def test_every_corridor_misses_the_other_cubes(self, n, beta):
+        # replay the table: the mover of a leg is the cube centered at its
+        # source, and its corridor box lies off every other cube, at its
+        # grid center or, once moved, where its last leg left it
+        rho = 2.0 ** -(beta + 1)
+        centers = [np.array(v, dtype=float) / 2 for v in cube_vertices(n)]
+        for mv in relocation_moves(n, beta):
+            at = np.insert(np.array(mv.trans_center), mv.axis, mv.src)
+            mover = [i for i, c in enumerate(centers) if np.array_equal(c, at)]
+            assert len(mover) == 1
+            lo, hi = mv.corridor_box(n)
+            for i, c in enumerate(centers):
+                if i != mover[0]:
+                    assert np.any((hi <= c - rho) | (c + rho <= lo)), (mv, c)
+            centers[mover[0]][mv.axis] = mv.dst
+
 
 def padded_boxes(n, beta):
     """The corridor boxes of the move table padded by 1e-9, in move order."""

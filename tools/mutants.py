@@ -59,6 +59,29 @@ MUTANTS = (
            "tests/test_analysis.py::TestCauchyTable::test_matches_the_pointwise_reference",
            "a Cauchy part summed pairwise by np.sum, not in node order"),
     Mutant("src/homlim/analysis.py",
+           "held = (jac[m:].copy() if m else jac) if ahead else None",
+           "held = (held if m else jac) if ahead else None",
+           "tests/test_analysis.py::TestCauchyTable::test_matches_the_pointwise_reference",
+           "a Cauchy row paired with the Jacobians held from an earlier stage"),
+    Mutant("src/homlim/tentacles.py",
+           "    e[pos] = np.minimum(np.fromiter(map(math.log, u.tolist()), float, len(u))\n"
+           "                        - math.log(lv.u_d), lv.e_range)\n",
+           "    e[pos] = np.fromiter(map(math.log, u.tolist()), float, len(u)) - math.log(lv.u_d)\n",
+           "tests/test_tentacles.py::TestModulation::"
+           "test_matches_the_oracle_where_the_clamp_acts",
+           "the array modulation without its clamp to E"),
+    Mutant("src/homlim/tentacles.py",
+           "mid = ~(flat | (u >= lv.u_b))",
+           "mid = ~(u >= lv.u_b)",
+           "tests/test_tentacles.py::TestModulation::test_matches_the_oracle_on_seeded_radii",
+           "the interior modulation written over the rows with u <= u_d"),
+    Mutant("src/homlim/tower.py",
+           "        positions[index[v]] = target[v]\n",
+           "",
+           "tests/test_tower.py::TestRelocationLayout::"
+           "test_every_corridor_misses_the_other_cubes",
+           "the move table's corridors tested against the children's grid centers only"),
+    Mutant("src/homlim/analysis.py",
            "base = 2.0 ** (n - 2) * rho",
            "base = 2.0 * rho",
            "tests/test_analysis.py::TestTubeQuadrature::"

@@ -32,7 +32,7 @@ import numpy as np
 from .composite import build_stage
 from .errors import DomainError
 from .geometry import address_words, cell_center, tower_slots
-from .tentacles import TentacleSchedule, _shear_rows
+from .tentacles import TentacleSchedule
 
 __all__ = [
     "QuadratureConfig",
@@ -224,12 +224,6 @@ class CauchyTable:
         vals = [r.integral for r in self.rows]
         return all(b < a for a, b in zip(vals, vals[1:]))
 
-    def summable(self) -> bool:
-        """Tail-sum ratios below one (mirrors series convergence)."""
-        vals = [r.integral for r in self.rows]
-        tails = [sum(vals[i:]) for i in range(len(vals))]
-        return all(t2 / t1 < 1.0 for t1, t2 in zip(tails, tails[1:]) if t1 > 0)
-
 
 def _sample_words(n: int, level: int, cap: int, rng) -> tuple[list, float]:
     """Tower letter words at ``level`` (all if few, else a seeded sample);
@@ -276,7 +270,7 @@ def _tube_nodes(sched: TentacleSchedule, k: int, word, config: QuadratureConfig,
         bases.append(base * u * de)
     dt = np.repeat((hi - lo) / t_res, t_res)
     t = np.repeat(lo, t_res) + np.tile(np.arange(t_res) + 0.5, len(lo)) * dt
-    height = sched.center_height(heights) + _shear_rows(sched, heights, t)
+    height = sched.centerline(heights, t)
     # per axial node: each strip's nodes, then the core node
     per = 2 * (n - 1)
     m = per * e_res + 1

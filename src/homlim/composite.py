@@ -30,8 +30,6 @@ from .tentacles import (
     SqueezeStage,
     StretchStage,
     TentacleSchedule,
-    _pl_rows,
-    _shear_rows,
     solve_parameters,
 )
 from .tower import TowerMapping, slot_correspondence
@@ -180,18 +178,17 @@ class ContinuumWitness:
         self.image_diameter = float(np.sqrt((diffs**2).sum(-1)).max())
 
 
-def _tentacle_chain_points(sched: TentacleSchedule, word_hat, k: int,
-                           samples: int) -> np.ndarray:
-    """Points along the centerline of the level-k twisted tentacle, from
-    the tip (x_1 near a_k) down to the tower cell center."""
+def _tentacle_chain(sched: TentacleSchedule, word_hat, k: int):
+    """The centerline of the level-k twisted tentacle of the tower address
+    ``word_hat`` as chart rows, from the tip (x_1 = a_k) down to the tower
+    cell center: (J, heights, w) as ``_TentacleStage._descend_rows`` gives
+    them, every row of level k, with the cube points w + (0, ..., 0,
+    ``sched.centerline(heights, w_1)``)."""
+    w = np.zeros((WITNESS_SAMPLES, sched.n))
     lv = sched.level(k)
-    heights = [w[-1] for w in word_hat]
-    z_n = sched.center_height(heights)
-    pts = np.zeros((samples, sched.n))
-    pts[:-1, 0] = np.geomspace(lv.r_hat, lv.a, samples - 1)[::-1]
-    pts[:-1, -1] = z_n + _shear_rows(sched, heights, pts[:-1, 0])
-    pts[-1, -1] = z_n
-    return pts
+    w[:-1, 0] = np.geomspace(lv.r_hat, lv.a, WITNESS_SAMPLES - 1)[::-1]
+    heights = np.repeat([[v[-1]] for v in word_hat], len(w), axis=1)
+    return np.full(len(w), k), heights, w
 
 
 def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
@@ -210,7 +207,10 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         raise ValueError("address word length must equal the stage")
     word_hat = tuple(slot_correspondence(v) for v in word)
     stage = build_stage(variant if variant == "T1" else "W", k, n, beta)
-    chain = _tentacle_chain_points(stage.schedule, word_hat, k, WITNESS_SAMPLES)
+    sched = stage.schedule
+    J, heights, w = _tentacle_chain(sched, word_hat, k)
+    chain = w.copy()
+    chain[:, -1] += sched.centerline(heights, w[:, 0])
     sched_a = ParameterSchedule(n=n, beta=beta, kind="A")
     target = cell_center(sched_a, word)
     if variant == "T1":
@@ -218,32 +218,13 @@ def continuum_witness(word, k: int, variant: str = "T1", n: int = 3,
         images = stage.forward_many(chain)
     else:
         # domain-side continuum: pull the chain back through (L o g)^{-1},
-        # the last two factors of W; w_k images equal g^{-1} L^{-1}
-        # (stretch-inverse of the chain), and the stretch inverse is
-        # applied in chart form because the deep squeezed tubes are
-        # narrower than float resolution
+        # the last two factors of W; the w_k images are g^{-1} L^{-1} of
+        # the chain's image under W's own h~^{-1}, walked on the chart rows
+        # of the chain, since the deep stretch tubes are thinner than an
+        # ulp of the cube coordinates the stage would descend from
         pull_back = stage.chain[-2:]
         polyline = _fold(pull_back, chain)[0]
-        pulled = _stretch_inverse_on_chain(stage.schedule, word_hat, k, chain)
+        pulled = stage.chain[2][0]._walk_chart(J, heights, w, inverse=True)[0]
+        pulled[:, -1] += sched.centerline(heights, pulled[:, 0])
         images = _fold(pull_back, pulled)[0]
     return ContinuumWitness(variant, k, word, target, polyline, images)
-
-
-def _stretch_inverse_on_chain(sched: TentacleSchedule, word_hat, k: int,
-                              chain: np.ndarray) -> np.ndarray:
-    """Stretch-stage inverse restricted to the level-k tentacle centerline.
-
-    On the centerline the transverse radius is 0, so the modulation sits
-    at its clamp value and the axial pullback is a fixed monotone PL map;
-    evaluating it directly, on every chain point at once, avoids
-    membership tests on tubes that are thinner than one ulp."""
-    lv = sched.level(k)
-    heights = [w[-1] for w in word_hat]
-    out = chain.copy()
-    rows = np.flatnonzero(chain[:, 0] >= lv.r_hat)
-    ts, ss = lv.knots(np.full(len(rows), lv.e_range))
-    t_back = _pl_rows(np.minimum(chain[rows, 0], ss[:, -1]), ss, ts)
-    out[rows] = 0.0
-    out[rows, 0] = t_back
-    out[rows, -1] = sched.center_height(heights) + _shear_rows(sched, heights, t_back)
-    return out

@@ -21,10 +21,15 @@ Each kernel works on rows and has one flavor: ``_modulation_rows`` (the
 modulation and its slope at every transverse radius), ``_pl_rows`` (the
 axial profile and its inverse, through the rows of
 ``TentacleLevel.knots``) and ``_shear_rows`` (the shear and its slope).
-A stage map has one body, ``_TentacleStage._walk_rows``: one descent and
-the knot table of each level give the images and, when asked, the
-Jacobians, of the stage or of its inverse; every evaluation method of a
-stage is a call of it.
+A stage map runs in three steps, each with one owner.
+``_TentacleStage._descend_rows`` takes cube rows to their level, slot
+heights and chart rows; ``_TentacleStage._walk_chart`` maps chart rows
+through the knot table of their level, to the chart images and, when
+asked, the cube Jacobians, of the stage or of its inverse; and
+``TentacleSchedule.centerline`` puts a chart row back in the cube.  Every
+evaluation method of a stage is a call of ``_TentacleStage._walk_rows``,
+which runs the three; a caller that holds chart rows, as a continuum
+witness does on tubes thinner than an ulp, walks the chart directly.
 """
 
 from __future__ import annotations
@@ -159,6 +164,13 @@ class TentacleSchedule:
         """Last coordinate z_n of the center of the tentacle whose tower
         address has the slot heights ``heights`` (one per level)."""
         return sum(self.level(j + 1).r_hat_prev * h for j, h in enumerate(heights))
+
+    def centerline(self, heights, t: np.ndarray) -> np.ndarray:
+        """Last coordinate of the twisted centerline of the tentacle with
+        the slot heights ``heights`` (as for ``_shear_rows``) at every axial
+        coordinate of t: the center height plus the shear.  A chart row w
+        is the cube point w + (0, ..., 0, centerline(heights, w_1))."""
+        return self.center_height(heights) + _shear_rows(self, heights, t)
 
     @property
     def geometric(self) -> bool:
@@ -486,26 +498,25 @@ class _TentacleStage(BatchMap):
         self.n = sched.n
         self._slots = np.array([s[-1] for s in tower_slots(sched.n)])
 
-    # -- evaluation: one body, on (N, n) arrays, for both directions and
-    # for images and Jacobians; rows leave the descent as they stop, and
-    # it ends when none is left
+    # -- evaluation, on (N, n) arrays, for both directions and for images
+    # and Jacobians: the descent to the chart rows (rows leave it as they
+    # stop), the walk of the chart and the way back along the centerline
 
     def _tube_end(self, lv: TentacleLevel, squeezed: bool) -> float:
         return lv.c_sq if squeezed else lv.c
 
     def _descend_rows(self, x: np.ndarray, squeezed: bool):
-        """Find the deepest level J and chart data for every row of x.
+        """Find the deepest level J and the chart row of every row of x.
 
-        Returns (J, heights, z_n, w), J and z_n one value per row, heights
-        the address height letters as a (stage, N) array (0 from level J
-        on), z_n the tentacle center height, and w the chart points (shift
-        removed, center subtracted); J = 0, and w the row of x, when the
-        row is outside every level-1 tentacle.
+        Returns (J, heights, w), J one value per row, heights the address
+        height letters as a (stage, N) array (0 from level J on), and w the
+        chart rows (shift removed, center subtracted: the row of x is w +
+        (0, ..., 0, ``sched.centerline(heights, w_1)``)); J = 0, and w the
+        row of x, when the row is outside every level-1 tentacle.
         """
         npts, n = x.shape
         found = np.zeros(npts, dtype=np.intp)
         heights = np.zeros((self.stage, npts))
-        z_n = np.zeros(npts)
         w = x.copy()  # the last column is q_n, updated as rows go deeper
         t_all, q_all = x[:, 0], w[:, n - 1]
         rows = np.arange(npts)
@@ -540,33 +551,31 @@ class _TentacleStage(BatchMap):
             if count < len(rows):
                 rows, s_hat, w_n = rows.compress(deeper), s_hat.compress(deeper), w_n.compress(deeper)
             heights[j - 1, rows] = s_hat
-            z_n[rows] += lv.r_hat_prev * s_hat
             q_all[rows] = w_n
             found[rows] = j
-        return found, heights, z_n, w
+        return found, heights, w
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
-                   images: bool = True):
-        """The stage map, or its inverse, on every row of ``points``:
-        (images, (N, n, n) Jacobians of the map walked, off the interface
-        surfaces), the images None unless ``images``.  An image maps the
-        axial coordinate in the straight chart and puts the shear back at
-        the new axial value.  A Jacobian conjugates the straight-chart one,
-        taken at the forward map's side of the chart (at the preimage when
-        inverting, where it is inverted), by the shear slopes at the axial
-        coordinates going in and coming out.  The knots of every row are
-        ordered (``__init__`` checks each level's table); with images, the
-        first row outside its knots raises its DomainError."""
-        x = np.array(points, dtype=float)
-        count, n = x.shape
-        J, heights, z_n, w = self._descend_rows(
-            x, squeezed=self.forward_from_squeezed != inverse)
+    def _walk_chart(self, J: np.ndarray, heights: np.ndarray, w: np.ndarray,
+                    inverse: bool = False, jacobian: bool = False, images: bool = True):
+        """The level maps, or their inverses, on the chart rows w of the
+        levels J and slot heights ``heights`` that ``_descend_rows`` gives:
+        (chart images, (N, n, n) Jacobians of the map walked in the cube,
+        off the interface surfaces), the images None unless ``images``.  A
+        row of level J >= 1 whose axial coordinate is at least r_J maps it
+        through the knots of its level; the other rows are fixed.  A
+        Jacobian conjugates the straight-chart one, taken at the forward
+        map's side of the chart (at the preimage when inverting, where it
+        is inverted), by the shear slopes at the axial coordinates going in
+        and coming out.  The knots of every row are ordered (``__init__``
+        checks each level's table); with images, the first row outside its
+        knots raises its DomainError."""
+        count, n = w.shape
+        # x becomes the images; w keeps the axial coordinate of the points
+        x = w.copy()
         d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
         rows = J.nonzero()[0]
         if not len(rows):
             return x if images else None, d
-        # x becomes the images; w keeps the axial coordinate of the points
-        x[rows] = w[rows]
         outside = np.zeros(count, dtype=bool)
         for j in range(1, J.max() + 1):
             lv = self.sched.level(j)
@@ -598,7 +607,21 @@ class _TentacleStage(BatchMap):
         if not images:
             return None, d
         _raise_first_outside(outside)
-        x[rows, -1] += z_n[rows] + _shear_rows(self.sched, heights[:, rows], x[rows, 0])
+        return x, d
+
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   images: bool = True):
+        """The stage map, or its inverse, on every row of ``points``:
+        (images, (N, n, n) Jacobians of the map walked), the images None
+        unless ``images``.  The rows descend to their chart rows, the chart
+        walks (``_walk_chart``), and an image goes back to the cube on the
+        centerline at its new axial coordinate."""
+        x = np.asarray(points, dtype=float)
+        J, heights, w = self._descend_rows(x, squeezed=self.forward_from_squeezed != inverse)
+        x, d = self._walk_chart(J, heights, w, inverse, jacobian, images)
+        rows = J.nonzero()[0]
+        if images and len(rows):  # a row in no tentacle stays, and costs no shear
+            x[rows, -1] += self.sched.centerline(heights[:, rows], x[rows, 0])
         return x, d
 
     def derivative_many(self, points: np.ndarray) -> np.ndarray:

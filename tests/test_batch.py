@@ -438,6 +438,17 @@ class TestBatchErrors:
             assert bit_equal(got[0], fwd) and np.array_equal(got[1], jac)
 
 
+# points of the stage-4 tentacle stages, as (class, level, slot height,
+# axial coordinate, offset on the last axis), where the tube is thinner
+# than, or the modulation annulus as thin as, the resolution of the cube
+# coordinates
+FLOAT_RESOLUTION_CASES = [
+    (StretchStage, 2, -0.125, 3 * ST.level(2).r_hat, ST.level(2).b),
+    (StretchStage, 3, 0.875, ST.level(3).a_sq, 0.0),
+    (SqueezeStage, 4, -0.125, 0.5 * (SQ.level(4).r_hat + SQ.level(4).c), SQ.level(4).b),
+]
+
+
 class TestRoundtripsAtStageFour:
     """The stage-4 tower and tentacle maps invert their batches at frame
     radii t = r_k, r'_k and at tube interfaces."""
@@ -471,11 +482,7 @@ class TestRoundtripsAtStageFour:
         assert np.max(np.abs(h.inverse_many(h.forward_many(x)) - x), initial=0.0) < 1e-5
 
     @pytest.mark.xfail(strict=True, reason="the stage maps do not invert to 1e-6 there")
-    @pytest.mark.parametrize("cls,level,height,t,perp", [
-        (StretchStage, 2, -0.125, 3 * ST.level(2).r_hat, ST.level(2).b),
-        (StretchStage, 3, 0.875, ST.level(3).a_sq, 0.0),
-        (SqueezeStage, 4, -0.125, 0.5 * (SQ.level(4).r_hat + SQ.level(4).c), SQ.level(4).b),
-    ])
+    @pytest.mark.parametrize("cls,level,height,t,perp", FLOAT_RESOLUTION_CASES)
     def test_tentacle_stages_fail_at_the_float_resolution(self, cls, level, height, t, perp):
         # the last coordinate's offset from the center height is read to
         # about 1e-16, which moves the modulation e by up to 1e-16 / (rho
@@ -485,6 +492,18 @@ class TestRoundtripsAtStageFour:
         h = TENTACLES[(cls, 4)]
         x = chart_point(h.sched, [height] * level, (t, 0.0, perp))[None, :]
         assert np.max(np.abs(h.inverse_many(h.forward_many(x)) - x)) < 1e-6
+
+    @pytest.mark.parametrize("cls,level,height,t,perp", FLOAT_RESOLUTION_CASES)
+    def test_tentacle_stages_invert_in_the_chart(self, cls, level, height, t, perp):
+        # the same points as chart rows: the chart walk reads the offset
+        # from the centerline exactly, so it inverts where the stage, which
+        # descends from the cube point, does not
+        h = TENTACLES[(cls, 4)]
+        J, w = np.array([level]), np.array([[t, 0.0, perp]])
+        heights = np.zeros((4, 1))
+        heights[:level] = height
+        image = h._walk_chart(J, heights, w)[0]
+        assert np.max(np.abs(h._walk_chart(J, heights, image, inverse=True)[0] - w)) < 1e-6
 
 
 class _Pointwise:

@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from contextlib import ExitStack
 from functools import lru_cache
@@ -20,6 +21,8 @@ from homlim.analysis import (
 from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import (
     AxisCollapse,
+    _fold,
+    _tentacle_chain,
     build_stage,
     continuum_witness,
 )
@@ -38,7 +41,7 @@ from homlim.tentacles import (
     _TentacleStage,
     solve_parameters,
 )
-from homlim.tower import TowerMapping
+from homlim.tower import TowerMapping, slot_correspondence
 
 
 class TestCompositions:
@@ -285,6 +288,30 @@ class TestWitness:
     def test_word_length_must_match_stage(self):
         with pytest.raises(ValueError):
             continuum_witness([(1, 1, 1)], 2, "T1")
+
+    def test_chart_inverse_is_the_stage_inverse_where_the_tube_resolves(self):
+        # W's h~^{-1} walked on the chart rows of each witness chain and
+        # placed on the centerline, against the stage's ordinary inverse of
+        # the chain: bit for bit at k = 1, so that the k = 1 witness images
+        # are g^{-1} L^{-1} of the ordinary inverse, and to the last bits
+        # at k = 2; at k = 3 the ordinary inverse misses the level-3 tube,
+        # which is thinner than an ulp (the float-resolution xfails)
+        for k in (1, 2):
+            stage = build_stage("W", k)
+            sched, h = stage.schedule, stage.chain[2][0]
+            for word in itertools.product(cube_vertices(3), repeat=k):
+                J, heights, w = _tentacle_chain(sched, [slot_correspondence(v) for v in word], k)
+                chain = w.copy()
+                chain[:, -1] += sched.centerline(heights, w[:, 0])
+                pulled = h._walk_chart(J, heights, w, inverse=True)[0]
+                pulled[:, -1] += sched.centerline(heights, pulled[:, 0])
+                inverse = h.inverse_many(chain)
+                if k == 2:
+                    assert np.max(np.abs(pulled - inverse)) <= 1e-15, word
+                    continue
+                assert np.array_equal(pulled, inverse), word
+                images = continuum_witness(list(word), 1, "T2").images
+                assert np.array_equal(images, _fold(stage.chain[-2:], inverse)[0]), word
 
 
 class TestAxisCollapse:

@@ -139,6 +139,17 @@ MUTANTS = (
            "th = np.arctan2(*(verts[segments[:, 0]] + verts[segments[:, 1]]).T[::-1])",
            "tests/test_degree.py::TestMesh::test_circle_points_lie_at_their_angles",
            "added circle points at the angles of the chord midpoints"),
+    Mutant("src/homlim/tentacles.py",
+           "x[rows, -1] += self.sched.centerline(heights[:, rows], x[rows, 0])",
+           "x[rows, -1] += self.sched.centerline(heights[:, rows], w[rows, 0])",
+           "tests/test_batch.py::TestFactorsBatchedEqualPointwise::test_tentacle_stages",
+           "a stage image placed on the centerline at the pre-walk axial coordinate"),
+    Mutant("src/homlim/composite.py",
+           "return np.full(len(w), k), heights, w",
+           "return np.full(len(w), k - 1), heights, w",
+           "tests/test_composite.py::TestWitness::"
+           "test_chart_inverse_is_the_stage_inverse_where_the_tube_resolves",
+           "the witness chain walked as level-(k-1) chart rows"),
 )
 
 

@@ -1,8 +1,9 @@
 """Hot numeric kernels, vectorized with numpy.
 
 The loops that dominate runtime: batched evaluation of the nested-cube
-homeomorphism, signed ray-crossing counts over a bucket grid of the
-facets of a closed loop or triangle mesh, and point-to-facet distances.
+homeomorphism and its Jacobians, signed ray-crossing counts over a
+bucket grid of the facets of a closed loop or triangle mesh, and
+point-to-facet distances.
 """
 
 from __future__ import annotations
@@ -23,18 +24,18 @@ from .geometry import descend_set
 # offset t in [r_i, r'_i]) maps radially with the affine profile
 # lambda(r_i) = rt_i, lambda(r'_i) = rt'_i; a point still inside the inner
 # cube at the stage depth maps linearly with ratio rt_k / r_k.  Passing the
-# swapped radius arrays evaluates the exact inverse.
+# swapped radius arrays evaluates the exact inverse.  The images and the
+# Jacobians come from one descent.
 # ---------------------------------------------------------------------------
 
 
-def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, out):
-    return cantor_map_descended(points, descend_set(points, rs, stage),
-                                rs, rs_out, rt, rt_out, stage, out)
-
-
-def cantor_map_descended(points, descent, rs, rs_out, rt, rt_out, stage, out):
-    """``cantor_map_points`` from the ``descend_set`` of the points."""
-    level, letters, zs, t = descent
+def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, jacobian=False):
+    """``(images, (N, n, n) Jacobians or None unless jacobian)`` of the
+    nested-cube map on the (N, n) ``points``.  A frame row x = z + xi with
+    t = |xi|_inf has the Jacobian (lambda / t) I plus ((lambda' - lambda /
+    t) / t) xi sign(xi_m) added to column m, the first coordinate where
+    |xi| is largest; an inner-cube row has (rt_k / r_k) I."""
+    level, letters, zs, t = descend_set(points, rs, stage)
     zt = 0.5 * rt[0] * letters[0]
     for lev in range(2, stage + 1):
         zt = zt + 0.5 * rt[lev - 1] * letters[lev - 1]
@@ -44,8 +45,25 @@ def cantor_map_descended(points, descent, rs, rs_out, rt, rt_out, stage, out):
         lv, tf = level[frame], t[frame]
         lam = rt[lv] + (tf - rs[lv]) * (rt_out[lv] - rt[lv]) / (rs_out[lv] - rs[lv])
         scale[frame] = np.where(tf == rs_out[lv], rt_out[lv], lam) / tf
-    out[:] = zt + scale[:, None] * (points - zs)
-    return out
+    images = zt + scale[:, None] * (points - zs)
+    if not jacobian:
+        return images, None
+    count, n = points.shape
+    d = np.empty((count, n, n))
+    d[:] = (rt[stage] / rs[stage]) * np.eye(n)
+    rows = np.flatnonzero(level)
+    lev, t = level[rows], t[rows]
+    xi = points[rows] - zs[rows]
+    # lambda again, from its slope: (t - r)(rt' - rt) / (r' - r) above
+    # rounds otherwise
+    lam_slope = (rt_out[lev] - rt[lev]) / (rs_out[lev] - rs[lev])
+    lam = rt[lev] + (t - rs[lev]) * lam_slope
+    idx, mx = np.arange(len(rows)), np.argmax(np.abs(xi), axis=1)
+    sub = (lam / t)[:, None, None] * np.eye(n)
+    coef = ((lam_slope - lam / t) / t)[:, None]
+    sub[idx, :, mx] += coef * (xi * np.sign(xi[idx, mx])[:, None])
+    d[rows] = sub
+    return images, d
 
 
 # ---------------------------------------------------------------------------

@@ -445,7 +445,9 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     determinant is unavailable where ``derivative`` raises DomainError
     (FL has no analytic Jacobian) or LinAlgError (``map_like`` may be any
     object with a ``derivative``; the stage maps raise none); any other
-    error propagates.
+    error propagates.  With neither ``step`` nor ``config.fd_step`` the
+    step is min(1e-6, 1e-3 2^(-k(beta+1))), raised to the ``fd_step``
+    floor 2^-40, below which central differences are rounding noise.
     """
     rng = make_rng(config.seed)
     lo, hi = -np.ones(n), np.ones(n)
@@ -453,7 +455,7 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     if h is None:
         k = getattr(map_like, "k", None) or getattr(map_like, "stage", 1)
         beta = getattr(map_like, "beta", 4.0)
-        h = min(1e-6, 1e-3 * 2.0 ** (-(k) * (beta + 1)))
+        h = max(min(1e-6, 1e-3 * 2.0 ** (-(k) * (beta + 1))), QUADRATURE_FIELDS["fd_step"].lo)
     rows = forward_rows(map_like)
     deriv = getattr(map_like, "derivative", None)
     margin = 10 * h

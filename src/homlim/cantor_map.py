@@ -6,7 +6,9 @@ lambda is affine with lambda(r_i) = r~_i and lambda(r'_i) = r~'_i.  On a
 level-k inner cube it is the linear scaling by r~_k / r_k.  Because
 r'_i = r_{i-1}/2 and r~'_i = r~_{i-1}/2 the frame maps agree with the
 enclosing linear map on both boundaries, so no glue region is needed and
-the piecewise inverse is exact.
+the piecewise inverse is exact.  Every evaluation, images and Jacobians
+of the map or of its inverse, is one call of the batched kernel
+``_kernels.cantor_map_points``, which descends the address tree once.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from . import _kernels
 from ._maps import BatchMap
 from .errors import DomainError
-from .geometry import ParameterSchedule, descend_set
+from .geometry import ParameterSchedule
 
 __all__ = ["CantorHomeomorphism"]
 
@@ -51,35 +53,15 @@ class CantorHomeomorphism(BatchMap):
     def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
         """The map, or with ``inverse`` its inverse (the same kernel with the
         radius arrays swapped), on every row of ``points``: (images, (N, n, n)
-        Jacobians or None), from one descent.  A Jacobian is undefined on the
-        sup-norm edge set (non-unique max coordinate), where the first max
-        index is used; Jacobians need every row in [-1, 1]^n."""
+        Jacobians or None), from one kernel call.  A Jacobian is undefined on
+        the sup-norm edge set (non-unique max coordinate), where the first
+        max index is used; Jacobians need every row in [-1, 1]^n."""
         x = np.ascontiguousarray(points, dtype=float)
         radii = (self._rs, self._rs_out, self._rt, self._rt_out)
         rs, rs_out, rt, rt_out = radii[2:] + radii[:2] if inverse else radii
-        if not jacobian:
-            return _kernels.cantor_map_points(x, rs, rs_out, rt, rt_out, self.stage,
-                                              np.empty_like(x)), None
-        if x.size and np.abs(x).max() > 1.0:
+        if jacobian and x.size and np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        count, n = x.shape
-        descent = descend_set(x, rs, self.stage)
-        images = _kernels.cantor_map_descended(x, descent, rs, rs_out, rt, rt_out, self.stage,
-                                               np.empty_like(x))
-        level, _, zs, ts = descent
-        d = np.empty((count, n, n))
-        d[:] = (rt[self.stage] / rs[self.stage]) * np.eye(n)
-        rows = np.flatnonzero(level)
-        lev, t = level[rows], ts[rows]
-        xi = x[rows] - zs[rows]
-        lam_slope = (rt_out[lev] - rt[lev]) / (rs_out[lev] - rs[lev])
-        lam = rt[lev] + (t - rs[lev]) * lam_slope
-        idx, mx = np.arange(len(rows)), np.argmax(np.abs(xi), axis=1)
-        sub = (lam / t)[:, None, None] * np.eye(n)
-        coef = ((lam_slope - lam / t) / t)[:, None]
-        sub[idx, :, mx] += coef * (xi * np.sign(xi[idx, mx])[:, None])
-        d[rows] = sub
-        return images, d
+        return _kernels.cantor_map_points(x, rs, rs_out, rt, rt_out, self.stage, jacobian)
 
     def derivative_bound(self, level: int) -> float:
         """Sharp sup of the radial-map stretch on the level-i frame:

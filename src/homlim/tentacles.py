@@ -556,26 +556,26 @@ class _TentacleStage(BatchMap):
         return found, heights, w
 
     def _walk_chart(self, J: np.ndarray, heights: np.ndarray, w: np.ndarray,
-                    inverse: bool = False, jacobian: bool = False, images: bool = True):
+                    inverse: bool = False, jacobian: bool = False):
         """The level maps, or their inverses, on the chart rows w of the
         levels J and slot heights ``heights`` that ``_descend_rows`` gives:
         (chart images, (N, n, n) Jacobians of the map walked in the cube,
-        off the interface surfaces), the images None unless ``images``.  A
-        row of level J >= 1 whose axial coordinate is at least r_J maps it
-        through the knots of its level; the other rows are fixed.  A
-        Jacobian conjugates the straight-chart one, taken at the forward
-        map's side of the chart (at the preimage when inverting, where it
-        is inverted), by the shear slopes at the axial coordinates going in
-        and coming out.  The knots of every row are ordered (``__init__``
-        checks each level's table); with images, the first row outside its
-        knots raises its DomainError."""
+        off the interface surfaces, or None unless ``jacobian``).  A row of
+        level J >= 1 whose axial coordinate is at least r_J maps it through
+        the knots of its level; the other rows are fixed.  A Jacobian
+        conjugates the straight-chart one, taken at the forward map's side
+        of the chart (at the preimage when inverting, where it is
+        inverted), by the shear slopes at the axial coordinates going in and
+        coming out.  The knots of every row are ordered (``__init__`` checks
+        each level's table); the first row outside its knots raises its
+        DomainError, Jacobians or not."""
         count, n = w.shape
         # x becomes the images; w keeps the axial coordinate of the points
         x = w.copy()
         d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
         rows = J.nonzero()[0]
         if not len(rows):
-            return x if images else None, d
+            return x, d
         outside = np.zeros(count, dtype=bool)
         for j in range(1, J.max() + 1):
             lv = self.sched.level(j)
@@ -604,30 +604,22 @@ class _TentacleStage(BatchMap):
                 a[:, n - 1, 0] = _shear_rows(self.sched, heights[:j, axial], eta, slope=True)
                 c[:, n - 1, 0] = -_shear_rows(self.sched, heights[:j, axial], v, slope=True)
                 d[axial] = np.matmul(np.matmul(a, b), c)
-        if not images:
-            return None, d
         _raise_first_outside(outside)
         return x, d
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
-                   images: bool = True):
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
         """The stage map, or its inverse, on every row of ``points``:
-        (images, (N, n, n) Jacobians of the map walked), the images None
-        unless ``images``.  The rows descend to their chart rows, the chart
+        (images, (N, n, n) Jacobians of the map walked, or None unless
+        ``jacobian``).  The rows descend to their chart rows, the chart
         walks (``_walk_chart``), and an image goes back to the cube on the
         centerline at its new axial coordinate."""
         x = np.asarray(points, dtype=float)
         J, heights, w = self._descend_rows(x, squeezed=self.forward_from_squeezed != inverse)
-        x, d = self._walk_chart(J, heights, w, inverse, jacobian, images)
+        x, d = self._walk_chart(J, heights, w, inverse, jacobian)
         rows = J.nonzero()[0]
-        if images and len(rows):  # a row in no tentacle stays, and costs no shear
+        if len(rows):  # a row in no tentacle stays, and costs no shear
             x[rows, -1] += self.sched.centerline(heights[:, rows], x[rows, 0])
         return x, d
-
-    def derivative_many(self, points: np.ndarray) -> np.ndarray:
-        """Analytic Jacobians of the forward map (off interface surfaces) at
-        every row of ``points``, an (N, n, n) array."""
-        return self._walk_rows(points, jacobian=True, images=False)[1]
 
 
 class SqueezeStage(_TentacleStage):

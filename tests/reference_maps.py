@@ -20,7 +20,9 @@ factors one node at a time, with the shear of this file.
 The Cantor map and the axis collapse have no body here: their pointwise
 calls are one-row batches, checked against ``tests/test_descent.py``'s
 reference walks and the closed forms there; the reference inverse of a
-Cantor map is the Cantor map with the two schedules swapped.
+Cantor map is the Cantor map with the two schedules swapped.  The Cantor
+map's Jacobian, and its inverse's, is a closed form here
+(``cantor_derivative``), at the cell of the point's one-row descent.
 
 The degree probes' sphere mesh has its loop version here too: the
 octahedron subdivided through a midpoint dictionary.  So do the oracles of
@@ -49,7 +51,7 @@ from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import AxisCollapse
 from homlim.degree import GAP_ROUNDING, MIN_DISTANCE, RAY_SLOPES, DegreeReport
 from homlim.errors import DomainError, IndeterminateDegreeError
-from homlim.geometry import tower_slots
+from homlim.geometry import descend_set, tower_slots
 from homlim.tower import TowerMapping, relocation_moves
 
 # ---------------------------------------------------------------------------
@@ -529,19 +531,49 @@ def derivative(f, point):
         return tower_derivative(f, point)
     if isinstance(f, tentacles._TentacleStage):
         return tentacle_derivative(f, point)
-    assert isinstance(f, (CantorHomeomorphism, AxisCollapse))
+    if isinstance(f, CantorHomeomorphism):
+        return cantor_derivative(f, point)
+    assert isinstance(f, AxisCollapse)
     return f.derivative(point)
 
 
 def inverse_derivative(f, point):
-    """The Jacobian of f^{-1} at one point; for a Cantor map, the forward
-    Jacobian of the Cantor map with the two schedules swapped."""
+    """The Jacobian of f^{-1} at one point."""
     if isinstance(f, TowerMapping):
         return tower_inverse_derivative(f, point)
     if isinstance(f, tentacles._TentacleStage):
         return tentacle_inverse_derivative(f, point)
     assert isinstance(f, CantorHomeomorphism)
-    return _swapped(f).derivative(point)
+    return cantor_derivative(f, point, inverse=True)
+
+
+def cantor_derivative(g, point, inverse=False):
+    """The Jacobian of the Cantor map g, or with ``inverse`` of g^{-1} (the
+    map with the two schedules swapped), at one point of [-1,1]^n.  The
+    point's one-row descent gives its cell: on the level-i frame, x = z +
+    xi with t = |xi|_inf, lambda the affine profile from (r_i, r~_i) to
+    (r'_i, r~'_i) and lambda' its slope, the Jacobian is (lambda / t) I
+    plus ((lambda' - lambda / t) / t) xi sign(xi_m) added to column m, the
+    first coordinate where |xi| is largest; on the level-k inner cube it is
+    (r~_k / r_k) I."""
+    x = np.asarray(point, dtype=float)
+    if np.max(np.abs(x)) > 1.0:
+        raise DomainError("point outside [-1,1]^n")
+    src, dst = (g.dst, g.src) if inverse else (g.src, g.dst)
+    k, n = g.stage, len(x)
+    rs, rs_out = src.radii(k)
+    rt, rt_out = dst.radii(k)
+    level, _, z, sup = descend_set(x[None, :], rs, k)
+    i = int(level[0])
+    if not i:
+        return (rt[k] / rs[k]) * np.eye(n)
+    xi, t = x - z[0], sup[0]
+    slope = (rt_out[i] - rt[i]) / (rs_out[i] - rs[i])
+    lam = rt[i] + (t - rs[i]) * slope
+    m = max(range(n), key=lambda c: abs(xi[c]))  # the first of equal maxima
+    d = (lam / t) * np.eye(n)
+    d[:, m] += ((slope - lam / t) / t) * (xi * math.copysign(1.0, xi[m]))
+    return d
 
 
 @lru_cache(maxsize=None)

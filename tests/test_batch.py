@@ -23,7 +23,7 @@ from homlim.cantor_map import CantorHomeomorphism
 from homlim.composite import VARIANTS, AxisCollapse, build_stage
 from homlim.degree import DegreeReport, SphereProbe, degree, inv_check, nesting_probe
 from homlim.errors import DomainError
-from homlim.geometry import cube_vertices, tower_slots
+from homlim.geometry import cell_center, cube_vertices, tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
@@ -180,22 +180,52 @@ class TestCompositesBatchedEqualPointwise:
 
 CANTOR = {(k, inverse): CantorHomeomorphism(*((B, A) if inverse else (A, B)), k)
           for k in range(1, 5) for inverse in (False, True)}
+# directions whose largest |coordinate| ties: (1, 1, 0) and (1, 1, 1), with
+# every order and sign
+TIES = np.unique([np.multiply(signs, u) for u in ((1, 1, 0), (0, 1, 1), (1, 0, 1), (1, 1, 1))
+                  for signs in cube_vertices(3)], axis=0).astype(float)
+
+
+def frame_points(sched, k, rng, words=3):
+    """Points of the level-j cells of ``words`` sampled level-k words of
+    ``sched``, j = 1, ..., k: at sup-norm offsets t = r_j, r'_j and midway
+    from the cell center, along the directions ``TIES``."""
+    letters = np.array(cube_vertices(3))
+    pts = []
+    for _ in range(words):
+        word = [tuple(v) for v in letters[rng.integers(0, len(letters), k)]]
+        for j in range(1, k + 1):
+            z, r, r_out = cell_center(sched, word[:j]), sched.r(j), sched.r_outer(j)
+            for t in (r, r_out, 0.5 * (r + r_out)):
+                pts.append(z + t * TIES)
+    return np.vstack(pts)
 
 
 class TestDerivativeMany:
     """``derivative_many`` against the reference row by row (the Cantor
-    maps, which have no reference body, against their closed form in
-    ``tests/test_descent.py`` and here against ``derivative``).  Jacobians
-    are compared with ``np.array_equal``, blind to signs of zeros: the
-    reference's ``np.eye(n) @ d`` turns -0.0 into +0.0, and the batches
-    skip such identity factors."""
+    maps against the closed form ``reference_maps.cantor_derivative``).
+    Jacobians are compared with ``np.array_equal``, blind to signs of
+    zeros: the reference's ``np.eye(n) @ d`` turns -0.0 into +0.0, and the
+    batches skip such identity factors."""
 
     @given(st.integers(1, 4), st.booleans(), *ANY_POINTS)
     @settings(max_examples=60, deadline=None)
     def test_cantor_maps(self, k, inverse, a_pts, b_pts, tower_pts):
         g = CANTOR[(k, inverse)]
-        check_rows(g.derivative_many, g.derivative, a_pts + b_pts + tower_pts + [np.zeros(3)],
+        check_rows(g.derivative_many, lambda x: ref.derivative(g, x),
+                   a_pts + b_pts + tower_pts + [np.zeros(3)], equal=np.array_equal)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_cantor_maps_at_frame_radii_and_ties(self, k, inverse):
+        # the Jacobian's column m is the first coordinate of largest |xi|
+        g = CANTOR[(k, inverse)]
+        rng = np.random.default_rng(k)
+        pts = np.vstack([frame_points(A, k, rng), frame_points(B, k, rng)])
+        check_rows(g.derivative_many, lambda x: ref.cantor_derivative(g, x), pts,
                    equal=np.array_equal)
+        check_rows(inverse_jacobians(g), lambda x: ref.cantor_derivative(g, x, inverse=True),
+                   pts, equal=np.array_equal)
 
     @given(st.integers(1, 4), st.lists(tower_points(), min_size=1, max_size=6),
            st.lists(set_points(B), max_size=6))
@@ -425,15 +455,19 @@ class TestBatchErrors:
         got = [outcome(lambda x: ref.tentacle_forward(h, x), p) for p in pts]
         assert [g if isinstance(g, type) else None for g in got] == wants
         check_rows(h.forward_many, lambda x: ref.tentacle_forward(h, x), pts)
-        # the derivative has no range check
-        check_rows(h.derivative_many, lambda x: ref.tentacle_derivative(h, x), pts,
-                   equal=np.array_equal)
-        # the joint walk raises what forward_many raises
+
+        def derivative(x):
+            ref.tentacle_forward(h, x)  # a row raises what its image raises
+            return ref.tentacle_derivative(h, x)
+
+        # derivative_many raises what forward_many raises, and so does the
+        # joint walk
+        check_rows(h.derivative_many, derivative, pts, equal=np.array_equal)
         pts = np.array(pts)
-        jac, fwd = h.derivative_many(pts), outcome(h.forward_many, pts)
+        jac, fwd = outcome(h.derivative_many, pts), outcome(h.forward_many, pts)
         got = outcome(lambda p: h._walk_rows(p, jacobian=True), pts)
         if isinstance(fwd, type):
-            assert got is fwd
+            assert got is fwd and jac is fwd
         else:
             assert bit_equal(got[0], fwd) and np.array_equal(got[1], jac)
 

@@ -163,6 +163,15 @@ class TestCommands:
             math.log(float(row["log_inv_d"])) + float(row["e_range"])
         )
 
+    def test_verify_jacobian_at_a_deep_stage(self, tmp_path):
+        # at k = 8, beta = 4 the derived step 1e-3 2^-40 would fall below
+        # the fd_step floor 2^-40, where central differences are rounding
+        # noise: 20 of 2000 exceptions and exit 3 on a valid map
+        cfg = write_cfg(tmp_path, max_stage=8, seed=0)
+        assert cli.run("verify-jacobian", cfg) == cli.EXIT_OK
+        row = (tmp_path / "out" / "jacobian.csv").read_text().splitlines()[1].split(",")
+        assert row[2:] == ["0", "0"]
+
     def test_verify_boundary(self, tmp_path):
         cfg = write_cfg(tmp_path)
         assert cli.run("verify-boundary", cfg) == cli.EXIT_OK

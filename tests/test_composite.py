@@ -10,7 +10,7 @@ import reference_maps as ref
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from homlim import _kernels, cantor_map
+from homlim import _kernels
 from homlim.analysis import (
     QuadratureConfig,
     _sample_words,
@@ -226,7 +226,7 @@ class TestChainFold:
         stage = build_stage(variant, 2)
         pts = np.array([[0.3, -0.2, 0.5], [0.55, 0.09, 0.25], [0.0, 0.0, 0.0]])
         with ExitStack() as patches:
-            for owner, name in ((cantor_map, "descend_set"), (_kernels, "descend_set"),
+            for owner, name in ((_kernels, "descend_set"),
                                 (TowerMapping, "_walk_rows"), (_TentacleStage, "_descend_rows"),
                                 (CantorHomeomorphism, "forward_many"),
                                 (TowerMapping, "forward_many"), (_TentacleStage, "forward_many"),

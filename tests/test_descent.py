@@ -143,8 +143,7 @@ class TestCantorKernel:
         g = CantorHomeomorphism(src, dst, stage)
         rs, rs_out = src.radii(stage)
         rt, rt_out = dst.radii(stage)
-        out = np.empty_like(pts)
-        _kernels.cantor_map_points(pts, rs, rs_out, rt, rt_out, stage, out)
+        out = _kernels.cantor_map_points(pts, rs, rs_out, rt, rt_out, stage)[0]
         for x, y in zip(pts, out):
             frame, word, t = set_cell(src, x, stage)
             k = len(word)

@@ -150,6 +150,21 @@ MUTANTS = (
            "tests/test_composite.py::TestWitness::"
            "test_chart_inverse_is_the_stage_inverse_where_the_tube_resolves",
            "the witness chain walked as level-(k-1) chart rows"),
+    Mutant("src/homlim/_kernels.py",
+           "idx, mx = np.arange(len(rows)), np.argmax(np.abs(xi), axis=1)",
+           "idx, mx = np.arange(len(rows)), n - 1 - np.argmax(np.abs(xi)[:, ::-1], axis=1)",
+           "tests/test_batch.py::TestDerivativeMany::test_cantor_maps_at_frame_radii_and_ties",
+           "the Cantor Jacobian's radial column at the last tying coordinate"),
+    Mutant("src/homlim/_kernels.py",
+           "coef = ((lam_slope - lam / t) / t)[:, None]",
+           "coef = ((lam_slope + lam / t) / t)[:, None]",
+           "tests/test_batch.py::TestDerivativeMany::test_cantor_maps_at_frame_radii_and_ties",
+           "the Cantor Jacobian's radial term with lambda' + lambda / t"),
+    Mutant("src/homlim/tentacles.py",
+           "        _raise_first_outside(outside)\n",
+           "        if not jacobian:\n            _raise_first_outside(outside)\n",
+           "tests/test_batch.py::TestBatchErrors::test_tentacle_stage",
+           "a tentacle walk that takes Jacobians without its knot-range check"),
 )
 
 

@@ -253,7 +253,7 @@ def cmd_degree(cfg, out_dir):
             y = np.zeros(n)
             rep = degree_mod.degree(lambda x: np.asarray(x, float), probe, y)
             rows.append(("identity", 0, *center, radius, _np_list(y), rep.degree,
-                         rep.raw, rep.refinements))
+                         rep.degree, rep.refinements))
         else:
             for k in range(1, cfg["max_stage"] + 1):
                 stage = build_stage(cfg["variant"], k, n, cfg["beta"])
@@ -261,7 +261,7 @@ def cmd_degree(cfg, out_dir):
                      else stage.forward(np.asarray(center)))
                 rep = degree_mod.degree(stage, probe, y)
                 rows.append((cfg["variant"], k, *center, radius, _np_list(y),
-                             rep.degree, rep.raw, rep.refinements))
+                             rep.degree, rep.degree, rep.refinements))
     except IndeterminateDegreeError:
         return EXIT_INDETERMINATE
     coords = ",".join(f"c{i+1}" for i in range(len(center)))

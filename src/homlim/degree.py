@@ -70,6 +70,8 @@ class SphereProbe:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise ValueError("radius must be positive and finite")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center must be finite, got {self.center}")
         level = self.refinement
         if (not isinstance(level, numbers.Integral) or isinstance(level, bool)
                 or not 0 <= level <= MAX_REFINE):
@@ -80,7 +82,7 @@ class SphereProbe:
 
 @dataclass
 class DegreeReport:
-    """A certified degree: ``raw``, the crossing count at the certifying
+    """A certified degree: ``degree``, the crossing count at the certifying
     mesh level ``refinements``; ``distance``, from y to that level's image
     vertices; ``history``, (level, count, distance) per level read.
     ``rule`` names the test that certified it, ``"gap"`` or ``"streak"``.
@@ -89,7 +91,6 @@ class DegreeReport:
     surface over the tail; a streak has none of them."""
 
     degree: int
-    raw: float
     distance: float
     refinements: int
     history: list = field(default_factory=list)
@@ -513,7 +514,7 @@ def _certify(cache: _ImageCache, ys: np.ndarray, max_refine=MAX_REFINE) -> list:
 def _report(history, *certificate) -> DegreeReport:
     """The report of the count of a history's last level."""
     level, r, d = history[-1]
-    return DegreeReport(int(r), r, d, level, history, *certificate)
+    return DegreeReport(int(r), d, level, history, *certificate)
 
 
 def _cached_degree(cache: _ImageCache, y, max_refine=MAX_REFINE) -> DegreeReport:

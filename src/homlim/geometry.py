@@ -14,7 +14,9 @@ share the machinery:
 
 ``cell_center`` turns a word into its center; ``descend_set`` finds the
 setA/setB cells of a batch of points, and ``tower_step`` takes one step
-down the towerB tree.
+down the towerB tree.  The tower's radii (a kind 'B' schedule), its slot
+heights (``slot_array``) and its tile rule (``slot_tiles``) have their one
+owner here: the tentacles attached to the tower cells read them.
 """
 
 from __future__ import annotations
@@ -195,23 +197,32 @@ def descend_set(points: np.ndarray, radii, depth: int):
 
 
 @lru_cache(maxsize=None)
-def _slot_array(n: int) -> np.ndarray:
+def slot_array(n: int) -> np.ndarray:
+    """``tower_slots(n)`` as a (2^n, n) array; its last column holds the
+    slot heights."""
     return np.array(tower_slots(n))
+
+
+def slot_tiles(offsets: np.ndarray, half_width, n: int) -> np.ndarray:
+    """The slot tile of every last-coordinate offset from a cell center:
+    the index of the one of the 2^n equal tiles of [-half_width,
+    half_width) that holds it, clamped to the end tiles.  ``half_width``
+    is one float or one per offset.  The tower cells and the tentacles
+    stacked on them are binned by this one rule."""
+    tile = np.floor((offsets + half_width) / (half_width * (2.0 / 2**n)))
+    return np.minimum(np.maximum(tile, 0), 2**n - 1).astype(np.intp)
 
 
 def tower_step(points: np.ndarray, centers: np.ndarray, r_prev: float):
     """One towerB descent step of the rows of ``points`` from their cells
     (the rows of ``centers``, half-width r_prev).
 
-    The last coordinate is binned into the 2^n equal slot tiles of
-    [-r_prev, r_prev) around the center (clamped to the end tiles), and
-    the child center steps by r_prev vhat.  Returns (tiles, child centers).
+    The last coordinate is binned by ``slot_tiles`` and the child center
+    steps by r_prev vhat.  Returns (tiles, child centers).
     """
     n = points.shape[1]
-    offset = points[:, n - 1] - centers[:, n - 1] + r_prev
-    tile = np.minimum(np.maximum(np.floor(offset / (2.0 * r_prev / 2**n)), 0), 2**n - 1)
-    tile = tile.astype(np.intp)
-    return tile, centers + r_prev * _slot_array(n)[tile]
+    tile = slot_tiles(points[:, n - 1] - centers[:, n - 1], r_prev, n)
+    return tile, centers + r_prev * slot_array(n)[tile]
 
 
 def stage_measure(schedule: ParameterSchedule, k: int) -> float:

@@ -12,6 +12,12 @@ strict schedules they fall far below floating-point range and are kept
 in log-magnitude form, so geometric evaluation of the stage maps is a
 demo-schedule feature.
 
+The tower facts come from ``geometry``, their one owner: a level's radii
+are its base schedule's, its axial extents are summed from them level by
+level, and the descent bins sibling tentacles by the tower's tile rule
+and slot heights (``slot_tiles``, ``slot_array``), so a level's cube is
+the tower cell its tentacle hangs from.
+
 Each level has one knot table, solved with it: the axial knots ``ts``
 and the s-knots ``s0 + se e``, affine in the modulation e in [0, E].  Its
 order is checked once, at e = 0 and e = E, where a schedule is solved and
@@ -46,7 +52,7 @@ from .errors import (
     NotInitializedError,
     UnsupportedDimensionError,
 )
-from .geometry import ParameterSchedule, tower_slots
+from .geometry import ParameterSchedule, slot_array, slot_tiles
 
 __all__ = [
     "TentacleLevel",
@@ -178,38 +184,15 @@ class TentacleSchedule:
         return self.mode == "demo"
 
 
-def _r_hat(beta: float, k: int) -> float:
-    return 2.0 ** (-k * (beta + 1))
-
-
-def _axial_extents(beta: float, k: int) -> tuple[float, float]:
-    """(a_k, c_k): a_k = 1 - sum_{i=2}^{k+2} r_i, c_k = a_{k-1}."""
-    a = 1.0
-    for j in range(2, k + 3):
-        a -= _r_hat(beta, j)
-    c = 1.0
-    for j in range(2, k + 2):
-        c -= _r_hat(beta, j)
-    return a, c
-
-
-def _boundary_line(beta: float, k_line: int, family: str):
-    """The axial boundary line l_k (squeeze) or l~_k (stretch): identity
-    below r_k, then the chord through (r_k, r_k) and (a_k, a~_k) when
-    squeezing, (a~_k, a_k) when stretching; the identity at level 0."""
-    if k_line == 0:
-        return lambda t: t
-    r = _r_hat(beta, k_line)
-    a, _ = _axial_extents(beta, k_line)
-    lo, hi = (a, 2.0 * r) if family == SQUEEZE else (2.0 * r, a)
-    slope = (hi - r) / (lo - r)
-
-    def line(t: float) -> float:
-        if t <= r:
-            return t
-        return r + slope * (t - r)
-
-    return line
+def _boundary_line(lv: TentacleLevel | None, family: str, t: float) -> float:
+    """The axial boundary line l_k (squeeze) or l~_k (stretch) of the level
+    ``lv`` at t: identity below r_k, then the chord through (r_k, r_k) and
+    (a_k, a~_k) when squeezing, (a~_k, a_k) when stretching; the identity
+    when ``lv`` is None (level 0)."""
+    if lv is None or t <= lv.r_hat:
+        return t
+    lo, hi = (lv.a, lv.a_sq) if family == SQUEEZE else (lv.a_sq, lv.a)
+    return lv.r_hat + (hi - lv.r_hat) / (lo - lv.r_hat) * (t - lv.r_hat)
 
 
 def shift_bound(n: int, beta: float) -> float:
@@ -292,17 +275,19 @@ def solve_parameters(
     levels: list[TentacleLevel] = []
     prev: TentacleLevel | None = None
     for k in range(1, k_max + 1):
-        r = _r_hat(beta, k)
-        r_prev = _r_hat(beta, k - 1)
-        a, c = _axial_extents(beta, k)
+        # the tower radii r_k of the base schedule; the axial extents
+        # a_k = 1 - r_2 - ... - r_{k+2} and c_k = a_{k-1}, summed in order
+        r, r_prev = base.r(k), base.r(k - 1)
+        c = 1.0 - base.r(2) if prev is None else prev.a
+        a = c - base.r(k + 2)
         a_sq = 2.0 * r
         c_sq = c if k == 1 else 2.0 * r_prev  # level-1 overshoot clamp
 
-        line_prev = _boundary_line(beta, k - 1, family)
-        if family == SQUEEZE:
-            e_range = line_prev(a) - a_sq
-        else:
-            e_range = a - line_prev(a_sq)
+        # the domain tube ends (a, c when squeezing, the squeezed ends a~,
+        # c~ when stretching) on the previous level's boundary line
+        lo, hi = (a, c) if family == SQUEEZE else (a_sq, c_sq)
+        at_lo, at_hi = _boundary_line(prev, family, lo), _boundary_line(prev, family, hi)
+        e_range = at_lo - a_sq if family == SQUEEZE else a - at_lo
         if e_range <= 0:
             raise InfeasibleScheduleError(f"level {k}: non-positive modulation range")
 
@@ -341,13 +326,10 @@ def solve_parameters(
         else:
             mid = 0.5 * (a + c)
             bend = (mid - r_prev) / e_range
-        # the knot table: the domain tube ends (a, c when squeezing, the
-        # squeezed ends a~, c~ when stretching) go to the previous line
+        # the knot table: the domain tube ends go to the previous line
         # there, the near end phi moving down (squeezing) or up
         # (stretching) by e; from level 2 on the middle knot r_{k-1}, below
         # a or above a~, moves the same way by bend e
-        lo, hi = (a, c) if family == SQUEEZE else (a_sq, c_sq)
-        at_lo, at_hi = line_prev(lo), line_prev(hi)
         sign = -1.0 if family == SQUEEZE else 1.0
         ts, s0, se = [r, lo, hi], [r, at_lo, at_hi], [0.0, sign, 0.0]
         if k > 1:
@@ -496,7 +478,6 @@ class _TentacleStage(BatchMap):
         self.sched = sched
         self.stage = stage
         self.n = sched.n
-        self._slots = np.array([s[-1] for s in tower_slots(sched.n)])
 
     # -- evaluation, on (N, n) arrays, for both directions and for images
     # and Jacobians: the descent to the chart rows (rows leave it as they
@@ -515,6 +496,7 @@ class _TentacleStage(BatchMap):
         row of x, when the row is outside every level-1 tentacle.
         """
         npts, n = x.shape
+        slot_heights = slot_array(n)[:, n - 1]
         found = np.zeros(npts, dtype=np.intp)
         heights = np.zeros((self.stage, npts))
         w = x.copy()  # the last column is q_n, updated as rows go deeper
@@ -538,8 +520,7 @@ class _TentacleStage(BatchMap):
             live = nu > 0.0
             if np.count_nonzero(live) < len(rows):
                 rows, t, q_n, nu = (v.compress(live) for v in (rows, t, q_n, nu))
-            m = np.minimum(np.maximum(np.floor((q_n / nu + 1.0) * 2 ** (n - 1)), 0), 2**n - 1)
-            s_hat = self._slots.take(m.astype(np.intp))
+            s_hat = slot_heights.take(slot_tiles(q_n, nu, n))
             w_n = q_n - s_hat * nu
             perp = np.maximum(np.maximum.reduce(np.abs(x.take(rows, axis=0)[:, 1 : n - 1]), axis=1),
                               np.abs(w_n))
@@ -668,7 +649,7 @@ def tentacle_seminorm_bound(sched: TentacleSchedule, k: int) -> float:
     main = c_geom * 2.0 ** ((sched.beta + 1) * k * (n - 1)) * bracket / (n - 2)
     # axial term: (max slope)^{n-1} * |P'_k|, evaluated via logs
     log_axial = (
-        (n - 1) * _log_max_axial_slope(lv, sched.family, sched.beta)
+        (n - 1) * _log_max_axial_slope(sched, lv)
         + math.log(lv.c_sq if sched.family == STRETCH else lv.c)
         + (n - 1) * (math.log(2.0) - lv.u_d)
     )
@@ -676,7 +657,7 @@ def tentacle_seminorm_bound(sched: TentacleSchedule, k: int) -> float:
     return main + axial
 
 
-def _log_max_axial_slope(lv: TentacleLevel, family: str, beta: float) -> float:
+def _log_max_axial_slope(sched: TentacleSchedule, lv: TentacleLevel) -> float:
     """log of the largest axial slope of the level-k map over all knot
     pieces and modulations e in [0, E], from exact piece lengths.
 
@@ -685,16 +666,17 @@ def _log_max_axial_slope(lv: TentacleLevel, family: str, beta: float) -> float:
     r_{k+2}, which rounds to zero next to 1 at deep levels, and rise
     sigma r_{k+2} + E, with sigma = r_{k-1} / (c_k - r_{k-1}) the slope of
     l_{k-1} (1 at k = 1).  When stretching it is the first piece
-    [r_k, a~_k] at e = E: length r_k, rise r_k + E.
+    [r_k, a~_k] at e = E: length r_k, rise r_k + E.  The length enters in
+    log form, log 1/r_j = j (beta+1) log 2, finite where r_j underflows.
     """
-    if family == SQUEEZE:
+    if sched.family == SQUEEZE:
         j = lv.k + 2
         sigma = 1.0 if lv.k == 1 else lv.r_hat_prev / (lv.c - lv.r_hat_prev)
     else:
         j = lv.k
         sigma = 1.0
-    return (math.log(lv.e_range) + j * (beta + 1) * math.log(2.0)
-            + math.log1p(sigma * _r_hat(beta, j) / lv.e_range))
+    return (math.log(lv.e_range) + j * (sched.beta + 1) * math.log(2.0)
+            + math.log1p(sigma * sched.base.r(j) / lv.e_range))
 
 
 def _demo_energy(sched: TentacleSchedule, k: int) -> float:

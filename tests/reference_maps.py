@@ -321,6 +321,12 @@ def _taper_slope(t, r_k, r_prev):
     return 1.0 / (r_prev - r_k) if r_k < t < r_prev else 0.0
 
 
+def slot_pitch(lv, t):
+    """The pitch nu of the level's sibling tentacles at the axial
+    coordinate t: r_{k-1} less the level's shear drop there."""
+    return lv.r_hat_prev - lv.shift_drop * _taper(t, lv.r_hat, lv.r_hat_prev)
+
+
 def sigma(sched, heights, t, taper=_taper):
     """The composed shear x_n += sigma(x_1) of the address with the slot
     heights ``heights``, at t; its slope with ``taper=_taper_slope``."""
@@ -356,7 +362,7 @@ def tentacle_descend(h, x, squeezed):
     slots = [s[-1] for s in tower_slots(n)]
     for j in range(1, h.stage + 1):
         lv = h.sched.level(j)
-        nu = lv.r_hat_prev - lv.shift_drop * _taper(t, lv.r_hat, lv.r_hat_prev)
+        nu = slot_pitch(lv, t)
         if nu <= 0.0:
             break
         m = int(math.floor((q_n / nu + 1.0) * 2 ** (n - 1)))
@@ -916,9 +922,9 @@ def certify(cache, y, max_refine):
         streak = streak + 1 if raw == prev_raw else 0
         prev_raw = raw
         if streak >= 2 or (streak == 1 and locally_resolved(cache, y, level, dist)):
-            return DegreeReport(int(raw), raw, dist, level, history)
+            return DegreeReport(int(raw), dist, level, history)
         cert = gap_certificate(cache, y, level) if 0 < level < max_refine else None
         if cert is not None:
-            return DegreeReport(int(raw), raw, dist, level, history, "gap", *cert)
+            return DegreeReport(int(raw), dist, level, history, "gap", *cert)
     raise IndeterminateDegreeError(
         f"degree not certified after refinement {max_refine}: history={history}")

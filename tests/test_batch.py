@@ -50,7 +50,9 @@ def tube_points(draw, sched, squeezed, levels=None, exact_radius=False):
     """A point of [-1,1]^3 at an interface of a level-j tentacle tube, j up
     to ``levels``: its axial coordinate at a knot plane or a tube end, its
     transverse ones at the tube width d_j, the clamp width b_j or the axis,
-    each within two ulps, or anywhere in the tube.
+    each within two ulps, or anywhere in the tube; the last one also at a
+    boundary of the slot tiles the descent bins level j by, nu_j(t)/2^n
+    off the tube's center height.
 
     The last coordinate is stored as an offset from the tube center
     height, so it is read back to about 1e-16 only.  With ``exact_radius``
@@ -63,7 +65,11 @@ def tube_points(draw, sched, squeezed, levels=None, exact_radius=False):
     t = nudged(draw, draw(st.sampled_from(lv.ts + (end,)) | st.floats(lv.r_hat, end)))
     radial = st.sampled_from([0.0, -0.0, lv.b, -lv.b, lv.d, -lv.d]) | st.floats(-lv.d, lv.d)
     p1 = nudged(draw, draw(radial))
-    p2 = draw(st.floats(-0.5 * lv.b, 0.5 * lv.b)) if exact_radius else nudged(draw, draw(radial))
+    if exact_radius:
+        p2 = draw(st.floats(-0.5 * lv.b, 0.5 * lv.b))
+    else:
+        edge = ref.slot_pitch(lv, t) / len(HEIGHTS)
+        p2 = nudged(draw, draw(radial | st.sampled_from([edge, -edge])))
     return chart_point(sched, heights, (t, p1, p2))
 
 
@@ -558,7 +564,7 @@ def reflection(x):
 class TestInstruments:
     def test_plain_callable_degree(self):
         rep = degree(reflection, SphereProbe((0.0, 0.0, 0.0), 1.0, 2), (0.05, 0.0, 0.0))
-        assert rep == DegreeReport(-1, -1.0, 0.9999999999999999, 2,
+        assert rep == DegreeReport(-1, 0.9999999999999999, 2,
                                    [(2, -1.0, 0.9999999999999999)],
                                    "gap", rep.gap, rep.tail, rep.margin)
         assert rep.margin > 1

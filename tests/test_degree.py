@@ -107,6 +107,15 @@ class TestMesh:
         probe = SphereProbe((0.0, 0.0, 0.0), 0.5, refinement)
         assert degree(identity, probe, (0.1, 0.0, 0.0)).degree == 1
 
+    @pytest.mark.parametrize("center", [(np.nan, 0.0, 0.0), (0.0, np.inf, 0.0), (0.0, -np.inf)])
+    def test_non_finite_center_is_rejected(self, center):
+        # a NaN center used to map mesh levels 3 to 7 of NaN images before
+        # the degree came out indeterminate
+        with pytest.raises(ValueError, match="center"):
+            SphereProbe(center, 0.1)
+        with pytest.raises(ValueError, match="center"):
+            inv_check(identity, center, 0.1)
+
 
 class TestFixtures:
     def test_identity_center(self):
@@ -141,7 +150,7 @@ class TestFixtures:
         # levels 2 and 3, so the streak rule certifies it
         rep = degree(identity, UNIT, (0.9999, 0.0, 0.0))
         raws = [raw for _, raw, _ in rep.history]
-        assert raws == [1.0, 1.0, 1.0] == [rep.raw] * 3
+        assert raws == [1.0, 1.0, 1.0] == [rep.degree] * 3
         assert (rep.rule, rep.gap, rep.tail, rep.margin) == ("streak", None, None, None)
 
     def test_tame_target_certifies_by_its_gap_at_the_first_level(self):
@@ -176,7 +185,7 @@ class TestFixtures:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = degree(identity, probe, y)
-        assert rep.degree == 0 and rep.raw == 0.0
+        assert rep.degree == 0 and rep.history[-1][1] == 0.0
 
     @pytest.mark.parametrize("y", [(1e100, 1e100, 1e100), (1e200, 0.0, 0.0)])
     def test_far_target_has_degree_zero(self, y):
@@ -185,7 +194,7 @@ class TestFixtures:
 
 
 def report_hex(rep: DegreeReport):
-    return (rep.degree, rep.raw.hex(), rep.distance.hex(), rep.refinements,
+    return (rep.degree, rep.distance.hex(), rep.refinements,
             [(level, raw.hex(), dist.hex()) for level, raw, dist in rep.history],
             rep.rule, [None if v is None else v.hex() for v in (rep.gap, rep.tail, rep.margin)])
 

@@ -25,7 +25,7 @@ from homlim.errors import (
     NotInitializedError,
     UnsupportedDimensionError,
 )
-from homlim.geometry import tower_slots
+from homlim.geometry import address_words, cell_center, tower_slots
 from homlim.tentacles import (
     SqueezeStage,
     StretchStage,
@@ -182,10 +182,40 @@ class TestSolveParameters:
         with pytest.raises(InfeasibleScheduleError):
             solve_parameters(3, 4.0, "demo", "stretch", 5)  # b_5 underflows
 
+    @pytest.mark.parametrize("beta", [4.35, 5.1, 7.03])
+    def test_levels_take_the_tower_radii(self, beta):
+        # a level's cube is the tower cell its tentacle hangs from, so its
+        # radii are the tower's at non-dyadic beta too (2^(-k(beta+1))
+        # rounds otherwise than 2^-k 2^(-k beta)), and its tube runs from
+        # a_k = c_k - r_{k+2} to c_k = a_{k-1}, with c_1 = 1 - r_2
+        rng = np.random.default_rng(32)
+        for mode, k_cap in (("demo", 24), ("strict-T1", 8), ("strict-T2", 8)):
+            for family in ("squeeze", "stretch"):
+                sched = deepest_solved(3, beta, mode, family, k_cap)
+                base, c = sched.base, 1.0 - sched.base.r(2)
+                for lv in sched.levels:
+                    assert (lv.r_hat, lv.r_hat_prev) == (base.r(lv.k), base.r(lv.k - 1))
+                    assert (lv.c, lv.a) == (c, c - base.r(lv.k + 2))
+                    c = lv.a
+                for word in address_words(tower_slots(3), len(sched.levels), 16, rng):
+                    heights = [letter[-1] for letter in word]
+                    assert sched.center_height(heights) == cell_center(base, word, tower=True)[-1]
+
     def test_stage_maps_require_demo(self):
         s = solve_parameters(3, 4.0, "strict-T1", "squeeze", 2)
         with pytest.raises(NotInitializedError):
             SqueezeStage(s, 2)
+
+
+def deepest_solved(n, beta, mode, family, k_cap):
+    """The schedule of the levels 1..k that solve, k <= k_cap as deep as
+    it goes."""
+    for k in range(k_cap, 0, -1):
+        try:
+            return solve_parameters(n, beta, mode, family, k)
+        except InfeasibleScheduleError:
+            pass
+    raise AssertionError(f"no level solves at n={n}, beta={beta}, {mode}, {family}")
 
 
 @st.composite

@@ -165,6 +165,16 @@ MUTANTS = (
            "        if not jacobian:\n            _raise_first_outside(outside)\n",
            "tests/test_batch.py::TestBatchErrors::test_tentacle_stage",
            "a tentacle walk that takes Jacobians without its knot-range check"),
+    Mutant("src/homlim/tentacles.py",
+           "a = c - base.r(k + 2)",
+           "a = c - base.r(k + 1)",
+           "tests/test_tentacles.py::TestSolveParameters::test_levels_take_the_tower_radii",
+           "a tentacle's tube end a_k set back by a radius read one level off"),
+    Mutant("src/homlim/geometry.py",
+           "tile = np.floor((offsets + half_width) / (half_width * (2.0 / 2**n)))",
+           "tile = np.floor((offsets + half_width) / (half_width * (2.0 / 2**n)) + 0.5)",
+           "tests/test_batch.py::TestCompositesBatchedEqualPointwise::test_tube_interfaces",
+           "the slot tile rule of the tower and the tentacles shifted by half a tile"),
 )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from ._maps import BatchMap
 from .cantor_map import CantorHomeomorphism
 from .errors import DomainError
-from .geometry import ParameterSchedule, cell_center, harmonic_schedule
+from .geometry import ParameterSchedule, cell_center, harmonic_schedule, row_max
 from .tentacles import (
     SQUEEZE,
     STRETCH,
@@ -63,7 +63,7 @@ class AxisCollapse(BatchMap):
         x = np.asarray(points, dtype=float)
         core = x.copy()
         core[:, -1] = x[:, -1] * np.sqrt(np.sum(x[:, :-1] ** 2, axis=1))
-        sup = np.abs(x).max(axis=1)
+        sup = row_max(np.abs(x))
         inner = 1.0 - self.delta
         t = np.minimum((sup - inner) / self.delta, 1.0)[:, None]
         # the core itself inside, not its blend with weight 0

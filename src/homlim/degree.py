@@ -45,6 +45,7 @@ import numpy as np
 from . import _kernels
 from .analysis import fd_jacobian, forward_rows
 from .errors import IndeterminateDegreeError, UnsupportedDimensionError
+from .geometry import row_max
 
 __all__ = [
     "SphereProbe",
@@ -230,7 +231,7 @@ class _ImageCache:
             images = self.images(level)
             _, _, edges, face_edges = self.mesh(level)
             sides = _norms(images[:, edges[:, 0]] - images[:, edges[:, 1]])
-            self._diameters[level] = sides[face_edges].max(axis=1)
+            self._diameters[level] = row_max(sides[face_edges])
         return self._diameters[level]
 
     def centroids(self, level: int) -> np.ndarray:
@@ -332,7 +333,7 @@ class _ImageCache:
         lo, hi, extent = self.boxes(level)
         bound = np.empty(len(ys))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            pad = tail + GAP_ROUNDING * np.maximum(np.abs(ys).max(axis=1), extent)
+            pad = tail + GAP_ROUNDING * np.maximum(row_max(np.abs(ys)), extent)
             for block in _blocks(len(ys), lo.shape[1]):
                 y = ys[block].T[:, :, None]
                 out = np.maximum(lo[0] - y[0], y[0] - hi[0])

@@ -16,7 +16,11 @@ share the machinery:
 setA/setB cells of a batch of points, and ``tower_step`` takes one step
 down the towerB tree.  The tower's radii (a kind 'B' schedule), its slot
 heights (``slot_array``) and its tile rule (``slot_tiles``) have their one
-owner here: the tentacles attached to the tower cells read them.
+owner here: the tentacles attached to the tower cells read them.  Every
+per-row sup norm of the package's walks is taken by ``row_max``, a fold
+over the columns, as numpy's reduce over a short axis costs about 20
+times more; first-maximum ``argmax`` calls and reductions along a long
+axis stay numpy's.
 """
 
 from __future__ import annotations
@@ -152,6 +156,19 @@ def cell_center(schedule: ParameterSchedule, word, tower: bool = False) -> np.nd
     return z
 
 
+def row_max(a: np.ndarray) -> np.ndarray:
+    """The largest entry of each row of the (N, m) array a, m >= 1, by one
+    ``np.maximum`` pass per column.  Over a short axis this is many times
+    faster than ``np.maximum.reduce(a, axis=1)``: 5.9 us against 124 us at
+    N = 2400, m = 3 (2-core Xeon, numpy 2.4.6).  Callers pass magnitudes:
+    on signed input, from m = 9 on, the two can return zeros of different
+    sign; NaN and every other value come out alike."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out
+
+
 def descend_set(points: np.ndarray, radii, depth: int):
     """Batched setA/setB descent of the address tree, ``depth`` levels deep.
 
@@ -177,7 +194,7 @@ def descend_set(points: np.ndarray, radii, depth: int):
         sign = np.where(x >= z, 1.0, -1.0)
         z = z + 0.5 * radii[lev - 1] * sign
         letters[lev - 1, rows] = sign
-        t = np.abs(x - z).max(axis=1)
+        t = row_max(np.abs(x - z))
         stop = t >= radii[lev]
         stopped = np.count_nonzero(stop)
         if stopped == len(t):

@@ -52,7 +52,7 @@ from .errors import (
     NotInitializedError,
     UnsupportedDimensionError,
 )
-from .geometry import ParameterSchedule, slot_array, slot_tiles
+from .geometry import ParameterSchedule, row_max, slot_array, slot_tiles
 
 __all__ = [
     "TentacleLevel",
@@ -422,7 +422,7 @@ def _level_rows(lv: TentacleLevel, w: np.ndarray):
     """The modulation slope and the axial knots of the level map at every
     row of the (N, n) chart array w: (de/drho, ts, ss), the knots as
     (N, K) arrays."""
-    e, de_drho = _modulation_rows(lv, np.abs(w[:, 1:]).max(axis=1))
+    e, de_drho = _modulation_rows(lv, row_max(np.abs(w[:, 1:])))
     return (de_drho,) + lv.knots(e)
 
 
@@ -522,8 +522,7 @@ class _TentacleStage(BatchMap):
                 rows, t, q_n, nu = (v.compress(live) for v in (rows, t, q_n, nu))
             s_hat = slot_heights.take(slot_tiles(q_n, nu, n))
             w_n = q_n - s_hat * nu
-            perp = np.maximum(np.maximum.reduce(np.abs(x.take(rows, axis=0)[:, 1 : n - 1]), axis=1),
-                              np.abs(w_n))
+            perp = np.maximum(row_max(np.abs(x.take(rows, axis=0)[:, 1 : n - 1])), np.abs(w_n))
             deeper = ((np.maximum(np.abs(t), perp) < lv.r_hat)
                       | ((lv.r_hat <= t) & (perp < lv.d)))
             count = np.count_nonzero(deeper)

@@ -23,7 +23,9 @@ in bit words the boxes that span each interval between box edges, so a
 row's boxes are one gather per axis and an AND.  One pass per layer
 runs every row in one of its boxes through that box's move, with the
 move's constants gathered per row, in the float operations of the move
-alone.  A single point is a one-row batch.
+alone.  A single point is a one-row batch.  The cell tests and the
+corridors' transverse sup distances are row maxima by ``row_max``; the
+blend's ``argmax`` stays, as it must pick the first tying coordinate.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .geometry import (
     address_words,
     cell_center,
     cube_vertices,
+    row_max,
     tower_slots,
     tower_step,
 )
@@ -310,9 +313,9 @@ class TowerMapping(BatchMap):
         face a point can cross by an ulp of rescaling, is checked again.
         """
         _, z = tower_step(x, center, self._r[level - 1])
-        stay = np.maximum.reduce(np.abs(x - z), axis=1) < self._r[level]
+        stay = row_max(np.abs(x - z)) < self._r[level]
         if level > 1:
-            stay &= np.maximum.reduce(np.abs(x - center), axis=1) < self._r[level - 1]
+            stay &= row_max(np.abs(x - center)) < self._r[level - 1]
         return stay, z.compress(stay, axis=0)
 
     def _spanned(self, w: np.ndarray) -> np.ndarray:
@@ -337,17 +340,20 @@ class TowerMapping(BatchMap):
         A word's rows are those whose words, gathered from the span
         tables, hold a box of it; the pass runs each through the move of
         its box, and their words are gathered again after it, as a moved
-        row stays in its box but may enter boxes of later layers."""
+        row stays in its box but may enter boxes of later layers.  After
+        the last word no word is read, so no gather follows it."""
         t = self.layers
         held = self._spanned(w)
-        for s in (range(len(t.base) - 1, -1, -1) if inverse else range(len(t.base))):
+        order = range(len(t.base) - 1, -1, -1) if inverse else range(len(t.base))
+        for s in order:
             rows = held[s].nonzero()[0]
             if not len(rows):
                 continue
             # a row's word holds one bit: its number is the count of the bits below
             self._layer_pass(w, d, rows, t.base[s] + np.bitwise_count(held[s].take(rows) - 1),
                              inverse)
-            held[:, rows] = self._spanned(w.take(rows, axis=0))
+            if s != order[-1]:
+                held[:, rows] = self._spanned(w.take(rows, axis=0))
 
     def _layer_pass(self, w: np.ndarray, d: np.ndarray | None, rows: np.ndarray,
                     owner: np.ndarray, inverse: bool) -> None:
@@ -372,7 +378,7 @@ class TowerMapping(BatchMap):
         c = self.layers.const.take(owner, axis=0)
         diff = sub - c[:, :n]
         off = np.abs(diff) * c[:, n:2 * n]
-        delta = np.maximum.reduce(off, axis=1)
+        delta = row_max(off)
         inside = (xa > c[:, 2 * n]) & (xa < c[:, 2 * n + 1]) & (delta < c[:, 2 * n + 2])
         if np.count_nonzero(inside) < len(rows):
             keep = inside.nonzero()[0]

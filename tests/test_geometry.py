@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from homlim.geometry import (
     ParameterSchedule,
@@ -10,6 +13,7 @@ from homlim.geometry import (
     descend_set,
     harmonic_schedule,
     limit_measure,
+    row_max,
     stage_measure,
     tower_slots,
     tower_step,
@@ -105,6 +109,41 @@ class TestDescents:
                 assert A.r(k) <= t <= A.r_outer(k)
             else:
                 assert t < A.r(6)
+
+
+# the magnitudes a sup norm folds: +0, subnormals, normal floats, inf, NaN
+MAGNITUDES = st.one_of(st.just(0.0), st.floats(5e-324, 2.0**-1022, exclude_max=True),
+                       st.floats(0.0, allow_infinity=False), st.just(math.inf),
+                       st.just(math.nan))
+
+
+def row_arrays(elements):
+    # (N, m) arrays, m = 1..9: from m = 9 on, numpy's reduce and the fold
+    # can return zeros of different sign
+    shapes = st.tuples(st.integers(0, 40), st.integers(1, 9))
+    return arrays(np.float64, shapes, elements=elements)
+
+
+class TestRowMax:
+    @given(row_arrays(MAGNITUDES))
+    @settings(max_examples=300, deadline=None)
+    def test_magnitudes_match_the_reduce_bit_for_bit(self, a):
+        out = row_max(a)
+        assert out.shape == (len(a),)
+        assert out.tobytes() == np.maximum.reduce(a, axis=1).tobytes()
+
+    @given(row_arrays(st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_signed_rows_match_the_reduce_as_values(self, a):
+        # equal values, zeros of either sign, NaN where the reduce has it
+        np.testing.assert_array_equal(row_max(a), np.maximum.reduce(a, axis=1))
+
+    def test_every_column_counts(self):
+        for m in range(1, 10):
+            for j in range(m):
+                a = np.zeros((2, m))
+                a[1, j] = 1.0
+                assert row_max(a).tolist() == [0.0, 1.0]
 
 
 class TestMeasures:

@@ -98,10 +98,11 @@ MUTANTS = (
            "tests/test_tower.py::TestBlendTies::test_diagonal_rows_match_the_reference",
            "the blend entry given to the last tying coordinate"),
     Mutant("src/homlim/tower.py",
-           "            held[:, rows] = self._spanned(w.take(rows, axis=0))\n",
+           "            if s != order[-1]:\n"
+           "                held[:, rows] = self._spanned(w.take(rows, axis=0))\n",
            "",
            "tests/test_descent.py::TestTowerDescent::test_stage_steps_match_root_walks",
-           "the boxes of a pass's rows not gathered again after the pass"),
+           "the boxes of a pass's rows not gathered again after any word, not just the last"),
     Mutant("src/homlim/tower.py",
            "first, last = np.searchsorted(e, lo[d]) + 1,",
            "first, last = np.searchsorted(e, lo[d]),",
@@ -118,7 +119,7 @@ MUTANTS = (
            "tests/test_tower.py::TestTowerMapping::test_five_dimensions_match_the_reference",
            "a row's move numbered by the count of its word's bits"),
     Mutant("src/homlim/degree.py",
-           "pad = tail + GAP_ROUNDING * np.maximum(np.abs(ys).max(axis=1), extent)",
+           "pad = tail + GAP_ROUNDING * np.maximum(row_max(np.abs(ys)), extent)",
            "pad = tail",
            "tests/test_degree.py::TestGapCertificate",
            "the gap certificate cleared without its rounding pad"),
@@ -175,6 +176,16 @@ MUTANTS = (
            "tile = np.floor((offsets + half_width) / (half_width * (2.0 / 2**n)) + 0.5)",
            "tests/test_batch.py::TestCompositesBatchedEqualPointwise::test_tube_interfaces",
            "the slot tile rule of the tower and the tentacles shifted by half a tile"),
+    Mutant("src/homlim/geometry.py",
+           "for j in range(1, a.shape[1]):",
+           "for j in range(1, a.shape[1] - 1):",
+           "tests/test_geometry.py::TestRowMax::test_every_column_counts",
+           "the row maximum folded over all but the last column"),
+    Mutant("src/homlim/tower.py",
+           "if s != order[-1]:",
+           "if s != len(t.base) - 1:",
+           "tests/test_tower.py::TestTowerMapping::test_goodmap",
+           "the inverse walk's gather skipped after its first word, not its last"),
 )
 
 

@@ -19,11 +19,16 @@ the moves of a level run in dependency layers (``move_layers``): a
 move's layer is one more than the largest layer of the earlier moves
 whose padded corridor box meets its own, so the boxes of a layer are
 disjoint and each row lies in at most one.  Per axis, a span table marks
-in bit words the boxes that span each interval between box edges, so a
-row's boxes are one gather per axis and an AND.  One pass per layer
-runs every row in one of its boxes through that box's move, with the
-move's constants gathered per row, in the float operations of the move
-alone.  A single point is a one-row batch.  The cell tests and the
+in bit words of 64 consecutive positions the boxes that span each
+interval between box edges, so a row's boxes are one gather per axis
+and an AND.  Each row then steps through its own moves: a pass runs the
+next move of every row that has one, the lowest set bit of its words,
+with the move's constants gathered per row, in the float operations of
+the move alone, and a per-move mask clears the layers the row has
+passed.  A level takes as many passes as its longest chain of moves (4
+on a uniform batch at n = 3, against 6 layers), and the inverse walks
+the same tables numbered from the last move.  A single point is a
+one-row batch.  The cell tests and the
 corridors' transverse sup distances are row maxima by ``row_max``; the
 blend's ``argmax`` stays, as it must pick the first tying coordinate.
 """
@@ -48,6 +53,8 @@ from .geometry import (
 )
 
 __all__ = ["slot_correspondence", "TowerMapping", "verify_goodmap", "relocation_moves"]
+
+_ONE = np.uint64(1)
 
 
 def slot_index(v) -> int:
@@ -208,19 +215,32 @@ def relocation_moves(n: int, beta: float) -> tuple[ElementaryMove, ...]:
 @dataclass(frozen=True)
 class MoveLayers:
     """``relocation_moves(n, beta)`` in dependency layers, built by
-    ``move_layers``.  Positions count the moves in layer order."""
+    ``move_layers``.  Positions count the moves in layer order.  The tables
+    past ``cuts`` come in two numberings: index 0 counts the positions from
+    the first (the forward walk's order), index 1 from the last (the
+    inverse walk's), and bit b of word s stands for position 64s + b."""
 
     order: np.ndarray  # (M,) the move at each position
     starts: tuple[int, ...]  # layer l holds the positions starts[l]:starts[l + 1]
-    axis: np.ndarray  # (M,) move axes
-    # (M, 2n + 13): the corridor axis with 0.0 on the move axis, 1.0 off the move
-    # axis and 0.0 on it, then the floats that ``TowerMapping._layer_pass`` unpacks
-    const: np.ndarray
     cuts: tuple[np.ndarray, ...]  # per axis, its padded box edges, sorted, distinct
-    # per axis d, (S, len(cuts[d]) + 1) uint64: bit b of spans[d][s, i] is set when the
-    # padded box of the move at position base[s] + b spans (cuts[d][i - 1], cuts[d][i]]
-    spans: tuple[np.ndarray, ...]
-    base: np.ndarray  # (S,) bit b of word s is position base[s] + b, all of one layer
+    axis: tuple[np.ndarray, np.ndarray]  # (M,) move axes
+    # (M, 2n + 13): the corridor axis with 0.0 on the move axis, 1.0 off the move
+    # axis and 0.0 on it, then the floats that ``TowerMapping._step_rows`` unpacks
+    const: tuple[np.ndarray, np.ndarray]
+    # per axis d, (S, len(cuts[d]) + 1) uint64: column i marks the positions whose
+    # padded box spans (cuts[d][i - 1], cuts[d][i]]
+    spans: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    # (S, M) uint64: column p marks the positions of the layers that the walk
+    # runs after the layer of position p
+    masks: tuple[np.ndarray, np.ndarray]
+
+
+def _pack_bits(cover: np.ndarray) -> np.ndarray:
+    """(R, M) bools as (ceil(M / 64), R) uint64 words, column 64s + b of
+    row r as bit b of word [s, r]."""
+    pad = -cover.shape[1] % 64
+    packed = np.packbits(np.pad(cover, ((0, 0), (0, pad))), axis=1, bitorder="little")
+    return np.ascontiguousarray(packed.view("<u8").astype(np.uint64).T)
 
 
 @lru_cache(maxsize=None)
@@ -240,9 +260,12 @@ def move_layers(n: int, beta: float) -> MoveLayers:
     The padded edges e_0 < e_1 < ... of axis d cut it into the intervals
     (e_{i-1}, e_i], i = searchsorted(e, v).  ``spans`` marks per axis and
     interval the moves whose box spans it (lo <= e_{i-1} and e_i <= hi),
-    in words of up to 64 moves of one layer: ANDed over the axes, a row's
-    words mark the boxes that hold it, at most one per layer.  The tables
-    take 1968 bytes at n = 3, 7360 at n = 5 and 0.67 MB at n = 9."""
+    in words of 64 consecutive positions: ANDed over the axes, a row's
+    words mark the boxes that hold it, at most one per layer.  After a
+    row's move at position p, ``masks[:, p]`` keeps the bits of the layers
+    still to come.  Both are packed from boolean arrays, in both
+    numberings, and take 1040 bytes at n = 3, 13 kB at n = 5 and 6.6 MB
+    at n = 9 (5.3 MB of it masks)."""
     moves = relocation_moves(n, beta)
     boxes = [mv.corridor_box(n) for mv in moves]
     lo = np.array([lo for lo, _ in boxes]) - 1e-9
@@ -264,15 +287,20 @@ def move_layers(n: int, beta: float) -> MoveLayers:
                       s2 - mv.lo, mv.hi - s3, s2 + tau - mv.lo, mv.hi - (s3 + tau),
                       -1.0 / (mv.width - mv.rho)))
     cuts = tuple(np.array(sorted(set(lo[d].tolist() + hi[d].tolist()))) for d in range(n))
-    base = [p for a, b in zip(starts, starts[1:]) for p in range(a, b, 64)]
-    word = np.searchsorted(base, np.arange(len(order)), side="right") - 1
-    spans = tuple(np.zeros((len(base), len(e) + 1), dtype=np.uint64) for e in cuts)
+    spans = ([], [])
     for d, e in enumerate(cuts):
         first, last = np.searchsorted(e, lo[d]) + 1, np.searchsorted(e, hi[d]) + 1
-        for p, s in enumerate(word.tolist()):
-            spans[d][s, first[p]:last[p]] |= np.uint64(1 << (p - base[s]))
-    return MoveLayers(order, starts, np.array([moves[m].axis for m in order]),
-                      np.array(const, dtype=float), cuts, spans, np.array(base))
+        i = np.arange(len(e) + 1)[:, None]
+        cover = (first <= i) & (i < last)
+        spans[0].append(_pack_bits(cover))
+        spans[1].append(_pack_bits(cover[:, ::-1]))
+    ranks = np.arange(len(starts) - 1)[:, None]
+    back = layer_at[::-1]
+    masks = _pack_bits(layer_at > ranks)[:, layer_at], _pack_bits(back < ranks)[:, back]
+    axis = np.array([moves[m].axis for m in order])
+    const = np.array(const, dtype=float)
+    return MoveLayers(order, starts, cuts, (axis, axis[::-1].copy()),
+                      (const, const[::-1].copy()), (tuple(spans[0]), tuple(spans[1])), masks)
 
 
 class TowerMapping(BatchMap):
@@ -318,14 +346,16 @@ class TowerMapping(BatchMap):
             stay &= row_max(np.abs(x - center)) < self._r[level - 1]
         return stay, z.compress(stay, axis=0)
 
-    def _spanned(self, w: np.ndarray) -> np.ndarray:
+    def _spanned(self, w: np.ndarray, inverse: bool = False) -> np.ndarray:
         """(S, N) words: per row of w, ``move_layers``'s words ANDed over
         the axes, so that bit b of word s marks the move at position
-        base[s] + b if its padded box holds the row."""
+        64s + b (counted from the last with ``inverse``) if its padded box
+        holds the row."""
         t = self.layers
-        held = t.spans[0].take(t.cuts[0].searchsorted(w[:, 0]), axis=1)
+        spans = t.spans[inverse]
+        held = spans[0].take(t.cuts[0].searchsorted(w[:, 0]), axis=1)
         for d in range(1, self.n):
-            held &= t.spans[d].take(t.cuts[d].searchsorted(w[:, d]), axis=1)
+            held &= spans[d].take(t.cuts[d].searchsorted(w[:, d]), axis=1)
         return held
 
     def _run_moves(self, w: np.ndarray, d: np.ndarray | None = None,
@@ -335,31 +365,56 @@ class TowerMapping(BatchMap):
         also d <- (Jacobian of each move or inverse move) @ d on the
         (N, n, n) array d.
 
-        The moves run a layer at a time (``move_layers``), the last layer
-        first for the inverse, one pass per word (per layer up to n = 6).
-        A word's rows are those whose words, gathered from the span
-        tables, hold a box of it; the pass runs each through the move of
-        its box, and their words are gathered again after it, as a moved
-        row stays in its box but may enter boxes of later layers.  After
-        the last word no word is read, so no gather follows it."""
+        Each row steps through its own moves, those of the boxes that hold
+        it, a layer at a time (``move_layers``).  Its next move is the
+        lowest set bit of its first nonzero word, gathered from the span
+        tables in the walk's numbering, which lists the layers in the
+        order the walk runs them.  One pass runs the next move of every
+        row that has one, rows of different layers together, and gathers
+        the passed rows' words again, as a moved row stays in its box but
+        may enter boxes of later layers; the mask of each row's move
+        clears the bits of its layer and the layers before it, and a row
+        whose move was in the walk's last layer, its mask 0, is done
+        without a gather.  So a level
+        takes as many passes as the longest chain of moves its rows take
+        (4 per direction on a uniform batch at n = 3, of 6 layers), and no
+        more than the layer count, as every pass takes each row a layer
+        further."""
         t = self.layers
-        held = self._spanned(w)
-        order = range(len(t.base) - 1, -1, -1) if inverse else range(len(t.base))
-        for s in order:
-            rows = held[s].nonzero()[0]
-            if not len(rows):
-                continue
-            # a row's word holds one bit: its number is the count of the bits below
-            self._layer_pass(w, d, rows, t.base[s] + np.bitwise_count(held[s].take(rows) - 1),
-                             inverse)
-            if s != order[-1]:
-                held[:, rows] = self._spanned(w.take(rows, axis=0))
+        masks = t.masks[inverse]
+        held, rows = self._spanned(w, inverse), None
+        for _ in t.starts[1:]:
+            # each row's first nonzero word, and the position of its bit 0
+            word, lead = held[0], 0
+            for s in range(1, len(held)):
+                empty = word == 0
+                word, lead = np.where(empty, held[s], word), np.where(empty, 64 * s, lead)
+            live = word.nonzero()[0]
+            if not len(live):
+                return
+            rows, word = live if rows is None else rows.take(live), word.take(live)
+            # the lowest set bit's number is the count of the bits below it,
+            # as intp, which ``take`` reads without a cast
+            pos = np.bitwise_count(~word & (word - _ONE)).astype(np.intp)
+            if len(held) > 1:  # else every lead is 0
+                pos += lead.take(live)
+            self._step_rows(w, d, rows, pos, inverse)
+            # a mask is 0 just when its last word is: the walk's last layer
+            # holds the last position
+            later = masks.take(pos, axis=1)
+            go = later[-1].nonzero()[0]
+            if len(go) < len(rows):
+                if not len(go):
+                    return
+                rows, later = rows.take(go), later.take(go, axis=1)
+            held = self._spanned(w.take(rows, axis=0), inverse) & later
 
-    def _layer_pass(self, w: np.ndarray, d: np.ndarray | None, rows: np.ndarray,
-                    owner: np.ndarray, inverse: bool) -> None:
-        """One layer's moves (inverse moves) on the rows ``rows`` of w, row
-        i by the move at position owner[i], in place, with d as in
-        ``_run_moves``; every row sees the float operations of its move.
+    def _step_rows(self, w: np.ndarray, d: np.ndarray | None, rows: np.ndarray,
+                   owner: np.ndarray, inverse: bool) -> None:
+        """One step of the rows ``rows`` of w: row i through the move (inverse
+        move) at position owner[i], counted from the last with ``inverse``,
+        in place, with d as in ``_run_moves``; every row sees the float
+        operations of its move.
 
         A move acts where lo < x_axis < hi and the transverse sup distance
         delta < width, with tau falling linearly from dst - src (delta <=
@@ -373,9 +428,9 @@ class TowerMapping(BatchMap):
         x_j tie, i < j, it is the derivative on the side where x_i does."""
         n = self.n
         sub = w.take(rows, axis=0)
-        axis = self.layers.axis.take(owner)
+        axis = self.layers.axis[inverse].take(owner)
         xa = sub[np.arange(len(rows)), axis]
-        c = self.layers.const.take(owner, axis=0)
+        c = self.layers.const[inverse].take(owner, axis=0)
         diff = sub - c[:, :n]
         off = np.abs(diff) * c[:, n:2 * n]
         delta = row_max(off)

@@ -98,8 +98,8 @@ def corridor_points(draw, n, beta):
 class TestMoveLayers:
     """The moves of a level run in dependency layers: each move in one
     layer, the padded boxes of a layer pairwise disjoint, and every
-    meeting pair in its move order.  Span tables hand each layer its
-    rows."""
+    meeting pair in its move order.  Span tables hand each row its moves,
+    and a level takes one pass per move of its longest chain."""
 
     FEASIBLE = [(n, beta) for n in (2, 3, 4) for beta in (3.5, 4.0, 4.5, 5.0)
                 if beta >= n + 1] + [(5, 6.0)]
@@ -131,31 +131,38 @@ class TestMoveLayers:
 
     @pytest.mark.parametrize("n, beta", [*FEASIBLE, (7, 8.0)])
     def test_span_tables_match_the_boxes(self, n, beta):
-        # the words cut each layer into runs of up to 64 positions
+        # in each numbering (from the first position, and from the last),
+        # bit b of word s is position 64s + b
         table = move_layers(n, beta)
         boxes = padded_boxes(n, beta)
-        base = table.base.tolist()
-        ends = [*base[1:], len(boxes)]
-        assert base[0] == 0 and set(table.starts[:-1]) <= set(base)
-        assert all(0 < b - a <= 64 for a, b in zip(base, ends))
-        # bit p - a of word s on interval (e_{i-1}, e_i] of axis d is set when
-        # the padded box of position p holds a point of the interval: its
-        # midpoint, or e_i where the two edges are an ulp apart and no float
-        # lies between them; the unbounded end intervals are sampled 0.5
-        # beyond the outer edges.  The point lies in a box (lo, hi] exactly
-        # when the interval does, lo and hi being edges.
+        count, words = len(boxes), -(-len(boxes) // 64)
+        layer = np.searchsorted(table.starts, np.arange(count), side="right") - 1
+        numbered = [(table.order, layer), (table.order[::-1], layer.max() - layer[::-1])]
+        # bit q of a position's mask is set when the walk runs q's layer after
+        # the position's own
+        for (moves, ranks), masks in zip(numbered, table.masks):
+            assert masks.shape == (words, count)
+            for p in range(count):
+                want = sum(1 << q for q in range(count) if ranks[q] > ranks[p])
+                assert sum(int(w) << (64 * s) for s, w in enumerate(masks[:, p])) == want
+        # bit b of word s on interval (e_{i-1}, e_i] of axis d is set when
+        # the padded box of position 64s + b holds a point of the interval:
+        # its midpoint, or e_i where the two edges are an ulp apart and no
+        # float lies between them; the unbounded end intervals are sampled
+        # 0.5 beyond the outer edges.  The point lies in a box (lo, hi]
+        # exactly when the interval does, lo and hi being edges.
         points = []
         for d in range(n):
             e = np.array(sorted({b[side][d] for b in boxes for side in (0, 1)}))
             assert np.array_equal(table.cuts[d], e)
             mid = 0.5 * (e[1:] + e[:-1])
             x = np.concatenate(([e[0] - 0.5], np.where(mid > e[:-1], mid, e[1:]), [e[-1] + 0.5]))
-            for s, (a, b) in enumerate(zip(base, ends)):
-                want = np.zeros(len(x), dtype=np.uint64)
-                for p in range(a, b):
-                    lo, hi = boxes[table.order[p]]
-                    want[(x > lo[d]) & (x <= hi[d])] |= np.uint64(1 << (p - a))
-                assert np.array_equal(table.spans[d][s], want)
+            for (moves, _), spans in zip(numbered, table.spans):
+                want = np.zeros((words, len(x)), dtype=np.uint64)
+                for p, m in enumerate(moves.tolist()):
+                    lo, hi = boxes[m]
+                    want[p // 64, (x > lo[d]) & (x <= hi[d])] |= np.uint64(1 << (p % 64))
+                assert np.array_equal(spans[d], want)
             points.append(x)
         if n > 4:
             return
@@ -163,58 +170,72 @@ class TestMoveLayers:
         # the boxes that hold it, at most one per layer
         L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
         grid = np.stack(np.meshgrid(*points, indexing="ij"), axis=-1).reshape(-1, n)
-        held = L._spanned(grid)
-        layer = np.zeros((len(table.starts) - 1, len(grid)), dtype=int)
-        for s, (a, b) in enumerate(zip(base, ends)):
-            want = np.zeros(len(grid), dtype=np.uint64)
-            for p in range(a, b):
-                lo, hi = boxes[table.order[p]]
+        for inverse, (moves, ranks) in enumerate(numbered):
+            held = L._spanned(grid, inverse)
+            want = np.zeros((words, len(grid)), dtype=np.uint64)
+            per_layer = np.zeros((len(table.starts) - 1, len(grid)), dtype=int)
+            for p, m in enumerate(moves.tolist()):
+                lo, hi = boxes[m]
                 inside = ((grid > lo) & (grid <= hi)).all(axis=1)
-                want[inside] |= np.uint64(1 << (p - a))
-                layer[np.searchsorted(table.starts, p, side="right") - 1] += inside
-            assert np.array_equal(held[s], want)
-        assert layer.max() == 1
+                want[p // 64, inside] |= np.uint64(1 << (p % 64))
+                per_layer[ranks[p]] += inside
+            assert np.array_equal(held, want)
+            assert per_layer.max() == 1
 
     @pytest.mark.parametrize("n, beta", FEASIBLE)
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_rows_a_move_keeps_are_owned_by_it(self, n, beta, data):
-        # every row that a move's exact corridor test keeps has that move's
-        # bit, and no other, in the move's word, on and off the box faces
+        # in each numbering, every row that a move's exact corridor test
+        # keeps has that move's bit set, and no other bit of its layer, on
+        # and off the box faces
         L = TowerMapping(ParameterSchedule(n=n, beta=beta, kind="B"), 1)
         table, moves = L.layers, relocation_moves(n, beta)
         pts = np.array(data.draw(st.lists(corridor_points(n, beta), min_size=1, max_size=8)))
-        held = L._spanned(pts)
-        base = table.base.tolist()
-        for s, (a, b) in enumerate(zip(base, [*base[1:], len(moves)])):
-            for p in range(a, b):
-                mv = moves[table.order[p]]
-                for x, word in zip(pts, held[s].tolist()):
-                    if mv.lo < x[mv.axis] < mv.hi and ref._trans_delta(mv, x)[0] < mv.width:
-                        assert word == 1 << (p - a)
+        count = len(moves)
+        for inverse in (False, True):
+            held = [sum(int(w) << (64 * s) for s, w in enumerate(col))
+                    for col in L._spanned(pts, inverse).T]
+            for l, (a, b) in enumerate(zip(table.starts, table.starts[1:])):
+                if inverse:
+                    a, b = count - b, count - a
+                layer_bits = sum(1 << p for p in range(a, b))
+                for p in range(a, b):
+                    mv = moves[table.order[count - 1 - p if inverse else p]]
+                    for x, bits in zip(pts, held):
+                        if mv.lo < x[mv.axis] < mv.hi and ref._trans_delta(mv, x)[0] < mv.width:
+                            assert bits & layer_bits == 1 << p
 
-    def test_a_pass_runs_a_whole_layer(self, monkeypatch):
-        # a uniform batch through T2 k = 1 meets most corridors; at most one
-        # pass per layer (6 at n = 3) runs per tower level, in each direction
+    def test_a_level_takes_its_longest_move_chain(self, monkeypatch):
+        # a uniform batch through T2 k = 1 meets most corridors; each tower
+        # level takes as many passes as the most moves that act on one of
+        # its rows in the pointwise reference walk: 4 in each direction
         stage = build_stage("T2", 1)
-        levels, passes = [0, 0], [0, 0]
-        run_moves, layer_pass = TowerMapping._run_moves, TowerMapping._layer_pass
+        levels, run_moves, step_rows = [], TowerMapping._run_moves, TowerMapping._step_rows
 
         def counted_run(self, w, d=None, inverse=False):
-            levels[inverse] += 1
+            moves = relocation_moves(self.n, self.schedule.beta)
+            levels.append([moves[::-1] if inverse else moves, inverse, w.copy(), 0])
             return run_moves(self, w, d, inverse)
 
-        def counted_pass(self, w, d, rows, owner, inverse):
-            passes[inverse] += 1
-            return layer_pass(self, w, d, rows, owner, inverse)
+        def counted_step(self, *args):
+            levels[-1][3] += 1
+            return step_rows(self, *args)
 
         monkeypatch.setattr(TowerMapping, "_run_moves", counted_run)
-        monkeypatch.setattr(TowerMapping, "_layer_pass", counted_pass)
+        monkeypatch.setattr(TowerMapping, "_step_rows", counted_step)
         pts = np.random.default_rng(2400).uniform(-1, 1, (2400, 3))
         stage.forward_many(pts)
-        assert levels[False] >= 1 and levels[True] >= 1
-        for inverse in (False, True):
-            assert 1 <= passes[inverse] <= 6 * levels[inverse]
+        assert sorted(inverse for _, inverse, _, _ in levels) == [False, True]
+        for moves, inverse, w, passes in levels:
+            longest = 0
+            for x in w:
+                acted = 0
+                for mv in moves:
+                    acted += mv.lo < x[mv.axis] < mv.hi and ref._trans_delta(mv, x)[0] < mv.width
+                    x = ref.move_apply(mv, x, inverse)
+                longest = max(longest, acted)
+            assert passes == longest == 4
 
 
 def diagonal_points(n, beta, m, rng):
@@ -276,19 +297,21 @@ class TestTowerMapping:
         assert np.allclose(L.forward((0.5, 0.5, 0.5)), (0, 0, 7 / 8))
 
     @pytest.mark.parametrize("inverse", [False, True])
-    def test_five_dimensions_match_the_reference(self, inverse):
-        # at n = 5 (160 moves, up to 32 in a layer) the walk gives each row
-        # the reference's image and Jacobian, points near the level-2 cells
-        # of the set and of the tower among them
-        sched = ParameterSchedule(n=5, beta=6.0, kind="B")
+    @pytest.mark.parametrize("n, beta", [(5, 6.0), (7, 8.0)])
+    def test_five_dimensions_match_the_reference(self, n, beta, inverse):
+        # at n = 5 (160 moves, up to 32 in a layer, 3 words) and n = 7 (896
+        # moves, 14 words) the walk gives each row the reference's image and
+        # Jacobian, points near the level-2 cells of the set and of the
+        # tower among them, and some rows take moves of several words
+        sched = ParameterSchedule(n=n, beta=beta, kind="B")
         L = TowerMapping(sched, 2)
-        rng = np.random.default_rng(5)
-        words = address_words(cube_vertices(5), 2, 20, rng)
+        rng = np.random.default_rng(n)
+        words = address_words(cube_vertices(n), 2, 20, rng)
         centers = [cell_center(sched, w) for w in words]
         centers += [cell_center(sched, tuple(map(slot_correspondence, w)), tower=True)
                     for w in words]
-        pts = np.concatenate([rng.uniform(-1, 1, (40, 5)),
-                              np.array(centers) + sched.r(2) * rng.uniform(-0.99, 0.99, (40, 5))])
+        pts = np.concatenate([rng.uniform(-1, 1, (40, n)),
+                              np.array(centers) + sched.r(2) * rng.uniform(-0.99, 0.99, (40, n))])
         images, jacobians = L._walk_rows(pts, inverse=inverse, jacobian=True)
         walk = ref._tower_inverse_walk if inverse else ref._tower_walk
         for x, image, d in zip(pts, images, jacobians):
@@ -296,6 +319,20 @@ class TestTowerMapping:
             assert np.array_equal(image.view(np.int64), want.view(np.int64))
             assert np.array_equal(d, want_d)
         assert np.count_nonzero((images != pts).any(axis=1)) >= 40
+        # the words of the moves that act on each row at the top level
+        moves = relocation_moves(n, beta)
+        at = np.argsort(L.layers.order)
+        if inverse:
+            moves, at = moves[::-1], len(moves) - 1 - at[::-1]
+        spread = 0
+        for x in pts:
+            acted = set()
+            for p, mv in zip(at.tolist(), moves):
+                if mv.lo < x[mv.axis] < mv.hi and ref._trans_delta(mv, x)[0] < mv.width:
+                    acted.add(p // 64)
+                x = ref.move_apply(mv, x, inverse)
+            spread = max(spread, len(acted))
+        assert spread >= 2
 
     def test_identity_outside_corridors(self):
         L = TowerMapping(B, 1)

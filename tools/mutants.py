@@ -98,11 +98,10 @@ MUTANTS = (
            "tests/test_tower.py::TestBlendTies::test_diagonal_rows_match_the_reference",
            "the blend entry given to the last tying coordinate"),
     Mutant("src/homlim/tower.py",
-           "            if s != order[-1]:\n"
-           "                held[:, rows] = self._spanned(w.take(rows, axis=0))\n",
-           "",
+           "held = self._spanned(w.take(rows, axis=0), inverse) & later",
+           "held = (held.take(live, axis=1) & masks.take(pos, axis=1)).take(go, axis=1)",
            "tests/test_descent.py::TestTowerDescent::test_stage_steps_match_root_walks",
-           "the boxes of a pass's rows not gathered again after any word, not just the last"),
+           "the boxes of a pass's rows masked but not gathered again after their move"),
     Mutant("src/homlim/tower.py",
            "first, last = np.searchsorted(e, lo[d]) + 1,",
            "first, last = np.searchsorted(e, lo[d]),",
@@ -114,8 +113,8 @@ MUTANTS = (
            "tests/test_tower.py::TestMoveLayers::test_rows_a_move_keeps_are_owned_by_it",
            "the span tables filled short of each box's last interval"),
     Mutant("src/homlim/tower.py",
-           "np.bitwise_count(held[s].take(rows) - 1)",
-           "np.bitwise_count(held[s].take(rows)) - 1",
+           "np.bitwise_count(~word & (word - _ONE))",
+           "(np.bitwise_count(word) - 1)",
            "tests/test_tower.py::TestTowerMapping::test_five_dimensions_match_the_reference",
            "a row's move numbered by the count of its word's bits"),
     Mutant("src/homlim/degree.py",
@@ -182,10 +181,20 @@ MUTANTS = (
            "tests/test_geometry.py::TestRowMax::test_every_column_counts",
            "the row maximum folded over all but the last column"),
     Mutant("src/homlim/tower.py",
-           "if s != order[-1]:",
-           "if s != len(t.base) - 1:",
+           "masks = t.masks[inverse]",
+           "masks = t.masks[False]",
            "tests/test_tower.py::TestTowerMapping::test_goodmap",
-           "the inverse walk's gather skipped after its first word, not its last"),
+           "the inverse walk masked by the forward numbering's masks"),
+    Mutant("src/homlim/tower.py",
+           "pos = np.bitwise_count(~word & (word - _ONE))",
+           "pos = (np.frexp(word)[1] - 1)",
+           "tests/test_batch.py::TestFactorsBatchedEqualPointwise::test_tower",
+           "a row's next move taken from the highest set bit of its word, not the lowest"),
+    Mutant("src/homlim/tower.py",
+           "_pack_bits(layer_at > ranks)",
+           "_pack_bits(layer_at >= ranks)",
+           "tests/test_batch.py::TestFactorsBatchedEqualPointwise::test_tower",
+           "a forward mask that keeps the bits of the move's own layer"),
 )
 
 

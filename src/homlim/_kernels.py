@@ -25,21 +25,29 @@ from .geometry import descend_set
 # lambda(r_i) = rt_i, lambda(r'_i) = rt'_i; a point still inside the inner
 # cube at the stage depth maps linearly with ratio rt_k / r_k.  Passing the
 # swapped radius arrays evaluates the exact inverse.  The images and the
-# Jacobians come from one descent.
+# Jacobians come from one descent.  A row given its own stage s <= k
+# descends s levels and reads the ratio rt_s / r_s; the radii of stage s
+# are the first s + 1 of stage k's, so the row gets the stage-s map's
+# floats.
 # ---------------------------------------------------------------------------
 
 
-def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, jacobian=False):
+def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, jacobian=False, stages=None):
     """``(images, (N, n, n) Jacobians or None unless jacobian)`` of the
-    nested-cube map on the (N, n) ``points``.  A frame row x = z + xi with
-    t = |xi|_inf has the Jacobian (lambda / t) I plus ((lambda' - lambda /
-    t) / t) xi sign(xi_m) added to column m, the first coordinate where
-    |xi| is largest; an inner-cube row has (rt_k / r_k) I."""
-    level, letters, zs, t = descend_set(points, rs, stage)
+    nested-cube map on the (N, n) ``points``, row i at stage ``stages[i]``
+    when ``stages`` is given, else every row at ``stage``.  A frame row
+    x = z + xi with t = |xi|_inf has the Jacobian (lambda / t) I plus
+    ((lambda' - lambda / t) / t) xi sign(xi_m) added to column m, the first
+    coordinate where |xi| is largest; an inner-cube row of stage s has
+    (rt_s / r_s) I."""
+    level, letters, zs, t = descend_set(points, rs, stage, stages)
     zt = 0.5 * rt[0] * letters[0]
     for lev in range(2, stage + 1):
         zt = zt + 0.5 * rt[lev - 1] * letters[lev - 1]
-    scale = np.full(len(points), rt[stage] / rs[stage])
+    if stages is None:
+        scale = np.full(len(points), rt[stage] / rs[stage])
+    else:
+        scale = (rt / rs).take(stages)
     frame = level > 0
     if frame.any():
         lv, tf = level[frame], t[frame]
@@ -49,8 +57,11 @@ def cantor_map_points(points, rs, rs_out, rt, rt_out, stage, jacobian=False):
     if not jacobian:
         return images, None
     count, n = points.shape
-    d = np.empty((count, n, n))
-    d[:] = (rt[stage] / rs[stage]) * np.eye(n)
+    if stages is None:
+        d = np.empty((count, n, n))
+        d[:] = (rt[stage] / rs[stage]) * np.eye(n)
+    else:
+        d = (rt / rs).take(stages)[:, None, None] * np.eye(n)
     rows = np.flatnonzero(level)
     lev, t = level[rows], t[rows]
     xi = points[rows] - zs[rows]

@@ -8,14 +8,14 @@ measure (n-1) 2^(n-1) rho^(n-1) u dE dt at every n; that absorbs the
 bounded integrand.  A tower cell is integrated by the midpoint rule on a
 cube grid.  The nodes of a row's sampled tubes and cells go in batches
 of about ``CAUCHY_BATCH`` nodes (one batch a row on small quadratures),
-and batch j of every row makes batch column j.  Per column each stage
-differentiates once: stage s runs one ``derivative_many`` on batch j of
-rows s and s+1, which serves row s as its minuend and row s+1 as its
-subtrahend.  Each tube's or cell's weighted measures are summed by one
-cumulative sum, which adds in node order, so the rows are those of a
-loop over the nodes and do not depend on the batch size.  Finite-difference
-Jacobians come from one central-difference stencil, evaluated in one
-batch of the map.  All randomness flows from one counter-based generator
+and batch j of every row makes batch column j.  Per column the deepest
+stage differentiates row k's nodes at stages k-1 and k, every row in one
+walk with a stage per row (more, of about 2 ``CAUCHY_BATCH`` rows each,
+on large quadratures).  Each tube's or cell's weighted measures are
+summed by one cumulative sum, which adds in node order, so the rows are
+those of a loop over the nodes and do not depend on the batch size.
+Finite-difference Jacobians come from one central-difference stencil,
+evaluated in one batch of the map.  All randomness flows from one counter-based generator
 seeded by the caller.
 """
 
@@ -304,11 +304,16 @@ def _tube_integral(sched: TentacleSchedule, k: int, word, weight_fn,
     return _ordered_sum(np.array([weight_fn(x) for x in nodes], dtype=float), measures)
 
 
-# Nodes per batch of a Cauchy row.  A stage differentiates batch j of two
-# rows in one walk (a batch column), so this is enough that the fixed
-# cost of a walk is small, and few enough that the (N, n, n) Jacobians of
-# a walk, the slice held from the walk before and their temporaries stay
-# a few MB whatever the quadrature.
+# Nodes per batch of a Cauchy row.  Batch j of every row makes batch
+# column j, and the deepest stage differentiates a column's nodes twice
+# each, row k's batch at stages k-1 and k (two slices), in walks that
+# close once they hold 2 * CAUCHY_BATCH rows.  A slice holds fewer than
+# CAUCHY_BATCH rows plus one part, so a walk holds fewer than
+# 3 * CAUCHY_BATCH rows plus one part, whatever k_max, and a table holds
+# the Jacobians of one walk and of at most one slice walked before it.
+# So this is enough that the fixed cost of a walk is small, and few
+# enough that those Jacobians and their temporaries stay a few MB
+# whatever the quadrature.
 CAUCHY_BATCH = 1 << 13
 
 
@@ -370,18 +375,20 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
     above ``config.cells_cap`` and rescaled by the cell count.
 
     Each row's parts go in batches of about ``CAUCHY_BATCH`` nodes, and
-    column j is batch j of every row.  Per column, stage s differentiates
-    once, on batch j of row s and of row s+1 together: row s takes its
-    slice minus the stage-(s-1) Jacobians held from the walk before, and
-    the slice of row s+1 is held for the next walk.  So each stage runs
-    once per column, and between walks a table holds one batch of
-    Jacobians, during a walk that batch and the walk's two.
+    column j is batch j of every row.  A column is stacked as row k's
+    batch at stage k-1, then at stage k, for k = 2..k_max, and the stage
+    ``k_max`` map differentiates the stack with a stage per row
+    (``derivative_many``'s ``stages``), which gives each row the floats of
+    its own stage's map, in walks of whole slices that close once they
+    hold 2 ``CAUCHY_BATCH`` rows: one walk per column on quadratures of up
+    to ``CAUCHY_BATCH`` nodes a row.  Row k takes its stage-k slice minus
+    its stage-(k-1) slice, held until the stage-k slice is walked.
     """
     if variant not in ("T1", "T2"):
         raise ValueError("cauchy tables exist for variants T1 and T2")
     rng = make_rng(config.seed)
-    stages = {k: build_stage(variant, k, n, beta) for k in range(1, k_max + 1)}
-    sched = stages[k_max].schedule
+    deepest = build_stage(variant, k_max, n, beta)
+    sched = deepest.schedule
     res_mult = 2 if refine else 1
     batches = []  # per row, its batches, made as the columns need them
     for k in range(2, k_max + 1):
@@ -391,20 +398,21 @@ def cauchy_table(variant: str, p: float, k_max: int, config: QuadratureConfig,
         batches.append(_batches(parts, CAUCHY_BATCH))
     totals = [0.0] * (k_max - 1)
     for column in zip_longest(*batches):  # column[k - 2]: the batch of row k, or None
-        held = None  # D_{s-1} at the nodes of row s's batch
-        for s in range(1, k_max + 1):
-            mine = column[s - 2] if s >= 2 else None
-            ahead = column[s - 1] if s < k_max else None
-            walk = [part[0] for batch in (mine, ahead) if batch for part in batch]
-            if not walk:
-                continue
-            jac = stages[s].derivative_many(np.concatenate(walk))
-            m = 0
-            if mine:
-                m = sum(len(part[0]) for part in mine)
-                totals[s - 2] = _add_parts(totals[s - 2], jac[:m] - held, mine, p)
-            # a copy, so that row s's Jacobians are not kept alive with it
-            held = (jac[m:].copy() if m else jac) if ahead else None
+        filled = [(k, batch) for k, batch in enumerate(column, start=2) if batch]
+        nodes = [np.concatenate([part[0] for part in batch]) for _, batch in filled]
+        # the stack: row k's nodes at stage k - 1, then at stage k
+        stack = [(x, np.full(len(x), k + i)) for (k, _), x in zip(filled, nodes)
+                 for i in (-1, 0)]
+        walks = (deepest.derivative_many(np.concatenate([x for x, _ in walk]),
+                                         stages=np.concatenate([s for _, s in walk]))
+                 for walk in _batches(stack, 2 * CAUCHY_BATCH))
+        held = np.empty((0, n, n))  # the Jacobians walked and not yet taken
+        for (k, batch), x in zip(filled, nodes):
+            m = len(x)
+            while len(held) < 2 * m:
+                held = np.concatenate([held, next(walks)])
+            totals[k - 2] = _add_parts(totals[k - 2], held[m:2 * m] - held[:m], batch, p)
+            held = held[2 * m:]
     rows = [CauchyRow(k, total, 0.0, True) for k, total in enumerate(totals, start=2)]
 
     env = [2.0 ** (-k * beta) + 1.0 / k**2 for k in range(2, k_max + 1)]
@@ -461,14 +469,18 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
     margin = 10 * h
     pts = lo + (hi - lo) * rng.random((count, len(lo)))
     pts = np.clip(pts, lo + margin, hi - margin)
-    dets = np.linalg.det(_fd_jacobians(rows, pts, h)).tolist()
-    positives = sum(det > 0 for det in dets)
-    min_det = min([math.inf, *dets])
-    exceptions = [(x.copy(), det) for x, det in zip(pts, dets) if not det > 0]
+    dets = np.linalg.det(_fd_jacobians(rows, pts, h))
+    positive = dets > 0
+    # Python's min from inf: NaNs skipped, the first of equal values kept
+    # (argmin's pick, as -0.0 == 0.0)
+    valued = dets[~np.isnan(dets)]
+    min_det = float(valued[valued.argmin()]) if len(valued) else math.inf
+    bad = np.flatnonzero(~positive)
+    # rows of a fresh array, in point order
+    exceptions = list(zip(pts[bad], dets[bad].tolist()))
     fines = []
     if exceptions:
-        fine_pts = np.array([x for x, _ in exceptions])
-        fines = np.linalg.det(_fd_jacobians(rows, fine_pts, h / 8)).tolist()
+        fines = np.linalg.det(_fd_jacobians(rows, pts[bad], h / 8)).tolist()
     hard = []
     for (x, det), fine in zip(exceptions, fines):
         analytic = None
@@ -479,7 +491,7 @@ def jacobian_survey(map_like, count: int, config: QuadratureConfig,
                 analytic = None
         if fine <= 0 and (analytic is None or analytic <= 0):
             hard.append((x.copy(), det, fine, analytic))
-    return SurveyReport(positives / count, min_det, exceptions, hard)
+    return SurveyReport(np.count_nonzero(positive) / count, min_det, exceptions, hard)
 
 
 def boundary_identity_check(map_like, n: int, samples_per_face: int,

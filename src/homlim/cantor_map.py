@@ -7,8 +7,9 @@ level-k inner cube it is the linear scaling by r~_k / r_k.  Because
 r'_i = r_{i-1}/2 and r~'_i = r~_{i-1}/2 the frame maps agree with the
 enclosing linear map on both boundaries, so no glue region is needed and
 the piecewise inverse is exact.  Every evaluation, images and Jacobians
-of the map or of its inverse, is one call of the batched kernel
-``_kernels.cantor_map_points``, which descends the address tree once.
+of the map or of its inverse, at the map's stage or at a stage per row,
+is one call of the batched kernel ``_kernels.cantor_map_points``, which
+descends the address tree once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels
-from ._maps import BatchMap
+from ._maps import BatchMap, row_stages
 from .errors import DomainError
 from .geometry import ParameterSchedule
 
@@ -50,18 +51,22 @@ class CantorHomeomorphism(BatchMap):
         self._rs, self._rs_out = src.radii(stage)
         self._rt, self._rt_out = dst.radii(stage)
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   stages=None):
         """The map, or with ``inverse`` its inverse (the same kernel with the
-        radius arrays swapped), on every row of ``points``: (images, (N, n, n)
-        Jacobians or None), from one kernel call.  A Jacobian is undefined on
-        the sup-norm edge set (non-unique max coordinate), where the first
-        max index is used; Jacobians need every row in [-1, 1]^n."""
+        radius arrays swapped), on every row of ``points``, row i at stage
+        ``stages[i]`` if given: (images, (N, n, n) Jacobians or None), from
+        one kernel call.  A Jacobian is undefined on the sup-norm edge set
+        (non-unique max coordinate), where the first max index is used;
+        Jacobians need every row in [-1, 1]^n."""
         x = np.ascontiguousarray(points, dtype=float)
+        stages = row_stages(stages, self.stage, len(x))
         radii = (self._rs, self._rs_out, self._rt, self._rt_out)
         rs, rs_out, rt, rt_out = radii[2:] + radii[:2] if inverse else radii
         if jacobian and x.size and np.abs(x).max() > 1.0:
             raise DomainError("point outside [-1,1]^n")
-        return _kernels.cantor_map_points(x, rs, rs_out, rt, rt_out, self.stage, jacobian)
+        return _kernels.cantor_map_points(x, rs, rs_out, rt, rt_out, self.stage, jacobian,
+                                          stages)
 
     def derivative_bound(self, level: int) -> float:
         """Sharp sup of the radial-map stretch on the level-i frame:

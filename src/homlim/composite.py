@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._maps import BatchMap
+from ._maps import BatchMap, row_stages
 from .cantor_map import CantorHomeomorphism
 from .errors import DomainError
 from .geometry import ParameterSchedule, cell_center, harmonic_schedule, row_max
@@ -55,7 +55,10 @@ class AxisCollapse(BatchMap):
     def __init__(self, n: int):
         self.n = n
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   stages=None):
+        """The collapse on every row of ``points``; it has no stage, so
+        ``stages`` changes nothing."""
         if jacobian:
             raise DomainError("FL derivative is piecewise; use finite differences")
         if inverse:
@@ -70,19 +73,21 @@ class AxisCollapse(BatchMap):
         return np.where((sup <= inner)[:, None], core, (1.0 - t) * core + t * x), None
 
 
-def _fold(chain: tuple, x: np.ndarray, jacobian: bool = False):
+def _fold(chain: tuple, x: np.ndarray, jacobian: bool = False, stages=None):
     """Apply the (factor, direction) pairs of ``chain`` in order to every
     row of the (N, n) array x, f for direction +1 and f^{-1} for -1:
     (images, None), or with ``jacobian`` (images, (N, n, n) Jacobians by
     the chain rule).  Each factor walks once per pair, for its image and,
-    when asked, the Jacobian of the direction it walks."""
+    when asked, the Jacobian of the direction it walks, with every row at
+    its stage in ``stages`` if given."""
     d = None
     for f, s in chain:
-        if not jacobian:
+        if not jacobian and stages is None:
             x = f.forward_many(x) if s > 0 else f.inverse_many(x)
             continue
-        x, jac = f._walk_rows(x, inverse=s < 0, jacobian=True)
-        d = jac if d is None else np.matmul(jac, d)
+        x, jac = f._walk_rows(x, inverse=s < 0, jacobian=jacobian, stages=stages)
+        if jacobian:
+            d = jac if d is None else np.matmul(jac, d)
     return x, d
 
 
@@ -96,7 +101,9 @@ class CompositeStage(BatchMap):
     """One stage of a counterexample composition: the fold of ``chain``.
 
     ``derivative_many`` multiplies the factor Jacobians in chain order; an
-    inverted factor contributes the Jacobian of its own inverse walk."""
+    inverted factor contributes the Jacobian of its own inverse walk.  With
+    ``stages`` every factor runs row i at stage ``stages[i]``, so row i
+    gets what ``build_stage(variant, stages[i], n, beta)`` gives it."""
 
     variant: str
     k: int
@@ -105,12 +112,14 @@ class CompositeStage(BatchMap):
     chain: tuple
     schedule: TentacleSchedule | None = None
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   stages=None):
         x = np.asarray(points, dtype=float)
         # a NaN row fails the test too, and the inverse has the same domain
         if not (np.abs(x) <= 1.0).all():
             raise DomainError("point outside [-1,1]^n")
-        return _fold(_reverse(self.chain) if inverse else self.chain, x, jacobian)
+        stages = row_stages(stages, self.k, len(x))
+        return _fold(_reverse(self.chain) if inverse else self.chain, x, jacobian, stages)
 
 
 @lru_cache(maxsize=32)

@@ -169,19 +169,24 @@ def row_max(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def descend_set(points: np.ndarray, radii, depth: int):
-    """Batched setA/setB descent of the address tree, ``depth`` levels deep.
+def descend_set(points: np.ndarray, radii, depth: int, depths=None):
+    """Batched setA/setB descent of the address tree, ``depth`` levels deep,
+    or with ``depths`` (an (N,) int array, 1 <= depths[i] <= depth) row i
+    ``depths[i]`` levels deep.
 
     At level k the child letter of a row is v = sign(x - z) with x >= z
     counted as +1 (half-open faces), and the center steps by
     (r_{k-1}/2) v; a row stops in the first frame, where its sup offset
-    t = |x - z|_inf reaches r_k.  ``radii`` holds r_0..r_depth.
+    t = |x - z|_inf reaches r_k, or in the inner cube of its own depth.
+    ``radii`` holds r_0..r_depth.
 
     Returns (level, letters, center, sup): the frame level of each row
-    (0 for rows still inside the level-``depth`` inner cube), the sign
+    (0 for rows still inside the inner cube of their depth), the sign
     letters as a (depth, N, n) array (zero below the stop level), the
     center of the cell where the row stopped and its sup offset there.
     Rows leave the walk as they stop, and the walk ends once all have.
+    A row's arithmetic is its own, so it gets what a walk of its own
+    depth gives it.
     """
     npts, n = points.shape
     level = np.zeros(npts, dtype=np.intp)
@@ -196,14 +201,17 @@ def descend_set(points: np.ndarray, radii, depth: int):
         letters[lev - 1, rows] = sign
         t = row_max(np.abs(x - z))
         stop = t >= radii[lev]
+        if depths is not None:
+            # a row at its own depth stops in that level's inner cube
+            frame, stop = stop, stop | (depths[rows] == lev)
         stopped = np.count_nonzero(stop)
         if stopped == len(t):
-            level[rows] = lev
+            level[rows] = lev if depths is None else np.where(frame, lev, 0)
             break
         if stopped:
             ids = np.arange(npts)[rows]
             done = ids[stop]
-            level[done] = lev
+            level[done] = lev if depths is None else np.where(frame[stop], lev, 0)
             center[done] = z[stop]
             sup[done] = t[stop]
             keep = ~stop

@@ -29,9 +29,10 @@ axial profile and its inverse, through the rows of
 ``TentacleLevel.knots``) and ``_shear_rows`` (the shear and its slope).
 A stage map runs in three steps, each with one owner.
 ``_TentacleStage._descend_rows`` takes cube rows to their level, slot
-heights and chart rows; ``_TentacleStage._walk_chart`` maps chart rows
-through the knot table of their level, to the chart images and, when
-asked, the cube Jacobians, of the stage or of its inverse; and
+heights and chart rows (a row given its own stage descends no deeper
+than it); ``_TentacleStage._walk_chart`` maps chart rows through the
+knot table of their level, to the chart images and, when asked, the
+cube Jacobians, of the stage or of its inverse; and
 ``TentacleSchedule.centerline`` puts a chart row back in the cube.  Every
 evaluation method of a stage is a call of ``_TentacleStage._walk_rows``,
 which runs the three; a caller that holds chart rows, as a continuum
@@ -45,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._maps import BatchMap
+from ._maps import BatchMap, row_stages
 from .errors import (
     DomainError,
     InfeasibleScheduleError,
@@ -486,8 +487,9 @@ class _TentacleStage(BatchMap):
     def _tube_end(self, lv: TentacleLevel, squeezed: bool) -> float:
         return lv.c_sq if squeezed else lv.c
 
-    def _descend_rows(self, x: np.ndarray, squeezed: bool):
-        """Find the deepest level J and the chart row of every row of x.
+    def _descend_rows(self, x: np.ndarray, squeezed: bool, stages=None):
+        """Find the deepest level J and the chart row of every row of x,
+        row i no deeper than ``stages[i]`` if given.
 
         Returns (J, heights, w), J one value per row, heights the address
         height letters as a (stage, N) array (0 from level J on), and w the
@@ -508,6 +510,8 @@ class _TentacleStage(BatchMap):
             # the cube and the tube of the level lie in -r_hat < t < end
             t = t_all[rows]
             near = (t > -lv.r_hat) & (t < end)
+            if stages is not None:
+                near &= stages[rows] >= j
             count = np.count_nonzero(near)
             if not count:
                 break
@@ -587,14 +591,16 @@ class _TentacleStage(BatchMap):
         _raise_first_outside(outside)
         return x, d
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
-        """The stage map, or its inverse, on every row of ``points``:
-        (images, (N, n, n) Jacobians of the map walked, or None unless
-        ``jacobian``).  The rows descend to their chart rows, the chart
-        walks (``_walk_chart``), and an image goes back to the cube on the
-        centerline at its new axial coordinate."""
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   stages=None):
+        """The stage map, or its inverse, on every row of ``points``, row i
+        at stage ``stages[i]`` if given: (images, (N, n, n) Jacobians of the
+        map walked, or None unless ``jacobian``).  The rows descend to their
+        chart rows, the chart walks (``_walk_chart``), and an image goes
+        back to the cube on the centerline at its new axial coordinate."""
         x = np.asarray(points, dtype=float)
-        J, heights, w = self._descend_rows(x, squeezed=self.forward_from_squeezed != inverse)
+        stages = row_stages(stages, self.stage, len(x))
+        J, heights, w = self._descend_rows(x, self.forward_from_squeezed != inverse, stages)
         x, d = self._walk_chart(J, heights, w, inverse, jacobian)
         rows = J.nonzero()[0]
         if len(rows):  # a row in no tentacle stays, and costs no shear

@@ -27,8 +27,9 @@ with the move's constants gathered per row, in the float operations of
 the move alone, and a per-move mask clears the layers the row has
 passed.  A level takes as many passes as its longest chain of moves (4
 on a uniform batch at n = 3, against 6 layers), and the inverse walks
-the same tables numbered from the last move.  A single point is a
-one-row batch.  The cell tests and the
+the same tables numbered from the last move.  A walk with a stage per
+row runs row i through the levels 1..stages[i] only.  A single point is
+a one-row batch.  The cell tests and the
 corridors' transverse sup distances are row maxima by ``row_max``; the
 blend's ``argmax`` stays, as it must pick the first tying coordinate.
 """
@@ -40,7 +41,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._maps import BatchMap
+from ._maps import BatchMap, row_stages
 from .errors import InfeasibleScheduleError, InvalidAddressError
 from .geometry import (
     ParameterSchedule,
@@ -422,7 +423,10 @@ class TowerMapping(BatchMap):
         lo < s2 < s3 < hi (s2, s3 = src -/+ rho) to lo, s2 + tau, s3 + tau,
         hi.  Its Jacobian is the identity but for the axis row (slope, blend
         entry), taken before the move, or for the inverse at the preimage,
-        where it inverts to (1/slope, -blend entry/slope).  The blend entry
+        where it inverts to (1/slope, -blend entry/slope); a row translated
+        inside its cube (s2 <= x <= s3, delta <= rho) has the identity, and
+        its d is left as it is (``np.matmul(I, d)`` returns d bit for bit
+        when d holds no -0.0, inf or NaN).  The blend entry
         goes to the first transverse coordinate that attains the sup
         distance (the argmax): on a diagonal of the corridor, where x_i and
         x_j tie, i < j, it is the derivative on the side where x_i does."""
@@ -454,37 +458,52 @@ class TowerMapping(BatchMap):
         if d is None:
             return
         x = ya if inverse else xa
-        below, mid = x < s2, x <= s3
-        slope = np.where(below, p2 / k2, np.where(mid, 1.0, p3 / k3))
-        jac = self._eye[None].repeat(len(rows), axis=0)
-        jac[np.arange(len(rows)), axis, axis] = 1.0 / slope if inverse else slope
-        blend = np.flatnonzero(delta > rho)
+        below, above = x < s2, x > s3
+        blend = delta > rho
+        act = np.flatnonzero(below | above | blend)
+        if not len(act):
+            return
+        slope = np.where(below, p2 / k2, np.where(above, p3 / k3, 1.0))
+        jac = self._eye[None].repeat(len(act), axis=0)
+        on = axis.take(act)
+        jac[np.arange(len(act)), on, on] = (1.0 / slope if inverse else slope).take(act)
+        blend = np.flatnonzero(blend)
         if len(blend):
             pl_minus_x = np.where(below, (lo + (x - lo) * q2 / k2) - x,
-                                  np.where(mid, tau_full, (hi - (hi - x) * q3 / k3) - x))
+                                  np.where(above, (hi - (hi - x) * q3 / k3) - x, tau_full))
             arg = off[blend].argmax(axis=1)
             sgn = np.where(diff[blend, arg] >= 0.0, 1.0, -1.0)
             entry = dchi[blend] * sgn * pl_minus_x[blend]
-            jac[blend, axis[blend], arg] = -entry / slope[blend] if inverse else entry
+            # the blend rows are act rows: their places among them
+            jac[act.searchsorted(blend), axis[blend], arg] = (
+                -entry / slope[blend] if inverse else entry)
+        rows = rows.take(act)
         d[rows] = np.matmul(jac, d.take(rows, axis=0))
 
-    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False):
+    def _walk_rows(self, points, inverse: bool = False, jacobian: bool = False,
+                   stages=None):
         """The stages, or with ``inverse`` their inverses, on every row of
-        ``points``: (images, (N, n, n) Jacobians or None).
+        ``points``, row i through the levels 1..``stages[i]`` if given:
+        (images, (N, n, n) Jacobians or None).
 
         The forward stages run shallowest first, each in the level-(i-1)
         cells that hold the images of the stages before it.  The inverse
         stages run deepest first, each in a cell below the level-i cells
         that hold the points, for i = 0..stage-1, so all those cells are
-        found before any stage runs."""
+        found before any stage runs.  A row enters the level-i cells, and
+        so runs level i + 1, only while its stage exceeds i."""
         x = np.array(points, dtype=float)
         count, n = x.shape
+        stages = row_stages(stages, self.stage, count)
         d = np.tile(np.eye(n), (count, 1, 1)) if jacobian else None
         # (rows held by a level-i cell, the centers of those cells)
         cells = [(np.arange(count), np.zeros_like(x))]
 
         def enter(level):
             rows, center = cells[-1]
+            if stages is not None:
+                deeper = stages.take(rows) > level
+                rows, center = rows.compress(deeper), center.compress(deeper, axis=0)
             stay, z = self._enter_rows(x.take(rows, axis=0), center, level)
             if not np.count_nonzero(stay):
                 return False

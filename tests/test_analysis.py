@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import numpy as np
 import pytest
 import reference_maps as ref
@@ -331,44 +333,58 @@ class TestCauchyTable:
 
     @staticmethod
     def record_walks(monkeypatch):
-        """Record (stage, node count) of every ``derivative_many`` call of a
-        composite stage."""
+        """Record (stage, per-row stages) of every ``derivative_many`` call
+        of a composite stage."""
         walks = []
         walk = CompositeStage.derivative_many
-        monkeypatch.setattr(CompositeStage, "derivative_many",
-                            lambda self, pts: walks.append((self.k, len(pts))) or walk(self, pts))
+
+        def record(self, pts, stages=None):
+            walks.append((self.k, np.array(stages)))
+            return walk(self, pts, stages)
+
+        monkeypatch.setattr(CompositeStage, "derivative_many", record)
         return walks
 
+    @staticmethod
+    def column_stacks(k_max, config, size):
+        """Per batch column of a table, its stack: the per-row stages of
+        row k's batch at stage k - 1, then at stage k, for k = 2..k_max, one
+        array per slice; and the node count of the largest part."""
+        rng, sched = make_rng(config.seed), build_stage("T1", k_max).schedule
+        rows, largest = [], 0
+        for k in range(2, k_max + 1):
+            words = _sample_words(3, k, config.cells_cap, rng)
+            words1 = _sample_words(3, k - 1, config.cells_cap, rng)
+            parts = list(_change_region(sched, k, *words, *words1, config, 1))
+            largest = max([largest] + [len(nodes) for nodes, *_ in parts])
+            rows.append([sum(len(nodes) for nodes, *_ in batch)
+                         for batch in _batches(parts, size)])
+        stacks = [[np.full(m, s) for k, m in enumerate(column, start=2) if m is not None
+                   for s in (k - 1, k)] for column in zip_longest(*rows)]
+        return stacks, largest
+
     @pytest.mark.parametrize("k_max", [2, 3, 4])
-    def test_each_stage_walks_once_per_batch_column(self, monkeypatch, k_max):
+    def test_the_deepest_stage_walks_once_per_batch_column(self, monkeypatch, k_max):
         walks = self.record_walks(monkeypatch)
         cauchy_table("T1", 2, k_max, self.CFG)
-        assert [k for k, _ in walks] == list(range(1, k_max + 1))
-        # stage s walks the nodes of rows s and s+1
-        counts = [m for _, m in walks]
-        rows = [counts[0]]
-        for m in counts[1:-1]:
-            rows.append(m - rows[-1])
-        assert rows[-1] == counts[-1] and all(m > 0 for m in rows)
+        (stack,), _ = self.column_stacks(k_max, self.CFG, analysis.CAUCHY_BATCH)
+        # one column: one walk of stage k_max, row k's nodes at k - 1 and k
+        assert [k for k, _ in walks] == [k_max]
+        assert np.array_equal(walks[0][1], np.concatenate(stack))
 
     @pytest.mark.parametrize("size", [1, 100])
-    def test_a_walk_holds_at_most_two_batches(self, monkeypatch, size):
+    def test_a_walk_holds_at_most_three_batch_sizes_and_a_part(self, monkeypatch, size):
         monkeypatch.setattr(analysis, "CAUCHY_BATCH", size)
         walks = self.record_walks(monkeypatch)
         cauchy_table("T1", 2, 4, self.CAP10)
-        # a batch closes once it reaches the size, so it holds fewer than
-        # size plus its last part; stage s walks batch j of rows s and s+1.
-        # A part's node count depends on its level, not on its word.
-        sched, rng = build_stage("T1", 4).schedule, make_rng(0)
-        largest = max(len(nodes) for k in (2, 3, 4) for nodes, *_ in _change_region(
-            sched, k, *_sample_words(3, k, 10, rng), *_sample_words(3, k - 1, 10, rng),
-            self.CAP10, 1))
-        assert all(m < 2 * (size + largest) for _, m in walks)
-        # every stage walks in every column that holds one of its rows: 18
-        # columns for row 2, 20 for rows 3 and 4 at size 1
-        if size == 1:
-            per_stage = [sum(k == s for k, _ in walks) for s in range(1, 5)]
-            assert per_stage == [18, 20, 20, 20]
+        # each column's slices go in walks that close at 2 size rows; a
+        # slice, a batch of one row, holds fewer than size rows plus a part
+        stacks, largest = self.column_stacks(4, self.CAP10, size)
+        want = [np.concatenate([s for s, in walk]) for stack in stacks
+                for walk in _batches([(s,) for s in stack], 2 * size)]
+        assert len(walks) == len(want) > len(stacks)
+        assert all(k == 4 and np.array_equal(got, w) for (k, got), w in zip(walks, want))
+        assert all(len(got) < 3 * size + largest for _, got in walks)
 
     def test_batches_close_at_the_size(self):
         parts = [(np.zeros((m, 3)), m) for m in (3, 5, 2, 7, 1)]

@@ -432,6 +432,99 @@ class TestRowIndependence:
                 check_rows(getattr(f, name + "_many"), getattr(f, name), pts)
 
 
+def walk_by_stage(maps, pts, stages, inverse, jacobian):
+    """``(images, Jacobians or None)`` of ``maps[s]`` on the rows of stage s,
+    in row order, or the type of the first error a stage's walk raises."""
+    images, jacs = np.empty_like(pts), np.empty((len(pts), 3, 3))
+    for s in np.unique(stages):
+        rows = stages == s
+        got = outcome(lambda p: maps[s]._walk_rows(p, inverse, jacobian), pts[rows])
+        if isinstance(got, type):
+            return got
+        images[rows] = got[0]
+        if jacobian:
+            jacs[rows] = got[1]
+    return images, jacs if jacobian else None
+
+
+def check_stages(top, maps, pts, stages, directions=(False, True)):
+    """``top`` walked with ``stages`` gives every row, byte for byte, what
+    the map of its stage gives it, images and Jacobians both ways; a walk
+    raises the error a stage's walk raises."""
+    for inverse in directions:
+        for jacobian in (False, True):
+            want = walk_by_stage(maps, pts, stages, inverse, jacobian)
+            got = outcome(lambda p: top._walk_rows(p, inverse, jacobian, stages), pts)
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert not isinstance(got, type)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert (got[1] is None) if not jacobian else got[1].tobytes() == want[1].tobytes()
+
+
+class TestStagesPerRow:
+    """A stage-k map walked with a stage per row gives each row, byte for
+    byte, the images and Jacobians of the map of its own stage, both ways:
+    on uniform rows, the frame-radius rows of ``frame_points`` and the tube
+    interface rows of ``tube_points``, with stages drawn from a seed."""
+
+    @staticmethod
+    def rows(k_max, seed, tubes=()):
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([rng.uniform(-1, 1, (24, 3)), frame_points(A, k_max, rng, words=1),
+                         frame_points(B, k_max, rng, words=1), *tubes])
+        return np.clip(pts, -1, 1), rng.integers(1, k_max + 1, len(pts))
+
+    @given(st.sampled_from(VARIANTS), st.sampled_from([3, 4]), st.integers(0, 2**32 - 1),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_composites(self, variant, k_max, seed, data):
+        top = STAGES[(variant, k_max)]
+        tubes = ()
+        if variant != "FL":
+            tubes = np.array(data.draw(st.lists(tube_points(top.schedule, data.draw(st.booleans())),
+                                                min_size=1, max_size=6)))
+            if variant != "T1":  # T2 and W meet the tubes behind L o g
+                tubes = pull_back(top, tubes)
+            tubes = (tubes,)
+        pts, stages = self.rows(k_max, seed, tubes)
+        maps = {s: STAGES[(variant, s)] for s in range(1, k_max + 1)}
+        if variant != "FL":
+            check_stages(top, maps, pts, stages)
+            return
+        check_stages(top, maps, pts, stages, directions=(False,))
+        with pytest.raises(DomainError, match="no inverse"):
+            top._walk_rows(pts, inverse=True, stages=stages)
+
+    @given(st.sampled_from([3, 4]), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_factors(self, k_max, seed, data):
+        towers = data.draw(st.lists(tower_points(), min_size=1, max_size=6))
+        tubes = {cls: data.draw(st.lists(tube_points(sched, data.draw(st.booleans())),
+                                         min_size=1, max_size=6))
+                 for cls, sched in ((SqueezeStage, SQ), (StretchStage, ST))}
+        pts, stages = self.rows(k_max, seed, (towers,))
+        # the images of set rows and the preimages of tower rows, where the
+        # moves act
+        pts = np.vstack([pts, TOWERS[k_max].forward_many(pts), TOWERS[k_max].inverse_many(pts)])
+        stages = np.concatenate([stages] * 3)
+        check_stages(TOWERS[k_max], TOWERS, pts, stages)
+        for inverse in (False, True):
+            g = {s: CANTOR[(s, inverse)] for s in range(1, k_max + 1)}
+            check_stages(g[k_max], g, pts, stages)
+        for cls in (SqueezeStage, StretchStage):
+            rows, row_stages = self.rows(k_max, seed, (tubes[cls],))
+            h = {s: TENTACLES[(cls, s)] for s in range(1, k_max + 1)}
+            check_stages(h[k_max], h, rows, row_stages)
+
+    @pytest.mark.parametrize("stages", [[0, 1], [1, 3], [1], [[1, 1]]])
+    def test_a_stage_outside_the_map_is_rejected(self, stages):
+        for f in (STAGES[("T1", 2)], TOWERS[2], CANTOR[(2, False)], TENTACLES[(SqueezeStage, 2)]):
+            with pytest.raises(ValueError, match="stages"):
+                f._walk_rows(np.zeros((2, 3)), stages=stages)
+
+
 class TestBatchErrors:
     """A batch raises the error of its first row outside its knots, as a
     loop over the rows does.  Valid schedules give no such tube rows, so

@@ -118,6 +118,24 @@ class TestSetDescent:
             assert np.array_equal(one[2][0], center[i])
 
 
+    @given(set_batches(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_depth_per_row_is_one_call_per_depth(self, case, data):
+        sched, pts, depth = case
+        depths = np.array(data.draw(st.lists(st.integers(1, depth), min_size=len(pts),
+                                             max_size=len(pts))))
+        radii = sched.radii(depth)[0]
+        level, letters, center, sup = descend_set(pts, radii, depth, depths)
+        for d in np.unique(depths):
+            rows = depths == d
+            own = descend_set(pts[rows], radii[:d + 1], d)
+            assert own[0].tobytes() == level[rows].tobytes()
+            assert own[1].tobytes() == letters[:d, rows].tobytes()
+            assert not letters[d:, rows].any()
+            assert own[2].tobytes() == center[rows].tobytes()
+            assert own[3].tobytes() == sup[rows].tobytes()
+
+
 class TestCantorKernel:
     @given(set_batches())
     @settings(max_examples=100, deadline=None)

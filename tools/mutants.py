@@ -59,10 +59,11 @@ MUTANTS = (
            "tests/test_analysis.py::TestCauchyTable::test_matches_the_pointwise_reference",
            "a Cauchy part summed pairwise by np.sum, not in node order"),
     Mutant("src/homlim/analysis.py",
-           "held = (jac[m:].copy() if m else jac) if ahead else None",
-           "held = (held if m else jac) if ahead else None",
-           "tests/test_analysis.py::TestCauchyTable::test_matches_the_pointwise_reference",
-           "a Cauchy row paired with the Jacobians held from an earlier stage"),
+           "held = np.concatenate([held, next(walks)])",
+           "held = next(walks)",
+           "tests/test_analysis.py::TestCauchyTable::test_rows_do_not_depend_on_the_batch_size",
+           "a Cauchy row's stage-(k-1) Jacobians dropped when its stage-k slice comes in "
+           "a later walk"),
     Mutant("src/homlim/tentacles.py",
            "    e[pos] = np.minimum(np.fromiter(map(math.log, u.tolist()), float, len(u))\n"
            "                        - math.log(lv.u_d), lv.e_range)\n",
@@ -195,6 +196,22 @@ MUTANTS = (
            "_pack_bits(layer_at >= ranks)",
            "tests/test_batch.py::TestFactorsBatchedEqualPointwise::test_tower",
            "a forward mask that keeps the bits of the move's own layer"),
+    Mutant("src/homlim/tower.py",
+           "deeper = stages.take(rows) > level",
+           "deeper = stages.take(rows) >= level",
+           "tests/test_batch.py::TestStagesPerRow::test_factors",
+           "the tower runs a row one level past its stage"),
+    Mutant("src/homlim/_kernels.py",
+           "scale = (rt / rs).take(stages)",
+           "scale = np.full(len(points), rt[stage] / rs[stage])",
+           "tests/test_batch.py::TestStagesPerRow::test_factors",
+           "the Cantor kernel reads the inner-cube scale at the map's stage, not the row's"),
+    Mutant("src/homlim/tentacles.py",
+           "            if stages is not None:\n"
+           "                near &= stages[rows] >= j\n",
+           "",
+           "tests/test_batch.py::TestStagesPerRow::test_factors",
+           "the tentacle descent ignores the row's stage"),
 )
 
 
